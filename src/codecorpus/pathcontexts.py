@@ -12,6 +12,14 @@ Pairs are enumerated with start before end in token order, filtered by path
 length (nodes on the path, terminals excluded) and by width (distance of the
 two child branches at the ancestor), then down-sampled without replacement
 when a method produces more than `max_contexts`.
+
+The enumeration is windowed rather than all-pairs: from each start terminal
+it climbs at most `max_length` ancestors, and at each one visits only the
+next `max_width` sibling subtrees, and in them only the terminals shallow
+enough to fit the remaining length. Each node keeps its terminals grouped by
+depth for that. Sampling draws indices over the admissible pairs before any
+`RawPath` is built, so only the kept paths are constructed; the draw depends
+only on the pair count, so it is the one an all-pairs scan would make.
 """
 
 import hashlib
@@ -82,52 +90,62 @@ def extract_paths(ast: Ast,
     terminals = [i for i in range(len(ast)) if ast.is_terminal(i)]
     if len(terminals) < 2:
         return []
+    parents = ast.parents
+    children = ast.children
+    reach = max_length - 1          # most nodes on either side of the lca
 
-    # ancestor chain (node -> root) per terminal, plus position-in-parent
-    chains: dict[int, list[int]] = {}
+    # below[n][r]: terminals r levels under node n (n itself at r = 0)
+    below: list[list[list[int]]] = [[] for _ in range(len(ast))]
     for t in terminals:
-        chain = []
-        n = t
-        while n != 0:
-            n = ast.parents[n]
-            chain.append(n)
-        chains[t] = chain
-    depth = {t: len(chains[t]) for t in terminals}
-    pos_in_parent = {}
-    for parent, kids in enumerate(ast.children):
+        n, r = t, 0
+        while r <= reach:
+            levels = below[n]
+            while len(levels) <= r:
+                levels.append([])
+            levels[r].append(t)
+            if n == 0:
+                break
+            n, r = parents[n], r + 1
+    pos_in_parent = [0] * len(ast)
+    for kids in children:
         for k, c in enumerate(kids):
             pos_in_parent[c] = k
 
-    paths: list[RawPath] = []
-    for ai in range(len(terminals)):
-        a = terminals[ai]
-        chain_a = chains[a]
-        set_a = {n: d for d, n in enumerate(chain_a)}
-        for bi in range(ai + 1, len(terminals)):
-            b = terminals[bi]
-            chain_b = chains[b]
-            lca = None
-            d_b = 0
-            for d, n in enumerate(chain_b):
-                if n in set_a:
-                    lca = n
-                    d_b = d
-                    break
-            d_a = set_a[lca]
-            if d_a + 1 + d_b > max_length:
-                continue
-            branch_a = chain_a[d_a - 1] if d_a > 0 else a
-            branch_b = chain_b[d_b - 1] if d_b > 0 else b
-            if abs(pos_in_parent[branch_b] - pos_in_parent[branch_a]) > max_width:
-                continue
-            up = tuple(ast.node_types[n] for n in chain_a[:d_a])
-            down = tuple(ast.node_types[n] for n in reversed(chain_b[:d_b]))
-            paths.append(RawPath(a, b, up, ast.node_types[lca], down))
+    # (start, end, nodes above start, nodes above end) below the lca
+    pairs: list[tuple[int, int, int, int]] = []
+    for a in terminals:
+        found = []
+        branch, d_a = a, 0
+        while branch != 0 and d_a <= reach:
+            lca = parents[branch]
+            k = pos_in_parent[branch]
+            for sibling in children[lca][k + 1:k + 1 + max_width]:
+                for d_b, ends in enumerate(below[sibling][:reach - d_a + 1]):
+                    found.extend((a, b, d_a, d_b) for b in ends)
+            branch, d_a = lca, d_a + 1
+        found.sort()
+        pairs.extend(found)
 
-    if len(paths) > max_contexts:
+    if len(pairs) > max_contexts:
         rng = random.Random(seed)
-        keep = sorted(rng.sample(range(len(paths)), max_contexts))
-        paths = [paths[k] for k in keep]
+        keep = sorted(rng.sample(range(len(pairs)), max_contexts))
+        pairs = [pairs[k] for k in keep]
+    types = ast.node_types
+    paths = []
+    for a, b, d_a, d_b in pairs:
+        up = []
+        n = a
+        for _ in range(d_a):
+            n = parents[n]
+            up.append(types[n])
+        down = []
+        m = b
+        for _ in range(d_b):
+            m = parents[m]
+            down.append(types[m])
+        down.reverse()
+        paths.append(RawPath(a, b, tuple(up), types[parents[n]],
+                             tuple(down)))
     return paths
 
 

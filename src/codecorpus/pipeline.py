@@ -205,10 +205,17 @@ def _write_repr_csv(path: Path, rows: list[tuple[str, str]]) -> None:
 
 def read_repr_csv(path) -> dict[EntityId, str]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != REPR_HEADER:
-        raise InvalidArgumentError(f"unexpected representation header in {path}")
-    return {r[0]: r[1] for r in rows[1:]}
+        reader = csv.reader(fh)
+        if next(reader, None) != REPR_HEADER:
+            raise InvalidArgumentError(
+                f"unexpected representation header in {path}")
+        payloads = {}
+        for row in reader:
+            if len(row) != len(REPR_HEADER):
+                raise InputError(f"{path}:{reader.line_num}: expected "
+                                 f"{len(REPR_HEADER)} fields, got {len(row)}")
+            payloads[row[0]] = row[1]
+    return payloads
 
 
 def _method_payload(rtype: str, method: MethodSource, fields: dict,

@@ -5,6 +5,10 @@ most frequent adjacent pair (ties broken by the lexicographically smallest
 pair) until the target vocabulary size is reached or no pair repeats.
 Merging never crosses line boundaries; lines are deduplicated and weighted
 by their repeat counts, which keeps training fast on repetitive code.
+Pair counts are taken once and then updated incrementally: a pair -> lines
+index finds the lines a merge rewrites, and only the pairs next to each
+merge site change count. A heap keyed on (-count, pair) yields the next
+merge under the tie rule.
 
 Downstream measurements:
 
@@ -17,12 +21,13 @@ Downstream measurements:
 """
 
 import csv
+import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .catalog import Catalog
-from .errors import InvalidArgumentError
+from .errors import InputError, InvalidArgumentError
 from .identity import EntityId
 from .lexer import lex
 
@@ -54,42 +59,84 @@ def _lines(text: str) -> list[str]:
     return text.splitlines(keepends=True) or ([text] if text else [])
 
 
-def train_bpe(corpus_text: str, vocab_size: int, seed: int = 0,
+def train_bpe(corpus_text: str, vocab_size: int,
               corpus_tag: str = "") -> BpeVocab:
-    """Learn merge rules on `corpus_text` until `vocab_size` symbols exist.
-
-    The seed parameter is accepted for interface symmetry; training is
-    fully determined by the corpus and the tie rule, so it has no effect.
-    """
-    del seed
+    """Learn merge rules on `corpus_text` until `vocab_size` symbols exist."""
     if not corpus_text:
         raise InvalidArgumentError("training corpus must be nonempty")
     if vocab_size <= 256:
         raise InvalidArgumentError("vocab_size must exceed the 256 byte symbols")
 
     weighted = Counter(_lines(corpus_text))
-    seqs: list[tuple[list[bytes], int]] = [
-        ([bytes([b]) for b in line.encode("utf-8")], n)
-        for line, n in sorted(weighted.items())]
+    seqs: list[list[bytes]] = []
+    weights: list[int] = []
+    counts: Counter = Counter()
+    # pair -> lines that held it at some point; rechecked on merge
+    where: dict[tuple[bytes, bytes], set[int]] = {}
+    for k, (line, n) in enumerate(sorted(weighted.items())):
+        symbols = [bytes([b]) for b in line.encode("utf-8")]
+        seqs.append(symbols)
+        weights.append(n)
+        for pair in zip(symbols, symbols[1:]):
+            counts[pair] += n
+            where.setdefault(pair, set()).add(k)
+    # max-count first, then the smallest pair; stale entries are skipped
+    heap = [(-c, pair) for pair, c in counts.items()]
+    heapq.heapify(heap)
 
     vocab = {bytes([b]) for b in range(256)}
     merges: list[tuple[bytes, bytes]] = []
     while len(vocab) < vocab_size:
-        counts: Counter = Counter()
-        for symbols, n in seqs:
-            for a, b in zip(symbols, symbols[1:]):
-                counts[(a, b)] += n
-        if not counts:
+        while heap and counts.get(heap[0][1]) != -heap[0][0]:
+            heapq.heappop(heap)
+        if not heap or -heap[0][0] < 2:
             break
-        top = max(counts.values())
-        if top < 2:
-            break
-        pair = min(p for p, c in counts.items() if c == top)
+        pair = heapq.heappop(heap)[1]
         merges.append(pair)
         vocab.add(pair[0] + pair[1])
-        for k, (symbols, n) in enumerate(seqs):
-            seqs[k] = (_merge_pair(symbols, pair), n)
+        for p in _merge_everywhere(pair, seqs, weights, counts, where):
+            if counts[p] > 0:
+                heapq.heappush(heap, (-counts[p], p))
+            else:
+                del counts[p]
     return BpeVocab(merges, vocab, len(vocab), corpus_tag)
+
+
+def _merge_everywhere(pair: tuple[bytes, bytes], seqs: list[list[bytes]],
+                      weights: list[int], counts: Counter,
+                      where: dict[tuple[bytes, bytes], set[int]]
+                      ) -> set[tuple[bytes, bytes]]:
+    """Merge `pair` in place in every line that holds it and move the counts
+    of the pairs around each merge site; returns the pairs whose count
+    changed (the merged pair included, now at zero)."""
+    first, second = pair
+    joined = first + second
+    changed = {pair}
+
+    def move(k: int, n: int, old: tuple[bytes, bytes],
+             new: tuple[bytes, bytes]) -> None:
+        counts[old] -= n
+        counts[new] += n
+        where.setdefault(new, set()).add(k)
+        changed.add(old)
+        changed.add(new)
+
+    for k in where.pop(pair):
+        symbols = seqs[k]
+        n = weights[k]
+        i = 0
+        while i < len(symbols) - 1:
+            if symbols[i] == first and symbols[i + 1] == second:
+                counts[pair] -= n
+                if i > 0:
+                    left = symbols[i - 1]
+                    move(k, n, (left, first), (left, joined))
+                symbols[i:i + 2] = [joined]
+                if i + 1 < len(symbols):
+                    right = symbols[i + 1]
+                    move(k, n, (second, right), (joined, right))
+            i += 1
+    return changed
 
 
 def _merge_pair(symbols: list[bytes], pair: tuple[bytes, bytes]) -> list[bytes]:
@@ -306,10 +353,22 @@ def write_sizes_csv(path, records: list[SizeRecord]) -> None:
 
 def read_sizes_csv(path) -> list[SizeRecord]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != SIZES_HEADER:
-        raise InvalidArgumentError(f"unexpected sizes header in {path}")
-    return [SizeRecord(r[0], r[1], r[2], int(r[3])) for r in rows[1:]]
+        reader = csv.reader(fh)
+        if next(reader, None) != SIZES_HEADER:
+            raise InvalidArgumentError(f"unexpected sizes header in {path}")
+        records = []
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            if len(row) != len(SIZES_HEADER):
+                raise InputError(f"{where}: expected {len(SIZES_HEADER)} "
+                                 f"fields, got {len(row)}")
+            try:
+                count = int(row[3])
+            except ValueError:
+                raise InputError(f"{where}: subtoken_count {row[3]!r} is "
+                                 f"not an integer") from None
+            records.append(SizeRecord(row[0], row[1], row[2], count))
+    return records
 
 
 def write_fit_csv(path, table: FitTable) -> None:

@@ -9,8 +9,10 @@ different algorithmic shape:
   unrolled up to a bound that is raised until the answer stops changing)
   and scans each path for def/use events, instead of abstract fixpoint
   states.
-* `all_path_contexts` enumerates terminal pairs through root paths,
-  instead of ancestor-chain walking.
+* `all_path_contexts` enumerates every terminal pair through root paths,
+  instead of walking a window of ancestors and sibling subtrees.
+* `bpe_merges_oracle` recounts every pair of every line after each merge,
+  instead of updating counts around the merge sites.
 
 The event extraction conventions (evaluation order, which occurrences
 count as reads/writes) mirror the library's documented semantics; the
@@ -457,11 +459,13 @@ def all_path_contexts(ast: Ast, max_length: int | None = None,
     for parent, kids in enumerate(ast.children):
         for k, c in enumerate(kids):
             pos[c] = k
+    root_paths = [_root_path(ast, t) for t in terms]
     out = set()
     for ai, a in enumerate(terms):
-        pa = _root_path(ast, a)
-        for b in terms[ai + 1:]:
-            pb = _root_path(ast, b)
+        pa = root_paths[ai]
+        for bi in range(ai + 1, len(terms)):
+            b = terms[bi]
+            pb = root_paths[bi]
             c = 0
             while c < len(pa) and c < len(pb) and pa[c] == pb[c]:
                 c += 1
@@ -511,3 +515,47 @@ def recount_fit(records, thresholds) -> dict[tuple[str, str], list[float]]:
     return {key: [sum(1 for n in sizes if n <= tau) / len(sizes)
                   for tau in thresholds]
             for key, sizes in sorted(groups.items())}
+
+
+# ---------------------------------------------------------------------------
+# Full-rescan BPE trainer
+# ---------------------------------------------------------------------------
+
+
+def _merge_all(symbols: list[bytes], pair: tuple[bytes, bytes]
+               ) -> list[bytes]:
+    out: list[bytes] = []
+    i = 0
+    while i < len(symbols):
+        if i + 1 < len(symbols) and (symbols[i], symbols[i + 1]) == pair:
+            out.append(pair[0] + pair[1])
+            i += 2
+        else:
+            out.append(symbols[i])
+            i += 1
+    return out
+
+
+def bpe_merges_oracle(corpus_text: str, vocab_size: int
+                      ) -> list[tuple[bytes, bytes]]:
+    """Merge rules learned by recounting every pair of every line after each
+    merge, instead of updating the counts around the merge sites."""
+    from collections import Counter
+    lines = corpus_text.splitlines(keepends=True)
+    seqs = [([bytes([b]) for b in line.encode("utf-8")], n)
+            for line, n in sorted(Counter(lines).items())]
+    vocab = {bytes([b]) for b in range(256)}
+    merges: list[tuple[bytes, bytes]] = []
+    while len(vocab) < vocab_size:
+        counts: Counter = Counter()
+        for symbols, n in seqs:
+            for pair in zip(symbols, symbols[1:]):
+                counts[pair] += n
+        top = max(counts.values(), default=0)
+        if top < 2:
+            break
+        pair = min(p for p, c in counts.items() if c == top)
+        merges.append(pair)
+        vocab.add(pair[0] + pair[1])
+        seqs = [(_merge_all(symbols, pair), n) for symbols, n in seqs]
+    return merges

@@ -7,6 +7,7 @@ one-line JSON summary.
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -113,3 +114,24 @@ def test_duplicate_add_project_is_an_input_error(cli_env):
     proc = run_cli("add-project", corpus / "demo", "-w", ws)
     assert proc.returncode == 2
     assert "pass --replace" in proc.stderr
+
+
+@pytest.mark.parametrize("artifact, header, command", [
+    ("representations/TKNA.csv", "method_id,payload",
+     ("taskgen", "--task", "property")),
+    ("tokenstats/sizes.csv",
+     "entity_id,granularity,tokenizer_tag,subtoken_count",
+     ("report", "--study", "windows")),
+], ids=["TKNA", "sizes"])
+def test_truncated_artifact_row_is_an_input_error(cli_env, tmp_path,
+                                                  artifact, header, command):
+    _corpus, ws, _proc = cli_env
+    copy = tmp_path / "ws"
+    shutil.copytree(ws, copy)
+    target = copy / artifact
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(f"{header}\ndemo/app/A.java#main\n", encoding="utf-8")
+    proc = run_cli(*command, "-w", copy)
+    assert proc.returncode == 2, proc.stderr
+    assert "input error" in proc.stderr
+    assert f"{target.name}:2: expected" in proc.stderr

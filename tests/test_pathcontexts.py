@@ -78,17 +78,35 @@ def test_path_hash_is_a_sha256_prefix_of_the_render(views):
 # All-pairs oracle
 # ---------------------------------------------------------------------------
 
-def test_unlimited_extraction_matches_all_pairs_oracle(views):
-    subset = ["flowlab/flow/Flow.java", "metricsuite/calc/Calc.java",
-              "demo/app/A.java", "textzoo/text/Box.java",
-              "textzoo/text/Helper.java", "textzoo/text/Literals.java"]
-    for rel in subset:
+ORACLE_SUBSET = ["flowlab/flow/Flow.java", "metricsuite/calc/Calc.java",
+                 "demo/app/A.java", "textzoo/text/Box.java",
+                 "textzoo/text/Helper.java", "textzoo/text/Literals.java"]
+
+
+def _subset_methods(views):
+    for rel in ORACLE_SUBSET:
         for cls in views[rel].classes:
             for m in cls.methods:
-                got = extract_paths(m.ast, max_length=NO_LIMIT,
-                                    max_width=NO_LIMIT, max_contexts=NO_LIMIT)
-                assert _shapes(m.ast, got) == all_path_contexts(m.ast), \
-                    (rel, m.name)
+                yield rel, m
+
+
+def test_unlimited_extraction_matches_all_pairs_oracle(views):
+    for rel, m in _subset_methods(views):
+        got = extract_paths(m.ast, max_length=NO_LIMIT,
+                            max_width=NO_LIMIT, max_contexts=NO_LIMIT)
+        assert _shapes(m.ast, got) == all_path_contexts(m.ast), (rel, m.name)
+
+
+@pytest.mark.parametrize("max_width", [1, 2, 3])
+@pytest.mark.parametrize("max_length", range(1, 11))
+def test_every_window_matches_the_all_pairs_oracle(views, max_length,
+                                                   max_width):
+    for rel, m in _subset_methods(views):
+        got = extract_paths(m.ast, max_length=max_length,
+                            max_width=max_width, max_contexts=NO_LIMIT)
+        want = all_path_contexts(m.ast, max_length=max_length,
+                                 max_width=max_width)
+        assert _shapes(m.ast, got) == want, (rel, m.name)
 
 
 def test_limited_extraction_matches_limited_oracle(views):
@@ -121,6 +139,24 @@ def test_sampling_is_seeded_and_source_ordered(views):
 
     assert extract_paths(m.ast, max_contexts=25, seed=3) == sampled
     assert extract_paths(m.ast, max_contexts=25, seed=4) != sampled
+
+
+def test_sampling_picks_the_stdlib_sample_of_the_full_list(views):
+    capped = {25: 0, MAX_CONTEXTS_DEFAULT: 0}
+    for view in views.values():
+        for cls in view.classes:
+            for m in cls.methods:
+                full = extract_paths(m.ast, max_contexts=NO_LIMIT)
+                for cap in capped:
+                    if len(full) <= cap:
+                        continue
+                    capped[cap] += 1
+                    keep = sorted(random.Random(7).sample(range(len(full)),
+                                                          cap))
+                    got = extract_paths(m.ast, max_contexts=cap, seed=7)
+                    assert got == [full[k] for k in keep], \
+                        (view.path, m.name, cap)
+    assert all(capped.values()), capped
 
 
 def test_no_sampling_below_the_cap(views):

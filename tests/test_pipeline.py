@@ -186,6 +186,14 @@ def test_repr_reader_rejects_foreign_headers(tmp_path):
         read_repr_csv(bad)
 
 
+def test_repr_reader_names_the_line_of_a_short_row(tmp_path):
+    bad = tmp_path / "TKNA.csv"
+    bad.write_text('method_id,payload\na#f,"two\nlines"\nb#g\n',
+                   encoding="utf-8")
+    with pytest.raises(InputError, match="TKNA.csv:4: expected 2 fields"):
+        read_repr_csv(bad)
+
+
 # ---------------------------------------------------------------------------
 # Properties
 # ---------------------------------------------------------------------------

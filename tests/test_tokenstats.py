@@ -2,6 +2,8 @@
 
 The micro-corpus merge expectations are worked out by hand from the training
 rule (most frequent adjacent pair, ties to the lexicographically smallest).
+Whole merge lists are compared with a full-rescan oracle, on generated texts
+and on the fixture and English corpora.
 Roundtrip losslessness gets a property test over arbitrary unicode, since the
 encoder must stay faithful even for bytes the training corpus never saw.
 """
@@ -9,7 +11,7 @@ encoder must stay faithful even for bytes the training corpus never saw.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from codecorpus.errors import InvalidArgumentError
+from codecorpus.errors import InputError, InvalidArgumentError
 from codecorpus.lexer import lex
 from codecorpus.pipeline import all_sources, merged_catalog, zip_classes
 from codecorpus.tokenstats import (
@@ -19,7 +21,7 @@ from codecorpus.tokenstats import (
     write_sizes_csv, write_vocab,
 )
 
-from oracles import recount_fit
+from oracles import bpe_merges_oracle, recount_fit
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +82,30 @@ def test_merges_never_cross_lines():
         b"a\n" != a + b for a, b in v.merges)
     enc = bpe_encode(v, "a\nb")
     assert bpe_decode(enc) == "a\nb"
+
+
+# small alphabet with runs and repeats, multibyte characters and newlines,
+# so that ties, overlapping pairs and shared merge sites are common
+_PIECES = st.sampled_from(["a", "b", "c", "aaaa", "abab", "é", "€", "😀",
+                           " ", "\n"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_PIECES, min_size=1, max_size=40).map("".join),
+       st.integers(min_value=257, max_value=300))
+def test_training_matches_the_full_rescan_oracle(text, vocab_size):
+    assert train_bpe(text, vocab_size).merges == \
+        bpe_merges_oracle(text, vocab_size)
+
+
+def test_fixture_vocab_matches_the_full_rescan_oracle(code_vocab, corpus_env):
+    _cat, _m, _c, corpus_text = corpus_env
+    assert code_vocab.merges == bpe_merges_oracle(corpus_text, 512)
+
+
+def test_english_vocab_matches_the_full_rescan_oracle():
+    text = english_sample_text()
+    assert train_bpe(text, 512).merges == bpe_merges_oracle(text, 512)
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +286,19 @@ def test_sizes_csv_roundtrip(tmp_path, size_records):
     bad.write_text("a,b\n", encoding="utf-8")
     with pytest.raises(InvalidArgumentError):
         read_sizes_csv(bad)
+
+
+@pytest.mark.parametrize("row, problem", [
+    ("demo/A.java#f,method,code", "expected 4 fields, got 3"),
+    ("demo/A.java#f,method,code,12x", "'12x' is not an integer"),
+])
+def test_sizes_csv_rejects_broken_rows_with_their_line(tmp_path, row,
+                                                       problem):
+    path = tmp_path / "sizes.csv"
+    path.write_text(",".join(SIZES_HEADER) + "\ndemo,project,code,3\n"
+                    + row + "\n", encoding="utf-8")
+    with pytest.raises(InputError, match=f"sizes.csv:3: .*{problem}"):
+        read_sizes_csv(path)
 
 
 def test_fit_csv_uses_fixed_point_fractions(tmp_path, size_records):
