@@ -36,6 +36,7 @@ from .parser import (
     NT_LOCAL, NT_NEW, NT_PAREN, call_parts, local_decl_parts, new_parts,
     type_text,
 )
+from .tables import read_table, write_table
 
 
 def _simple(type_str: str) -> str:
@@ -524,24 +525,11 @@ CALLGRAPH_HEADER = ["caller_method_id", "callee_method_id",
 
 
 def write_callgraph_csv(path, g: CallGraph) -> None:
-    import csv
-    from pathlib import Path
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with open(p, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CALLGRAPH_HEADER)
-        for e in g.edges:
-            w.writerow([e.caller, e.callee, e.callee_signature, e.call_type,
-                        e.line, e.col])
+    write_table(path, CALLGRAPH_HEADER,
+                ((e.caller, e.callee, e.callee_signature, e.call_type,
+                  e.line, e.col) for e in g.edges))
 
 
 def read_callgraph_csv(path) -> CallGraph:
-    import csv
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != CALLGRAPH_HEADER:
-        raise InvalidArgumentError(f"unexpected call graph header in {path}")
-    edges = [CallEdge(r[0], r[1], r[2], r[3], int(r[4]), int(r[5]))
-             for r in rows[1:]]
-    return CallGraph(edges)
+    rows = read_table(path, CALLGRAPH_HEADER, ("line", "col"))
+    return CallGraph([CallEdge(*r) for r in rows])

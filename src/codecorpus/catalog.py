@@ -17,9 +17,7 @@ Method-level properties persist one file per key as `<KEY>.csv` with header
 `method_id,value`. Keys are 4-16 uppercase ASCII letters.
 """
 
-import csv
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,6 +29,7 @@ from .identity import (
     EntityId, assign_id, class_key, method_key, package_key, project_key,
 )
 from .parser import FileView, MethodSource, file_view
+from .tables import read_table, write_table
 
 PROJECTS_HEADER = ["project_id", "project_path", "project_name"]
 PACKAGES_HEADER = ["project_id", "package_id", "package_path", "package_name"]
@@ -147,13 +146,6 @@ class Catalog:
         self.methods.extend(other.methods)
         self.sort()
 
-    def drop_project(self, project_id: EntityId) -> None:
-        self.projects = [p for p in self.projects if p.project_id != project_id]
-        self.packages = [p for p in self.packages if p.project_id != project_id]
-        self.classes = [c for c in self.classes if c.project_id != project_id]
-        self.methods = [m for m in self.methods if m.project_id != project_id]
-        self._reindex()
-
     def sort(self) -> None:
         self.projects.sort(key=lambda p: (p.project_path, p.project_id))
         self.packages.sort(key=lambda p: (p.package_path, p.package_id))
@@ -193,8 +185,8 @@ def _parse_one(path: Path, rel: str) -> FileView | Diagnostic:
         return Diagnostic(rel, str(exc))
 
 
-def catalog_project(root, corpus_root=None, strict: bool = False,
-                    parallelism: int = 1) -> ProjectData:
+def catalog_project(root, corpus_root=None, strict: bool = False
+                    ) -> ProjectData:
     """Catalog one project directory tree.
 
     `corpus_root` anchors the relative paths recorded in metadata; when
@@ -211,17 +203,11 @@ def catalog_project(root, corpus_root=None, strict: bool = False,
     project_id = assign_id("project", project_key(project_name, project_rel))
     project = ProjectMeta(project_id, project_rel, project_name)
 
-    files = sorted(root.rglob("*.java"))
-    rels = [f"{project_rel}/{p.relative_to(root).as_posix()}" for p in files]
-    if parallelism > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(_parse_one, files, rels))
-    else:
-        results = [_parse_one(p, r) for p, r in zip(files, rels)]
-
     diagnostics: list[Diagnostic] = []
     views: list[FileView] = []
-    for res in results:
+    for path in sorted(root.rglob("*.java")):
+        rel = f"{project_rel}/{path.relative_to(root).as_posix()}"
+        res = _parse_one(path, rel)
         if isinstance(res, Diagnostic):
             if strict:
                 raise ParseError(f"{res.path}: {res.message}")
@@ -297,36 +283,16 @@ def catalog_project(root, corpus_root=None, strict: bool = False,
 # Metadata CSV round trip
 # ---------------------------------------------------------------------------
 
+# Metadata and property tables go through these two functions rather than
+# straight to `tables`: the benchmark tracer (bench/tracing.py) wraps them by
+# name, which times catalog table I/O apart from the other tables.
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    write_table(path, header, rows)
 
 
-def _read_csv(path: Path, header: list[str]) -> list[list[str]]:
-    if not path.is_file():
-        raise InputError(f"missing artifact: {path}")
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            got = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file, expected header row", 1)
-        if got != header:
-            raise ParseError(
-                f"{path}: bad header {got!r}, expected {header!r}", 1)
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{path}: expected {len(header)} fields, got {len(row)}",
-                    reader.line_num)
-            rows.append(row)
-        return rows
+def _read_csv(path: Path, header: list[str], int_columns=()) -> list[list]:
+    return read_table(path, header, int_columns)
 
 
 def write_metadata(cat: Catalog, out_dir) -> list[Path]:
@@ -363,14 +329,9 @@ def read_metadata(in_dir) -> Catalog:
                 for row in _read_csv(base / "packages.csv", PACKAGES_HEADER)]
     classes = [ClassMeta(*row)
                for row in _read_csv(base / "classes.csv", CLASSES_HEADER)]
-    methods = []
-    for row in _read_csv(base / "methods.csv", METHODS_HEADER):
-        try:
-            start, end = int(row[6]), int(row[7])
-        except ValueError:
-            raise ParseError(f"methods.csv: non-integer line bounds in {row!r}")
-        methods.append(MethodMeta(row[0], row[1], row[2], row[3], row[4],
-                                  row[5], start, end, row[8]))
+    methods = [MethodMeta(*row)
+               for row in _read_csv(base / "methods.csv", METHODS_HEADER,
+                                    ("start_line", "end_line"))]
     return Catalog(projects, packages, classes, methods)
 
 
@@ -411,17 +372,6 @@ class PropertyStore:
                 accepted[mid] = value
         self.tables[key] = accepted
         return len(accepted), sorted(rejected)
-
-    def get_property(self, key: str, method_ids: list[EntityId]) -> list[PropertyValue]:
-        if key not in self.tables:
-            raise NotFoundError(f"unknown property key: {key}")
-        table = self.tables[key]
-        out = []
-        for mid in method_ids:
-            if mid not in table:
-                raise NotFoundError(f"no {key} value for method {mid}")
-            out.append(table[mid])
-        return out
 
     def table(self, key: str) -> dict[EntityId, PropertyValue]:
         if key not in self.tables:

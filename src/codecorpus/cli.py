@@ -11,9 +11,7 @@ import sys
 
 import click
 
-from .errors import (CorpusError, EmptyProjectError, InputError,
-                     InvalidArgumentError, LexError, NotFoundError,
-                     ParseError)
+from .errors import CorpusError, InvalidArgumentError
 from .pipeline import (REPRESENTATION_TYPES, Workspace, WorkspaceConfig,
                        load_corpus, stage_add_project, stage_callgraph,
                        stage_catalog, stage_metrics, stage_props_import,
@@ -68,14 +66,13 @@ def cli():
               help="Directory whose subdirectories are projects.")
 @_WS_OPTION
 @click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--parallelism", default=1, show_default=True, type=int)
 @click.option("--strict", is_flag=True,
               help="Fail on the first unparseable file instead of skipping.")
-def catalog(corpus_root, workspace_dir, seed, parallelism, strict):
+def catalog(corpus_root, workspace_dir, seed, strict):
     """Scan the corpus and write the metadata tables."""
     ws = Workspace(workspace_dir)
     cfg = WorkspaceConfig(
-        corpus_root=str(corpus_root), seed=seed, parallelism=parallelism,
+        corpus_root=str(corpus_root), seed=seed,
         strictness="fail-fast" if strict else "skip-unparseable")
     summary = stage_catalog(ws, cfg)
     _emit({"command": "catalog", **summary})
@@ -101,11 +98,6 @@ def add_project(project_root, workspace_dir, replace):
 def repr_cmd(workspace_dir, types_csv):
     """Write one payload CSV per requested representation type."""
     types = [t.strip().upper() for t in types_csv.split(",") if t.strip()]
-    bad = [t for t in types if t not in REPRESENTATION_TYPES]
-    if bad:
-        raise click.UsageError(
-            f"unknown representation types {','.join(bad)}; valid: "
-            + ",".join(REPRESENTATION_TYPES))
     ws = Workspace(workspace_dir)
     cfg, datas, cat = load_corpus(ws)
     summary = stage_representations(ws, datas, types, cfg.seed)
@@ -225,10 +217,6 @@ def main(argv=None) -> int:
     except InvalidArgumentError as exc:
         click.echo(f"usage error: {exc}", err=True)
         return 1
-    except (InputError, NotFoundError, EmptyProjectError, LexError,
-            ParseError) as exc:
-        click.echo(f"input error: {exc}", err=True)
-        return 2
     except CorpusError as exc:
         click.echo(f"input error: {exc}", err=True)
         return 2

@@ -3,7 +3,8 @@ earlier artifacts and writes its own files under the workspace directory.
 
 Layout:
 
-    workspace.json            corpus root, seed, parallelism, strictness
+    workspace.json            corpus root, seed, strictness, and a fixed
+                              legacy `"parallelism": 1`
     metadata/                 projects/packages/classes/methods CSVs
     properties/<KEY>.csv      one value column per method
     representations/<T>.csv   method_id,payload for each representation
@@ -13,10 +14,11 @@ Layout:
     reports/                  plain-text and CSV study tables
 
 Every writer sorts its rows, so regenerating a workspace with the same
-corpus and seed reproduces identical bytes.
+corpus and seed reproduces identical bytes. Every CSV table goes through
+`tables`: it is replaced whole or not at all, and a malformed or truncated
+table is an `InputError` naming `file:line` (CLI exit 2).
 """
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,6 +37,7 @@ from .identity import EntityId
 from .lexer import lex, tkna_text, tknb_text
 from .parser import MethodSource
 from .pathcontexts import extract_paths, to_c2sq, to_c2vc
+from .tables import read_table, write_table
 from .taskgen import (augment_with_context, baseline_context_unigram,
                       baseline_most_frequent, bias_table,
                       evaluate_exact_match, make_call_masking_task,
@@ -52,7 +55,6 @@ STRICTNESS = ("skip-unparseable", "fail-fast")
 class WorkspaceConfig:
     corpus_root: str
     seed: int = 0
-    parallelism: int = 1
     strictness: str = "skip-unparseable"
 
 
@@ -71,9 +73,10 @@ class Workspace:
             raise InvalidArgumentError(
                 f"strictness must be one of {STRICTNESS}")
         self.root.mkdir(parents=True, exist_ok=True)
+        # "parallelism" is a fixed legacy field: it keeps workspace.json
+        # byte-identical to the files older versions wrote.
         payload = {"corpus_root": cfg.corpus_root, "seed": cfg.seed,
-                   "parallelism": cfg.parallelism,
-                   "strictness": cfg.strictness}
+                   "parallelism": 1, "strictness": cfg.strictness}
         self.config_path.write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n",
             encoding="utf-8")
@@ -83,6 +86,7 @@ class Workspace:
             raise InputError(
                 f"no workspace at {self.root}; run `catalog` first")
         data = json.loads(self.config_path.read_text(encoding="utf-8"))
+        data.pop("parallelism", None)
         return WorkspaceConfig(**data)
 
     # -- paths ------------------------------------------------------------------
@@ -138,8 +142,7 @@ def discover_projects(corpus_root: Path) -> list[Path]:
 def parse_corpus(cfg: WorkspaceConfig) -> list[ProjectData]:
     strict = cfg.strictness == "fail-fast"
     root = Path(cfg.corpus_root)
-    return [catalog_project(p, corpus_root=root, strict=strict,
-                            parallelism=cfg.parallelism)
+    return [catalog_project(p, corpus_root=root, strict=strict)
             for p in discover_projects(root)]
 
 
@@ -195,27 +198,11 @@ def stage_catalog(ws: Workspace, cfg: WorkspaceConfig) -> dict:
 
 
 def _write_repr_csv(path: Path, rows: list[tuple[str, str]]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(REPR_HEADER)
-        for mid, payload in sorted(rows):
-            w.writerow([mid, payload])
+    write_table(path, REPR_HEADER, sorted(rows))
 
 
 def read_repr_csv(path) -> dict[EntityId, str]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != REPR_HEADER:
-            raise InvalidArgumentError(
-                f"unexpected representation header in {path}")
-        payloads = {}
-        for row in reader:
-            if len(row) != len(REPR_HEADER):
-                raise InputError(f"{path}:{reader.line_num}: expected "
-                                 f"{len(REPR_HEADER)} fields, got {len(row)}")
-            payloads[row[0]] = row[1]
-    return payloads
+    return dict(read_table(path, REPR_HEADER))
 
 
 def _method_payload(rtype: str, method: MethodSource, fields: dict,
@@ -427,12 +414,7 @@ def stage_tokenstats(ws: Workspace, datas: list[ProjectData], cat: Catalog,
 
 def _write_table(path_base: Path, header: list[str], rows: list[list],
                  title: str) -> None:
-    path_base.parent.mkdir(parents=True, exist_ok=True)
-    with open(path_base.with_suffix(".csv"), "w", encoding="utf-8",
-              newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+    write_table(path_base.with_suffix(".csv"), header, rows)
     widths = [max(len(str(x)) for x in [h] + [r[i] for r in rows])
               for i, h in enumerate(header)]
     lines = [title,
@@ -492,8 +474,7 @@ def stage_add_project(ws: Workspace, project_root, replace: bool = False
             f"project must live under the corpus root {corpus_root}")
 
     new_data = catalog_project(root, corpus_root=corpus_root,
-                               strict=cfg.strictness == "fail-fast",
-                               parallelism=cfg.parallelism)
+                               strict=cfg.strictness == "fail-fast")
     if ws.metadata_dir.joinpath("projects.csv").exists():
         existing = read_metadata(ws.metadata_dir)
         dup = [p for p in existing.projects

@@ -7,18 +7,17 @@ deficit, so no project ever contributes to two splits. Sample order follows
 catalog order, which makes dataset files byte-reproducible for a fixed seed.
 """
 
-import csv
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 from .catalog import Catalog
-from .errors import InvalidArgumentError, NotFoundError
+from .errors import InputError, InvalidArgumentError, NotFoundError
 from .identity import EntityId
 from .callgraph import CallGraph, ContextBundle
 from .lexer import KIND_IDENTIFIER, KIND_OPERATOR
 from .parser import MethodSource, NT_CALL, NT_NEW, call_parts, new_parts
+from .tables import read_table, write_table
 
 SPLIT_NAMES = ("train", "valid", "test")
 DEFAULT_SPLIT_FRACS = (0.8, 0.05, 0.15)
@@ -486,45 +485,28 @@ def bias_table(sloc: dict[EntityId, int], cmpx: dict[EntityId, int]
 # ---------------------------------------------------------------------------
 
 def write_task_csv(path, dataset: TaskDataset) -> None:
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with open(p, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(TASK_HEADER)
-        for i, s in enumerate(dataset.samples):
-            w.writerow([s.sample_id, s.method_id, dataset.split_of(i),
-                        s.stratum, s.size_bucket, s.label, s.payload])
+    write_table(path, TASK_HEADER,
+                ((s.sample_id, s.method_id, dataset.split_of(i), s.stratum,
+                  s.size_bucket, s.label, s.payload)
+                 for i, s in enumerate(dataset.samples)))
 
 
 def read_task_csv(path) -> TaskDataset:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != TASK_HEADER:
-        raise InvalidArgumentError(f"unexpected task header in {path}")
     samples: list[TaskSample] = []
     splits: dict[str, set[int]] = {name: set() for name in SPLIT_NAMES}
-    for i, r in enumerate(rows[1:]):
+    for i, r in enumerate(read_table(path, TASK_HEADER)):
         sid, mid, split, stratum, bucket, label, payload = r
         if split not in splits:
-            raise InvalidArgumentError(f"unknown split {split!r} in {path}")
+            raise InputError(f"{path}: sample {sid!r} has unknown split "
+                             f"{split!r}")
         splits[split].add(i)
         samples.append(TaskSample(sid, mid, payload, label, stratum, bucket))
     return TaskDataset(samples, splits, seed=0, spec="")
 
 
 def write_predictions_csv(path, predictions: dict[str, str]) -> None:
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with open(p, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(PREDICTIONS_HEADER)
-        for k in sorted(predictions):
-            w.writerow([k, predictions[k]])
+    write_table(path, PREDICTIONS_HEADER, sorted(predictions.items()))
 
 
 def read_predictions_csv(path) -> dict[str, str]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != PREDICTIONS_HEADER:
-        raise InvalidArgumentError(f"unexpected predictions header in {path}")
-    return {r[0]: r[1] for r in rows[1:]}
+    return dict(read_table(path, PREDICTIONS_HEADER))

@@ -20,16 +20,16 @@ Downstream measurements:
                       per threshold, optionally bucketed by project size
 """
 
-import csv
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .catalog import Catalog
-from .errors import InputError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .identity import EntityId
 from .lexer import lex
+from .tables import read_table, write_table
 
 WINDOW_THRESHOLDS = (256, 512, 1024, 2048, 4096)
 
@@ -340,45 +340,22 @@ def read_vocab(path, corpus_tag: str = "") -> BpeVocab:
 
 
 def write_sizes_csv(path, records: list[SizeRecord]) -> None:
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with open(p, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(SIZES_HEADER)
-        for r in sorted(records, key=lambda r: (r.granularity, r.entity_id,
-                                                r.tokenizer_tag)):
-            w.writerow([r.entity_id, r.granularity, r.tokenizer_tag,
-                        r.subtoken_count])
+    ordered = sorted(records, key=lambda r: (r.granularity, r.entity_id,
+                                             r.tokenizer_tag))
+    write_table(path, SIZES_HEADER,
+                ((r.entity_id, r.granularity, r.tokenizer_tag,
+                  r.subtoken_count) for r in ordered))
 
 
 def read_sizes_csv(path) -> list[SizeRecord]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != SIZES_HEADER:
-            raise InvalidArgumentError(f"unexpected sizes header in {path}")
-        records = []
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            if len(row) != len(SIZES_HEADER):
-                raise InputError(f"{where}: expected {len(SIZES_HEADER)} "
-                                 f"fields, got {len(row)}")
-            try:
-                count = int(row[3])
-            except ValueError:
-                raise InputError(f"{where}: subtoken_count {row[3]!r} is "
-                                 f"not an integer") from None
-            records.append(SizeRecord(row[0], row[1], row[2], count))
-    return records
+    return [SizeRecord(*row)
+            for row in read_table(path, SIZES_HEADER, ("subtoken_count",))]
 
 
 def write_fit_csv(path, table: FitTable) -> None:
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with open(p, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(FIT_HEADER)
-        for gran, tag, bucket, tau, f in table.rows():
-            w.writerow([gran, tag, bucket, tau, f"{f:.6f}"])
+    write_table(path, FIT_HEADER,
+                ((gran, tag, bucket, tau, f"{f:.6f}")
+                 for gran, tag, bucket, tau, f in table.rows()))
 
 
 def english_sample_text() -> str:

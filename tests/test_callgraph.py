@@ -16,7 +16,7 @@ from codecorpus.callgraph import (
     n_hop_context, read_callgraph_csv, write_callgraph_csv,
 )
 from codecorpus.catalog import Catalog
-from codecorpus.errors import InvalidArgumentError, NotFoundError
+from codecorpus.errors import InputError, InvalidArgumentError, NotFoundError
 
 from oracles import recount_distribution
 
@@ -274,5 +274,5 @@ def test_csv_roundtrip_preserves_edges(tmp_path, demo):
 
     bad = tmp_path / "bad.csv"
     bad.write_text("caller,callee\nx,y\n", encoding="utf-8")
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(InputError):
         read_callgraph_csv(bad)

@@ -116,15 +116,20 @@ def test_duplicate_add_project_is_an_input_error(cli_env):
     assert "pass --replace" in proc.stderr
 
 
-@pytest.mark.parametrize("artifact, header, command", [
+@pytest.mark.parametrize("artifact, header, command, line", [
     ("representations/TKNA.csv", "method_id,payload",
-     ("taskgen", "--task", "property")),
+     ("taskgen", "--task", "property"), 2),
     ("tokenstats/sizes.csv",
      "entity_id,granularity,tokenizer_tag,subtoken_count",
-     ("report", "--study", "windows")),
-], ids=["TKNA", "sizes"])
-def test_truncated_artifact_row_is_an_input_error(cli_env, tmp_path,
-                                                  artifact, header, command):
+     ("report", "--study", "windows"), 2),
+    ("callgraph.csv",
+     "caller_method_id,callee_method_id,callee_signature,call_type,line,col",
+     ("report", "--study", "calls"), 2),
+    ("representations/TKNA.csv", "id,payload",
+     ("taskgen", "--task", "property"), 1),
+], ids=["TKNA", "sizes", "callgraph", "TKNA-header"])
+def test_truncated_artifact_row_is_an_input_error(cli_env, tmp_path, artifact,
+                                                  header, command, line):
     _corpus, ws, _proc = cli_env
     copy = tmp_path / "ws"
     shutil.copytree(ws, copy)
@@ -134,4 +139,4 @@ def test_truncated_artifact_row_is_an_input_error(cli_env, tmp_path,
     proc = run_cli(*command, "-w", copy)
     assert proc.returncode == 2, proc.stderr
     assert "input error" in proc.stderr
-    assert f"{target.name}:2: expected" in proc.stderr
+    assert f"{target.name}:{line}: expected" in proc.stderr

@@ -1,8 +1,10 @@
 """Parser structure: the flat preorder table, accessors, file views, errors."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from codecorpus.errors import ParseError
+from codecorpus.errors import CorpusError, ParseError
+from codecorpus.fixturegen import fixture_files
 from codecorpus.lexer import lex
 from codecorpus.parser import (
     assign_parts, call_parts, file_view, for_parts, if_parts,
@@ -255,3 +257,35 @@ def test_slice_lines_is_one_based_and_keeps_endings():
     assert slice_lines(src, 1, 1) == "a\n"
     assert slice_lines(src, 2, 3) == "b\nc\n"
     assert slice_lines(src, 1, 3) == src
+
+
+# ---------------------------------------------------------------------------
+# Robustness: any input parses or raises a CorpusError
+# ---------------------------------------------------------------------------
+
+_SOURCES = sorted(fixture_files().items())
+_BYTES = st.one_of(st.sampled_from(b"{}()[];,.=+-*/%<>!&|?:@\"'\\ \n\tx0"),
+                   st.integers(0, 255))
+_EDITS = st.lists(st.tuples(st.sampled_from(["insert", "delete", "swap"]),
+                            st.integers(0, 1 << 20), _BYTES),
+                  min_size=1, max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_SOURCES), _EDITS)
+def test_mutated_sources_parse_or_raise_a_corpus_error(item, edits):
+    rel, text = item
+    data = bytearray(text.encode("utf-8"))
+    for op, pos, byte in edits:
+        if op == "insert":
+            data.insert(pos % (len(data) + 1), byte)
+        elif len(data) > 1:
+            i = pos % (len(data) - 1)
+            if op == "delete":
+                del data[i]
+            else:
+                data[i], data[i + 1] = data[i + 1], data[i]
+    try:
+        file_view(data.decode("utf-8", errors="replace"), rel)
+    except CorpusError:
+        pass

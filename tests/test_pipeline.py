@@ -17,8 +17,9 @@ from codecorpus.errors import InputError, InvalidArgumentError, ParseError
 from codecorpus.fixturegen import write_fixture_corpus
 from codecorpus.metrics import compute_metrics
 from codecorpus.pipeline import (
-    REPRESENTATION_TYPES, Workspace, WorkspaceConfig, discover_projects,
-    load_corpus, parse_corpus, read_repr_csv, stage_add_project,
+    REPRESENTATION_TYPES, Workspace, WorkspaceConfig, _write_repr_csv,
+    discover_projects, load_corpus, parse_corpus, read_repr_csv,
+    stage_add_project,
     stage_callgraph, stage_catalog, stage_metrics, stage_props_import,
     stage_report, stage_representations, stage_taskgen,
 )
@@ -49,7 +50,7 @@ def pipe_env(tmp_path_factory):
 def test_config_roundtrips_through_json(tmp_path):
     ws = Workspace(tmp_path / "ws")
     cfg = WorkspaceConfig(corpus_root="/some/where", seed=9,
-                          parallelism=2, strictness="fail-fast")
+                          strictness="fail-fast")
     ws.save_config(cfg)
     assert ws.load_config() == cfg
     data = json.loads(ws.config_path.read_text(encoding="utf-8"))
@@ -182,7 +183,7 @@ def test_unknown_representation_types_are_rejected(pipe_env):
 def test_repr_reader_rejects_foreign_headers(tmp_path):
     bad = tmp_path / "TEXT.csv"
     bad.write_text("id,text\n", encoding="utf-8")
-    with pytest.raises(InvalidArgumentError, match="header"):
+    with pytest.raises(InputError, match="header"):
         read_repr_csv(bad)
 
 
@@ -192,6 +193,13 @@ def test_repr_reader_names_the_line_of_a_short_row(tmp_path):
                    encoding="utf-8")
     with pytest.raises(InputError, match="TKNA.csv:4: expected 2 fields"):
         read_repr_csv(bad)
+
+
+def test_repr_payloads_beyond_the_csv_field_limit_read_back(tmp_path):
+    path = tmp_path / "TKNA.csv"
+    payload = "x = x + i ;\n" * 20000          # 240 KB in one field
+    _write_repr_csv(path, [("a#f", payload)])
+    assert read_repr_csv(path) == {"a#f": payload}
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import pytest
 
 from codecorpus.callgraph import build_callgraph, n_hop_context
-from codecorpus.errors import InvalidArgumentError, NotFoundError
+from codecorpus.errors import InputError, InvalidArgumentError, NotFoundError
 from codecorpus.lexer import lex, tkna_text
 from codecorpus.metrics import compute_metrics
 from codecorpus.pipeline import all_sources, merged_catalog
@@ -433,12 +433,12 @@ def test_task_csv_roundtrip(tmp_path, env, mask_ds):
 def test_task_csv_rejects_bad_shapes(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("nope\n", encoding="utf-8")
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(InputError):
         read_task_csv(bad)
     wrong_split = tmp_path / "split.csv"
     wrong_split.write_text(
         ",".join(TASK_HEADER) + "\ns0,m0,dev,,A,x,p\n", encoding="utf-8")
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(InputError):
         read_task_csv(wrong_split)
 
 
@@ -452,7 +452,7 @@ def test_predictions_csv_roundtrip(tmp_path):
     assert lines[1].startswith("s0,")
     bad = tmp_path / "bad.csv"
     bad.write_text("x,y\n", encoding="utf-8")
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(InputError):
         read_predictions_csv(bad)
 
 

@@ -284,7 +284,7 @@ def test_sizes_csv_roundtrip(tmp_path, size_records):
 
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n", encoding="utf-8")
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(InputError):
         read_sizes_csv(bad)
 
 
