@@ -7,8 +7,8 @@ measures subword-tokenized entity sizes against context-window budgets.
 """
 
 from .catalog import (CALLGRAPH_KEYS, Catalog, IMPORT_ONLY_KEYS, METRIC_KEYS,
-                      ProjectData, PropertyStore, catalog_project,
-                      read_metadata, write_metadata)
+                      ProjectData, catalog_project, read_metadata,
+                      write_metadata)
 from .callgraph import (CALL_TYPES, CallEdge, CallGraph, build_callgraph,
                         classify_distribution, connectivity_props,
                         n_hop_context)
@@ -39,8 +39,8 @@ __all__ = [
     "Catalog", "CorpusError", "EDGE_TYPES", "EmptyProjectError",
     "FeatureGraph", "FileView", "IMPORT_ONLY_KEYS", "InputError",
     "InvalidArgumentError", "LexError", "METRIC_KEYS", "MethodSource",
-    "NotFoundError", "ParseError", "ProjectData", "PropertyStore",
-    "REPRESENTATION_TYPES", "TaskDataset", "TaskSample", "Token",
+    "NotFoundError", "ParseError", "ProjectData", "REPRESENTATION_TYPES",
+    "TaskDataset", "TaskSample", "Token",
     "WINDOW_THRESHOLDS", "Workspace", "WorkspaceConfig", "assign_id",
     "ast_graph", "augment_with_context", "baseline_context_unigram",
     "baseline_most_frequent", "bias_table", "bpe_decode", "bpe_encode",

@@ -112,11 +112,8 @@ class _Resolver:
         self.entries: dict[EntityId, _ClassEntry] = {}
         self.by_package: dict[tuple[str, str], _ClassEntry] = {}
         self.by_simple: dict[str, list[_ClassEntry]] = {}
-        class_by_path = {c.class_path: c for c in data.classes}
-        for view in data.views:
-            meta = class_by_path.get(view.path)
-            if meta is None or not view.classes:
-                continue
+        for meta in data.classes:
+            view = data.class_views[meta.class_id]
             cv = view.classes[0]
             entry = _ClassEntry(meta.project_id, meta.package_id,
                                 meta.class_id, view.package_name, view, cv)
@@ -393,7 +390,6 @@ def build_callgraph(projects: list[ProjectData],
     edges: list[CallEdge] = []
     for data in projects:
         resolver = _Resolver(data)
-        meta_by_id = {m.method_id: m for m in data.methods}
         for meta in data.methods:
             source = data.sources[meta.method_id]
             entry = resolver.entries.get(meta.class_id)
@@ -413,7 +409,7 @@ def build_callgraph(projects: list[ProjectData],
                         continue
                     edges.append(CallEdge(
                         meta.method_id, target.method_id, target.signature,
-                        _classify(meta_by_id[meta.method_id], callee_entry),
+                        _classify(meta, callee_entry),
                         line, col))
     edges.sort(key=lambda e: (e.caller, e.line, e.col))
     return CallGraph(edges)

@@ -3,7 +3,11 @@
 Cataloging walks a project tree, parses every `.java` file it can, and
 assigns deterministic ids (see identity.py). Files outside the language
 subset are skipped with a diagnostic instead of failing the project, unless
-strict mode is on.
+strict mode is on. The resulting `ProjectData` keeps, beside the metadata
+rows, each method's parse (`sources`) and each class's file view
+(`class_views`); every later stage reads those instead of parsing or
+joining again. A `Catalog` is the four tables of one or more projects plus
+`by_id`, an index of every entity by its id.
 
 Metadata persists as four CSV files with fixed headers:
 
@@ -23,7 +27,7 @@ from pathlib import Path
 
 from .errors import (
     CorpusError, EmptyProjectError, InputError, InvalidArgumentError,
-    NotFoundError, ParseError,
+    ParseError,
 )
 from .identity import (
     EntityId, assign_id, class_key, method_key, package_key, project_key,
@@ -95,7 +99,7 @@ class Diagnostic:
 
 @dataclass
 class Catalog:
-    """Joined metadata tables plus id-based navigation."""
+    """The four metadata tables plus an index of every entity by id."""
 
     projects: list[ProjectMeta] = field(default_factory=list)
     packages: list[PackageMeta] = field(default_factory=list)
@@ -103,55 +107,19 @@ class Catalog:
     methods: list[MethodMeta] = field(default_factory=list)
 
     def __post_init__(self):
-        self._reindex()
-
-    def _reindex(self):
-        self.by_id: dict[EntityId, object] = {}
-        self._parent: dict[EntityId, EntityId | None] = {}
-        self._children: dict[EntityId, list[EntityId]] = {}
-        for p in self.projects:
-            self.by_id[p.project_id] = p
-            self._parent[p.project_id] = None
-            self._children.setdefault(p.project_id, [])
-        for pk in self.packages:
-            self.by_id[pk.package_id] = pk
-            self._parent[pk.package_id] = pk.project_id
-            self._children.setdefault(pk.project_id, []).append(pk.package_id)
-            self._children.setdefault(pk.package_id, [])
-        for c in self.classes:
-            self.by_id[c.class_id] = c
-            self._parent[c.class_id] = c.package_id
-            self._children.setdefault(c.package_id, []).append(c.class_id)
-            self._children.setdefault(c.class_id, [])
-        for m in self.methods:
-            self.by_id[m.method_id] = m
-            self._parent[m.method_id] = m.class_id
-            self._children.setdefault(m.class_id, []).append(m.method_id)
-            self._children.setdefault(m.method_id, [])
-
-    def parent(self, entity_id: EntityId) -> EntityId | None:
-        if entity_id not in self._parent:
-            raise NotFoundError(f"unknown entity id: {entity_id}")
-        return self._parent[entity_id]
-
-    def children(self, entity_id: EntityId) -> list[EntityId]:
-        if entity_id not in self._children:
-            raise NotFoundError(f"unknown entity id: {entity_id}")
-        return list(self._children[entity_id])
-
-    def merge(self, other: "Catalog") -> None:
-        self.projects.extend(other.projects)
-        self.packages.extend(other.packages)
-        self.classes.extend(other.classes)
-        self.methods.extend(other.methods)
-        self.sort()
+        self.by_id: dict[EntityId, object] = {
+            **{p.project_id: p for p in self.projects},
+            **{p.package_id: p for p in self.packages},
+            **{c.class_id: c for c in self.classes},
+            **{m.method_id: m for m in self.methods},
+        }
 
     def sort(self) -> None:
+        """Put every table in metadata order (`by_id` does not depend on it)."""
         self.projects.sort(key=lambda p: (p.project_path, p.project_id))
         self.packages.sort(key=lambda p: (p.package_path, p.package_id))
         self.classes.sort(key=lambda c: (c.class_path, c.class_id))
         self.methods.sort(key=lambda m: (m.method_path, m.start_line, m.method_id))
-        self._reindex()
 
     def class_count(self, project_id: EntityId) -> int:
         return sum(1 for c in self.classes if c.project_id == project_id)
@@ -159,19 +127,20 @@ class Catalog:
 
 @dataclass
 class ProjectData:
-    """Catalog rows for one project plus parse results for downstream use."""
+    """Catalog rows for one project plus what parsing found for each.
+
+    `sources` holds every method's parse and `class_views` the file view
+    each class was cataloged from, so downstream stages never re-join
+    classes to files by path.
+    """
 
     project: ProjectMeta
     packages: list[PackageMeta]
     classes: list[ClassMeta]
     methods: list[MethodMeta]
     sources: dict[EntityId, MethodSource]      # method_id -> source
-    views: list[FileView]
+    class_views: dict[EntityId, FileView]      # class_id -> its file view
     diagnostics: list[Diagnostic]
-
-    def catalog(self) -> Catalog:
-        return Catalog([self.project], list(self.packages),
-                       list(self.classes), list(self.methods))
 
 
 def _parse_one(path: Path, rel: str) -> FileView | Diagnostic:
@@ -220,7 +189,7 @@ def catalog_project(root, corpus_root=None, strict: bool = False
     classes: list[ClassMeta] = []
     methods: list[MethodMeta] = []
     sources: dict[EntityId, MethodSource] = {}
-    seen_class_paths: set[str] = set()
+    class_views: dict[EntityId, FileView] = {}
 
     for view in views:
         file_rel = view.path
@@ -247,13 +216,10 @@ def catalog_project(root, corpus_root=None, strict: bool = False
             diagnostics.append(Diagnostic(
                 file_rel, "multiple top-level types; extra types skipped"))
         cv = view.classes[0]
-        if file_rel in seen_class_paths:
-            diagnostics.append(Diagnostic(file_rel, "duplicate class path; skipped"))
-            continue
-        seen_class_paths.add(file_rel)
         class_id = assign_id("class", class_key(file_rel))
         classes.append(ClassMeta(project_id, pkg.package_id, class_id,
                                  file_rel, cv.name))
+        class_views[class_id] = view
         for m in cv.methods:
             mid = assign_id("method", method_key(file_rel, m.signature, m.start_line))
             m.method_id = mid
@@ -266,17 +232,16 @@ def catalog_project(root, corpus_root=None, strict: bool = False
         raise EmptyProjectError(f"no cataloged classes under {root}")
 
     unique_packages = {p.package_id: p for p in packages.values()}
-    data = ProjectData(
+    return ProjectData(
         project=project,
         packages=sorted(unique_packages.values(),
                         key=lambda p: (p.package_path, p.package_id)),
         classes=classes,
         methods=methods,
         sources=sources,
-        views=views,
+        class_views=class_views,
         diagnostics=diagnostics,
     )
-    return data
 
 
 # ---------------------------------------------------------------------------
@@ -336,47 +301,16 @@ def read_metadata(in_dir) -> Catalog:
 
 
 # ---------------------------------------------------------------------------
-# Property store
+# Property tables
 # ---------------------------------------------------------------------------
 
 PropertyValue = int | str | bool
 
 
-class PropertyStore:
-    """Method-id keyed property tables, one per 4-16 uppercase-letter key."""
-
-    def __init__(self, known_ids: set[EntityId] | None = None):
-        self.tables: dict[str, dict[EntityId, PropertyValue]] = {}
-        self.known_ids = known_ids
-
-    @staticmethod
-    def validate_key(key: str) -> None:
-        if not PROPERTY_KEY_RE.match(key or ""):
-            raise InvalidArgumentError(
-                f"property key must be 4-16 uppercase letters, got {key!r}")
-
-    def add_property(self, key: str,
-                     rows: dict[EntityId, PropertyValue]) -> tuple[int, list[EntityId]]:
-        """Store a table atomically; returns (stored, rejected ids).
-
-        Rows whose method id is not in the known-id set are rejected. Re-adding
-        a key replaces the whole table only after validation passes.
-        """
-        self.validate_key(key)
-        accepted: dict[EntityId, PropertyValue] = {}
-        rejected: list[EntityId] = []
-        for mid, value in rows.items():
-            if self.known_ids is not None and mid not in self.known_ids:
-                rejected.append(mid)
-            else:
-                accepted[mid] = value
-        self.tables[key] = accepted
-        return len(accepted), sorted(rejected)
-
-    def table(self, key: str) -> dict[EntityId, PropertyValue]:
-        if key not in self.tables:
-            raise NotFoundError(f"unknown property key: {key}")
-        return dict(self.tables[key])
+def validate_property_key(key: str) -> None:
+    if not PROPERTY_KEY_RE.match(key or ""):
+        raise InvalidArgumentError(
+            f"property key must be 4-16 uppercase letters, got {key!r}")
 
 
 def format_property_value(value: PropertyValue) -> str:
@@ -386,7 +320,7 @@ def format_property_value(value: PropertyValue) -> str:
 
 
 def write_property_csv(key: str, table: dict[EntityId, PropertyValue], out_dir) -> Path:
-    PropertyStore.validate_key(key)
+    validate_property_key(key)
     path = Path(out_dir) / f"{key}.csv"
     rows = [(mid, format_property_value(v)) for mid, v in sorted(table.items())]
     _write_csv(path, ["method_id", "value"], rows)

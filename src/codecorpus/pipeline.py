@@ -13,10 +13,19 @@ Layout:
     tokenstats/               vocab files, sizes.csv, fit tables
     reports/                  plain-text and CSV study tables
 
+The corpus is loaded one way: `parse_corpus` catalogs every project once
+(one `ProjectData` each, holding the method parses and the class file
+views) and `merged_catalog` joins their rows into one sorted `Catalog`.
+Stages take those two and never re-join classes to files or reparse;
+`load_corpus` adds the check that the corpus still matches the stored
+metadata, and `add-project` reuses the same single parse.
+
 Every writer sorts its rows, so regenerating a workspace with the same
-corpus and seed reproduces identical bytes. Every CSV table goes through
-`tables`: it is replaced whole or not at all, and a malformed or truncated
-table is an `InputError` naming `file:line` (CLI exit 2).
+corpus and seed reproduces identical bytes. Every workspace file is
+written through `tables`, so it is replaced whole or not at all. A
+malformed or truncated table is an `InputError` naming `file:line`, and
+a `workspace.json` that does not hold a config is an `InputError` naming
+the file (CLI exit 2 for both).
 """
 
 import json
@@ -24,8 +33,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import metrics as metrics_mod
-from .catalog import (Catalog, METRIC_KEYS, ProjectData, PropertyStore,
-                      catalog_project, read_metadata, read_property_csv,
+from .catalog import (Catalog, METRIC_KEYS, ProjectData, catalog_project,
+                      read_metadata, read_property_csv, validate_property_key,
                       write_metadata, write_property_csv)
 from .callgraph import (arg_name_maps, build_callgraph,
                         classify_distribution, connectivity_props,
@@ -37,7 +46,7 @@ from .identity import EntityId
 from .lexer import lex, tkna_text, tknb_text
 from .parser import MethodSource
 from .pathcontexts import extract_paths, to_c2sq, to_c2vc
-from .tables import read_table, write_table
+from .tables import read_table, write_table, write_text
 from .taskgen import (augment_with_context, baseline_context_unigram,
                       baseline_most_frequent, bias_table,
                       evaluate_exact_match, make_call_masking_task,
@@ -72,22 +81,31 @@ class Workspace:
         if cfg.strictness not in STRICTNESS:
             raise InvalidArgumentError(
                 f"strictness must be one of {STRICTNESS}")
-        self.root.mkdir(parents=True, exist_ok=True)
         # "parallelism" is a fixed legacy field: it keeps workspace.json
         # byte-identical to the files older versions wrote.
         payload = {"corpus_root": cfg.corpus_root, "seed": cfg.seed,
                    "parallelism": 1, "strictness": cfg.strictness}
-        self.config_path.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
+        write_text(self.config_path,
+                   json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     def load_config(self) -> WorkspaceConfig:
-        if not self.config_path.exists():
+        """The saved config; a file that does not hold one is an InputError."""
+        path = self.config_path
+        if not path.exists():
             raise InputError(
                 f"no workspace at {self.root}; run `catalog` first")
-        data = json.loads(self.config_path.read_text(encoding="utf-8"))
+        try:
+            data = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise InputError(f"{path}: not a workspace config: {exc}") from None
+        if not isinstance(data, dict):
+            raise InputError(f"{path}: expected a JSON object, "
+                             f"got {type(data).__name__}")
         data.pop("parallelism", None)
-        return WorkspaceConfig(**data)
+        try:
+            return WorkspaceConfig(**data)
+        except TypeError as exc:  # unknown or missing keys
+            raise InputError(f"{path}: not a workspace config: {exc}") from None
 
     # -- paths ------------------------------------------------------------------
 
@@ -147,9 +165,12 @@ def parse_corpus(cfg: WorkspaceConfig) -> list[ProjectData]:
 
 
 def merged_catalog(datas: list[ProjectData]) -> Catalog:
-    cat = Catalog()
-    for d in datas:
-        cat.merge(d.catalog())
+    """One catalog over the rows of every project, in metadata order."""
+    cat = Catalog([d.project for d in datas],
+                  [p for d in datas for p in d.packages],
+                  [c for d in datas for c in d.classes],
+                  [m for d in datas for m in d.methods])
+    cat.sort()
     return cat
 
 
@@ -160,24 +181,23 @@ def all_sources(datas: list[ProjectData]) -> dict[EntityId, MethodSource]:
     return out
 
 
-def load_corpus(ws: Workspace, verify: bool = True
+def load_corpus(ws: Workspace
                 ) -> tuple[WorkspaceConfig, list[ProjectData], Catalog]:
     """Reparse the corpus recorded in the workspace config.
 
-    With `verify`, the recomputed entity ids must match the cataloged
-    metadata, so stale workspaces fail loudly instead of mixing ids.
+    The recomputed entity ids must match the cataloged metadata, so stale
+    workspaces fail loudly instead of mixing ids.
     """
     cfg = ws.load_config()
     datas = parse_corpus(cfg)
     cat = merged_catalog(datas)
-    if verify:
-        ws.require(ws.metadata_dir / "methods.csv", "catalog")
-        stored = read_metadata(ws.metadata_dir)
-        if {m.method_id for m in stored.methods} != \
-                {m.method_id for m in cat.methods}:
-            raise InputError(
-                "corpus no longer matches the cataloged metadata; "
-                "re-run `catalog`")
+    ws.require(ws.metadata_dir / "methods.csv", "catalog")
+    stored = read_metadata(ws.metadata_dir)
+    if {m.method_id for m in stored.methods} != \
+            {m.method_id for m in cat.methods}:
+        raise InputError(
+            "corpus no longer matches the cataloged metadata; "
+            "re-run `catalog`")
     return cfg, datas, cat
 
 
@@ -237,11 +257,9 @@ def stage_representations(ws: Workspace, datas: list[ProjectData],
         rows = []
         for d in datas:
             argmaps = arg_name_maps(d) if rtype == "FTGR" else {}
-            fields_by_class = {c.class_id: v.classes[0].fields
-                               for c, v in zip_classes(d)}
             for meta in d.methods:
                 method = d.sources[meta.method_id]
-                fields = fields_by_class.get(meta.class_id, {})
+                fields = d.class_views[meta.class_id].classes[0].fields
                 payload = _method_payload(
                     rtype, method, fields,
                     argmaps.get(meta.method_id, {}), seed)
@@ -249,15 +267,6 @@ def stage_representations(ws: Workspace, datas: list[ProjectData],
         _write_repr_csv(ws.repr_path(rtype), rows)
         counts[rtype] = len(rows)
     return {"types": types, "methods_per_type": counts}
-
-
-def zip_classes(data: ProjectData):
-    """(ClassMeta, FileView) pairs for the views that were cataloged."""
-    views_by_path = {v.path: v for v in data.views}
-    for c in data.classes:
-        v = views_by_path.get(c.class_path)
-        if v is not None and v.classes:
-            yield c, v
 
 
 def stage_metrics(ws: Workspace, datas: list[ProjectData],
@@ -291,13 +300,13 @@ def stage_props_import(ws: Workspace, cat: Catalog, source_csv,
     if not source.exists():
         raise InputError(f"no such property file: {source}")
     inferred = key or source.stem
-    store = PropertyStore({m.method_id for m in cat.methods})
-    store.validate_key(inferred)
+    validate_property_key(inferred)
     values = read_property_csv(source)
-    stored, rejected = store.add_property(inferred, values)
-    write_property_csv(inferred, store.table(inferred),
-                       ws.root / "properties")
-    return {"key": inferred, "stored": stored, "rejected": len(rejected)}
+    known = {m.method_id for m in cat.methods}
+    table = {mid: v for mid, v in values.items() if mid in known}
+    write_property_csv(inferred, table, ws.root / "properties")
+    return {"key": inferred, "stored": len(table),
+            "rejected": len(values) - len(table)}
 
 
 def _coerce(value: str):
@@ -362,10 +371,8 @@ def stage_taskgen(ws: Workspace, datas: list[ProjectData], cat: Catalog,
                         ("context_unigram", baseline_context_unigram)):
             report = evaluate_exact_match(dataset, fn(dataset))
             evals[tag] = report
-        eval_path = ws.task_path(name).with_suffix(".eval.json")
-        eval_path.write_text(
-            json.dumps(evals, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
+        write_text(ws.task_path(name).with_suffix(".eval.json"),
+                   json.dumps(evals, indent=2, sort_keys=True) + "\n")
         summary["baseline_overall"] = {
             tag: round(report["overall"], 6)
             for tag, report in evals.items()}
@@ -385,13 +392,8 @@ def stage_tokenstats(ws: Workspace, datas: list[ProjectData], cat: Catalog,
     out = ws.tokenstats_dir
     out.mkdir(parents=True, exist_ok=True)
     method_texts = {mid: m.text for mid, m in sources.items()}
-    class_texts = {}
-    for d in datas:
-        views_by_path = {v.path: v for v in d.views}
-        for c in d.classes:
-            v = views_by_path.get(c.class_path)
-            if v is not None:
-                class_texts[c.class_id] = v.source
+    class_texts = {cid: v.source for d in datas
+                   for cid, v in d.class_views.items()}
     records = []
     ratios = {}
     texts = [m.text for _, m in ordered]
@@ -422,8 +424,7 @@ def _write_table(path_base: Path, header: list[str], rows: list[list],
              "  ".join("-" * w for w in widths)]
     for r in rows:
         lines.append("  ".join(str(x).ljust(w) for x, w in zip(r, widths)))
-    path_base.with_suffix(".txt").write_text("\n".join(lines) + "\n",
-                                             encoding="utf-8")
+    write_text(path_base.with_suffix(".txt"), "\n".join(lines) + "\n")
 
 
 def stage_report(ws: Workspace, cat: Catalog, study: str) -> dict:
@@ -473,22 +474,20 @@ def stage_add_project(ws: Workspace, project_root, replace: bool = False
         raise InputError(
             f"project must live under the corpus root {corpus_root}")
 
-    new_data = catalog_project(root, corpus_root=corpus_root,
-                               strict=cfg.strictness == "fail-fast")
+    datas = parse_corpus(cfg)
+    project_path = root.relative_to(corpus_root).as_posix()
+    new_data = next((d for d in datas
+                     if d.project.project_path == project_path), None)
+    if new_data is None:
+        raise InputError("project was not discovered under the corpus root")
     if ws.metadata_dir.joinpath("projects.csv").exists():
         existing = read_metadata(ws.metadata_dir)
-        dup = [p for p in existing.projects
-               if p.project_id == new_data.project.project_id]
-        if dup and not replace:
+        if not replace and new_data.project.project_id in existing.by_id:
             raise InputError(
-                f"project already cataloged: {dup[0].project_path}; "
+                f"project already cataloged: {project_path}; "
                 "pass --replace to regenerate it")
 
-    datas = parse_corpus(cfg)
     cat = merged_catalog(datas)
-    if new_data.project.project_id not in {p.project_id
-                                           for p in cat.projects}:
-        raise InputError("project was not discovered under the corpus root")
     write_metadata(cat, ws.metadata_dir)
     stage_representations(ws, datas, list(REPRESENTATION_TYPES), cfg.seed)
     stage_metrics(ws, datas, cat)

@@ -1,15 +1,17 @@
-"""The one reader and writer of every workspace CSV table.
+"""The one reader and writer of every workspace CSV table, and the writer
+of the workspace's other files.
 
 A table is a header row plus data rows in the default `csv` dialect
-(`\\r\\n` line ends, minimal quoting). `write_table` replaces the file in
-one step, so a failure part-way leaves the previous table (or none), never
-a torn one. `read_table` accepts exactly the header it is told to expect
-and rows of the same width; every problem is an `InputError` that names
-`file:line`.
+(`\\r\\n` line ends, minimal quoting). `write_table` and `write_text`
+replace the file in one step, so a failure part-way leaves the previous
+file (or none), never a torn one. `read_table` accepts exactly the header
+it is told to expect and rows of the same width; every problem is an
+`InputError` that names `file:line`.
 """
 
 import csv
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import InputError
@@ -19,25 +21,38 @@ from .errors import InputError
 csv.field_size_limit(2 ** 31 - 1)
 
 
-def write_table(path, header: list[str], rows) -> None:
-    """Write `header` and then `rows`, in the given order, to `path`.
+@contextmanager
+def _replacing(path):
+    """A text file to write that replaces `path` only once it is complete.
 
-    The rows go to a temporary file beside `path` that replaces it only
-    once every row is written; on any exception the temporary file is
-    removed and `path` is left as it was.
+    It is a temporary file beside `path`; on any exception it is removed
+    and `path` is left as it was. Line ends are written as given.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_table(path, header: list[str], rows) -> None:
+    """Write `header` and then `rows`, in the given order, to `path`,
+    replacing it whole or not at all."""
+    with _replacing(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_text(path, text: str) -> None:
+    """Write `text` to `path` (UTF-8), replacing it whole or not at all."""
+    with _replacing(path) as fh:
+        fh.write(text)
 
 
 def read_table(path, header: list[str], int_columns: tuple[str, ...] = ()

@@ -29,7 +29,7 @@ from .catalog import Catalog
 from .errors import InvalidArgumentError
 from .identity import EntityId
 from .lexer import lex
-from .tables import read_table, write_table
+from .tables import read_table, write_table, write_text
 
 WINDOW_THRESHOLDS = (256, 512, 1024, 2048, 4096)
 
@@ -322,10 +322,8 @@ def window_fit(records: list[SizeRecord],
 # ---------------------------------------------------------------------------
 
 def write_vocab(path, v: BpeVocab) -> None:
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
     out = [f"{a.hex()} {b.hex()}" for a, b in v.merges]
-    p.write_text("\n".join(out) + ("\n" if out else ""), encoding="utf-8")
+    write_text(path, "\n".join(out) + ("\n" if out else ""))
 
 
 def read_vocab(path, corpus_tag: str = "") -> BpeVocab:

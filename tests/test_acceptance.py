@@ -31,7 +31,7 @@ from codecorpus.fixturegen import write_fixture_corpus
 from codecorpus.lexer import lex, tkna_text
 from codecorpus.metrics import compute_metrics, npath, token_census
 from codecorpus.pathcontexts import extract_paths, to_c2vc
-from codecorpus.pipeline import all_sources, merged_catalog, zip_classes
+from codecorpus.pipeline import all_sources, merged_catalog
 from codecorpus.taskgen import (
     DEFAULT_SPLIT_FRACS, baseline_most_frequent, evaluate_exact_match,
     make_call_masking_task, make_mutation_task, make_property_task,
@@ -71,8 +71,8 @@ def acc(tmp_path_factory):
     sources = all_sources(datas)
     fields_of, argmaps = {}, {}
     for d in datas:
-        per_class = {c.class_id: v.classes[0].fields
-                     for c, v in zip_classes(d)}
+        per_class = {cid: v.classes[0].fields
+                     for cid, v in d.class_views.items()}
         per_call = arg_name_maps(d)
         for m in d.methods:
             fields_of[m.method_id] = per_class.get(m.class_id, {})
@@ -285,10 +285,8 @@ def test_criterion_8_tokenizer_study(acc):
                 assert bpe_decode(bpe_encode(vocab, doc)) == doc
 
         method_texts = {mid: m.text for mid, m in acc.sources.items()}
-        class_texts = {}
-        for d in acc.datas:
-            for cm, fv in zip_classes(d):
-                class_texts[cm.class_id] = fv.source
+        class_texts = {cid: fv.source for d in acc.datas
+                       for cid, fv in d.class_views.items()}
         records = entity_sizes(acc.cat, method_texts, class_texts,
                                code, "code")
         table = window_fit(records)

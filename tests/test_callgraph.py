@@ -17,6 +17,7 @@ from codecorpus.callgraph import (
 )
 from codecorpus.catalog import Catalog
 from codecorpus.errors import InputError, InvalidArgumentError, NotFoundError
+from codecorpus.pipeline import merged_catalog
 
 from oracles import recount_distribution
 
@@ -175,7 +176,7 @@ def test_distribution_sums_to_one_and_matches_a_recount(corpus_data):
 
 def test_connectivity_counts_for_the_demo_project(demo):
     data, g = demo
-    cat = data.catalog()
+    cat = merged_catalog([data])
     props = connectivity_props(g, cat)
     main = _mid(data, "app/A.java", "main()")
     helper = _mid(data, "app/A.java", "helper()")

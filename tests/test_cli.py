@@ -102,6 +102,22 @@ def test_absent_workspace_is_an_input_error(tmp_path):
     assert "run `catalog` first" in proc.stderr
 
 
+@pytest.mark.parametrize("text", [
+    '{"corpus_root": "/x", "seed": 0',
+    '{"corpus_root": "/x", "seed": 0, "strictness": "skip-unparseable", '
+    '"threads": 4}',
+    "[1, 2]",
+], ids=["truncated", "unknown-key", "not-an-object"])
+def test_malformed_workspace_config_is_an_input_error(tmp_path, text):
+    ws = tmp_path / "ws"
+    ws.mkdir()
+    (ws / "workspace.json").write_text(text + "\n", encoding="utf-8")
+    proc = run_cli("metrics", "-w", ws)
+    assert proc.returncode == 2, proc.stderr
+    assert "input error" in proc.stderr
+    assert "workspace.json" in proc.stderr
+
+
 def test_missing_prerequisite_artifact_is_an_input_error(cli_env):
     _corpus, ws, _proc = cli_env
     proc = run_cli("report", "-w", ws, "--study", "windows")

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+import codecorpus.catalog as catalog_mod
 from codecorpus.catalog import (
     CLASSES_HEADER, METHODS_HEADER, PACKAGES_HEADER, PROJECTS_HEADER,
     read_metadata, read_property_csv,
@@ -126,8 +127,8 @@ def test_stale_metadata_is_detected(pipe_env):
         with pytest.raises(InputError,
                            match="no longer matches the cataloged metadata"):
             load_corpus(ws)
-        # unverified loads are for rebuilding, so they still work
-        _cfg2, datas, _cat = load_corpus(ws, verify=False)
+        # rebuilding parses the changed corpus without that check
+        datas = parse_corpus(ws.load_config())
         assert sum(len(d.methods) for d in datas) == 775
     finally:
         extra.unlink()
@@ -389,3 +390,33 @@ def test_new_projects_join_the_catalog(tmp_path):
     stored = read_metadata(ws.metadata_dir)
     assert {p.project_name for p in stored.projects} == {"first", "second"}
     assert len(stored.methods) == 3
+
+
+def test_add_project_parses_each_file_once(tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus"
+    for rel, text in {
+            "first/A.java": "class A { int f() { return 1; } }\n",
+            "first/sub/B.java": "package sub;\nclass B { int g() { return 2; } }\n",
+    }.items():
+        (corpus / rel).parent.mkdir(parents=True, exist_ok=True)
+        (corpus / rel).write_text(text, encoding="utf-8")
+    ws = Workspace(tmp_path / "ws")
+    stage_catalog(ws, WorkspaceConfig(corpus_root=str(corpus)))
+    second = corpus / "second"
+    (second / "pkg").mkdir(parents=True)
+    for name in ("C", "D"):
+        (second / "pkg" / f"{name}.java").write_text(
+            f"package pkg;\nclass {name} {{ int h() {{ return 3; }} }}\n",
+            encoding="utf-8")
+
+    parsed = []
+    real = catalog_mod.file_view
+
+    def counting(text, path):
+        parsed.append(path)
+        return real(text, path)
+
+    monkeypatch.setattr(catalog_mod, "file_view", counting)
+    stage_add_project(ws, second)
+    assert sorted(parsed) == sorted(
+        p.relative_to(corpus).as_posix() for p in corpus.rglob("*.java"))

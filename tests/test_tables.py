@@ -14,7 +14,7 @@ from codecorpus.catalog import (
 )
 from codecorpus.errors import InputError
 from codecorpus.pipeline import REPR_HEADER, read_repr_csv
-from codecorpus.tables import write_table
+from codecorpus.tables import write_table, write_text
 from codecorpus.taskgen import (PREDICTIONS_HEADER, TASK_HEADER,
                                 read_predictions_csv, read_task_csv)
 from codecorpus.tokenstats import SIZES_HEADER, read_sizes_csv
@@ -83,16 +83,35 @@ def test_readers_reject_a_non_integer(tmp_path, name, header, read, column):
         read(path)
 
 
-def test_an_interrupted_write_leaves_the_old_table(tmp_path):
-    path = tmp_path / "t.csv"
-    write_table(path, ["a", "b"], [("1", "x,y")])
+def _rows_then_fail():
+    yield ("2", "z")
+    raise RuntimeError("disk on fire")
+
+
+# (a complete write, an interrupted one, the error it raises)
+WRITES = [
+    (lambda path: write_table(path, ["a", "b"], [("1", "x,y")]),
+     lambda path: write_table(path, ["a", "b"], _rows_then_fail()),
+     RuntimeError),
+    (lambda path: write_text(path, '{"seed": 1}\n'),
+     lambda path: write_text(path, "x\n" * 1000 + "\ud800"),
+     UnicodeEncodeError),
+]
+
+
+@pytest.mark.parametrize("good, bad, error", WRITES, ids=["table", "text"])
+def test_an_interrupted_write_leaves_the_old_file(tmp_path, good, bad, error):
+    path = tmp_path / "out"
+    good(path)
     before = path.read_bytes()
+    with pytest.raises(error):
+        bad(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
-    def rows():
-        yield ("2", "z")
-        raise RuntimeError("disk on fire")
 
-    with pytest.raises(RuntimeError, match="disk on fire"):
-        write_table(path, ["a", "b"], rows())
-    assert path.read_bytes() == before == b'a,b\r\n1,"x,y"\r\n'
-    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+def test_writers_keep_the_bytes_they_are_given(tmp_path):
+    write_table(tmp_path / "t.csv", ["a", "b"], [("1", "x,y")])
+    write_text(tmp_path / "t.txt", "one\ntwo\n")
+    assert (tmp_path / "t.csv").read_bytes() == b'a,b\r\n1,"x,y"\r\n'
+    assert (tmp_path / "t.txt").read_bytes() == b"one\ntwo\n"

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from codecorpus.errors import InputError, InvalidArgumentError
 from codecorpus.lexer import lex
-from codecorpus.pipeline import all_sources, merged_catalog, zip_classes
+from codecorpus.pipeline import all_sources, merged_catalog
 from codecorpus.tokenstats import (
     FIT_HEADER, SIZES_HEADER, WINDOW_THRESHOLDS, BpeVocab, bpe_decode,
     bpe_encode, bpe_encode_len, english_sample_text, entity_sizes, read_sizes_csv,
@@ -29,10 +29,8 @@ def corpus_env(corpus_data):
     cat = merged_catalog(list(corpus_data))
     sources = all_sources(list(corpus_data))
     method_texts = {mid: m.text for mid, m in sources.items()}
-    class_texts = {}
-    for data in corpus_data:
-        for cm, fv in zip_classes(data):
-            class_texts[cm.class_id] = fv.source
+    class_texts = {cid: fv.source for data in corpus_data
+                   for cid, fv in data.class_views.items()}
     corpus_text = "".join(sorted(method_texts.values()))
     return cat, method_texts, class_texts, corpus_text
 
