@@ -22,6 +22,7 @@ Method-level properties persist one file per key as `<KEY>.csv` with header
 """
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -99,7 +100,8 @@ class Diagnostic:
 
 @dataclass
 class Catalog:
-    """The four metadata tables plus an index of every entity by id."""
+    """The four metadata tables, an index of every entity by id and each
+    project's class count, both taken once (`sort` only reorders rows)."""
 
     projects: list[ProjectMeta] = field(default_factory=list)
     packages: list[PackageMeta] = field(default_factory=list)
@@ -113,16 +115,17 @@ class Catalog:
             **{c.class_id: c for c in self.classes},
             **{m.method_id: m for m in self.methods},
         }
+        self._class_counts = Counter(c.project_id for c in self.classes)
 
     def sort(self) -> None:
-        """Put every table in metadata order (`by_id` does not depend on it)."""
+        """Put every table in metadata order (the indexes do not depend on it)."""
         self.projects.sort(key=lambda p: (p.project_path, p.project_id))
         self.packages.sort(key=lambda p: (p.package_path, p.package_id))
         self.classes.sort(key=lambda c: (c.class_path, c.class_id))
         self.methods.sort(key=lambda m: (m.method_path, m.start_line, m.method_id))
 
     def class_count(self, project_id: EntityId) -> int:
-        return sum(1 for c in self.classes if c.project_id == project_id)
+        return self._class_counts[project_id]
 
 
 @dataclass

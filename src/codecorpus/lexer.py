@@ -10,6 +10,11 @@ Number literals are plain decimal digit runs; float/hex forms are outside the
 subset. Generic angle brackets lex as ordinary `<` / `>` operators and are
 dealt with by the parser.
 
+A `Token` is a named tuple (kind, lexeme, line, col). `lex` walks the source
+once with `_TOKEN_RE.finditer`; catch-all alternatives (an unclosed `/*`,
+then any single character) turn what starts no token into the LexError for
+that position. Columns count characters from the start of the current line.
+
 Two flat token-string encodings live here as well:
 
 * TKNA: lexemes joined by single spaces. Not invertible when a string
@@ -21,7 +26,7 @@ Two flat token-string encodings live here as well:
 """
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import LexError
 
@@ -35,11 +40,6 @@ KIND_NULL = "null_literal"
 KIND_OPERATOR = "operator"
 KIND_SEPARATOR = "separator"
 
-TOKEN_KINDS = frozenset({
-    KIND_KEYWORD, KIND_IDENTIFIER, KIND_INT, KIND_STRING, KIND_CHAR,
-    KIND_BOOL, KIND_NULL, KIND_OPERATOR, KIND_SEPARATOR,
-})
-
 LITERAL_KINDS = frozenset({KIND_INT, KIND_STRING, KIND_CHAR, KIND_BOOL, KIND_NULL})
 
 KEYWORDS = frozenset("""
@@ -51,80 +51,64 @@ KEYWORDS = frozenset("""
 LITCOMMA = "<LITCOMMA>"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     lexeme: str
     line: int  # 1-based
     col: int   # 1-based, in characters
 
 
+# Some alternative matches at every position: `open_comment` and `illegal`
+# catch what starts no token, so `lex` walks the source in one `finditer`
+# pass. Token groups are named after the kind they produce; `word` is split
+# by `_WORD_KINDS`.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>\s+)
-    | (?P<line_comment>//[^\n]*)
-    | (?P<block_comment>/\*.*?\*/)
-    | (?P<string>"(?:\\.|[^"\\\n])*")
-    | (?P<char>'(?:\\.|[^'\\\n])')
-    | (?P<number>[0-9]+)
+      (?P<skip>\s+|//[^\n]*|/\*.*?\*/)
+    | (?P<open_comment>/\*)
+    | (?P<string_literal>"(?:\\.|[^"\\\n])*")
+    | (?P<char_literal>'(?:\\.|[^'\\\n])')
+    | (?P<int_literal>[0-9]+)
     | (?P<word>[A-Za-z_$][A-Za-z0-9_$]*)
-    | (?P<op>&&|\|\||\+\+|--|<=|>=|==|!=|\+=|-=|\*=|/=|%=|[=<>!?:+\-*/%&|^~])
-    | (?P<sep>[(){}\[\];,.@])
+    | (?P<operator>&&|\|\||\+\+|--|<=|>=|==|!=|\+=|-=|\*=|/=|%=|[=<>!?:+\-*/%&|^~])
+    | (?P<separator>[(){}\[\];,.@])
+    | (?P<illegal>.)
     """,
     re.VERBOSE | re.DOTALL,
 )
 
-_WORD_KINDS = {"true": KIND_BOOL, "false": KIND_BOOL, "null": KIND_NULL}
+_WORD_KINDS = {"true": KIND_BOOL, "false": KIND_BOOL, "null": KIND_NULL,
+               **{w: KIND_KEYWORD for w in KEYWORDS}}
 
-_GROUP_KINDS = {
-    "string": KIND_STRING,
-    "char": KIND_CHAR,
-    "number": KIND_INT,
-    "op": KIND_OPERATOR,
-    "sep": KIND_SEPARATOR,
-}
+_ILLEGAL = {"/*": "unterminated block comment",
+            '"': "unterminated string literal",
+            "'": "unterminated or malformed char literal"}
 
 
 def lex(source: str) -> list[Token]:
     """Tokenize source text; raises LexError with position on illegal input."""
     tokens: list[Token] = []
-    pos = 0
+    append = tokens.append
+    new_tuple = tuple.__new__
     line = 1
-    col = 1
-    n = len(source)
-    while pos < n:
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            ch = source[pos]
-            if ch == '"':
-                raise LexError("unterminated string literal", line, col)
-            if ch == "'":
-                raise LexError("unterminated or malformed char literal", line, col)
-            if source.startswith("/*", pos):
-                raise LexError("unterminated block comment", line, col)
-            raise LexError(f"illegal character {ch!r}", line, col)
-        if source.startswith("/*", pos) and m.lastgroup != "block_comment":
-            raise LexError("unterminated block comment", line, col)
+    line_start = 0          # offset of the first character of `line`
+    for m in _TOKEN_RE.finditer(source):
+        kind = m.lastgroup
         text = m.group()
-        group = m.lastgroup
-        if group == "word":
-            if text in _WORD_KINDS:
-                kind = _WORD_KINDS[text]
-            elif text in KEYWORDS:
-                kind = KIND_KEYWORD
-            else:
-                kind = KIND_IDENTIFIER
-            tokens.append(Token(kind, text, line, col))
-        elif group in _GROUP_KINDS:
-            tokens.append(Token(_GROUP_KINDS[group], text, line, col))
-        # ws and comments fall through: position bookkeeping only
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
+        if kind == "skip":
+            # only whitespace and block comments span lines
+            nl = text.rfind("\n")
+            if nl >= 0:
+                line += text.count("\n")
+                line_start = m.start() + nl + 1
+            continue
+        if kind == "word":
+            kind = _WORD_KINDS.get(text, KIND_IDENTIFIER)
+        elif kind == "open_comment" or kind == "illegal":
+            raise LexError(_ILLEGAL.get(text, f"illegal character {text!r}"),
+                           line, m.start() - line_start + 1)
+        # Token(...) without the Python-level __new__ of a NamedTuple
+        append(new_tuple(Token, (kind, text, line, m.start() - line_start + 1)))
     return tokens
 
 

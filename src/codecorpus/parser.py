@@ -20,9 +20,14 @@ whose parent is i, in index order. Because flattening is preorder, a
 subtree occupies a contiguous index range and terminal leaves read off in
 source order — the in-order leaf walk reproduces the token stream of the
 parsed region exactly.
+
+Binary operators are parsed by precedence climbing, one call per operand.
+`_flatten` writes every table in one walk of the build tree, each node's
+`children` as a tuple (which the garbage collector stops tracking), and
+`Ast.subtree` slices the tables and shifts the indices they hold.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ParseError
 from .lexer import (
@@ -63,22 +68,19 @@ NT_NEW = "New"
 
 MODIFIER_WORDS = frozenset({"public", "private", "protected", "static", "final", "abstract"})
 PRIMITIVE_WORDS = frozenset({"boolean", "byte", "char", "double", "float", "int", "long", "short"})
-STMT_KEYWORDS = frozenset({"if", "while", "for", "return"})
+
+# Binary operator -> precedence level, loosest first; each level is
+# left-associative.
+_BINARY_LEVELS = {
+    "||": 1, "&&": 2, "==": 3, "!=": 3, "<": 4, ">": 4, "<=": 4, ">=": 4,
+    "+": 5, "-": 5, "*": 6, "/": 6, "%": 6,
+}
 
 
-class _Node:
-    """Mutable build-time tree node; flattened into Ast afterwards."""
-
-    __slots__ = ("node_type", "token_index", "children")
-
-    def __init__(self, node_type: str, token_index: int | None = None):
-        self.node_type = node_type
-        self.token_index = token_index
-        self.children: list["_Node"] = []
-
-    def add(self, child: "_Node") -> "_Node":
-        self.children.append(child)
-        return child
+# A build-time tree node is a list [node_type, *children], flattened into an
+# Ast afterwards; a child is another node or, for a terminal leaf, its token
+# index.
+_Node = list
 
 
 @dataclass
@@ -91,20 +93,8 @@ class Ast:
     lines: list[int]
     cols: list[int]
     tokens: list[Token]
-    children: list[list[int]] = field(default_factory=list)
-    subtree_sizes: list[int] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.children:
-            self.children = [[] for _ in self.node_types]
-            for i, p in enumerate(self.parents):
-                if p >= 0:
-                    self.children[p].append(i)
-        if not self.subtree_sizes:
-            sizes = [1] * len(self.node_types)
-            for i in range(len(self.node_types) - 1, 0, -1):
-                sizes[self.parents[i]] += sizes[i]
-            self.subtree_sizes = sizes
+    children: list[tuple[int, ...]]
+    subtree_sizes: list[int]
 
     def __len__(self) -> int:
         return len(self.node_types)
@@ -135,54 +125,66 @@ class Ast:
         return [c for c in self.children[i] if self.token_indices[c] is None]
 
     def subtree(self, root: int) -> "Ast":
-        """Re-rooted copy of a subtree with rebased token indices."""
+        """Re-rooted copy of a subtree: slices of the tables, indices shifted."""
         end = root + self.subtree_sizes[root]
-        term_idx = [self.token_indices[i] for i in range(root, end)
-                    if self.token_indices[i] is not None]
-        t0 = min(term_idx)
-        t1 = max(term_idx)
-        tokens = self.tokens[t0:t1 + 1]
-        offset = root
+        token_indices = self.token_indices[root:end]
+        t0 = next(ti for ti in token_indices if ti is not None)
         return Ast(
             node_types=self.node_types[root:end],
             token_indices=[None if ti is None else ti - t0
-                           for ti in self.token_indices[root:end]],
-            parents=[-1 if i == root else self.parents[i] - offset
-                     for i in range(root, end)],
+                           for ti in token_indices],
+            parents=[-1, *[p - root for p in self.parents[root + 1:end]]],
             lines=self.lines[root:end],
             cols=self.cols[root:end],
-            tokens=tokens,
+            tokens=self.tokens[t0:token_indices[-1] + 1],  # ends on a leaf
+            children=[tuple([c - root for c in kids]) if kids else ()
+                      for kids in self.children[root:end]],
+            subtree_sizes=self.subtree_sizes[root:end],
         )
 
 
 def _flatten(root: _Node, tokens: list[Token]) -> Ast:
+    """Preorder tables of the build tree; a nonterminal takes the position
+    of its first leaf (every nonterminal has at least one child)."""
     node_types: list[str] = []
     token_indices: list[int | None] = []
     parents: list[int] = []
-    order: list[_Node] = []
-    stack = [(root, -1)]
-    while stack:
-        node, parent = stack.pop()
+    lines: list[int] = []
+    cols: list[int] = []
+    children: list[tuple[int, ...]] = []
+    sizes: list[int] = []
+
+    def emit(node: _Node, parent: int) -> None:
         idx = len(node_types)
-        node_types.append(node.node_type)
-        token_indices.append(node.token_index)
+        node_types.append(node[0])
+        token_indices.append(None)
         parents.append(parent)
-        order.append(node)
-        for child in reversed(node.children):
-            stack.append((child, idx))
-    # positions: terminals from their token; nonterminals from first leaf below
-    lines = [0] * len(node_types)
-    cols = [0] * len(node_types)
-    for i in range(len(node_types) - 1, -1, -1):
-        ti = token_indices[i]
-        if ti is not None:
-            lines[i] = tokens[ti].line
-            cols[i] = tokens[ti].col
-        else:
-            # preorder: first child is at i+1 when it exists
-            lines[i] = lines[i + 1]
-            cols[i] = cols[i + 1]
-    return Ast(node_types, token_indices, parents, lines, cols, tokens)
+        lines.append(0)
+        cols.append(0)
+        children.append(())
+        sizes.append(0)
+        kids = []
+        for child in node[1:]:
+            kids.append(len(node_types))
+            if child.__class__ is int:
+                kind, _lexeme, line, col = tokens[child]
+                node_types.append(kind)
+                token_indices.append(child)
+                parents.append(idx)
+                lines.append(line)
+                cols.append(col)
+                children.append(())
+                sizes.append(1)
+            else:
+                emit(child, idx)
+        children[idx] = tuple(kids)
+        sizes[idx] = len(node_types) - idx
+        lines[idx] = lines[idx + 1]
+        cols[idx] = cols[idx + 1]
+
+    emit(root, -1)
+    return Ast(node_types, token_indices, parents, lines, cols, tokens,
+               children, sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -191,41 +193,41 @@ def _flatten(root: _Node, tokens: list[Token]) -> Ast:
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
-        self.toks = tokens
+        # Padded with None past the end, so lookahead up to two tokens past
+        # the current one is a plain index.
+        self.toks: list[Token | None] = [*tokens, None, None, None]
+        self.n = len(tokens)
         self.i = 0
 
     # -- token plumbing -----------------------------------------------------
 
-    def _peek(self, ahead: int = 0) -> Token | None:
-        j = self.i + ahead
-        return self.toks[j] if j < len(self.toks) else None
-
     def _at(self, kind: str, lexeme: str | None = None, ahead: int = 0) -> bool:
-        t = self._peek(ahead)
+        t = self.toks[self.i + ahead]
         return t is not None and t.kind == kind and (lexeme is None or t.lexeme == lexeme)
 
     def _at_word(self, lexeme: str, ahead: int = 0) -> bool:
         return self._at(KIND_KEYWORD, lexeme, ahead)
 
     def _error(self, message: str) -> ParseError:
-        t = self._peek()
-        if t is None:
-            last = self.toks[-1] if self.toks else None
-            return ParseError(f"{message}, found end of input",
-                              last.line if last else 0, last.col if last else 0)
+        t = self.toks[self.i]
+        if t is None:  # parse() never parses an empty token list
+            last = self.toks[self.n - 1]
+            return ParseError(f"{message}, found end of input", last.line, last.col)
         return ParseError(f"{message}, found {t.lexeme!r}", t.line, t.col)
 
     def take(self, parent: _Node) -> Token:
         """Consume the current token and attach it as a leaf of parent."""
-        t = self._peek()
+        i = self.i
+        t = self.toks[i]
         if t is None:
             raise self._error("unexpected end of input")
-        parent.add(_Node(t.kind, self.i))
-        self.i += 1
+        parent.append(i)
+        self.i = i + 1
         return t
 
     def expect(self, parent: _Node, kind: str, lexeme: str | None = None) -> Token:
-        if not self._at(kind, lexeme):
+        t = self.toks[self.i]
+        if t is None or t.kind != kind or (lexeme is not None and t.lexeme != lexeme):
             want = lexeme if lexeme is not None else kind
             raise self._error(f"expected {want!r}")
         return self.take(parent)
@@ -233,20 +235,22 @@ class _Parser:
     # -- top level ------------------------------------------------------------
 
     def compilation_unit(self) -> _Node:
-        unit = _Node(NT_COMPILATION_UNIT)
+        unit = [NT_COMPILATION_UNIT]
         if self._at_word("package"):
-            pkg = unit.add(_Node(NT_PACKAGE))
+            pkg = [NT_PACKAGE]
+            unit.append(pkg)
             self.take(pkg)
             self._dotted_name(pkg)
             self.expect(pkg, KIND_SEPARATOR, ";")
         while self._at_word("import"):
-            imp = unit.add(_Node(NT_IMPORT))
+            imp = [NT_IMPORT]
+            unit.append(imp)
             self.take(imp)
             self._dotted_name(imp, allow_star=True)
             self.expect(imp, KIND_SEPARATOR, ";")
-        while self._peek() is not None:
-            unit.add(self.type_decl())
-        if not any(c.node_type in (NT_CLASS, NT_INTERFACE) for c in unit.children):
+        while self.toks[self.i] is not None:
+            unit.append(self.type_decl())
+        if not any(c[0] in (NT_CLASS, NT_INTERFACE) for c in unit[1:]):
             raise ParseError("no type declaration in file", 1, 1)
         return unit
 
@@ -263,14 +267,18 @@ class _Parser:
 
     def _annotations_and_modifiers(self, parent: _Node) -> None:
         while True:
-            if self._at(KIND_SEPARATOR, "@"):
-                ann = parent.add(_Node(NT_ANNOTATION))
+            t = self.toks[self.i]
+            if t is None:
+                return
+            if t.kind == KIND_SEPARATOR and t.lexeme == "@":
+                ann = [NT_ANNOTATION]
+                parent.append(ann)
                 self.take(ann)
                 self.expect(ann, KIND_IDENTIFIER)
                 if self._at(KIND_SEPARATOR, "("):
                     depth = 0
                     while True:
-                        t = self._peek()
+                        t = self.toks[self.i]
                         if t is None:
                             raise self._error("unterminated annotation arguments")
                         if t.kind == KIND_SEPARATOR and t.lexeme == "(":
@@ -280,19 +288,18 @@ class _Parser:
                         self.take(ann)
                         if depth == 0:
                             break
-            elif self._peek() is not None and self._peek().kind == KIND_KEYWORD \
-                    and self._peek().lexeme in MODIFIER_WORDS:
+            elif t.kind == KIND_KEYWORD and t.lexeme in MODIFIER_WORDS:
                 self.take(parent)
             else:
                 return
 
     def type_decl(self) -> _Node:
-        decl = _Node("_pending")
+        decl = ["_pending"]
         self._annotations_and_modifiers(decl)
         if self._at_word("class"):
-            decl.node_type = NT_CLASS
+            decl[0] = NT_CLASS
         elif self._at_word("interface"):
-            decl.node_type = NT_INTERFACE
+            decl[0] = NT_INTERFACE
         else:
             raise self._error("expected 'class' or 'interface'")
         self.take(decl)
@@ -301,64 +308,64 @@ class _Parser:
             self._raw_generics(decl)
         if self._at_word("extends"):
             self.take(decl)
-            decl.add(self.type_node())
+            decl.append(self.type_node())
         if self._at_word("implements"):
             self.take(decl)
-            decl.add(self.type_node())
+            decl.append(self.type_node())
             while self._at(KIND_SEPARATOR, ","):
                 self.take(decl)
-                decl.add(self.type_node())
+                decl.append(self.type_node())
         self.expect(decl, KIND_SEPARATOR, "{")
         while not self._at(KIND_SEPARATOR, "}"):
-            decl.add(self.member_decl(class_name=name))
+            decl.append(self.member_decl(class_name=name))
         self.expect(decl, KIND_SEPARATOR, "}")
         return decl
 
     def member_decl(self, class_name: str) -> _Node:
-        member = _Node("_pending")
+        member = ["_pending"]
         self._annotations_and_modifiers(member)
         if self._at(KIND_IDENTIFIER, class_name) and self._at(KIND_SEPARATOR, "(", ahead=1):
-            member.node_type = NT_CTOR
+            member[0] = NT_CTOR
             self.take(member)                      # constructor name
             self._params(member)
-            member.add(self.block())
+            member.append(self.block())
             return member
-        member.add(self.type_node(allow_void=True))
+        member.append(self.type_node(allow_void=True))
         self.expect(member, KIND_IDENTIFIER)
         if self._at(KIND_SEPARATOR, "("):
-            member.node_type = NT_METHOD
+            member[0] = NT_METHOD
             self._params(member)
             if self._at(KIND_SEPARATOR, ";"):
                 self.take(member)                  # abstract / interface method
             else:
-                member.add(self.block())
+                member.append(self.block())
         else:
-            member.node_type = NT_FIELD
+            member[0] = NT_FIELD
             if self._at(KIND_OPERATOR, "="):
                 self.take(member)
-                member.add(self.expression())
+                member.append(self.expression())
             self.expect(member, KIND_SEPARATOR, ";")
         return member
 
     def _params(self, parent: _Node) -> None:
         self.expect(parent, KIND_SEPARATOR, "(")
         if not self._at(KIND_SEPARATOR, ")"):
-            parent.add(self._param())
+            parent.append(self._param())
             while self._at(KIND_SEPARATOR, ","):
                 self.take(parent)
-                parent.add(self._param())
+                parent.append(self._param())
         self.expect(parent, KIND_SEPARATOR, ")")
 
     def _param(self) -> _Node:
-        p = _Node(NT_PARAM)
+        p = [NT_PARAM]
         self._annotations_and_modifiers(p)
-        p.add(self.type_node())
+        p.append(self.type_node())
         self.expect(p, KIND_IDENTIFIER)
         return p
 
     def type_node(self, allow_void: bool = False) -> _Node:
-        ty = _Node(NT_TYPE)
-        t = self._peek()
+        ty = [NT_TYPE]
+        t = self.toks[self.i]
         if t is None:
             raise self._error("expected a type")
         if t.kind == KIND_KEYWORD and (t.lexeme in PRIMITIVE_WORDS
@@ -381,7 +388,7 @@ class _Parser:
         """Consume a balanced `<...>` run as raw leaves (type erasure)."""
         depth = 0
         while True:
-            t = self._peek()
+            t = self.toks[self.i]
             if t is None:
                 raise self._error("unterminated type arguments")
             if t.kind == KIND_OPERATOR and t.lexeme == "<":
@@ -397,15 +404,15 @@ class _Parser:
     # -- statements -----------------------------------------------------------
 
     def block(self) -> _Node:
-        b = _Node(NT_BLOCK)
+        b = [NT_BLOCK]
         self.expect(b, KIND_SEPARATOR, "{")
         while not self._at(KIND_SEPARATOR, "}"):
-            b.add(self.statement())
+            b.append(self.statement())
         self.expect(b, KIND_SEPARATOR, "}")
         return b
 
     def statement(self) -> _Node:
-        t = self._peek()
+        t = self.toks[self.i]
         if t is None:
             raise self._error("expected a statement")
         if t.kind == KIND_SEPARATOR and t.lexeme == "{":
@@ -422,15 +429,15 @@ class _Parser:
             if t.lexeme in PRIMITIVE_WORDS or t.lexeme == "final":
                 return self._local_decl(want_semi=True)
             if t.lexeme in ("this", "new"):
-                stmt = _Node(NT_EXPR_STMT)
-                stmt.add(self.expression())
+                stmt = [NT_EXPR_STMT]
+                stmt.append(self.expression())
                 self.expect(stmt, KIND_SEPARATOR, ";")
                 return stmt
             raise self._error("statement form outside the supported subset")
         if t.kind == KIND_IDENTIFIER and self._looks_like_decl():
             return self._local_decl(want_semi=True)
-        stmt = _Node(NT_EXPR_STMT)
-        stmt.add(self.expression())
+        stmt = [NT_EXPR_STMT]
+        stmt.append(self.expression())
         self.expect(stmt, KIND_SEPARATOR, ";")
         return stmt
 
@@ -438,9 +445,10 @@ class _Parser:
         """Lookahead: identifier-led statement that is really `Type name ...`."""
         j = self.i
         toks = self.toks
+        n = self.n
 
         def at(k, lx=None, off=0):
-            t = toks[j + off] if j + off < len(toks) else None
+            t = toks[j + off]
             return t is not None and t.kind == k and (lx is None or t.lexeme == lx)
 
         if not at(KIND_IDENTIFIER):
@@ -450,7 +458,7 @@ class _Parser:
             j += 2
         if at(KIND_OPERATOR, "<"):
             depth = 0
-            while j < len(toks):
+            while j < n:
                 t = toks[j]
                 if t.kind == KIND_OPERATOR and t.lexeme == "<":
                     depth += 1
@@ -466,167 +474,162 @@ class _Parser:
                 j += 1
             else:
                 return False
-        t = toks[j] if j < len(toks) else None
+        t = toks[j]
         return t is not None and t.kind == KIND_IDENTIFIER
 
     def _local_decl(self, want_semi: bool) -> _Node:
-        decl = _Node(NT_LOCAL)
+        decl = [NT_LOCAL]
         if self._at_word("final"):
             self.take(decl)
-        decl.add(self.type_node())
+        decl.append(self.type_node())
         self.expect(decl, KIND_IDENTIFIER)
         if self._at(KIND_OPERATOR, "="):
             self.take(decl)
-            decl.add(self.expression())
+            decl.append(self.expression())
         if want_semi:
             self.expect(decl, KIND_SEPARATOR, ";")
         return decl
 
     def _if_stmt(self) -> _Node:
-        node = _Node(NT_IF)
+        node = [NT_IF]
         self.take(node)
         self.expect(node, KIND_SEPARATOR, "(")
-        node.add(self.expression())
+        node.append(self.expression())
         self.expect(node, KIND_SEPARATOR, ")")
-        node.add(self.statement())
+        node.append(self.statement())
         if self._at_word("else"):
             self.take(node)
-            node.add(self.statement())
+            node.append(self.statement())
         return node
 
     def _while_stmt(self) -> _Node:
-        node = _Node(NT_WHILE)
+        node = [NT_WHILE]
         self.take(node)
         self.expect(node, KIND_SEPARATOR, "(")
-        node.add(self.expression())
+        node.append(self.expression())
         self.expect(node, KIND_SEPARATOR, ")")
-        node.add(self.statement())
+        node.append(self.statement())
         return node
 
     def _for_stmt(self) -> _Node:
-        node = _Node(NT_FOR)
+        node = [NT_FOR]
         self.take(node)
         self.expect(node, KIND_SEPARATOR, "(")
         if not self._at(KIND_SEPARATOR, ";"):
-            init = node.add(_Node(NT_FOR_INIT))
-            t = self._peek()
-            if (t.kind == KIND_KEYWORD and (t.lexeme in PRIMITIVE_WORDS or t.lexeme == "final")) \
-                    or (t.kind == KIND_IDENTIFIER and self._looks_like_decl()):
-                init.add(self._local_decl(want_semi=False))
+            init = [NT_FOR_INIT]
+            node.append(init)
+            t = self.toks[self.i]
+            if t is not None and (
+                    (t.kind == KIND_KEYWORD and (t.lexeme in PRIMITIVE_WORDS or t.lexeme == "final"))
+                    or (t.kind == KIND_IDENTIFIER and self._looks_like_decl())):
+                init.append(self._local_decl(want_semi=False))
             else:
-                init.add(self.expression())
+                init.append(self.expression())
         self.expect(node, KIND_SEPARATOR, ";")
         if not self._at(KIND_SEPARATOR, ";"):
-            node.add(self.expression())
+            node.append(self.expression())
         self.expect(node, KIND_SEPARATOR, ";")
         if not self._at(KIND_SEPARATOR, ")"):
-            upd = node.add(_Node(NT_FOR_UPDATE))
-            upd.add(self.expression())
+            upd = [NT_FOR_UPDATE]
+            node.append(upd)
+            upd.append(self.expression())
         self.expect(node, KIND_SEPARATOR, ")")
-        node.add(self.statement())
+        node.append(self.statement())
         return node
 
     def _return_stmt(self) -> _Node:
-        node = _Node(NT_RETURN)
+        node = [NT_RETURN]
         self.take(node)
         if not self._at(KIND_SEPARATOR, ";"):
-            node.add(self.expression())
+            node.append(self.expression())
         self.expect(node, KIND_SEPARATOR, ";")
         return node
 
     # -- expressions ------------------------------------------------------------
 
-    def expression(self) -> _Node:
+    def expression(self) -> _Node | int:
         return self._assignment()
 
-    def _assignment(self) -> _Node:
+    def _assignment(self) -> _Node | int:
         left = self._ternary()
-        t = self._peek()
+        t = self.toks[self.i]
         if t is not None and t.kind == KIND_OPERATOR \
                 and t.lexeme in ("=", "+=", "-=", "*=", "/=", "%="):
-            if left.node_type not in (NT_FIELD_ACCESS,) and not (
-                    left.token_index is not None and left.node_type == KIND_IDENTIFIER):
+            if not (self.toks[left].kind == KIND_IDENTIFIER
+                    if left.__class__ is int
+                    else left[0] == NT_FIELD_ACCESS):
                 raise self._error("assignment target must be a name or field access")
-            node = _Node(NT_ASSIGN)
-            node.add(left)
+            node = [NT_ASSIGN]
+            node.append(left)
             self.take(node)
-            node.add(self._assignment())
+            node.append(self._assignment())
             return node
         return left
 
-    def _ternary(self) -> _Node:
-        cond = self._or_expr()
+    def _ternary(self) -> _Node | int:
+        cond = self._binary(1)
         if self._at(KIND_OPERATOR, "?"):
-            node = _Node(NT_TERNARY)
-            node.add(cond)
+            node = [NT_TERNARY]
+            node.append(cond)
             self.take(node)
-            node.add(self.expression())
+            node.append(self.expression())
             self.expect(node, KIND_OPERATOR, ":")
-            node.add(self._ternary())
+            node.append(self._ternary())
             return node
         return cond
 
-    def _binary_level(self, sub, lexemes: tuple[str, ...]) -> _Node:
-        left = sub()
+    def _binary(self, min_level: int) -> _Node | int:
+        """Binary operators of `_BINARY_LEVELS` from `min_level` up, by
+        precedence climbing: the operand after an operator takes only the
+        tighter levels, so every level associates to the left."""
+        left = self._unary()
         while True:
-            t = self._peek()
-            if t is None or t.kind != KIND_OPERATOR or t.lexeme not in lexemes:
+            t = self.toks[self.i]
+            if t is None or t.kind != KIND_OPERATOR:
                 return left
-            node = _Node(NT_BINARY)
-            node.add(left)
+            level = _BINARY_LEVELS.get(t.lexeme, 0)
+            if level < min_level:
+                return left
+            node = [NT_BINARY]
+            node.append(left)
             self.take(node)
-            node.add(sub())
+            node.append(self._binary(level + 1))
             left = node
 
-    def _or_expr(self) -> _Node:
-        return self._binary_level(self._and_expr, ("||",))
-
-    def _and_expr(self) -> _Node:
-        return self._binary_level(self._equality, ("&&",))
-
-    def _equality(self) -> _Node:
-        return self._binary_level(self._relational, ("==", "!="))
-
-    def _relational(self) -> _Node:
-        return self._binary_level(self._additive, ("<", ">", "<=", ">="))
-
-    def _additive(self) -> _Node:
-        return self._binary_level(self._multiplicative, ("+", "-"))
-
-    def _multiplicative(self) -> _Node:
-        return self._binary_level(self._unary, ("*", "/", "%"))
-
-    def _unary(self) -> _Node:
-        t = self._peek()
+    def _unary(self) -> _Node | int:
+        t = self.toks[self.i]
         if t is not None and t.kind == KIND_OPERATOR and t.lexeme in ("!", "-", "+", "++", "--"):
-            node = _Node(NT_UNARY)
+            node = [NT_UNARY]
             self.take(node)
-            node.add(self._unary())
+            node.append(self._unary())
             return node
         return self._postfix()
 
-    def _postfix(self) -> _Node:
+    def _postfix(self) -> _Node | int:
         expr = self._primary()
         while True:
-            if self._at(KIND_SEPARATOR, "."):
+            t = self.toks[self.i]
+            if t is None:
+                return expr
+            if t.kind == KIND_SEPARATOR and t.lexeme == ".":
                 if not self._at(KIND_IDENTIFIER, ahead=1):
                     raise self._error("expected a member name after '.'")
                 if self._at(KIND_SEPARATOR, "(", ahead=2):
-                    node = _Node(NT_CALL)
-                    node.add(expr)
+                    node = [NT_CALL]
+                    node.append(expr)
                     self.take(node)              # '.'
                     self.take(node)              # name
                     self._args(node)
                     expr = node
                 else:
-                    node = _Node(NT_FIELD_ACCESS)
-                    node.add(expr)
+                    node = [NT_FIELD_ACCESS]
+                    node.append(expr)
                     self.take(node)
                     self.take(node)
                     expr = node
-            elif self._at(KIND_OPERATOR, "++") or self._at(KIND_OPERATOR, "--"):
-                node = _Node(NT_POSTFIX)
-                node.add(expr)
+            elif t.kind == KIND_OPERATOR and t.lexeme in ("++", "--"):
+                node = [NT_POSTFIX]
+                node.append(expr)
                 self.take(node)
                 expr = node
             else:
@@ -635,45 +638,38 @@ class _Parser:
     def _args(self, call: _Node) -> None:
         self.expect(call, KIND_SEPARATOR, "(")
         if not self._at(KIND_SEPARATOR, ")"):
-            call.add(self.expression())
+            call.append(self.expression())
             while self._at(KIND_SEPARATOR, ","):
                 self.take(call)
-                call.add(self.expression())
+                call.append(self.expression())
         self.expect(call, KIND_SEPARATOR, ")")
 
-    def _primary(self) -> _Node:
-        t = self._peek()
+    def _primary(self) -> _Node | int:
+        t = self.toks[self.i]
         if t is None:
             raise self._error("expected an expression")
-        if t.kind in (KIND_INT, KIND_STRING, KIND_CHAR, KIND_BOOL, KIND_NULL):
-            holder = _Node("_lit")
-            self.take(holder)
-            return holder.children[0]
-        if t.kind == KIND_KEYWORD and t.lexeme == "this":
-            holder = _Node("_this")
-            self.take(holder)
-            return holder.children[0]
+        if t.kind == KIND_IDENTIFIER and self._at(KIND_SEPARATOR, "(", ahead=1):
+            node = [NT_CALL]
+            self.take(node)                      # implicit-this callee name
+            self._args(node)
+            return node
+        if t.kind in (KIND_IDENTIFIER, KIND_INT, KIND_STRING, KIND_CHAR,
+                      KIND_BOOL, KIND_NULL) \
+                or (t.kind == KIND_KEYWORD and t.lexeme == "this"):
+            self.i += 1                          # a leaf the caller attaches
+            return self.i - 1
         if t.kind == KIND_KEYWORD and t.lexeme == "new":
-            node = _Node(NT_NEW)
+            node = [NT_NEW]
             self.take(node)
-            node.add(self.type_node())
+            node.append(self.type_node())
             self._args(node)
             return node
         if t.kind == KIND_SEPARATOR and t.lexeme == "(":
-            node = _Node(NT_PAREN)
+            node = [NT_PAREN]
             self.take(node)
-            node.add(self.expression())
+            node.append(self.expression())
             self.expect(node, KIND_SEPARATOR, ")")
             return node
-        if t.kind == KIND_IDENTIFIER:
-            if self._at(KIND_SEPARATOR, "(", ahead=1):
-                node = _Node(NT_CALL)
-                self.take(node)                  # implicit-this callee name
-                self._args(node)
-                return node
-            holder = _Node("_name")
-            self.take(holder)
-            return holder.children[0]
         raise self._error("expression form outside the supported subset")
 
 
@@ -837,12 +833,6 @@ def slice_lines(source: str, start_line: int, end_line: int) -> str:
     return "".join(lines[start_line - 1:end_line])
 
 
-def _member_span(ast: Ast, member: int) -> tuple[int, int]:
-    terms = ast.terminals(member)
-    return ast.tokens[ast.token_indices[terms[0]]].line, \
-        ast.tokens[ast.token_indices[terms[-1]]].line
-
-
 def _method_source(ast: Ast, source: str, member: int, class_name: str) -> MethodSource:
     kids = ast.children[member]
     is_ctor = ast.node_types[member] == NT_CTOR
@@ -867,14 +857,15 @@ def _method_source(ast: Ast, source: str, member: int, class_name: str) -> Metho
         param_types.append(type_simple_name(ast, pty))
         param_names.append(ast.lexeme(ast.children[p][ast.children[p].index(pty) + 1]))
     signature = f"{name}({','.join(param_types)})"
-    start, end = _member_span(ast, member)
+    sub = ast.subtree(member)
+    start, end = sub.tokens[0].line, sub.tokens[-1].line
     return MethodSource(
         name=name,
         signature=signature,
         start_line=start,
         end_line=end,
         text=slice_lines(source, start, end),
-        ast=ast.subtree(member),
+        ast=sub,
         param_types=param_types,
         param_names=param_names,
         return_type=return_type,

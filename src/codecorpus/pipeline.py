@@ -103,9 +103,16 @@ class Workspace:
                              f"got {type(data).__name__}")
         data.pop("parallelism", None)
         try:
-            return WorkspaceConfig(**data)
+            cfg = WorkspaceConfig(**data)
         except TypeError as exc:  # unknown or missing keys
             raise InputError(f"{path}: not a workspace config: {exc}") from None
+        # type(...) is int: a bool is an int too
+        if not (isinstance(cfg.corpus_root, str) and type(cfg.seed) is int
+                and cfg.strictness in STRICTNESS):
+            raise InputError(
+                f"{path}: not a workspace config: corpus_root must be a "
+                f"string, seed an integer, strictness one of {STRICTNESS}")
+        return cfg
 
     # -- paths ------------------------------------------------------------------
 

@@ -8,7 +8,8 @@ by their repeat counts, which keeps training fast on repetitive code.
 Pair counts are taken once and then updated incrementally: a pair -> lines
 index finds the lines a merge rewrites, and only the pairs next to each
 merge site change count. A heap keyed on (-count, pair) yields the next
-merge under the tie rule.
+merge under the tie rule. Encoding applies the merges to a line in rank
+order from a heap of its ranked adjacent pairs, without rescanning it.
 
 Downstream measurements:
 
@@ -139,32 +140,41 @@ def _merge_everywhere(pair: tuple[bytes, bytes], seqs: list[list[bytes]],
     return changed
 
 
-def _merge_pair(symbols: list[bytes], pair: tuple[bytes, bytes]) -> list[bytes]:
-    out: list[bytes] = []
-    i = 0
-    joined = pair[0] + pair[1]
-    while i < len(symbols):
-        if i + 1 < len(symbols) and symbols[i] == pair[0] \
-                and symbols[i + 1] == pair[1]:
-            out.append(joined)
-            i += 2
-        else:
-            out.append(symbols[i])
-            i += 1
-    return out
-
-
 def _encode_line(v: BpeVocab, line: str) -> list[bytes]:
-    symbols = [bytes([b]) for b in line.encode("utf-8")]
-    while len(symbols) > 1:
-        ranked = [(v._rank[p], i)
-                  for i, p in enumerate(zip(symbols, symbols[1:]))
-                  if p in v._rank]
-        if not ranked:
-            break
-        best_rank = min(r for r, _i in ranked)
-        symbols = _merge_pair(symbols, v.merges[best_rank])
-    return symbols
+    """Merge, round by round, every occurrence of the lowest-ranked pair
+    present, left to right without overlaps. A heap holds (rank, offset) of
+    the ranked adjacent pairs of a linked list of symbols; stale entries are
+    skipped and a round's new neighbour pairs are pushed after it."""
+    symbols: list[bytes | None] = [bytes([b]) for b in line.encode("utf-8")]
+    n = len(symbols)
+    rank = v._rank
+    nxt = list(range(1, n + 1))     # n: no next symbol
+    prv = list(range(-1, n - 1))    # -1: no previous symbol
+    heap = [(rank[p], i) for i, p in enumerate(zip(symbols, symbols[1:]))
+            if p in rank]
+    heapq.heapify(heap)
+    while heap:
+        r = heap[0][0]
+        pair = v.merges[r]
+        merged = []
+        while heap and heap[0][0] == r:
+            i = heapq.heappop(heap)[1]
+            j = nxt[i]
+            if symbols[i] is None or j == n or (symbols[i], symbols[j]) != pair:
+                continue
+            symbols[i] += symbols[j]
+            symbols[j] = None
+            nxt[i] = k = nxt[j]
+            if k < n:
+                prv[k] = i
+            merged.append(i)
+        for i in merged:
+            for a, b in ((prv[i], i), (i, nxt[i])):
+                if a >= 0 and b < n:
+                    new_rank = rank.get((symbols[a], symbols[b]))
+                    if new_rank is not None:
+                        heapq.heappush(heap, (new_rank, a))
+    return [s for s in symbols if s is not None]
 
 
 def bpe_encode(v: BpeVocab, text: str) -> list[bytes]:

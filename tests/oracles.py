@@ -13,15 +13,25 @@ different algorithmic shape:
   instead of walking a window of ancestors and sibling subtrees.
 * `bpe_merges_oracle` recounts every pair of every line after each merge,
   instead of updating counts around the merge sites.
+* `bpe_encode_oracle` rescans every pair of a line after each merge it
+  applies, instead of keeping a heap of the pairs around the merge sites.
+* `lex_oracle` matches one token at a time from the current position and
+  measures each lexeme for the column, instead of one `finditer` pass with
+  catch-all alternatives.
 
 The event extraction conventions (evaluation order, which occurrences
 count as reads/writes) mirror the library's documented semantics; the
 flow semantics on top of them are computed from scratch.
 """
 
+import re
 from dataclasses import dataclass, field
 
-from codecorpus.lexer import KIND_IDENTIFIER, KIND_KEYWORD, KIND_SEPARATOR
+from codecorpus.errors import LexError
+from codecorpus.lexer import (
+    KEYWORDS, KIND_BOOL, KIND_CHAR, KIND_IDENTIFIER, KIND_INT, KIND_KEYWORD,
+    KIND_NULL, KIND_OPERATOR, KIND_SEPARATOR, KIND_STRING, Token,
+)
 from codecorpus.parser import (
     Ast, MethodSource, NT_ASSIGN, NT_BINARY, NT_BLOCK, NT_CALL,
     NT_EXPR_STMT, NT_FIELD_ACCESS, NT_FOR, NT_IF, NT_LOCAL, NT_NEW,
@@ -559,3 +569,101 @@ def bpe_merges_oracle(corpus_text: str, vocab_size: int
         vocab.add(pair[0] + pair[1])
         seqs = [(_merge_all(symbols, pair), n) for symbols, n in seqs]
     return merges
+
+
+# ---------------------------------------------------------------------------
+# Full-rescan BPE encoder
+# ---------------------------------------------------------------------------
+
+def _encode_line(v, line: str) -> list[bytes]:
+    symbols = [bytes([b]) for b in line.encode("utf-8")]
+    while len(symbols) > 1:
+        ranked = [(v._rank[p], i)
+                  for i, p in enumerate(zip(symbols, symbols[1:]))
+                  if p in v._rank]
+        if not ranked:
+            break
+        best_rank = min(r for r, _i in ranked)
+        symbols = _merge_all(symbols, v.merges[best_rank])
+    return symbols
+
+
+def bpe_encode_oracle(v, text: str) -> list[bytes]:
+    """Symbols of `text` under vocabulary `v`, found by rescanning every pair
+    of a line after each merge."""
+    lines = text.splitlines(keepends=True) or ([text] if text else [])
+    return [s for line in lines for s in _encode_line(v, line)]
+
+
+# ---------------------------------------------------------------------------
+# Match-at-position lexer
+# ---------------------------------------------------------------------------
+
+_TOKEN_RE = re.compile(
+    r"""
+      (?P<ws>\s+)
+    | (?P<line_comment>//[^\n]*)
+    | (?P<block_comment>/\*.*?\*/)
+    | (?P<string>"(?:\\.|[^"\\\n])*")
+    | (?P<char>'(?:\\.|[^'\\\n])')
+    | (?P<number>[0-9]+)
+    | (?P<word>[A-Za-z_$][A-Za-z0-9_$]*)
+    | (?P<op>&&|\|\||\+\+|--|<=|>=|==|!=|\+=|-=|\*=|/=|%=|[=<>!?:+\-*/%&|^~])
+    | (?P<sep>[(){}\[\];,.@])
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+_WORD_KINDS = {"true": KIND_BOOL, "false": KIND_BOOL, "null": KIND_NULL}
+
+_GROUP_KINDS = {
+    "string": KIND_STRING,
+    "char": KIND_CHAR,
+    "number": KIND_INT,
+    "op": KIND_OPERATOR,
+    "sep": KIND_SEPARATOR,
+}
+
+
+def lex_oracle(source: str) -> list[Token]:
+    """Tokens of `source`, matched one at a time from the current position;
+    raises the same LexError as `lex`."""
+    tokens: list[Token] = []
+    pos = 0
+    line = 1
+    col = 1
+    n = len(source)
+    while pos < n:
+        m = _TOKEN_RE.match(source, pos)
+        if m is None:
+            ch = source[pos]
+            if ch == '"':
+                raise LexError("unterminated string literal", line, col)
+            if ch == "'":
+                raise LexError("unterminated or malformed char literal", line, col)
+            if source.startswith("/*", pos):
+                raise LexError("unterminated block comment", line, col)
+            raise LexError(f"illegal character {ch!r}", line, col)
+        if source.startswith("/*", pos) and m.lastgroup != "block_comment":
+            raise LexError("unterminated block comment", line, col)
+        text = m.group()
+        group = m.lastgroup
+        if group == "word":
+            if text in _WORD_KINDS:
+                kind = _WORD_KINDS[text]
+            elif text in KEYWORDS:
+                kind = KIND_KEYWORD
+            else:
+                kind = KIND_IDENTIFIER
+            tokens.append(Token(kind, text, line, col))
+        elif group in _GROUP_KINDS:
+            tokens.append(Token(_GROUP_KINDS[group], text, line, col))
+        # ws and comments fall through: position bookkeeping only
+        newlines = text.count("\n")
+        if newlines:
+            line += newlines
+            col = len(text) - text.rfind("\n")
+        else:
+            col += len(text)
+        pos = m.end()
+    return tokens

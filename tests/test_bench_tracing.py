@@ -2,8 +2,9 @@
 
 `bench/tracing.py` wraps each `(module, function)` of its SPECS where the
 program binds it, and `bench/workloads.py` calls `pipeline` attributes by
-name and patches `pipeline.parse_corpus`; a renamed or removed name would
-otherwise only surface in a benchmark run.
+name and patches `pipeline.parse_corpus`; a renamed or removed name, or a
+call that no longer goes through the wrapped binding, would otherwise only
+surface in a benchmark run.
 """
 
 import importlib
@@ -11,7 +12,7 @@ import importlib.util
 import re
 from pathlib import Path
 
-from codecorpus import pipeline
+from codecorpus import catalog, parser, pipeline
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACING = BENCH / "tracing.py"
@@ -57,3 +58,35 @@ def test_stage_catalog_parses_through_the_module_global(tmp_path,
         pipeline.WorkspaceConfig(corpus_root=str(corpus.parent)))
     assert len(kept) == 1
     assert summary["methods"] == sum(len(d.methods) for d in kept[0]) == 1
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_the_front_end_calls_go_through_the_wrapped_bindings(tmp_path,
+                                                              monkeypatch):
+    # lexer.lex_s and lexer.lex.calls come from `parser.lex`, and
+    # parser.file_view_s and parser.nodes from `catalog.file_view`.
+    lexed = _counting(monkeypatch, parser, "lex")
+    viewed = _counting(monkeypatch, catalog, "file_view")
+    source = "class A { int f() { return 1 + 2 * 3; } }\n"
+    parser.parse(source)
+    assert lexed == [(source,)]
+    project = tmp_path / "p"
+    project.mkdir()
+    for name in ("A", "B"):
+        (project / f"{name}.java").write_text(
+            source.replace("A", name), encoding="utf-8")
+    data = catalog.catalog_project(project, corpus_root=tmp_path)
+    assert len(data.methods) == 2
+    assert sorted(args[1] for args in viewed) == ["p/A.java", "p/B.java"]
+    assert len(lexed) == 3

@@ -107,7 +107,11 @@ def test_absent_workspace_is_an_input_error(tmp_path):
     '{"corpus_root": "/x", "seed": 0, "strictness": "skip-unparseable", '
     '"threads": 4}',
     "[1, 2]",
-], ids=["truncated", "unknown-key", "not-an-object"])
+    '{"corpus_root": 5, "seed": 0, "strictness": "skip-unparseable"}',
+    '{"corpus_root": "/x", "seed": true, "strictness": "skip-unparseable"}',
+    '{"corpus_root": "/x", "seed": 0, "strictness": "lenient"}',
+], ids=["truncated", "unknown-key", "not-an-object", "corpus-root-not-a-string",
+        "seed-not-an-int", "unknown-strictness"])
 def test_malformed_workspace_config_is_an_input_error(tmp_path, text):
     ws = tmp_path / "ws"
     ws.mkdir()

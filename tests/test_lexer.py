@@ -3,10 +3,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codecorpus.errors import LexError
+from codecorpus.fixturegen import fixture_files
 from codecorpus.lexer import (KIND_BOOL, KIND_CHAR, KIND_IDENTIFIER,
                               KIND_INT, KIND_KEYWORD, KIND_NULL,
                               KIND_OPERATOR, KIND_SEPARATOR, KIND_STRING,
                               lex, tkna_text, tknb_decode, tknb_text)
+
+from oracles import lex_oracle
 
 
 def kinds(source):
@@ -63,6 +66,60 @@ def test_lex_errors_carry_position():
         lex("/* never closed")
     with pytest.raises(LexError):
         lex("snowman ☃")
+
+
+def test_error_positions_count_characters_after_the_last_newline():
+    cases = {
+        "a\r\n\t/* open": ("unterminated block comment", 2, 2),
+        "x = 'ab';": ("unterminated or malformed char literal", 1, 5),
+        '/* a\nb */ "é\n': ("unterminated string literal", 2, 6),
+        "int é;": ("illegal character 'é'", 1, 5),
+        "a\u2028#": ("illegal character '#'", 1, 3),
+    }
+    for source, (message, line, col) in cases.items():
+        with pytest.raises(LexError) as e:
+            lex(source)
+        assert (str(e.value), e.value.line, e.value.col) == \
+            (f"{message} at {line}:{col}", line, col), source
+
+
+def _outcome(lexer, source):
+    """Token tuples, or the LexError's type, message and position."""
+    try:
+        return [(t.kind, t.lexeme, t.line, t.col) for t in lexer(source)]
+    except LexError as exc:
+        return type(exc), str(exc), exc.line, exc.col
+
+
+# pieces that open, close or break a token, plus line ends, tabs, Unicode
+# whitespace and non-ASCII text
+_PIECES = st.sampled_from([
+    "/*", "*/", "//", '"', "'", "\\", "'a'", "'\\''", '"a b"', '"\\""',
+    "\n", "\r\n", "\r", "\t", " ", "\u00a0", "\u2028", "\x0c", "é", "☃",
+    "😀", "#", "`", "int", "x1", "$y", "_", "42", "true", "null", "<=", "&&",
+    "++", "=", "@", ";", "{", "}", "(", ".",
+])
+_SOURCES = sorted(fixture_files().items())
+_EDITS = st.lists(st.tuples(st.integers(0, 1 << 20), st.integers(0, 3),
+                            _PIECES),
+                  min_size=1, max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_SOURCES), _EDITS)
+def test_lex_matches_the_oracle_on_mutated_sources(item, edits):
+    text = item[1]
+    for pos, drop, piece in edits:
+        i = pos % (len(text) + 1)
+        text = text[:i] + piece + text[i + drop:]
+    assert _outcome(lex, text) == _outcome(lex_oracle, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_PIECES, st.text(max_size=3)), max_size=30)
+       .map("".join))
+def test_lex_matches_the_oracle_on_snippets(source):
+    assert _outcome(lex, source) == _outcome(lex_oracle, source)
 
 
 def test_tkna_spaces_are_lossy_for_spaced_strings():

@@ -1,5 +1,8 @@
 """Parser structure: the flat preorder table, accessors, file views, errors."""
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -36,7 +39,7 @@ def test_flat_preorder_table_is_well_formed(views):
             assert 0 <= ast.parents[i] < i, (rel, i)
         for i in range(n):
             kids = ast.children[i]
-            assert kids == sorted(kids), (rel, i)
+            assert list(kids) == sorted(kids), (rel, i)
             # subtrees are contiguous index ranges
             end = i + ast.subtree_sizes[i]
             assert all(i < c < end for c in kids), (rel, i)
@@ -66,6 +69,36 @@ def test_method_text_matches_method_subtree(views):
                 want = [m.ast.lexeme(i) for i in m.ast.terminals()]
                 assert want == [t.lexeme for t in lex(m.text)], (rel, m.name)
                 assert m.ast.parents[0] == -1
+
+
+def _tables(ast):
+    return [ast.node_types, ast.token_indices, ast.parents, ast.lines,
+            ast.cols, [list(kids) for kids in ast.children],
+            ast.subtree_sizes,
+            [[t.kind, t.lexeme, t.line, t.col] for t in ast.tokens]]
+
+
+def _view_record(view):
+    return [view.path, _tables(view.ast),
+            [[m.name, m.signature, m.start_line, m.end_line, m.text,
+              _tables(m.ast), m.param_types, m.param_names, m.return_type,
+              m.is_constructor, sorted(m.modifiers), m.class_name]
+             for cls in view.classes for m in cls.methods]]
+
+
+# sha256 of every fixture file's tables and method sources, recorded with the
+# match-at-position lexer (`oracles.lex_oracle`) and one parse function per
+# binary precedence level: a front-end change must leave all of them as they
+# were.
+FIXTURE_PARSE_DIGEST = \
+    "f396a9b7106bce4abf9282860a5248a23b6a0edc26b818eba1440b9512a7ff9c"
+
+
+def test_fixture_parses_match_the_recorded_digest(views):
+    h = hashlib.sha256()
+    for rel in sorted(views):
+        h.update(json.dumps(_view_record(views[rel])).encode("utf-8"))
+    assert h.hexdigest() == FIXTURE_PARSE_DIGEST
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +171,37 @@ def test_local_decl_parts_and_type_erasure():
     assert init2 is None
 
 
+def _bracketed(ast, i):
+    """An expression with every operator node in parentheses."""
+    if ast.is_terminal(i):
+        return ast.lexeme(i)
+    kids = [_bracketed(ast, c) for c in ast.children[i]]
+    if ast.node_types[i] == "Paren":
+        return kids[1]
+    return "(" + " ".join(kids) + ")"
+
+
+@pytest.mark.parametrize("expr, want", [
+    ("a - b + c", "((a - b) + c)"),
+    ("a + b - c", "((a + b) - c)"),
+    ("a / b * c % d", "(((a / b) * c) % d)"),
+    ("a * b - c / d % e", "((a * b) - ((c / d) % e))"),
+    ("a || b && c == d < e + f * g",
+     "(a || (b && (c == (d < (e + (f * g))))))"),
+    ("a * b + c < d == e && f || g",
+     "((((((a * b) + c) < d) == e) && f) || g)"),
+    ("a < b == c > d != e", "(((a < b) == (c > d)) != e)"),
+    ("!a && -b * c++ || d", "(((! a) && ((- b) * (c ++))) || d)"),
+    ("a - (b - c) * d", "(a - ((b - c) * d))"),
+    ("x = a > b ? a - b : b - a", "(x = ((a > b) ? (a - b) : (b - a)))"),
+    ("x += y = z || w", "(x += (y = (z || w)))"),
+])
+def test_binary_operators_bind_by_level_and_associate_left(expr, want):
+    ast = parse("class A { void f() { " + expr + "; } }")
+    stmt = ast.find("ExprStmt")[0]
+    assert _bracketed(ast, ast.children[stmt][0]) == want
+
+
 def test_call_parts_receiver_shapes():
     ast = parse('class A { void f(B obj) { f(1, 2); obj.m("x"); this.f(obj); } }')
     shapes = []
@@ -184,6 +248,20 @@ def test_empty_source_is_rejected():
         parse("")
     with pytest.raises(ParseError):
         parse("   \n// only a comment\n")
+
+
+@pytest.mark.parametrize("rel", ["flowlab/flow/Flow.java",
+                                 "metricsuite/calc/Calc.java",
+                                 "textzoo/text/Box.java"])
+def test_input_ending_after_any_token_is_a_parse_error(rel):
+    # end of input inside every construct, e.g. right after `for (`
+    text = fixture_files()[rel]
+    line_starts = [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
+    tokens = lex(text)
+    for t in tokens[:-1]:
+        end = line_starts[t.line - 1] + t.col - 1 + len(t.lexeme)
+        with pytest.raises(ParseError):
+            file_view(text[:end], rel)
 
 
 # ---------------------------------------------------------------------------

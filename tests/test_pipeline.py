@@ -19,7 +19,8 @@ from codecorpus.fixturegen import write_fixture_corpus
 from codecorpus.metrics import compute_metrics
 from codecorpus.pipeline import (
     REPRESENTATION_TYPES, Workspace, WorkspaceConfig, _write_repr_csv,
-    discover_projects, load_corpus, parse_corpus, read_repr_csv,
+    discover_projects, load_corpus, merged_catalog, parse_corpus,
+    read_repr_csv,
     stage_add_project,
     stage_callgraph, stage_catalog, stage_metrics, stage_props_import,
     stage_report, stage_representations, stage_taskgen,
@@ -115,6 +116,17 @@ def test_metadata_reads_back_as_the_same_catalog(pipe_env):
         == [c.class_id for c in cat.classes]
     assert {m.start_line for m in stored.methods} \
         == {m.start_line for m in cat.methods}
+
+
+def test_class_counts_match_a_brute_force_count(pipe_env):
+    ws, _cfg, datas, cat, _s = pipe_env
+    for catalog in (cat, merged_catalog(datas), read_metadata(ws.metadata_dir)):
+        counts = [catalog.class_count(p.project_id) for p in catalog.projects]
+        assert counts == [sum(1 for c in catalog.classes
+                              if c.project_id == p.project_id)
+                          for p in catalog.projects]
+        assert sum(counts) == len(catalog.classes) == 201
+        assert catalog.class_count(catalog.methods[0].method_id) == 0
 
 
 def test_stale_metadata_is_detected(pipe_env):

@@ -2,8 +2,8 @@
 
 The micro-corpus merge expectations are worked out by hand from the training
 rule (most frequent adjacent pair, ties to the lexicographically smallest).
-Whole merge lists are compared with a full-rescan oracle, on generated texts
-and on the fixture and English corpora.
+Whole merge lists and encodings are compared with full-rescan oracles, on
+generated texts and on the fixture and English corpora.
 Roundtrip losslessness gets a property test over arbitrary unicode, since the
 encoder must stay faithful even for bytes the training corpus never saw.
 """
@@ -21,7 +21,7 @@ from codecorpus.tokenstats import (
     write_sizes_csv, write_vocab,
 )
 
-from oracles import bpe_merges_oracle, recount_fit
+from oracles import bpe_encode_oracle, bpe_merges_oracle, recount_fit
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +123,34 @@ def test_encode_len_matches_encode(code_vocab, corpus_env):
     some = sorted(method_texts.values())[:25]
     for text in some:
         assert bpe_encode_len(code_vocab, text) == len(bpe_encode(code_vocab, text))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_PIECES, min_size=1, max_size=40).map("".join),
+       st.lists(_PIECES, max_size=40).map("".join),
+       st.integers(min_value=257, max_value=300))
+def test_encoding_matches_the_full_rescan_oracle(train, text, vocab_size):
+    v = train_bpe(train, vocab_size)
+    for sample in (train, text):
+        want = bpe_encode_oracle(v, sample)
+        assert bpe_encode(v, sample) == want
+        assert bpe_encode_len(v, sample) == len(want)
+
+
+def test_encoding_follows_rank_order_rounds():
+    # a merge that ranks before the pair that creates its left symbol must
+    # wait for the round that merges every occurrence of that pair
+    v = BpeVocab([(b"ab", b"a"), (b"a", b"b")], set(), 0, "")
+    for text in ("abab", "ababab", "aab", "abaab\nab"):
+        assert bpe_encode(v, text) == bpe_encode_oracle(v, text), text
+    assert bpe_encode(v, "abab") == [b"ab", b"ab"]
+
+
+def test_fixture_encoding_matches_the_full_rescan_oracle(code_vocab,
+                                                        corpus_env):
+    corpus_text = corpus_env[3]
+    assert bpe_encode(code_vocab, corpus_text) == \
+        bpe_encode_oracle(code_vocab, corpus_text)
 
 
 def test_roundtrip_over_the_whole_fixture_corpus(code_vocab, corpus_env):
