@@ -1,7 +1,11 @@
 """Per-method source metrics.
 
-Size and shape metrics come straight off the token stream and the method
-subtree:
+Size and shape metrics come straight off the method subtree and its own
+tokens, `method.ast.tokens`: the slice of the file's token stream that the
+declaration spans, lexed once with the file. Code that shares a line with
+the declaration (a field after its closing brace, another method) is not
+counted, and a comment that opens or closes on one of its lines cannot
+break the count.
 
 * TLOC  total lines, end - start + 1
 * SLOC  lines carrying at least one lexical token
@@ -21,7 +25,7 @@ counts `&&`/`||` inside the condition. Ternaries raise CMPX but not NPTH
 
 from .lexer import (
     KIND_IDENTIFIER, KIND_OPERATOR, KIND_SEPARATOR, KIND_KEYWORD,
-    LITERAL_KINDS, lex,
+    LITERAL_KINDS,
 )
 from .parser import (
     Ast, MethodSource, NT_BLOCK, NT_FOR, NT_IF, NT_RETURN, NT_WHILE,
@@ -109,7 +113,7 @@ def npath(ast: Ast) -> int:
 
 def compute_metrics(method: MethodSource) -> dict[str, int | str]:
     """All metric properties for one method, keyed by property code."""
-    tokens = lex(method.text)
+    tokens = method.ast.tokens
     token_lines = {t.line for t in tokens}
     identifiers = {t.lexeme for t in tokens if t.kind == KIND_IDENTIFIER}
     ast = method.ast
@@ -132,7 +136,7 @@ def compute_metrics(method: MethodSource) -> dict[str, int | str]:
 def token_census(method: MethodSource) -> dict[str, int]:
     """Token-kind partition; operators + literals + identifiers + structural
     tokens always total NMTK."""
-    tokens = lex(method.text)
+    tokens = method.ast.tokens
     return {
         "operators": sum(1 for t in tokens if t.kind == KIND_OPERATOR),
         "literals": sum(1 for t in tokens if t.kind in LITERAL_KINDS),

@@ -20,12 +20,24 @@ enough to fit the remaining length. Each node keeps its terminals grouped by
 depth for that. Sampling draws indices over the admissible pairs before any
 `RawPath` is built, so only the kept paths are constructed; the draw depends
 only on the pair count, so it is the one an all-pairs scan would make.
+
+The same climb records each terminal's ancestor chain: the node types above
+it, nearest first, as far as a path can reach. A kept path's `up_nodes`,
+`lca` and `down_nodes` are slices of the chains of its two terminals.
+
+Path shapes repeat far more than paths do (the x4 fixture corpus has 226k
+paths of 678 shapes), so the renderers compute a shape's `render_path` and
+`path_hash` once, and a lexeme's joined subtokens once, from bounded LRU
+caches. `clear_render_caches` empties them; the pipeline calls it when
+`stage_representations` ends, so a long-lived process keeps no entries
+scattered through memory it could otherwise give back.
 """
 
 import hashlib
 import random
 import re
-from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import InvalidArgumentError
 from .parser import Ast, MethodSource
@@ -33,12 +45,13 @@ from .parser import Ast, MethodSource
 MAX_LENGTH_DEFAULT = 8
 MAX_WIDTH_DEFAULT = 2
 MAX_CONTEXTS_DEFAULT = 200
+# Most path shapes, and most lexemes, whose renders the caches keep.
+RENDER_CACHE_SIZE = 256
 
 _SUBTOKEN_RE = re.compile(r"[A-Z]+(?![a-z])|[A-Z][a-z0-9]*|[a-z0-9]+")
 
 
-@dataclass(frozen=True)
-class RawPath:
+class RawPath(NamedTuple):
     start_terminal: int
     end_terminal: int
     up_nodes: tuple[str, ...]     # node types from just above start to below lca
@@ -87,25 +100,31 @@ def extract_paths(ast: Ast,
     """
     if max_length < 1 or max_width < 1 or max_contexts < 1:
         raise InvalidArgumentError("path limits must be >= 1")
-    terminals = [i for i in range(len(ast)) if ast.is_terminal(i)]
+    terminals = [i for i, ti in enumerate(ast.token_indices) if ti is not None]
     if len(terminals) < 2:
         return []
     parents = ast.parents
     children = ast.children
+    types = ast.node_types
     reach = max_length - 1          # most nodes on either side of the lca
 
-    # below[n][r]: terminals r levels under node n (n itself at r = 0)
+    # below[n][r]: terminals r levels under node n (n itself at r = 0);
+    # chain[t]: types of the max_length nearest ancestors of terminal t
     below: list[list[list[int]]] = [[] for _ in range(len(ast))]
+    chain: list[tuple[str, ...]] = [()] * len(ast)
     for t in terminals:
-        n, r = t, 0
-        while r <= reach:
+        n = t
+        above = []
+        for r in range(max_length):
             levels = below[n]
             while len(levels) <= r:
                 levels.append([])
             levels[r].append(t)
             if n == 0:
                 break
-            n, r = parents[n], r + 1
+            n = parents[n]
+            above.append(types[n])
+        chain[t] = tuple(above)
     pos_in_parent = [0] * len(ast)
     for kids in children:
         for k, c in enumerate(kids):
@@ -120,52 +139,60 @@ def extract_paths(ast: Ast,
             lca = parents[branch]
             k = pos_in_parent[branch]
             for sibling in children[lca][k + 1:k + 1 + max_width]:
-                for d_b, ends in enumerate(below[sibling][:reach - d_a + 1]):
-                    found.extend((a, b, d_a, d_b) for b in ends)
+                found += [(a, b, d_a, d_b) for d_b, ends
+                          in enumerate(below[sibling][:reach - d_a + 1])
+                          for b in ends]
             branch, d_a = lca, d_a + 1
         found.sort()
-        pairs.extend(found)
+        pairs += found
 
     if len(pairs) > max_contexts:
         rng = random.Random(seed)
         keep = sorted(rng.sample(range(len(pairs)), max_contexts))
         pairs = [pairs[k] for k in keep]
-    types = ast.node_types
-    paths = []
-    for a, b, d_a, d_b in pairs:
-        up = []
-        n = a
-        for _ in range(d_a):
-            n = parents[n]
-            up.append(types[n])
-        down = []
-        m = b
-        for _ in range(d_b):
-            m = parents[m]
-            down.append(types[m])
-        down.reverse()
-        paths.append(RawPath(a, b, tuple(up), types[parents[n]],
-                             tuple(down)))
-    return paths
+    new = tuple.__new__
+    return [new(RawPath, (a, b, chain[a][:d_a], chain[a][d_a],
+                          chain[b][d_b - 1::-1] if d_b else ()))
+            for a, b, d_a, d_b in pairs]
 
+
+@lru_cache(maxsize=RENDER_CACHE_SIZE)
+def _shape_strings(shape: tuple) -> tuple[str, str]:
+    """`render_path` and `path_hash` of an (up_nodes, lca, down_nodes)
+    shape."""
+    p = RawPath(-1, -1, *shape)
+    return render_path(p), path_hash(p)
+
+
+@lru_cache(maxsize=RENDER_CACHE_SIZE)
+def _joined_subtokens(lexeme: str) -> str:
+    return "|".join(subtokens(lexeme))
+
+
+def clear_render_caches() -> None:
+    """Drop every cached shape render and joined lexeme."""
+    _shape_strings.cache_clear()
+    _joined_subtokens.cache_clear()
+
+
+# In the renderers, `p[2:]` is a path's shape: (up_nodes, lca, down_nodes).
 
 def to_c2vc(method: MethodSource, paths: list[RawPath]) -> str:
     """`label left,pathhash,right ...` with raw terminal text."""
-    ast = method.ast
-    parts = [method.name]
-    for p in paths:
-        left = ast.lexeme(p.start_terminal)
-        right = ast.lexeme(p.end_terminal)
-        parts.append(f"{left},{path_hash(p)},{right}")
-    return " ".join(parts)
+    tokens, at = method.ast.tokens, method.ast.token_indices
+    shape_strings = _shape_strings
+    return " ".join([method.name, *[
+        f"{tokens[at[p.start_terminal]].lexeme},{shape_strings(p[2:])[1]},"
+        f"{tokens[at[p.end_terminal]].lexeme}"
+        for p in paths]])
 
 
 def to_c2sq(method: MethodSource, paths: list[RawPath]) -> str:
     """`sub|toks left,Node↑..↓Node,right ...` with subtokenized terminals."""
-    ast = method.ast
-    parts = ["|".join(subtokens(method.name))]
-    for p in paths:
-        left = "|".join(subtokens(ast.lexeme(p.start_terminal)))
-        right = "|".join(subtokens(ast.lexeme(p.end_terminal)))
-        parts.append(f"{left},{render_path(p)},{right}")
-    return " ".join(parts)
+    tokens, at = method.ast.tokens, method.ast.token_indices
+    joined, shape_strings = _joined_subtokens, _shape_strings
+    return " ".join([joined(method.name), *[
+        f"{joined(tokens[at[p.start_terminal]].lexeme)},"
+        f"{shape_strings(p[2:])[0]},"
+        f"{joined(tokens[at[p.end_terminal]].lexeme)}"
+        for p in paths]])

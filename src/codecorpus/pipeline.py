@@ -43,9 +43,10 @@ from .callgraph import (arg_name_maps, build_callgraph,
 from .errors import InputError, InvalidArgumentError
 from .featuregraph import ast_graph, build_feature_graph, graph_payload
 from .identity import EntityId
-from .lexer import lex, tkna_text, tknb_text
+from .lexer import tkna_text, tknb_text
 from .parser import MethodSource
-from .pathcontexts import extract_paths, to_c2sq, to_c2vc
+from .pathcontexts import (clear_render_caches, extract_paths, to_c2sq,
+                           to_c2vc)
 from .tables import read_table, write_table, write_text
 from .taskgen import (augment_with_context, baseline_context_unigram,
                       baseline_most_frequent, bias_table,
@@ -237,9 +238,9 @@ def _method_payload(rtype: str, method: MethodSource, fields: dict,
     if rtype == "TEXT":
         return method.text
     if rtype == "TKNA":
-        return tkna_text(lex(method.text))
+        return tkna_text(method.ast.tokens)
     if rtype == "TKNB":
-        return tknb_text(lex(method.text))
+        return tknb_text(method.ast.tokens)
     if rtype == "ASTS":
         return graph_payload(ast_graph(method))
     if rtype in ("C2VC", "C2SQ"):
@@ -273,6 +274,7 @@ def stage_representations(ws: Workspace, datas: list[ProjectData],
                 rows.append((meta.method_id, payload))
         _write_repr_csv(ws.repr_path(rtype), rows)
         counts[rtype] = len(rows)
+    clear_render_caches()
     return {"types": types, "methods_per_type": counts}
 
 
@@ -404,11 +406,12 @@ def stage_tokenstats(ws: Workspace, datas: list[ProjectData], cat: Catalog,
     records = []
     ratios = {}
     texts = [m.text for _, m in ordered]
+    token_counts = [len(m.ast.tokens) for _, m in ordered]
     for tag, vocab in vocabs.items():
         write_vocab(out / f"vocab_{tag}.txt", vocab)
         records.extend(entity_sizes(cat, method_texts, class_texts,
                                     vocab, tag))
-        ratios[tag] = round(tokenizer_ratio(vocab, texts), 3)
+        ratios[tag] = round(tokenizer_ratio(vocab, texts, token_counts), 3)
     write_sizes_csv(out / "sizes.csv", records)
     write_fit_csv(out / "fit.csv", window_fit(records))
     write_fit_csv(out / "fit_bucketed.csv",

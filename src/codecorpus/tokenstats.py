@@ -206,15 +206,18 @@ def bpe_decode(symbols: list[bytes]) -> str:
 # ---------------------------------------------------------------------------
 
 def tokenizer_ratio(vocab_or_encoder, texts: list[str],
-                    baseline_lexer=None, pooled: bool = False) -> float:
+                    token_counts: list[int] | None = None,
+                    pooled: bool = False) -> float:
     """Subtokens per 100 lexical tokens over the given method texts.
 
-    Per-method averaging by default; `pooled` divides total subtokens by
-    total lexical tokens instead. Texts with zero lexical tokens are
-    excluded.
+    `token_counts` gives the lexical token count of each text, in order
+    (the pipeline passes each method's own token count); without it every
+    text is lexed. Per-method averaging by default; `pooled` divides total
+    subtokens by total lexical tokens instead. Texts with zero lexical
+    tokens are excluded.
     """
-    if baseline_lexer is None:
-        baseline_lexer = lex
+    if token_counts is None:
+        token_counts = [len(lex(text)) for text in texts]
     if isinstance(vocab_or_encoder, BpeVocab):
         v = vocab_or_encoder
         encode_len = lambda t: bpe_encode_len(v, t)
@@ -222,8 +225,7 @@ def tokenizer_ratio(vocab_or_encoder, texts: list[str],
         encode_len = lambda t: len(vocab_or_encoder(t))
     ratios = []
     total_sub = total_lex = 0
-    for text in texts:
-        n_lex = len(baseline_lexer(text))
+    for text, n_lex in zip(texts, token_counts, strict=True):
         if n_lex == 0:
             continue
         n_sub = encode_len(text)

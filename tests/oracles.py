@@ -18,16 +18,22 @@ different algorithmic shape:
 * `lex_oracle` matches one token at a time from the current position and
   measures each lexeme for the column, instead of one `finditer` pass with
   catch-all alternatives.
+* `extract_paths_oracle` walks the parent chain twice for every kept path
+  and builds a frozen dataclass per path, and `to_c2vc_oracle` /
+  `to_c2sq_oracle` render and hash every path anew, instead of slicing
+  per-terminal ancestor chains and caching renders by path shape.
 
 The event extraction conventions (evaluation order, which occurrences
 count as reads/writes) mirror the library's documented semantics; the
 flow semantics on top of them are computed from scratch.
 """
 
+import hashlib
+import random
 import re
 from dataclasses import dataclass, field
 
-from codecorpus.errors import LexError
+from codecorpus.errors import InvalidArgumentError, LexError
 from codecorpus.lexer import (
     KEYWORDS, KIND_BOOL, KIND_CHAR, KIND_IDENTIFIER, KIND_INT, KIND_KEYWORD,
     KIND_NULL, KIND_OPERATOR, KIND_SEPARATOR, KIND_STRING, Token,
@@ -38,6 +44,9 @@ from codecorpus.parser import (
     NT_PARAM, NT_PAREN, NT_POSTFIX, NT_RETURN, NT_TERNARY, NT_UNARY,
     NT_WHILE, assign_parts, call_parts, for_parts, if_parts,
     local_decl_parts, new_parts, while_parts,
+)
+from codecorpus.pathcontexts import (
+    MAX_CONTEXTS_DEFAULT, MAX_LENGTH_DEFAULT, MAX_WIDTH_DEFAULT, subtokens,
 )
 
 # ---------------------------------------------------------------------------
@@ -500,6 +509,139 @@ def all_path_contexts(ast: Ast, max_length: int | None = None,
                 pieces.append(ast.node_types[n])
             out.add((a, b, "".join(pieces)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Per-path extraction and renderers
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class OraclePath:
+    start_terminal: int
+    end_terminal: int
+    up_nodes: tuple[str, ...]     # node types from just above start to below lca
+    lca: str
+    down_nodes: tuple[str, ...]   # node types from just below lca to just above end
+
+    @property
+    def length(self) -> int:
+        return len(self.up_nodes) + 1 + len(self.down_nodes)
+
+
+def render_path_oracle(p) -> str:
+    """Direction-marked node-type sequence, e.g. `Binary↑ReturnStmt↓Call`."""
+    out = []
+    for nt in p.up_nodes:
+        out.append(nt)
+        out.append("↑")
+    out.append(p.lca)
+    for nt in p.down_nodes:
+        out.append("↓")
+        out.append(nt)
+    return "".join(out)
+
+
+def path_hash_oracle(p) -> str:
+    return hashlib.sha256(render_path_oracle(p).encode("utf-8")).hexdigest()[:16]
+
+
+def extract_paths_oracle(ast: Ast,
+                         max_length: int = MAX_LENGTH_DEFAULT,
+                         max_width: int = MAX_WIDTH_DEFAULT,
+                         max_contexts: int = MAX_CONTEXTS_DEFAULT,
+                         seed: int = 0) -> list[OraclePath]:
+    """All admissible terminal pairs, sampled down to max_contexts.
+
+    Pairs are ordered by token position (start strictly before end). When
+    more than max_contexts survive the length/width filters, a uniform
+    sample without replacement is drawn with `seed` and returned in the
+    original source order.
+    """
+    if max_length < 1 or max_width < 1 or max_contexts < 1:
+        raise InvalidArgumentError("path limits must be >= 1")
+    terminals = [i for i in range(len(ast)) if ast.is_terminal(i)]
+    if len(terminals) < 2:
+        return []
+    parents = ast.parents
+    children = ast.children
+    reach = max_length - 1          # most nodes on either side of the lca
+
+    # below[n][r]: terminals r levels under node n (n itself at r = 0)
+    below: list[list[list[int]]] = [[] for _ in range(len(ast))]
+    for t in terminals:
+        n, r = t, 0
+        while r <= reach:
+            levels = below[n]
+            while len(levels) <= r:
+                levels.append([])
+            levels[r].append(t)
+            if n == 0:
+                break
+            n, r = parents[n], r + 1
+    pos_in_parent = [0] * len(ast)
+    for kids in children:
+        for k, c in enumerate(kids):
+            pos_in_parent[c] = k
+
+    # (start, end, nodes above start, nodes above end) below the lca
+    pairs: list[tuple[int, int, int, int]] = []
+    for a in terminals:
+        found = []
+        branch, d_a = a, 0
+        while branch != 0 and d_a <= reach:
+            lca = parents[branch]
+            k = pos_in_parent[branch]
+            for sibling in children[lca][k + 1:k + 1 + max_width]:
+                for d_b, ends in enumerate(below[sibling][:reach - d_a + 1]):
+                    found.extend((a, b, d_a, d_b) for b in ends)
+            branch, d_a = lca, d_a + 1
+        found.sort()
+        pairs.extend(found)
+
+    if len(pairs) > max_contexts:
+        rng = random.Random(seed)
+        keep = sorted(rng.sample(range(len(pairs)), max_contexts))
+        pairs = [pairs[k] for k in keep]
+    types = ast.node_types
+    paths = []
+    for a, b, d_a, d_b in pairs:
+        up = []
+        n = a
+        for _ in range(d_a):
+            n = parents[n]
+            up.append(types[n])
+        down = []
+        m = b
+        for _ in range(d_b):
+            m = parents[m]
+            down.append(types[m])
+        down.reverse()
+        paths.append(OraclePath(a, b, tuple(up), types[parents[n]],
+                                tuple(down)))
+    return paths
+
+
+def to_c2vc_oracle(method: MethodSource, paths) -> str:
+    """`label left,pathhash,right ...` with raw terminal text."""
+    ast = method.ast
+    parts = [method.name]
+    for p in paths:
+        left = ast.lexeme(p.start_terminal)
+        right = ast.lexeme(p.end_terminal)
+        parts.append(f"{left},{path_hash_oracle(p)},{right}")
+    return " ".join(parts)
+
+
+def to_c2sq_oracle(method: MethodSource, paths) -> str:
+    """`sub|toks left,Node↑..↓Node,right ...` with subtokenized terminals."""
+    ast = method.ast
+    parts = ["|".join(subtokens(method.name))]
+    for p in paths:
+        left = "|".join(subtokens(ast.lexeme(p.start_terminal)))
+        right = "|".join(subtokens(ast.lexeme(p.end_terminal)))
+        parts.append(f"{left},{render_path_oracle(p)},{right}")
+    return " ".join(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -160,3 +160,24 @@ def test_truncated_artifact_row_is_an_input_error(cli_env, tmp_path, artifact,
     assert proc.returncode == 2, proc.stderr
     assert "input error" in proc.stderr
     assert f"{target.name}:{line}: expected" in proc.stderr
+
+
+def test_comments_across_method_lines_do_not_break_later_commands(tmp_path):
+    # block comments open on the method's last line and close on its first
+    # one, so lexing the method's whole lines on their own fails
+    corpus = tmp_path / "corpus"
+    (corpus / "proj").mkdir(parents=True)
+    (corpus / "proj" / "C.java").write_text(
+        "class C { int x; /* a\n"
+        " b */ void f() { return; } /* c\n"
+        " d */ }\n", encoding="utf-8")
+    ws = tmp_path / "ws"
+    proc = run_cli("catalog", "--corpus", corpus, "-w", ws)
+    assert proc.returncode == 0, proc.stderr
+    assert last_json(proc)["skipped_files"] == 0
+    for command in (("repr",), ("metrics",), ("tokenstats",)):
+        proc = run_cli(*command, "-w", ws)
+        assert proc.returncode == 0, (command, proc.stderr)
+        assert last_json(proc)["command"] == command[0]
+    nmtk = (ws / "properties" / "NMTK.csv").read_text(encoding="utf-8")
+    assert nmtk.splitlines()[1].endswith(",8")   # void f ( ) { return ; }

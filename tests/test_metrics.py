@@ -40,6 +40,22 @@ HAND_COUNTS = {
 }
 
 
+# Code sharing a line with a declaration belongs to the field or method it
+# spells, not to the declaration whose lines it is on.
+SHARED_LINES = (
+    "class C {\n"
+    "    void g() { int y = 1; } int z;\n"
+    "    int a() { return 1; } int b(int x) { return x + 2; }\n"
+    "}\n")
+
+# name -> (NMTK, SLOC, NUID, NMOP, NMLT), counted on the declaration alone
+SHARED_LINE_COUNTS = {
+    "g": (11, 1, 2, 1, 1),   # void g ( ) { int y = 1 ; }
+    "a": (9, 1, 1, 0, 1),    # int a ( ) { return 1 ; }
+    "b": (13, 1, 2, 1, 1),   # int b ( int x ) { return x + 2 ; }
+}
+
+
 def test_hand_computed_metric_table(views):
     calc = views["metricsuite/calc/Calc.java"]
     seen = set()
@@ -69,7 +85,7 @@ def test_hand_computed_token_counts(views):
 
 
 def test_token_census_partitions_every_method(views):
-    for rel, view in views.items():
+    for rel, view in [*views.items(), ("<shared>", file_view(SHARED_LINES))]:
         for cls in view.classes:
             for m in cls.methods:
                 census = token_census(m)
@@ -110,3 +126,13 @@ def test_mxin_counts_braces_not_branches():
 
     braced = file_view("class A { int f(int x) { if (x > 0) { x = 1; } return x; } }")
     assert compute_metrics(braced.classes[0].methods[0])["MXIN"] == 1
+
+
+def test_code_sharing_a_line_is_not_counted():
+    view = file_view(SHARED_LINES)
+    for name, (tk, sloc, uid, op, lt) in SHARED_LINE_COUNTS.items():
+        m = method_named(view, name)
+        got = compute_metrics(m)
+        assert (got["NMTK"], got["SLOC"], got["NUID"], got["NMOP"],
+                got["NMLT"]) == (tk, sloc, uid, op, lt), name
+        assert got["TLOC"] == 1, name

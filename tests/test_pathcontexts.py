@@ -3,22 +3,35 @@
 The bodyless-method example below was enumerated by hand: five terminals
 give ten ordered pairs, of which the default width limit keeps exactly seven.
 The frozen hash literals are sha256 prefixes of the rendered node paths,
-computed independently of the implementation.
+computed independently of the implementation. `extract_paths_oracle` and
+the two renderer oracles are the per-path implementations that the
+ancestor-chain extraction and the shape-cached renderers replaced; the
+property tests below hold the two to the same paths and strings.
 """
 
+import importlib.util
 import random
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from conftest import method_named
 
+from codecorpus import pathcontexts
 from codecorpus.errors import InvalidArgumentError
+from codecorpus.fixturegen import fixture_files
+from codecorpus.parser import file_view
 from codecorpus.pathcontexts import (
-    MAX_CONTEXTS_DEFAULT, MAX_LENGTH_DEFAULT, MAX_WIDTH_DEFAULT, RawPath,
-    extract_paths, path_hash, render_path, subtokens, to_c2sq, to_c2vc,
+    MAX_CONTEXTS_DEFAULT, MAX_LENGTH_DEFAULT, MAX_WIDTH_DEFAULT,
+    RENDER_CACHE_SIZE, RawPath, extract_paths, path_hash, render_path,
+    subtokens, to_c2sq, to_c2vc,
 )
 
-from oracles import all_path_contexts
+from oracles import (all_path_contexts, extract_paths_oracle,
+                     to_c2sq_oracle, to_c2vc_oracle)
 
 NO_LIMIT = 10 ** 9
 
@@ -191,3 +204,103 @@ def test_length_counts_internal_nodes_only():
     p = RawPath(3, 9, ("Binary", "Paren"), "IfStmt", ("Block",))
     assert p.length == 4
     assert render_path(p) == "Binary↑Paren↑IfStmt↓Block"
+
+
+# ---------------------------------------------------------------------------
+# The per-path oracle: same paths, same strings
+# ---------------------------------------------------------------------------
+
+def _long_methods():
+    path = Path(__file__).resolve().parents[1] / "bench" / "longgen.py"
+    spec = importlib.util.spec_from_file_location("bench_longgen", path)
+    longgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(longgen)
+    return [m for seed in (0, 1)
+            for rel, text in sorted(longgen.generate(seed).items())
+            for cls in file_view(text, rel).classes for m in cls.methods]
+
+
+_LONG_METHODS = _long_methods()
+_SOURCES = sorted(fixture_files().items())
+# each parses wherever a statement may stand: right after `) {`
+_STATEMENTS = st.sampled_from([
+    "if (a && b) { x = f(y, 1); } else return;",
+    "while (i < n) i++;",
+    "for (int i = 0; i < n; i++) { s += g(i) ? i : -i; }",
+    'return obj.call(x).other("q", \'c\');',
+    "int v = (a + b) * c - d / e;",
+    "{ { p = new Box(q); } }",
+    "total = this.items.size() + count;",
+])
+
+
+@st.composite
+def _mutated_fixture_methods(draw):
+    rel, text = draw(st.sampled_from(_SOURCES))
+    sites = [m.end() for m in re.finditer(r"\)\s*\{", text)]
+    if sites:
+        edits = draw(st.lists(st.tuples(st.sampled_from(sites), _STATEMENTS),
+                              max_size=4))
+        for site, statement in sorted(edits, reverse=True):
+            text = f"{text[:site]} {statement}{text[site:]}"
+    methods = [m for cls in file_view(text, rel).classes
+               for m in cls.methods]
+    return draw(st.sampled_from(methods))
+
+
+def _fields(p):
+    return (p.start_terminal, p.end_terminal, p.up_nodes, p.lca,
+            p.down_nodes, p.length)
+
+
+# No shrink phase: shrinking re-runs both extractions on long methods for
+# minutes, so a failure is reported as drawn.
+@settings(max_examples=200, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(st.one_of(_mutated_fixture_methods(), st.sampled_from(_LONG_METHODS)),
+       st.integers(1, 10), st.integers(1, 4),
+       st.one_of(st.integers(1, 300), st.just(NO_LIMIT)),
+       st.integers(0, 2 ** 32))
+def test_paths_and_renders_match_the_per_path_oracle(method, max_length,
+                                                     max_width, max_contexts,
+                                                     seed):
+    got = extract_paths(method.ast, max_length, max_width, max_contexts,
+                        seed)
+    want = extract_paths_oracle(method.ast, max_length, max_width,
+                                max_contexts, seed)
+    assert [_fields(p) for p in got] == [_fields(p) for p in want]
+    assert to_c2vc(method, got) == to_c2vc_oracle(method, want)
+    assert to_c2sq(method, got) == to_c2sq_oracle(method, want)
+
+
+def test_default_paths_and_renders_match_the_oracle_everywhere(views):
+    methods = [m for v in views.values() for c in v.classes
+               for m in c.methods] + _LONG_METHODS
+    for m in methods:
+        got = extract_paths(m.ast, seed=5)
+        want = extract_paths_oracle(m.ast, seed=5)
+        assert [_fields(p) for p in got] == [_fields(p) for p in want], \
+            m.signature
+        assert to_c2vc(m, got) == to_c2vc_oracle(m, want), m.signature
+        assert to_c2sq(m, got) == to_c2sq_oracle(m, want), m.signature
+
+
+def test_renders_stay_right_past_the_cache_bound(views):
+    area = method_named(views["textzoo/text/Shape.java"], "area")
+    a, b = area.ast.terminals()[:2]
+    paths = [RawPath(a, b, (f"Up{i}",), "Lca", (f"Down{i % 7}",))
+             for i in range(RENDER_CACHE_SIZE + 50)]
+    for chunk in (paths, paths[:50], paths):
+        assert to_c2vc(area, chunk) == to_c2vc_oracle(area, chunk)
+        assert to_c2sq(area, chunk) == to_c2sq_oracle(area, chunk)
+    caches = [f for f in vars(pathcontexts).values()
+              if hasattr(f, "cache_info")]
+    assert len(caches) == 2
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.maxsize == RENDER_CACHE_SIZE
+        assert info.currsize <= RENDER_CACHE_SIZE
+    shapes = pathcontexts._shape_strings.cache_info()
+    assert shapes.currsize == RENDER_CACHE_SIZE
+    pathcontexts.clear_render_caches()
+    assert all(cache.cache_info().currsize == 0 for cache in caches)

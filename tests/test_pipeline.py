@@ -6,10 +6,13 @@ rails (missing artifacts, stale metadata, duplicate projects).
 """
 
 import json
+import sys
 
 import pytest
 
 import codecorpus.catalog as catalog_mod
+import codecorpus.lexer as lexer_mod
+import codecorpus.pathcontexts as pathcontexts_mod
 from codecorpus.catalog import (
     CLASSES_HEADER, METHODS_HEADER, PACKAGES_HEADER, PROJECTS_HEADER,
     read_metadata, read_property_csv,
@@ -23,9 +26,10 @@ from codecorpus.pipeline import (
     read_repr_csv,
     stage_add_project,
     stage_callgraph, stage_catalog, stage_metrics, stage_props_import,
-    stage_report, stage_representations, stage_taskgen,
+    stage_report, stage_representations, stage_taskgen, stage_tokenstats,
 )
 from codecorpus.taskgen import read_task_csv
+from codecorpus.tokenstats import tokenizer_ratio
 
 
 @pytest.fixture(scope="module")
@@ -432,3 +436,74 @@ def test_add_project_parses_each_file_once(tmp_path, monkeypatch):
     stage_add_project(ws, second)
     assert sorted(parsed) == sorted(
         p.relative_to(corpus).as_posix() for p in corpus.rglob("*.java"))
+
+
+def test_payloads_and_metrics_count_only_the_declaration_tokens(tmp_path):
+    corpus = tmp_path / "corpus"
+    (corpus / "proj").mkdir(parents=True)
+    (corpus / "proj" / "C.java").write_text(
+        "class C {\n"
+        "    void g() { int y = 1; } int z;\n"
+        "    int a() { return 1; } int b(int x) { return x; }\n"
+        "}\n", encoding="utf-8")
+    ws = Workspace(tmp_path / "ws")
+    stage_catalog(ws, WorkspaceConfig(corpus_root=str(corpus)))
+    cfg, datas, cat = load_corpus(ws)
+    stage_representations(ws, datas, ["TKNA", "TKNB"], cfg.seed)
+    stage_metrics(ws, datas, cat)
+    name_of = {m.method_id: m.method_name for m in cat.methods}
+
+    def by_name(table):
+        return {name_of[mid]: value for mid, value in table.items()}
+
+    assert by_name(read_repr_csv(ws.repr_path("TKNA"))) == {
+        "g": "void g ( ) { int y = 1 ; }",
+        "a": "int a ( ) { return 1 ; }",
+        "b": "int b ( int x ) { return x ; }",
+    }
+    assert by_name(read_repr_csv(ws.repr_path("TKNB"))) == {
+        "g": "void,g,(,),{,int,y,=,1,;,}",
+        "a": "int,a,(,),{,return,1,;,}",
+        "b": "int,b,(,int,x,),{,return,x,;,}",
+    }
+    for key, want in (("NMTK", {"g": "11", "a": "9", "b": "11"}),
+                      ("SLOC", {"g": "1", "a": "1", "b": "1"}),
+                      ("NUID", {"g": "2", "a": "1", "b": "2"})):
+        assert by_name(read_property_csv(ws.property_path(key))) == want, key
+
+
+def test_no_stage_relexes_method_texts(pipe_env, tmp_path, monkeypatch):
+    _ws, cfg, datas, cat, _s = pipe_env
+    lexed = []
+    real = lexer_mod.lex
+
+    def counting(source):
+        lexed.append(source)
+        return real(source)
+
+    patched = []
+    for name, module in sorted(sys.modules.items()):
+        if name == "codecorpus" or name.startswith("codecorpus."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counting)
+                    patched.append(f"{name}.{attr}")
+    assert "codecorpus.lexer.lex" in patched
+
+    ws = Workspace(tmp_path / "ws")
+    stage_representations(ws, datas, list(REPRESENTATION_TYPES), cfg.seed)
+    stage_metrics(ws, datas, cat)
+    stage_tokenstats(ws, datas, cat)
+    assert lexed == []
+    # the patch is live where a lexer call remains: texts without counts
+    tokenizer_ratio(lambda text: [text], ["int a;"])
+    assert lexed == ["int a;"]
+
+
+def test_representations_leave_the_render_caches_empty(pipe_env, tmp_path):
+    _ws, cfg, datas, _cat, _s = pipe_env
+    stage_representations(Workspace(tmp_path / "ws"), datas,
+                          ["C2VC", "C2SQ"], cfg.seed)
+    for cache in (pathcontexts_mod._shape_strings,
+                  pathcontexts_mod._joined_subtokens):
+        assert cache.cache_info().currsize == 0

@@ -194,6 +194,17 @@ def test_pooled_ratio_weights_by_length(code_vocab):
     assert pooled != tokenizer_ratio(code_vocab, texts)
 
 
+def test_given_token_counts_replace_lexing(code_vocab, corpus_env):
+    _cat, method_texts, _c, _t = corpus_env
+    texts = sorted(method_texts.values())
+    counts = [len(lex(t)) for t in texts]
+    for pooled in (False, True):
+        assert tokenizer_ratio(code_vocab, texts, counts, pooled) == \
+            tokenizer_ratio(code_vocab, texts, pooled=pooled)
+    halved = tokenizer_ratio(code_vocab, ["int a;"], [6])
+    assert halved == tokenizer_ratio(code_vocab, ["int a;"]) / 2
+
+
 def test_ratio_skips_tokenless_texts(code_vocab):
     mixed = ["", "   ", "// just a comment", "int a;"]
     only = tokenizer_ratio(code_vocab, mixed)
