@@ -1,7 +1,8 @@
 """Project-wide static call graphs with call-locality classification.
 
-Every syntactic call site in a cataloged method yields exactly one edge.
-Resolution is source-level and per project:
+Every call site of a cataloged method yields exactly one edge; what a call
+site is, and which token names it (the edge's line and column), is defined
+once by `parser.call_sites`. Resolution is source-level and per project:
 
     implicit / this.m(...)    enclosing class, then its superclass chain
     Name.m(...)               Name as a class of the project (same package,
@@ -29,12 +30,11 @@ from .catalog import Catalog, ProjectData
 from .errors import InvalidArgumentError, NotFoundError
 from .identity import EntityId
 from .lexer import (KIND_BOOL, KIND_CHAR, KIND_IDENTIFIER, KIND_INT,
-                    KIND_KEYWORD, KIND_NULL, KIND_OPERATOR, KIND_SEPARATOR,
-                    KIND_STRING)
+                    KIND_KEYWORD, KIND_NULL, KIND_SEPARATOR, KIND_STRING)
 from .parser import (
-    Ast, ClassView, FileView, MethodSource, NT_CALL, NT_FIELD_ACCESS,
-    NT_LOCAL, NT_NEW, NT_PAREN, call_parts, local_decl_parts, new_parts,
-    type_text,
+    Ast, CallSite, ClassView, FileView, MethodSource, NT_CALL,
+    NT_FIELD_ACCESS, NT_LOCAL, NT_NEW, NT_PAREN, call_parts, call_sites,
+    local_decl_parts, new_parts, type_text,
 )
 from .tables import read_table, write_table
 
@@ -228,27 +228,33 @@ _LITERAL_TYPES = {KIND_INT: "int", KIND_STRING: "String", KIND_CHAR: "char",
 
 
 class _SiteExtractor:
-    """Resolves every call site of one method into an edge tuple."""
+    """Resolves the call sites of one method."""
 
     def __init__(self, resolver: _Resolver, entry: _ClassEntry,
-                 method: MethodSource, include_constructors: bool):
+                 method: MethodSource):
         self.r = resolver
         self.entry = entry
         self.method = method
         self.scope = _MethodScope(method, entry)
-        self.include_constructors = include_constructors
 
-    def sites(self) -> list[tuple]:
-        """(line, col, resolved pair or None, signature text, is_ctor, node)."""
+    def resolve(self, site: CallSite
+                ) -> tuple[tuple[_ClassEntry, MethodSource] | None, str]:
+        """The callee's class entry and declaration, or None when the site
+        stays unresolved, and the callee signature: the declaration's, or
+        else the site's name with each argument type it could infer."""
         ast = self.method.ast
-        out = []
-        for i in range(len(ast)):
-            nt = ast.node_types[i]
-            if nt == NT_CALL:
-                out.append(self._call_site(i))
-            elif nt == NT_NEW and self.include_constructors:
-                out.append(self._new_site(i))
-        return [s for s in out if s is not None]
+        name = ast.lexeme(site.name)
+        arg_types = self._arg_types(site.args)
+        if ast.node_types[site.node] == NT_CALL:
+            resolved = self._resolve_call(site, arg_types)
+        else:
+            target = self.r.class_in_context(name, self.entry.view)
+            resolved = None if target is None else self.r.lookup_method(
+                target, name, arg_types, constructor=True)
+        if resolved is not None:
+            return resolved, resolved[1].signature
+        types = [t if t and t != _NULL else "?" for t in arg_types]
+        return None, f"{name}({','.join(types)})"
 
     # -- typing ------------------------------------------------------------
 
@@ -278,7 +284,9 @@ class _SiteExtractor:
                 return self.scope.field_types.get(ast.lexeme(name_term))
             return None
         if nt == NT_CALL:
-            resolved = self._resolve_call(node)
+            _recv, name_term, args = call_parts(ast, node)
+            resolved = self._resolve_call(CallSite(node, name_term, args),
+                                          self._arg_types(args))
             if resolved is not None:
                 _entry, target = resolved
                 return _simple(target.return_type) \
@@ -291,13 +299,13 @@ class _SiteExtractor:
     def _arg_types(self, args: list[int]) -> list[str | None]:
         return [self.expr_type(a) for a in args]
 
-    def _resolve_call(self, node: int) -> tuple[_ClassEntry, MethodSource] | None:
+    def _resolve_call(self, site: CallSite, arg_types: list[str | None]
+                      ) -> tuple[_ClassEntry, MethodSource] | None:
         ast = self.method.ast
-        receiver, name_term, args = call_parts(ast, node)
-        name = ast.lexeme(name_term)
-        arg_types = self._arg_types(args)
-
-        if receiver is None:
+        name = ast.lexeme(site.name)
+        # an implicit call's first child is its name; any other's, its receiver
+        receiver = ast.children[site.node][0]
+        if receiver == site.name:
             return self.r.lookup_method(self.entry, name, arg_types)
         if ast.is_terminal(receiver):
             tok = ast.token(receiver)
@@ -330,45 +338,6 @@ class _SiteExtractor:
                 return self.r.lookup_method(target, name, arg_types)
         return None
 
-    def _call_site(self, node: int):
-        ast = self.method.ast
-        _recv, name_term, args = call_parts(ast, node)
-        tok = ast.token(name_term)
-        resolved = self._resolve_call(node)
-        if resolved is not None:
-            _entry, target = resolved
-            return (tok.line, tok.col, resolved, target.signature, False, node)
-        sig = self._fallback_signature(ast.lexeme(name_term), args)
-        return (tok.line, tok.col, None, sig, False, node)
-
-    def _new_site(self, node: int):
-        ast = self.method.ast
-        ty, args = new_parts(ast, node)
-        name = _simple(type_text(ast, ty))
-        name_term = ast.terminals(ty)[0]
-        for t in ast.terminals(ty):
-            t_tok = ast.token(t)
-            if t_tok.kind == KIND_OPERATOR and t_tok.lexeme == "<":
-                break
-            if t_tok.kind == KIND_IDENTIFIER:
-                name_term = t
-        tok = ast.token(name_term)
-        target = self.r.class_in_context(name, self.entry.view)
-        resolved = None
-        if target is not None:
-            resolved = self.r.lookup_method(target, target.cv.name,
-                                            self._arg_types(args),
-                                            constructor=True)
-        if resolved is not None:
-            _entry, ctor = resolved
-            return (tok.line, tok.col, resolved, ctor.signature, True, node)
-        sig = self._fallback_signature(name, args)
-        return (tok.line, tok.col, None, sig, True, node)
-
-    def _fallback_signature(self, name: str, args: list[int]) -> str:
-        types = [t if t and t != _NULL else "?" for t in self._arg_types(args)]
-        return f"{name}({','.join(types)})"
-
 
 # ---------------------------------------------------------------------------
 # Graph construction and queries
@@ -384,39 +353,37 @@ def _classify(caller_meta, callee_entry: _ClassEntry) -> str:
     return "API"
 
 
+def _resolved_sites(data: ProjectData, include_constructors: bool):
+    """(caller meta, caller source, site, resolved callee or None, callee
+    signature) for every call site of one project, in method then site
+    order."""
+    resolver = _Resolver(data)
+    for meta in data.methods:
+        source = data.sources[meta.method_id]
+        extractor = _SiteExtractor(resolver, resolver.entries[meta.class_id],
+                                   source)
+        for site in call_sites(source.ast, include_constructors):
+            yield (meta, source, site, *extractor.resolve(site))
+
+
 def build_callgraph(projects: list[ProjectData],
                     include_constructors: bool = True) -> CallGraph:
     """One edge per syntactic call site across all given projects."""
     edges: list[CallEdge] = []
     for data in projects:
-        resolver = _Resolver(data)
-        for meta in data.methods:
-            source = data.sources[meta.method_id]
-            entry = resolver.entries.get(meta.class_id)
-            if entry is None:
-                continue
-            extractor = _SiteExtractor(resolver, entry, source,
-                                       include_constructors)
-            for line, col, resolved, sig, _is_ctor, _node in extractor.sites():
-                if resolved is None:
-                    edges.append(CallEdge(meta.method_id, "", sig, "API",
-                                          line, col))
-                else:
-                    callee_entry, target = resolved
-                    if not target.method_id:
-                        edges.append(CallEdge(meta.method_id, "", sig, "API",
-                                              line, col))
-                        continue
-                    edges.append(CallEdge(
-                        meta.method_id, target.method_id, target.signature,
-                        _classify(meta, callee_entry),
-                        line, col))
+        for meta, source, site, resolved, sig in _resolved_sites(
+                data, include_constructors):
+            tok = source.ast.token(site.name)
+            if resolved is None:
+                edges.append(CallEdge(meta.method_id, "", sig, "API",
+                                      tok.line, tok.col))
+            else:
+                callee_entry, target = resolved
+                edges.append(CallEdge(meta.method_id, target.method_id, sig,
+                                      _classify(meta, callee_entry),
+                                      tok.line, tok.col))
     edges.sort(key=lambda e: (e.caller, e.line, e.col))
     return CallGraph(edges)
-
-
-def call_sites_of(g: CallGraph, method_id: EntityId) -> list[CallEdge]:
-    return list(g.by_caller.get(method_id, []))
 
 
 def arg_name_maps(data: ProjectData, include_constructors: bool = True
@@ -426,22 +393,12 @@ def arg_name_maps(data: ProjectData, include_constructors: bool = True
     Feeds formal-argument labeling in graph builders; unresolved sites are
     simply absent from the inner map.
     """
-    resolver = _Resolver(data)
-    out: dict[EntityId, dict[int, list[str]]] = {}
-    for meta in data.methods:
-        entry = resolver.entries.get(meta.class_id)
-        if entry is None:
-            continue
-        extractor = _SiteExtractor(resolver, entry,
-                                   data.sources[meta.method_id],
-                                   include_constructors)
-        names: dict[int, list[str]] = {}
-        for _line, _col, resolved, _sig, _ctor, node in extractor.sites():
-            if resolved is not None:
-                _entry, target = resolved
-                if target.param_names:
-                    names[node] = list(target.param_names)
-        out[meta.method_id] = names
+    out: dict[EntityId, dict[int, list[str]]] = {
+        meta.method_id: {} for meta in data.methods}
+    for meta, _source, site, resolved, _sig in _resolved_sites(
+            data, include_constructors):
+        if resolved is not None and resolved[1].param_names:
+            out[meta.method_id][site.node] = list(resolved[1].param_names)
     return out
 
 

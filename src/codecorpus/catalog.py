@@ -151,6 +151,8 @@ def _parse_one(path: Path, rel: str) -> FileView | Diagnostic:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         return Diagnostic(rel, f"not valid UTF-8: {exc}")
+    except OSError as exc:  # a directory or a dangling link named *.java
+        return Diagnostic(rel, f"not readable: {exc.strerror}")
     try:
         return file_view(text, rel)
     except CorpusError as exc:

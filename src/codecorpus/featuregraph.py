@@ -70,9 +70,6 @@ class FeatureGraph:
                                 if n.token is not None
                                 and n.node_type not in SYNTHETIC_TYPES]
 
-    def edge_set(self, edge_type: str) -> set[tuple[int, int]]:
-        return set(self.edges.get(edge_type, []))
-
 
 def filter_edges(g: FeatureGraph, keep: set[str]) -> FeatureGraph:
     """Edges restricted to `keep` (subset of EDGE_TYPES).

@@ -25,9 +25,13 @@ Binary operators are parsed by precedence climbing, one call per operand.
 `_flatten` writes every table in one walk of the build tree, each node's
 `children` as a tuple (which the garbage collector stops tracking), and
 `Ast.subtree` slices the tables and shifts the indices they hold.
+
+`call_sites` is the one definition of a call site: which `Call` and `New`
+nodes count, and which terminal names each callee.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParseError
 from .lexer import (
@@ -781,6 +785,41 @@ def new_parts(ast: Ast, i: int) -> tuple[int, list[int]]:
     args = [c for c in kids[lparen + 1:]
             if not (ast.is_terminal(c) and ast.token(c).kind == KIND_SEPARATOR)]
     return ty, args
+
+
+class CallSite(NamedTuple):
+    node: int               # the Call or New node
+    name: int               # the terminal that names the callee
+    args: list[int]         # argument roots
+
+
+def call_sites(ast: Ast, include_new: bool = True) -> list[CallSite]:
+    """Every call site of an Ast in preorder: each `Call` node and, with
+    `include_new`, each `New` node.
+
+    This is the one definition of a call site, shared by the call graph,
+    FTGR formal-argument names and the call-mask and mutation tasks. A call
+    is named by its callee-name terminal; `new T(...)` by the last
+    identifier of T before any `<`, or else T's first terminal, so
+    `new a.B<C>(...)` is named by `B` and `new int(5)` by the keyword `int`.
+    """
+    sites = []
+    for i, nt in enumerate(ast.node_types):
+        if nt == NT_CALL:
+            _receiver, name, args = call_parts(ast, i)
+            sites.append(CallSite(i, name, args))
+        elif nt == NT_NEW and include_new:
+            ty, args = new_parts(ast, i)
+            terms = ast.terminals(ty)
+            name = terms[0]
+            for t in terms:
+                tok = ast.token(t)
+                if tok.kind == KIND_OPERATOR and tok.lexeme == "<":
+                    break
+                if tok.kind == KIND_IDENTIFIER:
+                    name = t
+            sites.append(CallSite(i, name, args))
+    return sites
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,24 @@ from .tokenstats import (english_sample_text, entity_sizes, read_sizes_csv,
                          tokenizer_ratio, train_bpe, window_fit,
                          write_fit_csv, write_sizes_csv, write_vocab)
 
-REPRESENTATION_TYPES = ("TEXT", "TKNA", "TKNB", "ASTS", "C2VC", "C2SQ", "FTGR")
+# Representation type -> payload builder, called with one method, its
+# class's fields, the formal-argument names of its resolved call sites (FTGR
+# only) and the seed. Builders name module globals, so each call goes
+# through the current binding.
+_PAYLOAD_BUILDERS = {
+    "TEXT": lambda method, fields, argmap, seed: method.text,
+    "TKNA": lambda method, fields, argmap, seed: tkna_text(method.ast.tokens),
+    "TKNB": lambda method, fields, argmap, seed: tknb_text(method.ast.tokens),
+    "ASTS": lambda method, fields, argmap, seed:
+        graph_payload(ast_graph(method)),
+    "C2VC": lambda method, fields, argmap, seed:
+        to_c2vc(method, extract_paths(method.ast, seed=seed)),
+    "C2SQ": lambda method, fields, argmap, seed:
+        to_c2sq(method, extract_paths(method.ast, seed=seed)),
+    "FTGR": lambda method, fields, argmap, seed:
+        graph_payload(build_feature_graph(method, fields, argmap.get)),
+}
+REPRESENTATION_TYPES = tuple(_PAYLOAD_BUILDERS)
 REPR_HEADER = ["method_id", "payload"]
 STRICTNESS = ("skip-unparseable", "fail-fast")
 
@@ -233,26 +250,6 @@ def read_repr_csv(path) -> dict[EntityId, str]:
     return dict(read_table(path, REPR_HEADER))
 
 
-def _method_payload(rtype: str, method: MethodSource, fields: dict,
-                    argmap: dict[int, list[str]], seed: int) -> str:
-    if rtype == "TEXT":
-        return method.text
-    if rtype == "TKNA":
-        return tkna_text(method.ast.tokens)
-    if rtype == "TKNB":
-        return tknb_text(method.ast.tokens)
-    if rtype == "ASTS":
-        return graph_payload(ast_graph(method))
-    if rtype in ("C2VC", "C2SQ"):
-        paths = extract_paths(method.ast, seed=seed)
-        return to_c2vc(method, paths) if rtype == "C2VC" \
-            else to_c2sq(method, paths)
-    if rtype == "FTGR":
-        g = build_feature_graph(method, fields, argmap.get)
-        return graph_payload(g)
-    raise InvalidArgumentError(f"unknown representation type {rtype!r}")
-
-
 def stage_representations(ws: Workspace, datas: list[ProjectData],
                           types: list[str], seed: int) -> dict:
     bad = [t for t in types if t not in REPRESENTATION_TYPES]
@@ -262,15 +259,14 @@ def stage_representations(ws: Workspace, datas: list[ProjectData],
             f"valid: {', '.join(REPRESENTATION_TYPES)}")
     counts = {}
     for rtype in types:
+        build = _PAYLOAD_BUILDERS[rtype]
         rows = []
         for d in datas:
             argmaps = arg_name_maps(d) if rtype == "FTGR" else {}
             for meta in d.methods:
-                method = d.sources[meta.method_id]
                 fields = d.class_views[meta.class_id].classes[0].fields
-                payload = _method_payload(
-                    rtype, method, fields,
-                    argmaps.get(meta.method_id, {}), seed)
+                payload = build(d.sources[meta.method_id], fields,
+                                argmaps.get(meta.method_id, {}), seed)
                 rows.append((meta.method_id, payload))
         _write_repr_csv(ws.repr_path(rtype), rows)
         counts[rtype] = len(rows)
@@ -439,7 +435,11 @@ def _write_table(path_base: Path, header: list[str], rows: list[list],
 
 def stage_report(ws: Workspace, cat: Catalog, study: str) -> dict:
     if study == "calls":
-        graph = read_callgraph_csv(ws.require(ws.callgraph_path, "callgraph"))
+        path = ws.require(ws.callgraph_path, "callgraph")
+        graph = read_callgraph_csv(path)
+        if not graph.edges:
+            raise InputError(f"{path.name} holds no call sites, so there is "
+                             "no locality distribution to report")
         dist = classify_distribution(graph)
         rows = [[t, f"{dist[t] * 100:.2f}"] for t in dist]
         _write_table(ws.reports_dir / "calls", ["call_type", "percent"],

@@ -5,6 +5,10 @@ All datasets share the same leak-free split scheme: projects are shuffled by
 seed and greedily assigned whole to the split with the largest remaining
 deficit, so no project ever contributes to two splits. Sample order follows
 catalog order, which makes dataset files byte-reproducible for a fixed seed.
+
+Call masking and mutation take their sites from `parser.call_sites`, the
+one definition of a call site, which the call graph also uses: a masked
+name token sits at the (line, col) of its site's call-graph edge.
 """
 
 import random
@@ -15,8 +19,8 @@ from .catalog import Catalog
 from .errors import InputError, InvalidArgumentError, NotFoundError
 from .identity import EntityId
 from .callgraph import CallGraph, ContextBundle
-from .lexer import KIND_IDENTIFIER, KIND_OPERATOR
-from .parser import MethodSource, NT_CALL, NT_NEW, call_parts, new_parts
+from .lexer import KIND_IDENTIFIER
+from .parser import MethodSource, call_sites
 from .tables import read_table, write_table
 
 SPLIT_NAMES = ("train", "valid", "test")
@@ -26,7 +30,6 @@ CTX_TOKEN = "<CTX>"
 
 TASK_HEADER = ["sample_id", "method_id", "split", "stratum", "size_bucket",
                "label", "payload"]
-PREDICTIONS_HEADER = ["sample_id", "prediction"]
 
 _FILTER_OPS = {
     "<": lambda a, b: a < b,
@@ -192,42 +195,6 @@ def make_property_task(key: str,
 # Call masking
 # ---------------------------------------------------------------------------
 
-def _terminal_order(ast) -> list[int]:
-    return [i for i in range(len(ast)) if ast.is_terminal(i)]
-
-
-def _mask_sites(method: MethodSource, include_constructors: bool
-                ) -> list[tuple[int, int, str]]:
-    """(name terminal, token position, callee name) per eligible site."""
-    ast = method.ast
-    order = _terminal_order(ast)
-    pos = {t: k for k, t in enumerate(order)}
-    sites = []
-    for i in range(len(ast)):
-        nt = ast.node_types[i]
-        if nt == NT_CALL:
-            _recv, name_term, _args = call_parts(ast, i)
-            sites.append((name_term, pos[name_term], ast.lexeme(name_term)))
-        elif nt == NT_NEW and include_constructors:
-            ty, _args = new_parts(ast, i)
-            name_term = _type_name_terminal(ast, ty)
-            if name_term is not None:
-                sites.append((name_term, pos[name_term], ast.lexeme(name_term)))
-    return sites
-
-
-def _type_name_terminal(ast, type_node: int) -> int | None:
-    """Terminal of the simple class name: last identifier before generics."""
-    name_term = None
-    for t in ast.terminals(type_node):
-        tok = ast.token(t)
-        if tok.kind == KIND_OPERATOR and tok.lexeme == "<":
-            break
-        if tok.kind == KIND_IDENTIFIER:
-            name_term = t
-    return name_term
-
-
 def make_call_masking_task(catalog: Catalog,
                            sources: dict[EntityId, MethodSource],
                            graph: CallGraph,
@@ -248,18 +215,24 @@ def make_call_masking_task(catalog: Catalog,
         method = sources.get(meta.method_id)
         if method is None:
             continue
-        sites = _mask_sites(method, include_constructors)
-        if not sites:
+        ast = method.ast
+        # a site named by a keyword (`new int(5)`) has no name to predict
+        names = [s.name for s in call_sites(ast, include_constructors)
+                 if ast.token(s.name).kind == KIND_IDENTIFIER]
+        if not names:
             continue
-        name_term, token_pos, callee = sites[rng.randrange(len(sites))]
-        tok = method.ast.token(name_term)
+        name_term = names[rng.randrange(len(names))]
+        tok = ast.token(name_term)
         edge = edge_at.get((meta.method_id, tok.line, tok.col))
         stratum = edge.call_type if edge is not None else "API"
-        lexemes = [method.ast.lexeme(t) for t in _terminal_order(method.ast)]
+        order = ast.terminals()
+        token_pos = order.index(name_term)
+        lexemes = [ast.lexeme(t) for t in order]
         lexemes[token_pos] = MASK_TOKEN
         bucket = size_bucket(catalog.class_count(meta.project_id))
         samples.append(TaskSample(
-            "", meta.method_id, " ".join(lexemes), callee, stratum, bucket,
+            "", meta.method_id, " ".join(lexemes), tok.lexeme, stratum,
+            bucket,
             meta={"token_index": token_pos, "line": tok.line, "col": tok.col}))
     spec = f"call-mask ctors={int(include_constructors)}"
     return _finalize(samples, catalog, split_fracs, seed, spec)
@@ -302,23 +275,6 @@ def augment_with_context(sample: TaskSample, bundle: ContextBundle,
 # Argument-swap mutation
 # ---------------------------------------------------------------------------
 
-def _swap_sites(method: MethodSource) -> list[tuple[int, list[int]]]:
-    """(call node, argument roots) for sites with >= 2 arguments."""
-    ast = method.ast
-    sites = []
-    for i in range(len(ast)):
-        nt = ast.node_types[i]
-        if nt == NT_CALL:
-            _recv, _name, args = call_parts(ast, i)
-        elif nt == NT_NEW:
-            _ty, args = new_parts(ast, i)
-        else:
-            continue
-        if len(args) >= 2:
-            sites.append((i, args))
-    return sites
-
-
 def _subtree_token_span(ast, node: int, pos: dict[int, int]) -> tuple[int, int]:
     terms = ast.terminals(node)
     return pos[terms[0]], pos[terms[-1]] + 1
@@ -340,7 +296,7 @@ def make_mutation_task(catalog: Catalog,
         if method is None:
             continue
         ast = method.ast
-        order = _terminal_order(ast)
+        order = ast.terminals()
         pos = {t: k for k, t in enumerate(order)}
         lexemes = [ast.lexeme(t) for t in order]
         bucket = size_bucket(catalog.class_count(meta.project_id))
@@ -349,17 +305,18 @@ def make_mutation_task(catalog: Catalog,
         meta_info: dict = {}
         if rng.random() < p_mutate:
             spans_by_site = []
-            for node, args in _swap_sites(method):
-                spans = [_subtree_token_span(ast, a, pos) for a in args]
+            for site in call_sites(ast):
+                if len(site.args) < 2:
+                    continue
+                spans = [_subtree_token_span(ast, a, pos) for a in site.args]
                 texts = [" ".join(lexemes[a:b]) for a, b in spans]
-                pairs = [(x, y) for x in range(len(args))
-                         for y in range(x + 1, len(args))
+                pairs = [(x, y) for x in range(len(spans))
+                         for y in range(x + 1, len(spans))
                          if texts[x] != texts[y]]
                 if pairs:
-                    spans_by_site.append((node, spans, pairs))
+                    spans_by_site.append((spans, pairs))
             if spans_by_site:
-                _node, spans, pairs = spans_by_site[
-                    rng.randrange(len(spans_by_site))]
+                spans, pairs = spans_by_site[rng.randrange(len(spans_by_site))]
                 x, y = pairs[rng.randrange(len(pairs))]
                 (a1, b1), (a2, b2) = spans[x], spans[y]
                 swapped = (lexemes[:a1] + lexemes[a2:b2] + lexemes[b1:a2]
@@ -502,11 +459,3 @@ def read_task_csv(path) -> TaskDataset:
         splits[split].add(i)
         samples.append(TaskSample(sid, mid, payload, label, stratum, bucket))
     return TaskDataset(samples, splits, seed=0, spec="")
-
-
-def write_predictions_csv(path, predictions: dict[str, str]) -> None:
-    write_table(path, PREDICTIONS_HEADER, sorted(predictions.items()))
-
-
-def read_predictions_csv(path) -> dict[str, str]:
-    return dict(read_table(path, PREDICTIONS_HEADER))

@@ -338,17 +338,6 @@ def write_vocab(path, v: BpeVocab) -> None:
     write_text(path, "\n".join(out) + ("\n" if out else ""))
 
 
-def read_vocab(path, corpus_tag: str = "") -> BpeVocab:
-    merges = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        a, b = line.split(" ")
-        merges.append((bytes.fromhex(a), bytes.fromhex(b)))
-    vocab = {bytes([x]) for x in range(256)} | {a + b for a, b in merges}
-    return BpeVocab(merges, vocab, len(vocab), corpus_tag)
-
-
 def write_sizes_csv(path, records: list[SizeRecord]) -> None:
     ordered = sorted(records, key=lambda r: (r.granularity, r.entity_id,
                                              r.tokenizer_tag))

@@ -1,7 +1,8 @@
 import pytest
 
 from codecorpus.catalog import ProjectData, catalog_project
-from codecorpus.fixturegen import fixture_files, write_fixture_corpus
+from codecorpus.fixturegen import (DEFAULT_BUCKET_CLASSES, fixture_files,
+                                   write_fixture_corpus)
 from codecorpus.parser import FileView, MethodSource, file_view
 
 
@@ -16,6 +17,23 @@ def corpus_dir(tmp_path_factory):
 def corpus_data(corpus_dir) -> list[ProjectData]:
     return [catalog_project(p, corpus_root=corpus_dir)
             for p in sorted(corpus_dir.iterdir()) if p.is_dir()]
+
+
+@pytest.fixture(scope="session")
+def scaled_corpus_data(tmp_path_factory) -> list[ProjectData]:
+    """The fixture corpus with every bucket_classes count x4."""
+    root = tmp_path_factory.mktemp("corpus_x4")
+    write_fixture_corpus(root, {k: 4 * v
+                                for k, v in DEFAULT_BUCKET_CLASSES.items()})
+    return [catalog_project(p, corpus_root=root)
+            for p in sorted(root.iterdir()) if p.is_dir()]
+
+
+@pytest.fixture(scope="session", params=["fixture", "x4"])
+def both_corpora(request) -> list[ProjectData]:
+    """The fixture corpus, then the x4 one."""
+    return request.getfixturevalue(
+        "corpus_data" if request.param == "fixture" else "scaled_corpus_data")
 
 
 @pytest.fixture(scope="session")

@@ -22,6 +22,10 @@ different algorithmic shape:
   and builds a frozen dataclass per path, and `to_c2vc_oracle` /
   `to_c2sq_oracle` render and hash every path anew, instead of slicing
   per-terminal ancestor chains and caching renders by path shape.
+* `call_sites_oracle`, `mask_sites_oracle` and `swap_sites_oracle` are the
+  three call-site scans that the call graph, the call-mask task and the
+  mutation task each kept before `parser.call_sites` replaced them, with
+  their own copies of the rule that names a `new`.
 
 The event extraction conventions (evaluation order, which occurrences
 count as reads/writes) mirror the library's documented semantics; the
@@ -43,7 +47,7 @@ from codecorpus.parser import (
     NT_EXPR_STMT, NT_FIELD_ACCESS, NT_FOR, NT_IF, NT_LOCAL, NT_NEW,
     NT_PARAM, NT_PAREN, NT_POSTFIX, NT_RETURN, NT_TERNARY, NT_UNARY,
     NT_WHILE, assign_parts, call_parts, for_parts, if_parts,
-    local_decl_parts, new_parts, while_parts,
+    local_decl_parts, new_parts, type_text, while_parts,
 )
 from codecorpus.pathcontexts import (
     MAX_CONTEXTS_DEFAULT, MAX_LENGTH_DEFAULT, MAX_WIDTH_DEFAULT, subtokens,
@@ -642,6 +646,95 @@ def to_c2sq_oracle(method: MethodSource, paths) -> str:
         right = "|".join(subtokens(ast.lexeme(p.end_terminal)))
         parts.append(f"{left},{render_path_oracle(p)},{right}")
     return " ".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# Previous call-site scans
+# ---------------------------------------------------------------------------
+
+
+def _simple_type_name(type_str: str) -> str:
+    return type_str.split("<", 1)[0].rsplit(".", 1)[-1]
+
+
+def call_sites_oracle(ast: Ast, include_constructors: bool
+                      ) -> list[tuple[int, int, str, list[int]]]:
+    """(site node, name terminal, callee name, argument roots) per call
+    site, as the call graph scanned them: a `new` takes its name from the
+    erased type text and its position from the type's last identifier
+    before any `<`, else from its first terminal."""
+    out = []
+    for i in range(len(ast)):
+        nt = ast.node_types[i]
+        if nt == NT_CALL:
+            _recv, name_term, args = call_parts(ast, i)
+            out.append((i, name_term, ast.lexeme(name_term), args))
+        elif nt == NT_NEW and include_constructors:
+            ty, args = new_parts(ast, i)
+            name = _simple_type_name(type_text(ast, ty))
+            name_term = ast.terminals(ty)[0]
+            for t in ast.terminals(ty):
+                t_tok = ast.token(t)
+                if t_tok.kind == KIND_OPERATOR and t_tok.lexeme == "<":
+                    break
+                if t_tok.kind == KIND_IDENTIFIER:
+                    name_term = t
+            out.append((i, name_term, name, args))
+    return out
+
+
+def _terminal_order(ast) -> list[int]:
+    return [i for i in range(len(ast)) if ast.is_terminal(i)]
+
+
+def _type_name_terminal(ast, type_node: int) -> int | None:
+    """Terminal of the simple class name: last identifier before generics."""
+    name_term = None
+    for t in ast.terminals(type_node):
+        tok = ast.token(t)
+        if tok.kind == KIND_OPERATOR and tok.lexeme == "<":
+            break
+        if tok.kind == KIND_IDENTIFIER:
+            name_term = t
+    return name_term
+
+
+def mask_sites_oracle(method: MethodSource, include_constructors: bool
+                      ) -> list[tuple[int, int, str]]:
+    """(name terminal, token position, callee name) per site the call-mask
+    task could mask; a `new` whose type has no identifier is never one."""
+    ast = method.ast
+    order = _terminal_order(ast)
+    pos = {t: k for k, t in enumerate(order)}
+    sites = []
+    for i in range(len(ast)):
+        nt = ast.node_types[i]
+        if nt == NT_CALL:
+            _recv, name_term, _args = call_parts(ast, i)
+            sites.append((name_term, pos[name_term], ast.lexeme(name_term)))
+        elif nt == NT_NEW and include_constructors:
+            ty, _args = new_parts(ast, i)
+            name_term = _type_name_terminal(ast, ty)
+            if name_term is not None:
+                sites.append((name_term, pos[name_term], ast.lexeme(name_term)))
+    return sites
+
+
+def swap_sites_oracle(method: MethodSource) -> list[tuple[int, list[int]]]:
+    """(call node, argument roots) for sites with >= 2 arguments."""
+    ast = method.ast
+    sites = []
+    for i in range(len(ast)):
+        nt = ast.node_types[i]
+        if nt == NT_CALL:
+            _recv, _name, args = call_parts(ast, i)
+        elif nt == NT_NEW:
+            _ty, args = new_parts(ast, i)
+        else:
+            continue
+        if len(args) >= 2:
+            sites.append((i, args))
+    return sites
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,7 @@ from conftest import method_named
 from test_metrics import HAND_TABLE
 
 from codecorpus.callgraph import (
-    CallEdge, arg_name_maps, build_callgraph, call_sites_of,
-    classify_distribution,
+    CallEdge, arg_name_maps, build_callgraph, classify_distribution,
 )
 from codecorpus.catalog import catalog_project, read_metadata, write_metadata
 from codecorpus.featuregraph import ast_graph, build_feature_graph, \
@@ -150,9 +149,9 @@ def test_criterion_3_dataflow_oracle(acc):
             if key not in memo:
                 memo[key], _bound = flow_edges_saturated(m, fields)
             for fam in ("LastRead", "LastWrite"):
-                assert g.edge_set(fam) == memo[key][fam], (mid, fam)
+                assert set(g.edges[fam]) == memo[key][fam], (mid, fam)
             order = g.token_order
-            assert g.edge_set("NextToken") \
+            assert set(g.edges["NextToken"]) \
                 == set(zip(order, order[1:])), mid
             assert len(g.edges.get("NextToken", [])) == len(order) - 1, mid
 
@@ -197,7 +196,7 @@ def test_criterion_6_call_graph(acc):
             return hits[0].method_id
 
         main = mid("app/A.java", "main()")
-        assert call_sites_of(g, main) == [
+        assert g.by_caller.get(main, []) == [
             CallEdge(main, mid("app/A.java", "helper()"), "helper()",
                      "Local", 8, 9),
             CallEdge(main, mid("app/B.java", "util(int)"), "util(int)",

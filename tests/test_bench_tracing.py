@@ -13,6 +13,7 @@ import re
 from pathlib import Path
 
 from codecorpus import catalog, parser, pipeline
+from codecorpus.fixturegen import write_fixture_corpus
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACING = BENCH / "tracing.py"
@@ -90,3 +91,22 @@ def test_the_front_end_calls_go_through_the_wrapped_bindings(tmp_path,
     assert len(data.methods) == 2
     assert sorted(args[1] for args in viewed) == ["p/A.java", "p/B.java"]
     assert len(lexed) == 3
+
+
+def test_call_site_resolution_goes_through_the_wrapped_bindings(tmp_path,
+                                                                monkeypatch):
+    # callgraph.arg_name_maps_s and callgraph.build_callgraph_s come from
+    # `pipeline.arg_name_maps` and `pipeline.build_callgraph`.
+    corpus = tmp_path / "corpus"
+    write_fixture_corpus(corpus, {"bulk_b": 2, "bulk_c": 2, "bulk_d": 2})
+    cfg = pipeline.WorkspaceConfig(corpus_root=str(corpus))
+    datas = pipeline.parse_corpus(cfg)
+    ws = pipeline.Workspace(tmp_path / "ws")
+    named = _counting(monkeypatch, pipeline, "arg_name_maps")
+    built = _counting(monkeypatch, pipeline, "build_callgraph")
+    pipeline.stage_representations(ws, datas, ["TEXT", "FTGR"], 0)
+    assert [args[0] for args in named] == datas
+    summary = pipeline.stage_callgraph(ws, datas,
+                                       pipeline.merged_catalog(datas))
+    assert built == [(datas,)]
+    assert summary["edges"] > 0

@@ -12,14 +12,18 @@ import pytest
 
 from codecorpus.callgraph import (
     CALL_TYPES, CALLGRAPH_HEADER, CallEdge, CallGraph, arg_name_maps,
-    build_callgraph, call_sites_of, classify_distribution, connectivity_props,
+    build_callgraph, classify_distribution, connectivity_props,
     n_hop_context, read_callgraph_csv, write_callgraph_csv,
 )
-from codecorpus.catalog import Catalog
+from codecorpus.catalog import catalog_project
 from codecorpus.errors import InputError, InvalidArgumentError, NotFoundError
+from codecorpus.lexer import KIND_IDENTIFIER
+from codecorpus.parser import call_sites
 from codecorpus.pipeline import merged_catalog
+from codecorpus.taskgen import make_call_masking_task
 
-from oracles import recount_distribution
+from oracles import (call_sites_oracle, mask_sites_oracle,
+                     recount_distribution, swap_sites_oracle)
 
 
 def _project(corpus_data, name):
@@ -57,7 +61,7 @@ def test_demo_main_hits_all_four_locality_classes(demo):
     util = _mid(data, "app/B.java", "util(int)")
     fmt = _mid(data, "lib/C.java", "fmt(String)")
 
-    assert call_sites_of(g, main) == [
+    assert g.by_caller.get(main, []) == [
         CallEdge(main, helper, "helper()", "Local", 8, 9),
         CallEdge(main, util, "util(int)", "Package", 9, 11),
         CallEdge(main, fmt, "fmt(String)", "Project", 10, 11),
@@ -71,7 +75,7 @@ def test_textzoo_edges_by_line(textzoo):
     data, g = textzoo
 
     def sites(file_suffix, signature):
-        edges = call_sites_of(g, _mid(data, file_suffix, signature))
+        edges = g.by_caller.get(_mid(data, file_suffix, signature), [])
         return [(e.line, e.callee_signature, e.call_type, e.callee == "")
                 for e in edges]
 
@@ -110,7 +114,7 @@ def test_textzoo_edges_by_line(textzoo):
 def test_name_and_column_point_at_the_callee_token(demo):
     data, g = demo
     main = _mid(data, "app/A.java", "main()")
-    names = [(e.callee_name, e.col) for e in call_sites_of(g, main)]
+    names = [(e.callee_name, e.col) for e in g.by_caller.get(main, [])]
     assert names == [("helper", 9), ("util", 11), ("fmt", 11), ("format", 16)]
 
 
@@ -125,6 +129,56 @@ def test_constructors_can_be_excluded(corpus_data):
         (_mid(data, "text/Box.java", "scaled(int)"), 21, "Box(int,int)"),
         (_mid(data, "text/Solo.java", "packageOnly()"), 16, "Box(int,int)"),
     }
+
+
+# ---------------------------------------------------------------------------
+# Call sites
+# ---------------------------------------------------------------------------
+
+def test_call_sites_match_the_previous_scans(both_corpora):
+    # the call graph's, the call-mask task's and the mutation task's scans,
+    # each with its own copy of the rule that names a `new`
+    for data in both_corpora:
+        for m in data.sources.values():
+            ast = m.ast
+            order = ast.terminals()
+            for ctors in (False, True):
+                sites = call_sites(ast, include_new=ctors)
+                assert [(s.node, s.name, ast.lexeme(s.name), s.args)
+                        for s in sites] == call_sites_oracle(ast, ctors)
+                assert [(s.name, order.index(s.name), ast.lexeme(s.name))
+                        for s in sites
+                        if ast.token(s.name).kind == KIND_IDENTIFIER] \
+                    == mask_sites_oracle(m, ctors)
+            assert [(s.node, s.args) for s in call_sites(ast)
+                    if len(s.args) >= 2] == swap_sites_oracle(m)
+
+
+def test_a_new_is_named_by_its_last_identifier_before_generics(tmp_path):
+    (tmp_path / "p").mkdir()
+    (tmp_path / "p" / "A.java").write_text(
+        "class A {\n"
+        "  Object f() {\n"
+        "    Object o = new int(5);\n"
+        "    return new a.B<String>(1);\n"
+        "  }\n"
+        "}\n", encoding="utf-8")
+    data = catalog_project(tmp_path / "p", corpus_root=tmp_path)
+    (method,) = data.sources.values()
+    assert [method.ast.lexeme(s.name) for s in call_sites(method.ast)] == \
+        ["int", "B"]
+    g = build_callgraph([data])
+    assert [(e.callee_signature, e.call_type, e.line, e.col)
+            for e in g.edges] == [("int(int)", "API", 3, 20),
+                                  ("B(int)", "API", 4, 18)]
+    assert build_callgraph([data], include_constructors=False).edges == []
+    cat = merged_catalog([data])
+    for seed in range(4):
+        masked = make_call_masking_task(cat, data.sources, g, seed=seed,
+                                        include_constructors=True)
+        assert [(s.label, s.stratum) for s in masked.samples] == \
+            [("B", "API")]
+    assert make_call_masking_task(cat, data.sources, g).samples == []
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +312,13 @@ def test_arg_name_maps_list_callee_formals(demo):
     main = _mid(data, "app/A.java", "main()")
     maps = arg_name_maps(data)
     assert set(maps) == {m.method_id for m in data.methods}
-    # helper() takes no arguments, so only util and fmt contribute
-    assert sorted(maps[main].values()) == [["n"], ["s"]]
+    # helper() takes no arguments, so only util and fmt contribute; the
+    # keys are their call nodes, which FTGR looks up
+    ast = data.sources[main].ast
+    assert {ast.lexeme(s.name): maps[main][s.node]
+            for s in call_sites(ast) if s.node in maps[main]} == \
+        {"util": ["n"], "fmt": ["s"]}
+    assert len(maps[main]) == 2
     assert maps[_mid(data, "app/A.java", "helper()")] == {}
 
 

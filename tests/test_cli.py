@@ -181,3 +181,46 @@ def test_comments_across_method_lines_do_not_break_later_commands(tmp_path):
         assert last_json(proc)["command"] == command[0]
     nmtk = (ws / "properties" / "NMTK.csv").read_text(encoding="utf-8")
     assert nmtk.splitlines()[1].endswith(",8")   # void f ( ) { return ; }
+
+
+def _one_class_corpus(tmp_path, body="int f() { return 1; }"):
+    corpus = tmp_path / "corpus"
+    (corpus / "proj").mkdir(parents=True)
+    (corpus / "proj" / "A.java").write_text(f"class A {{ {body} }}\n",
+                                            encoding="utf-8")
+    return corpus
+
+
+@pytest.mark.parametrize("kind", ["directory", "dangling-symlink"])
+def test_an_unreadable_java_path_is_skipped(tmp_path, kind):
+    corpus = _one_class_corpus(tmp_path)
+    weird = corpus / "proj" / "Weird.java"
+    if kind == "directory":
+        weird.mkdir()
+    else:
+        weird.symlink_to(corpus / "proj" / "Missing.java")
+    ws = tmp_path / "ws"
+    proc = run_cli("catalog", "--corpus", corpus, "-w", ws)
+    assert proc.returncode == 0, proc.stderr
+    assert last_json(proc)["skipped_files"] == 1
+    assert last_json(proc)["methods"] == 1
+    proc = run_cli("metrics", "-w", ws)
+    assert proc.returncode == 0, proc.stderr
+    proc = run_cli("catalog", "--corpus", corpus, "-w", tmp_path / "strict",
+                   "--strict")
+    assert proc.returncode == 2, proc.stderr
+    assert "input error" in proc.stderr
+    assert "proj/Weird.java: not readable" in proc.stderr
+
+
+def test_a_call_report_without_call_sites_is_an_input_error(tmp_path):
+    corpus = _one_class_corpus(tmp_path)
+    ws = tmp_path / "ws"
+    for command in (("catalog", "--corpus", corpus), ("callgraph",)):
+        proc = run_cli(*command, "-w", ws)
+        assert proc.returncode == 0, (command, proc.stderr)
+    assert last_json(proc)["edges"] == 0
+    proc = run_cli("report", "-w", ws, "--study", "calls")
+    assert proc.returncode == 2, proc.stderr
+    assert "input error" in proc.stderr
+    assert "callgraph.csv holds no call sites" in proc.stderr

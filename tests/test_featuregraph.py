@@ -40,10 +40,10 @@ def test_straight_line_defs_and_uses(flow):
     m, g = _graph(flow, "straight")
     x0, x1 = (nth_terminal(m.ast, "x", k) for k in (0, 1))
     y0, y1 = (nth_terminal(m.ast, "y", k) for k in (0, 1))
-    assert g.edge_set("LastWrite") == {(x1, x0), (y1, y0)}
-    assert g.edge_set("LastRead") == set()          # nothing is read twice
-    assert g.edge_set("ComputedFrom") == {(y0, x1)}
-    assert g.edge_set("LastLexicalUse") == {(x1, x0), (y1, y0)}
+    assert set(g.edges["LastWrite"]) == {(x1, x0), (y1, y0)}
+    assert set(g.edges["LastRead"]) == set()          # nothing is read twice
+    assert set(g.edges["ComputedFrom"]) == {(y0, x1)}
+    assert set(g.edges["LastLexicalUse"]) == {(x1, x0), (y1, y0)}
 
 
 def test_branch_join_unions_writes_and_kills_the_declaration(flow):
@@ -55,13 +55,13 @@ def test_branch_join_unions_writes_and_kills_the_declaration(flow):
     cond = m.ast.find("Binary")[0]
 
     # the use after the join may see either branch's write, never the decl
-    assert g.edge_set("LastWrite") == {
+    assert set(g.edges["LastWrite"]) == {
         (a1, a0), (a2, a0), (b3, b1), (b3, b2), (c1, c0)}
-    assert (b3, b0) not in g.edge_set("LastWrite")
-    assert g.edge_set("LastRead") == {(a2, a1)}
-    assert g.edge_set("GuardedBy") == {(a2, cond)}
-    assert g.edge_set("GuardedByNegation") == set()
-    assert g.edge_set("ComputedFrom") == {(b1, a2), (c0, b3)}
+    assert (b3, b0) not in set(g.edges["LastWrite"])
+    assert set(g.edges["LastRead"]) == {(a2, a1)}
+    assert set(g.edges["GuardedBy"]) == {(a2, cond)}
+    assert set(g.edges["GuardedByNegation"]) == set()
+    assert set(g.edges["ComputedFrom"]) == {(b1, a2), (c0, b3)}
 
 
 def test_loop_fixpoint_reaches_back_edge_writes(flow):
@@ -71,12 +71,12 @@ def test_loop_fixpoint_reaches_back_edge_writes(flow):
     n0, n1 = (nth_terminal(m.ast, "n", k) for k in (0, 1))
 
     # every i use may see the initializer or the loop-body write
-    assert g.edge_set("LastWrite") == {
+    assert set(g.edges["LastWrite"]) == {
         (i1, i0), (i1, i2), (i3, i0), (i3, i2), (i4, i0), (i4, i2), (n1, n0)}
     # the condition rereads n each iteration: a self loop after saturation
-    assert g.edge_set("LastRead") == {(i1, i3), (i3, i1), (i4, i1), (n1, n1)}
-    assert g.edge_set("ComputedFrom") == {(i2, i3)}
-    assert g.edge_set("LastLexicalUse") == {
+    assert set(g.edges["LastRead"]) == {(i1, i3), (i3, i1), (i4, i1), (n1, n1)}
+    assert set(g.edges["ComputedFrom"]) == {(i2, i3)}
+    assert set(g.edges["LastLexicalUse"]) == {
         (i1, i0), (i2, i1), (i3, i2), (i4, i3), (n1, n0)}
 
 
@@ -87,11 +87,11 @@ def test_assignment_replaces_the_write_set(flow):
     y0, y1 = (nth_terminal(m.ast, "y", k) for k in (0, 1))
     a0, a1, a2 = (nth_terminal(m.ast, "a", k) for k in range(3))
 
-    assert g.edge_set("LastWrite") == {
+    assert set(g.edges["LastWrite"]) == {
         (a1, a0), (x1, x0), (y1, y0), (a2, a0), (x3, x2)}
-    assert (x3, x0) not in g.edge_set("LastWrite")  # reassignment wins
-    assert g.edge_set("LastRead") == {(a2, a1), (x3, x1)}
-    assert g.edge_set("ComputedFrom") == {
+    assert (x3, x0) not in set(g.edges["LastWrite"])  # reassignment wins
+    assert set(g.edges["LastRead"]) == {(a2, a1), (x3, x1)}
+    assert set(g.edges["ComputedFrom"]) == {
         (x0, a1), (y0, x1), (x2, y1), (x2, a2)}
 
 
@@ -99,17 +99,17 @@ def test_increment_reads_then_writes(flow):
     # a++; return a;
     m, g = _graph(flow, "bump")
     a0, a1, a2 = (nth_terminal(m.ast, "a", k) for k in range(3))
-    assert g.edge_set("LastWrite") == {(a1, a0), (a2, a1)}
-    assert g.edge_set("LastRead") == {(a2, a1)}
+    assert set(g.edges["LastWrite"]) == {(a1, a0), (a2, a1)}
+    assert set(g.edges["LastRead"]) == {(a2, a1)}
 
 
 def test_guard_edges_point_at_the_condition(flow):
     m, g = _graph(flow, "guard")
     a2 = nth_terminal(m.ast, "a", 2)                # the a inside the branch
     cond = m.ast.find("Binary")[0]
-    assert g.edge_set("GuardedBy") == {(a2, cond)}
+    assert set(g.edges["GuardedBy"]) == {(a2, cond)}
     # b appears only in the else branch and not in the condition: no edge
-    assert g.edge_set("GuardedByNegation") == set()
+    assert set(g.edges["GuardedByNegation"]) == set()
 
 
 def test_negated_guard_for_condition_variable_in_else_branch():
@@ -123,8 +123,8 @@ def test_negated_guard_for_condition_variable_in_else_branch():
     cond = m.ast.find("Binary")[0]
     a_then = nth_terminal(m.ast, "a", 2)
     a_else = nth_terminal(m.ast, "a", 3)
-    assert g.edge_set("GuardedBy") == {(a_then, cond)}
-    assert g.edge_set("GuardedByNegation") == {(a_else, cond)}
+    assert set(g.edges["GuardedBy"]) == {(a_then, cond)}
+    assert set(g.edges["GuardedByNegation"]) == {(a_else, cond)}
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +139,9 @@ def test_field_use_hangs_off_a_synthetic_definition(flow):
     fdef = len(m.ast)
     assert g.nodes[fdef].node_type == "FieldDef"
     assert g.nodes[fdef].token == "total"
-    assert g.edge_set("LastWrite") == {(t1, fdef), (a1, a0), (t2, t0)}
-    assert g.edge_set("LastRead") == {(t2, t1)}
-    assert g.edge_set("ComputedFrom") == {(t0, t1), (t0, a1)}
+    assert set(g.edges["LastWrite"]) == {(t1, fdef), (a1, a0), (t2, t0)}
+    assert set(g.edges["LastRead"]) == {(t2, t1)}
+    assert set(g.edges["ComputedFrom"]) == {(t0, t1), (t0, a1)}
     # synthetic nodes never join the token order
     assert fdef not in g.token_order
 
@@ -153,8 +153,8 @@ def test_field_write_without_read_leaves_the_definition_alone(flow):
     v0, v1 = (nth_terminal(m.ast, "v", k) for k in (0, 1))
     fdef = len(m.ast)
     assert g.nodes[fdef].node_type == "FieldDef"
-    assert g.edge_set("LastWrite") == {(v1, v0)}
-    assert g.edge_set("ComputedFrom") == {(t0, v1)}
+    assert set(g.edges["LastWrite"]) == {(v1, v0)}
+    assert set(g.edges["ComputedFrom"]) == {(t0, v1)}
 
 
 def test_resolved_call_sites_grow_formal_arg_nodes():
@@ -167,7 +167,7 @@ def test_resolved_call_sites_grow_formal_arg_nodes():
     assert [n.index for n in synth] == [len(m.ast), len(m.ast) + 1]
     lit1 = nth_terminal(m.ast, "1", 0)
     lit2 = nth_terminal(m.ast, "2", 0)
-    assert g.edge_set("FormalArgName") == {
+    assert set(g.edges["FormalArgName"]) == {
         (lit1, synth[0].index), (lit2, synth[1].index)}
 
 
@@ -182,13 +182,13 @@ def test_next_token_is_the_terminal_chain(views):
                 g = build_feature_graph(m, cls.fields)
                 terms = m.ast.terminals()
                 assert g.token_order == terms, (rel, m.name)
-                assert g.edge_set("NextToken") == set(zip(terms, terms[1:]))
+                assert set(g.edges["NextToken"]) == set(zip(terms, terms[1:]))
 
 
 def test_return_to_points_at_the_declaration(flow):
     m, g = _graph(flow, "straight")
     ret = nth_terminal(m.ast, "return", 0)
-    assert g.edge_set("ReturnTo") == {(ret, 0)}
+    assert set(g.edges["ReturnTo"]) == {(ret, 0)}
 
 
 def test_child_edges_alone_reproduce_the_plain_ast(flow):
@@ -236,4 +236,4 @@ def test_fixpoint_builder_matches_path_enumeration(views):
                 g = build_feature_graph(m, cls.fields)
                 want, _ = flow_edges_saturated(m, cls.fields)
                 for fam, expected in want.items():
-                    assert g.edge_set(fam) == expected, (rel, m.name, fam)
+                    assert set(g.edges[fam]) == expected, (rel, m.name, fam)

@@ -15,8 +15,7 @@ from codecorpus.catalog import (
 from codecorpus.errors import InputError
 from codecorpus.pipeline import REPR_HEADER, read_repr_csv
 from codecorpus.tables import write_table, write_text
-from codecorpus.taskgen import (PREDICTIONS_HEADER, TASK_HEADER,
-                                read_predictions_csv, read_task_csv)
+from codecorpus.taskgen import TASK_HEADER, read_task_csv
 from codecorpus.tokenstats import SIZES_HEADER, read_sizes_csv
 
 
@@ -35,7 +34,6 @@ READERS = [
     ("TKNA.csv", REPR_HEADER, read_repr_csv, ()),
     ("callgraph.csv", CALLGRAPH_HEADER, read_callgraph_csv, ("line", "col")),
     ("task.csv", TASK_HEADER, read_task_csv, ()),
-    ("predictions.csv", PREDICTIONS_HEADER, read_predictions_csv, ()),
     ("sizes.csv", SIZES_HEADER, read_sizes_csv, ("subtoken_count",)),
 ]
 IDS = [name for name, *_ in READERS]

@@ -1,5 +1,7 @@
 """Task datasets: leak-free splits, masking, mutation, and evaluation."""
 
+import random
+
 import pytest
 
 from codecorpus.callgraph import build_callgraph, n_hop_context
@@ -12,9 +14,11 @@ from codecorpus.taskgen import (
     TaskDataset, TaskSample, assign_project_splits, augment_with_context,
     baseline_context_unigram, baseline_most_frequent, bias_table,
     evaluate_exact_match, make_call_masking_task, make_mutation_task,
-    make_property_task, read_predictions_csv, read_task_csv, size_bucket,
-    unmask_payload, write_predictions_csv, write_task_csv,
+    make_property_task, read_task_csv, size_bucket, unmask_payload,
+    write_task_csv,
 )
+
+from oracles import mask_sites_oracle
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +204,35 @@ def test_constructor_sites_are_opt_in(env, mask_ds):
     assert {s.method_id for s in mask_ds.samples} <= \
         {s.method_id for s in with_ctors.samples}
     assert len(with_ctors.samples) >= len(mask_ds.samples)
+
+
+def test_masked_sites_match_the_previous_scan_and_find_their_edges(
+        both_corpora):
+    datas = list(both_corpora)
+    cat = merged_catalog(datas)
+    sources = all_sources(datas)
+    graph = build_callgraph(datas)          # constructors included
+    edge_at = {(e.caller, e.line, e.col): e for e in graph.edges}
+    for ctors in (False, True):
+        for seed in range(3):
+            ds = make_call_masking_task(cat, sources, graph, seed=seed,
+                                        include_constructors=ctors)
+            rng = random.Random(seed)
+            want = []
+            for meta in cat.methods:
+                method = sources[meta.method_id]
+                sites = mask_sites_oracle(method, ctors)
+                if sites:
+                    term, pos, name = sites[rng.randrange(len(sites))]
+                    tok = method.ast.token(term)
+                    want.append((meta.method_id, pos, name, tok.line, tok.col))
+            assert [(s.method_id, s.meta["token_index"], s.label,
+                     s.meta["line"], s.meta["col"])
+                    for s in ds.samples] == want
+            for s in ds.samples:
+                edge = edge_at[(s.method_id, s.meta["line"], s.meta["col"])]
+                assert edge.callee_name == s.label
+                assert s.stratum == edge.call_type
 
 
 def test_unmask_requires_the_recorded_position():
@@ -440,20 +473,6 @@ def test_task_csv_rejects_bad_shapes(tmp_path):
         ",".join(TASK_HEADER) + "\ns0,m0,dev,,A,x,p\n", encoding="utf-8")
     with pytest.raises(InputError):
         read_task_csv(wrong_split)
-
-
-def test_predictions_csv_roundtrip(tmp_path):
-    path = tmp_path / "preds.csv"
-    preds = {"s1": "wrap", "s0": "flip"}
-    write_predictions_csv(path, preds)
-    assert read_predictions_csv(path) == preds
-    # rows are sorted for stable bytes
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[1].startswith("s0,")
-    bad = tmp_path / "bad.csv"
-    bad.write_text("x,y\n", encoding="utf-8")
-    with pytest.raises(InputError):
-        read_predictions_csv(bad)
 
 
 def test_split_lookup_raises_for_unassigned_indices():

@@ -17,8 +17,8 @@ from codecorpus.pipeline import all_sources, merged_catalog
 from codecorpus.tokenstats import (
     FIT_HEADER, SIZES_HEADER, WINDOW_THRESHOLDS, BpeVocab, bpe_decode,
     bpe_encode, bpe_encode_len, english_sample_text, entity_sizes, read_sizes_csv,
-    read_vocab, tokenizer_ratio, train_bpe, window_fit, write_fit_csv,
-    write_sizes_csv, write_vocab,
+    tokenizer_ratio, train_bpe, window_fit, write_fit_csv, write_sizes_csv,
+    write_vocab,
 )
 
 from oracles import bpe_encode_oracle, bpe_merges_oracle, recount_fit
@@ -290,6 +290,16 @@ def test_bucketed_fit_groups_projects_by_size(corpus_env, size_records):
 # ---------------------------------------------------------------------------
 # Files
 # ---------------------------------------------------------------------------
+
+def read_vocab(path, corpus_tag: str = "") -> BpeVocab:
+    """A vocabulary back from the merge lines `write_vocab` wrote."""
+    merges = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        a, b = line.split(" ")
+        merges.append((bytes.fromhex(a), bytes.fromhex(b)))
+    vocab = {bytes([x]) for x in range(256)} | {a + b for a, b in merges}
+    return BpeVocab(merges, vocab, len(vocab), corpus_tag)
+
 
 def test_vocab_file_roundtrip(tmp_path, code_vocab):
     path = tmp_path / "vocab.txt"
