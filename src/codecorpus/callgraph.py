@@ -10,7 +10,8 @@ once by `parser.call_sites`. Resolution is source-level and per project:
     expr.m(...)               the static type of expr when derivable from a
                               local, parameter, field, literal, `new T`, or a
                               resolvable call's return type
-    new T(...)                T's declared constructor of matching shape
+    new T(...)                the constructor of matching shape of class T,
+                              found like Name (T may be qualified)
 
 Anything that stays unresolved degrades to an API edge carrying a
 best-effort signature. Resolved edges are classified by where the callee
@@ -248,7 +249,9 @@ class _SiteExtractor:
         if ast.node_types[site.node] == NT_CALL:
             resolved = self._resolve_call(site, arg_types)
         else:
-            target = self.r.class_in_context(name, self.entry.view)
+            ty, _args = new_parts(ast, site.node)
+            target = self.r.class_in_context(type_text(ast, ty),
+                                             self.entry.view)
             resolved = None if target is None else self.r.lookup_method(
                 target, name, arg_types, constructor=True)
         if resolved is not None:

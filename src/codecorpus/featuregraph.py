@@ -16,6 +16,9 @@ Edge types, in fixed serialization order:
 LastRead/LastWrite come from a forward may-analysis: branch states join by
 union, loop back-edges iterate to a fixpoint before edges are emitted, so a
 use inside or after a loop points at every def that may be most recent.
+Whether a walk emits is builder state: a loop switches it off while it
+iterates and back on for one walk from the saturated state, so each edge
+and each FormalArgName node comes from that one walk.
 Guard edges are emitted for if/else conditions only (not loop conditions)
 and only for variables that occur in the condition itself.
 
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import InvalidArgumentError
-from .lexer import KIND_IDENTIFIER, KIND_KEYWORD, KIND_SEPARATOR
+from .lexer import KIND_IDENTIFIER, KIND_KEYWORD
 from .parser import (
     Ast, MethodSource, NT_ASSIGN, NT_BINARY, NT_BLOCK, NT_CALL, NT_FIELD_ACCESS,
     NT_FOR, NT_IF, NT_LOCAL, NT_NEW, NT_PARAM, NT_PAREN, NT_POSTFIX, NT_RETURN,
@@ -108,295 +111,205 @@ def _union_states(a: _State, b: _State) -> _State:
 
 
 class _FlowBuilder:
-    """One pass over a method subtree collecting semantic edges."""
+    """One walk over a method subtree collecting semantic edges.
+
+    A walk passes the variable state `env`, the enclosing if-conditions
+    `guards` as (condition root, its variable names, negated) and a list
+    `collected` that gathers the variable terminals an expression touches.
+    """
 
     def __init__(self, ast: Ast, fields: dict[str, str],
                  arg_name_resolver: Callable[[int], list[str] | None] | None):
         self.ast = ast
         self.fields = fields
         self.resolver = arg_name_resolver
+        self.emit = True
         self.edges: set[tuple[str, int, int]] = set()
         self.locals: set[str] = set()
-        self.field_nodes: dict[str, int] = {}
-        self.formal_nodes: list[tuple[int, str]] = []   # (arg root, param name)
-        self._formal_seen: set[tuple[int, int]] = set()
+        # (call node, position) -> (argument root, formal name)
+        self.formals: dict[tuple[int, int], tuple[int, str]] = {}
 
-    # -- variable plumbing ---------------------------------------------------
+    def _target(self, node: int) -> tuple[int, str, str] | None:
+        """(terminal, state key, name) of a variable: a bare identifier
+        naming a local, else a field, or `this.name` naming a field."""
+        ast = self.ast
+        if ast.is_terminal(node):
+            if ast.token(node).kind != KIND_IDENTIFIER:
+                return None
+            term, name = node, ast.lexeme(node)
+            if name in self.locals:
+                return term, name, name
+        elif ast.node_types[node] == NT_FIELD_ACCESS:
+            recv, _dot, term = ast.children[node]
+            if not (ast.is_terminal(recv) and ast.lexeme(recv) == "this"):
+                return None
+            name = ast.lexeme(term)
+        else:
+            return None
+        return (term, f"this.{name}", name) if name in self.fields else None
 
-    def _key_for(self, name: str) -> str | None:
-        if name in self.locals:
-            return name
-        if name in self.fields:
-            return f"this.{name}"
-        return None
-
-    def _field_key(self, name: str) -> str | None:
-        return f"this.{name}" if name in self.fields else None
-
-    def _emit_guards(self, term: int, name: str, guards, emit: bool) -> None:
-        if not emit:
-            return
-        for cond_root, cond_names, negated in guards:
-            if name in cond_names:
-                kind = "GuardedByNegation" if negated else "GuardedBy"
-                self.edges.add((kind, term, cond_root))
-
-    def _read(self, term: int, key: str, name: str, env: _State,
-              emit: bool, guards, collected: list[int]) -> None:
+    def _access(self, target: tuple[int, str, str], env: _State, guards,
+                collected: list[int], read: bool, write: bool) -> None:
+        term, key, name = target
         reads, writes = env.get(key, (frozenset(), frozenset()))
-        if emit:
-            for tgt in reads:
-                self.edges.add(("LastRead", term, tgt))
-            for tgt in writes:
-                self.edges.add(("LastWrite", term, tgt))
-        self._emit_guards(term, name, guards, emit)
-        env[key] = (frozenset({term}), writes)
-        collected.append(term)
-
-    def _write(self, term: int, key: str, name: str, env: _State,
-               emit: bool, guards, collected: list[int]) -> None:
-        reads, _ = env.get(key, (frozenset(), frozenset()))
-        self._emit_guards(term, name, guards, emit)
-        env[key] = (reads, frozenset({term}))
-        collected.append(term)
-
-    def _read_write(self, term: int, key: str, name: str, env: _State,
-                    emit: bool, guards, collected: list[int]) -> None:
-        reads, writes = env.get(key, (frozenset(), frozenset()))
-        if emit:
-            for tgt in reads:
-                self.edges.add(("LastRead", term, tgt))
-            for tgt in writes:
-                self.edges.add(("LastWrite", term, tgt))
-        self._emit_guards(term, name, guards, emit)
-        env[key] = (frozenset({term}), frozenset({term}))
+        if self.emit:
+            if read:
+                self.edges.update(("LastRead", term, r) for r in reads)
+                self.edges.update(("LastWrite", term, w) for w in writes)
+            for cond_root, cond_names, negated in guards:
+                if name in cond_names:
+                    kind = "GuardedByNegation" if negated else "GuardedBy"
+                    self.edges.add((kind, term, cond_root))
+        env[key] = (frozenset({term}) if read else reads,
+                    frozenset({term}) if write else writes)
         collected.append(term)
 
     # -- expressions -----------------------------------------------------------
 
-    def expr(self, node: int, env: _State, emit: bool, guards,
+    def expr(self, node: int, env: _State, guards,
              collected: list[int]) -> None:
         ast = self.ast
+        target = self._target(node)
+        if target is not None:
+            self._access(target, env, guards, collected,
+                         read=True, write=False)
+            return
         if ast.is_terminal(node):
-            tok = ast.token(node)
-            if tok.kind == KIND_IDENTIFIER:
-                key = self._key_for(tok.lexeme)
-                if key is not None:
-                    self._read(node, key, tok.lexeme, env, emit, guards, collected)
-            return
+            return      # a literal, `this`, or a name that is no variable
         nt = ast.node_types[node]
+        kids = ast.children[node]
         if nt == NT_ASSIGN:
-            self._assign(node, env, emit, guards, collected)
-        elif nt in (NT_BINARY, NT_TERNARY, NT_PAREN):
-            for c in ast.children[node]:
-                if not ast.is_terminal(c) or ast.token(c).kind == KIND_IDENTIFIER:
-                    self.expr(c, env, emit, guards, collected)
-        elif nt == NT_UNARY:
-            op = ast.lexeme(ast.children[node][0])
-            operand = ast.children[node][1]
-            if op in ("++", "--"):
-                self._incdec(operand, env, emit, guards, collected)
+            lhs, op, rhs = assign_parts(ast, node)
+            rhs_vars: list[int] = []
+            self.expr(rhs, env, guards, rhs_vars)
+            collected.extend(rhs_vars)
+            target = self._target(lhs)
+            if target is None:
+                # no variable, or another object's field: read its receiver
+                self.expr(lhs, env, guards, collected)
+                return
+            self._access(target, env, guards, collected,
+                         read=op != "=", write=True)
+            if self.emit:
+                self.edges.update(("ComputedFrom", target[0], src)
+                                  for src in rhs_vars)
+        elif nt in (NT_UNARY, NT_POSTFIX):
+            op, operand = kids if nt == NT_UNARY else kids[::-1]
+            target = self._target(operand)
+            if target is not None and ast.lexeme(op) in ("++", "--"):
+                self._access(target, env, guards, collected,
+                             read=True, write=True)
             else:
-                self.expr(operand, env, emit, guards, collected)
-        elif nt == NT_POSTFIX:
-            self._incdec(ast.children[node][0], env, emit, guards, collected)
-        elif nt == NT_CALL:
-            receiver, _name, args = call_parts(ast, node)
-            if receiver is not None:
-                self.expr(receiver, env, emit, guards, collected)
+                self.expr(operand, env, guards, collected)
+        elif nt in (NT_CALL, NT_NEW):
+            if nt == NT_CALL:
+                receiver, _name, args = call_parts(ast, node)
+                if receiver is not None:
+                    self.expr(receiver, env, guards, collected)
+            else:
+                _ty, args = new_parts(ast, node)
             for a in args:
-                self.expr(a, env, emit, guards, collected)
-            self._formal_args(node, args, emit)
-        elif nt == NT_NEW:
-            _ty, args = new_parts(ast, node)
-            for a in args:
-                self.expr(a, env, emit, guards, collected)
-            self._formal_args(node, args, emit)
+                self.expr(a, env, guards, collected)
+            if self.emit and self.resolver is not None and args:
+                for pos, pair in enumerate(zip(args, self.resolver(node) or ())):
+                    self.formals.setdefault((node, pos), pair)
         elif nt == NT_FIELD_ACCESS:
-            recv, name_term = ast.children[node][0], ast.children[node][2]
-            if ast.is_terminal(recv) and ast.token(recv).kind == KIND_KEYWORD \
-                    and ast.lexeme(recv) == "this":
-                key = self._field_key(ast.lexeme(name_term))
-                if key is not None:
-                    self._read(name_term, key, ast.lexeme(name_term),
-                               env, emit, guards, collected)
-            else:
-                self.expr(recv, env, emit, guards, collected)
-        # literals, `this`, Type nodes: no variable events
-
-    def _incdec(self, operand: int, env: _State, emit: bool, guards,
-                collected: list[int]) -> None:
-        ast = self.ast
-        target = self._assign_target(operand)
-        if target is None:
-            self.expr(operand, env, emit, guards, collected)
-            return
-        term, key, name = target
-        self._read_write(term, key, name, env, emit, guards, collected)
-
-    def _assign_target(self, node: int) -> tuple[int, str, str] | None:
-        """(terminal, env key, name) for an assignable name/this.field."""
-        ast = self.ast
-        if ast.is_terminal(node) and ast.token(node).kind == KIND_IDENTIFIER:
-            name = ast.lexeme(node)
-            key = self._key_for(name)
-            return (node, key, name) if key else None
-        if ast.node_types[node] == NT_FIELD_ACCESS:
-            recv, name_term = ast.children[node][0], ast.children[node][2]
-            if ast.is_terminal(recv) and ast.token(recv).kind == KIND_KEYWORD \
-                    and ast.lexeme(recv) == "this":
-                name = ast.lexeme(name_term)
-                key = self._field_key(name)
-                return (name_term, key, name) if key else None
-        return None
-
-    def _assign(self, node: int, env: _State, emit: bool, guards,
-                collected: list[int]) -> None:
-        lhs, op, rhs = assign_parts(self.ast, node)
-        rhs_vars: list[int] = []
-        self.expr(rhs, env, emit, guards, rhs_vars)
-        collected.extend(rhs_vars)
-        target = self._assign_target(lhs)
-        if target is None:
-            # assignment through another object's field: receiver still read
-            if self.ast.node_types[lhs] == NT_FIELD_ACCESS:
-                self.expr(lhs, env, emit, guards, collected)
-            return
-        term, key, name = target
-        if op == "=":
-            self._write(term, key, name, env, emit, guards, collected)
-        else:
-            self._read_write(term, key, name, env, emit, guards, collected)
-        if emit:
-            for src in rhs_vars:
-                self.edges.add(("ComputedFrom", term, src))
-
-    def _formal_args(self, node: int, args: list[int], emit: bool) -> None:
-        if not emit or self.resolver is None or not args:
-            return
-        names = self.resolver(node)
-        if not names:
-            return
-        for pos, (arg, pname) in enumerate(zip(args, names)):
-            if (node, pos) in self._formal_seen:
-                continue
-            self._formal_seen.add((node, pos))
-            self.formal_nodes.append((arg, pname))
+            self.expr(kids[0], env, guards, collected)
+        elif nt in (NT_BINARY, NT_TERNARY, NT_PAREN):
+            for c in kids:
+                self.expr(c, env, guards, collected)
+        # Type nodes: no variable events
 
     # -- statements --------------------------------------------------------------
 
-    def stmt(self, node: int, env: _State, emit: bool, guards) -> _State:
+    def stmt(self, node: int, env: _State, guards) -> _State:
         ast = self.ast
         nt = ast.node_types[node]
-        sink: list[int] = []
         if nt == NT_BLOCK:
             for c in ast.nonterminal_children(node):
-                env = self.stmt(c, env, emit, guards)
-            return env
-        if nt == NT_LOCAL:
+                env = self.stmt(c, env, guards)
+        elif nt == NT_LOCAL:
             _ty, name_term, init = local_decl_parts(ast, node)
-            name = ast.lexeme(name_term)
             init_vars: list[int] = []
             if init is not None:
-                self.expr(init, env, emit, guards, init_vars)
-            self.locals.add(name)
-            self._write(name_term, name, name, env, emit, guards, sink)
-            if emit:
-                for src in init_vars:
-                    self.edges.add(("ComputedFrom", name_term, src))
-            return env
-        if nt == NT_EXPR_STMT:
-            self.expr(ast.children[node][0], env, emit, guards, sink)
-            return env
-        if nt == NT_RETURN:
+                self.expr(init, env, guards, init_vars)
+            self.locals.add(ast.lexeme(name_term))
+            self._access(self._target(name_term), env, guards, [],
+                         read=False, write=True)
+            if self.emit:
+                self.edges.update(("ComputedFrom", name_term, src)
+                                  for src in init_vars)
+        elif nt in (NT_EXPR_STMT, NT_RETURN):
             for c in ast.children[node]:
-                if ast.is_terminal(c) and ast.token(c).kind in (
-                        KIND_KEYWORD, KIND_SEPARATOR):
-                    continue
-                self.expr(c, env, emit, guards, sink)
-            return env
-        if nt == NT_IF:
-            return self._if(node, env, emit, guards)
-        if nt == NT_WHILE:
+                self.expr(c, env, guards, [])
+        elif nt == NT_IF:
+            return self._if(node, env, guards)
+        elif nt == NT_WHILE:
             cond, body = while_parts(ast, node)
-            return self._loop(env, emit, guards, cond=cond, body_steps=[body])
-        if nt == NT_FOR:
+            return self._loop(env, guards, cond, body, None)
+        elif nt == NT_FOR:
             init, cond, update, body = for_parts(ast, node)
             if init is not None:
                 if ast.node_types[init] == NT_LOCAL:
-                    env = self.stmt(init, env, emit, guards)
+                    env = self.stmt(init, env, guards)
                 else:
-                    self.expr(init, env, emit, guards, sink)
-            steps = [body] + ([update] if update is not None else [])
-            return self._loop(env, emit, guards, cond=cond, body_steps=steps,
-                              update=update)
-        # nested plain expression used as a statement, or unsupported: walk exprs
-        for c in ast.nonterminal_children(node):
-            self.expr(c, env, emit, guards, sink)
+                    self.expr(init, env, guards, [])
+            return self._loop(env, guards, cond, body, update)
         return env
 
-    def _cond_var_names(self, cond: int) -> frozenset[str]:
-        names = set()
-        for t in self.ast.terminals(cond):
-            tok = self.ast.token(t)
-            if tok.kind == KIND_IDENTIFIER and self._key_for(tok.lexeme):
-                names.add(tok.lexeme)
-        return frozenset(names)
-
-    def _if(self, node: int, env: _State, emit: bool, guards) -> _State:
+    def _if(self, node: int, env: _State, guards) -> _State:
         cond, then, els = if_parts(self.ast, node)
-        sink: list[int] = []
-        self.expr(cond, env, emit, guards, sink)
-        cond_names = self._cond_var_names(cond)
-        env_then = dict(env)
-        env_then = self.stmt(then, env_then,
-                             emit, guards + [(cond, cond_names, False)])
-        if els is not None:
-            env_else = dict(env)
-            env_else = self.stmt(els, env_else,
-                                 emit, guards + [(cond, cond_names, True)])
-            return _union_states(env_then, env_else)
-        return _union_states(env_then, env)
+        self.expr(cond, env, guards, [])
+        names = frozenset(self.ast.lexeme(t) for t in self.ast.terminals(cond)
+                          if self._target(t) is not None)
+        env_then = self.stmt(then, dict(env), guards + [(cond, names, False)])
+        env_else = env if els is None else self.stmt(
+            els, dict(env), guards + [(cond, names, True)])
+        return _union_states(env_then, env_else)
 
-    def _loop_once(self, env: _State, cond: int | None,
-                   body_steps: list[int], update: int | None) -> _State:
-        sink: list[int] = []
+    def _loop_pass(self, env: _State, guards, cond: int | None, body: int,
+                   update: int | None) -> _State:
+        """One iteration: condition, body, update."""
         if cond is not None:
-            self.expr(cond, env, False, [], sink)
-        for step in body_steps:
-            if update is not None and step == update:
-                self.expr(step, env, False, [], sink)
-            else:
-                env = self.stmt(step, env, False, [])
+            self.expr(cond, env, guards, [])
+        env = self.stmt(body, env, guards)
+        if update is not None:
+            self.expr(update, env, guards, [])
         return env
 
-    def _loop(self, env: _State, emit: bool, guards,
-              cond: int | None, body_steps: list[int],
-              update: int | None = None) -> _State:
-        entry = dict(env)
+    def _loop(self, env: _State, guards, cond: int | None, body: int,
+              update: int | None) -> _State:
+        """Iterate to a fixpoint without emitting, then emit in one pass
+        from the saturated entry state. Emitting on every pass would add
+        edges from unsaturated states, and from before a local declared
+        later in the body started to shadow a field of the same name."""
+        emit, self.emit = self.emit, False
+        entry = env
         while True:
-            trial = self._loop_once(dict(entry), cond, body_steps, update)
-            merged = _union_states(entry, trial)
+            merged = _union_states(entry, self._loop_pass(
+                dict(entry), guards, cond, body, update))
             if merged == entry:
                 break
             entry = merged
-        # emission pass from the saturated entry state
-        if emit:
-            sink: list[int] = []
-            env_emit = dict(entry)
-            if cond is not None:
-                self.expr(cond, env_emit, True, guards, sink)
-            for step in body_steps:
-                if update is not None and step == update:
-                    self.expr(step, env_emit, True, guards, sink)
-                else:
-                    env_emit = self.stmt(step, env_emit, True, guards)
-        # exit state: condition evaluated once more off the fixpoint
         out = dict(entry)
         if cond is not None:
-            sink = []
-            self.expr(cond, out, False, [], sink)
+            self.expr(cond, out, guards, [])    # the test that exits
+        self.emit = emit
+        if emit:
+            self._loop_pass(dict(entry), guards, cond, body, update)
         return out
+
+
+def _ast_nodes(ast: Ast) -> tuple[list[GraphNode], list[int],
+                                  list[tuple[int, int]]]:
+    """The AST as graph nodes, its terminals in source order, and its Child
+    edges in sorted order."""
+    nodes = [GraphNode(i, ast.node_types[i],
+                       ast.lexeme(i) if ast.is_terminal(i) else None,
+                       ast.lines[i], ast.cols[i])
+             for i in range(len(ast))]
+    terminals = [n.index for n in nodes if n.token is not None]
+    return nodes, terminals, sorted(zip(ast.parents[1:], range(1, len(ast))))
 
 
 def build_feature_graph(method: MethodSource,
@@ -407,79 +320,53 @@ def build_feature_graph(method: MethodSource,
     ast = method.ast
     fields = dict(class_fields or {})
     builder = _FlowBuilder(ast, fields, arg_name_resolver)
+    nodes, terminals, child_edges = _ast_nodes(ast)
+    edges = builder.edges
 
-    terminals = [i for i in range(len(ast)) if ast.is_terminal(i)]
-
-    # syntactic edge families
-    for i in range(1, len(ast)):
-        builder.edges.add(("Child", ast.parents[i], i))
-    for a, b in zip(terminals, terminals[1:]):
-        builder.edges.add(("NextToken", a, b))
+    # lexical uses and returns, in one pass over the terminals
     last_seen: dict[str, int] = {}
     for t in terminals:
-        tok = ast.token(t)
-        if tok.kind == KIND_IDENTIFIER:
-            if tok.lexeme in last_seen:
-                builder.edges.add(("LastLexicalUse", t, last_seen[tok.lexeme]))
-            last_seen[tok.lexeme] = t
-    for t in terminals:
-        tok = ast.token(t)
-        if tok.kind == KIND_KEYWORD and tok.lexeme == "return":
-            builder.edges.add(("ReturnTo", t, 0))
+        kind, lexeme = ast.token(t)[:2]
+        if kind == KIND_IDENTIFIER:
+            if lexeme in last_seen:
+                edges.add(("LastLexicalUse", t, last_seen[lexeme]))
+            last_seen[lexeme] = t
+        elif kind == KIND_KEYWORD and lexeme == "return":
+            edges.add(("ReturnTo", t, 0))
 
-    # synthetic field-def terminals for fields this method touches
-    mentioned = {ast.token(t).lexeme for t in terminals
-                 if ast.token(t).kind == KIND_IDENTIFIER}
-    used_fields = sorted(set(fields) & mentioned)
-    next_index = len(ast)
-    for fname in used_fields:
-        builder.field_nodes[fname] = next_index
-        next_index += 1
-
-    # initial environment: parameters then fields
+    # initial state: parameters, then a synthetic FieldDef write for each
+    # field this method mentions
     env: _State = {}
     for p in ast.find(NT_PARAM):
         name_term = ast.children[p][-1]
-        pname = ast.lexeme(name_term)
-        builder.locals.add(pname)
-        env[pname] = (frozenset(), frozenset({name_term}))
-    for fname in used_fields:
-        env[f"this.{fname}"] = (frozenset(), frozenset({builder.field_nodes[fname]}))
+        builder.locals.add(ast.lexeme(name_term))
+        env[ast.lexeme(name_term)] = (frozenset(), frozenset({name_term}))
+    for fname in sorted(fields.keys() & last_seen.keys()):
+        env[f"this.{fname}"] = (frozenset(), frozenset({len(nodes)}))
+        nodes.append(GraphNode(len(nodes), "FieldDef", fname, 0, 0))
 
     body = next((c for c in ast.children[0] if ast.node_types[c] == NT_BLOCK), None)
     if body is not None:
-        builder.stmt(body, env, True, [])
+        builder.stmt(body, env, [])
 
-    nodes = [GraphNode(i, ast.node_types[i],
-                       ast.lexeme(i) if ast.is_terminal(i) else None,
-                       ast.lines[i], ast.cols[i])
-             for i in range(len(ast))]
-    for fname in used_fields:
-        nodes.append(GraphNode(builder.field_nodes[fname], "FieldDef", fname, 0, 0))
-    formal_index = len(nodes)
-    for arg_root, pname in builder.formal_nodes:
-        nodes.append(GraphNode(formal_index, "FormalArgName", pname, 0, 0))
-        builder.edges.add(("FormalArgName", arg_root, formal_index))
-        formal_index += 1
+    for arg_root, pname in builder.formals.values():
+        edges.add(("FormalArgName", arg_root, len(nodes)))
+        nodes.append(GraphNode(len(nodes), "FormalArgName", pname, 0, 0))
 
-    edges: dict[str, list[tuple[int, int]]] = {t: [] for t in EDGE_TYPES}
-    for etype, src, dst in builder.edges:
-        edges[etype].append((src, dst))
+    by_type: dict[str, list[tuple[int, int]]] = {t: [] for t in EDGE_TYPES}
+    for etype, src, dst in edges:
+        by_type[etype].append((src, dst))
     for etype in EDGE_TYPES:
-        edges[etype].sort()
-    return FeatureGraph(nodes, edges, terminals)
+        by_type[etype].sort()
+    by_type["Child"] = child_edges
+    by_type["NextToken"] = list(zip(terminals, terminals[1:]))
+    return FeatureGraph(nodes, by_type, terminals)
 
 
 def ast_graph(method: MethodSource) -> FeatureGraph:
     """Child-edges-only graph of the bare method AST (the ASTS payload)."""
-    ast = method.ast
-    nodes = [GraphNode(i, ast.node_types[i],
-                       ast.lexeme(i) if ast.is_terminal(i) else None,
-                       ast.lines[i], ast.cols[i])
-             for i in range(len(ast))]
-    edges = {"Child": sorted((ast.parents[i], i) for i in range(1, len(ast)))}
-    terminals = [i for i in range(len(ast)) if ast.is_terminal(i)]
-    return FeatureGraph(nodes, edges, terminals)
+    nodes, terminals, child_edges = _ast_nodes(method.ast)
+    return FeatureGraph(nodes, {"Child": child_edges}, terminals)
 
 
 # ---------------------------------------------------------------------------

@@ -459,6 +459,12 @@ def stage_report(ws: Workspace, cat: Catalog, study: str) -> dict:
         return {"study": study, "rows": len(rows)}
     if study == "bias":
         props = _load_props(ws, ["SLOC", "CMPX"])
+        for key, table in props.items():
+            for mid, value in table.items():
+                if not isinstance(value, int):
+                    raise InputError(
+                        f"{ws.property_path(key).name}: method {mid} has "
+                        f"{key} {value!r}, not an integer")
         row_labels, col_labels, matrix = bias_table(props["SLOC"],
                                                     props["CMPX"])
         rows = [[rl] + list(counts) for rl, counts in zip(row_labels, matrix)]

@@ -129,6 +129,15 @@ def _finalize(samples: list[TaskSample], catalog: Catalog, split_fracs,
 # Property prediction
 # ---------------------------------------------------------------------------
 
+def _passes(value, fkey: str, op: str, fval) -> bool:
+    try:
+        return _FILTER_OPS[op](value, fval)
+    except TypeError:   # an order between a number and a text
+        raise InvalidArgumentError(
+            f"filter {fkey}{op}{fval}: {fkey} value {value!r} cannot be "
+            f"ordered against {fval!r}") from None
+
+
 def make_property_task(key: str,
                        values: dict[EntityId, object],
                        payloads: dict[EntityId, str],
@@ -142,7 +151,8 @@ def make_property_task(key: str,
     """Predict a method property from its token representation.
 
     `filters` are (property_key, op, value) triples applied before
-    balancing; methods lacking a filtered property are dropped. With
+    balancing; methods lacking a filtered property are dropped, and an
+    order between a number and a text is an InvalidArgumentError. With
     `balance`, every label is down-sampled to the least frequent label's
     count using the seed.
     """
@@ -159,12 +169,8 @@ def make_property_task(key: str,
         mid = meta.method_id
         if mid not in values or mid not in payloads:
             continue
-        ok = True
-        for fkey, op, fval in filters:
-            if mid not in props[fkey] or not _FILTER_OPS[op](props[fkey][mid], fval):
-                ok = False
-                break
-        if not ok:
+        if not all(mid in props[k] and _passes(props[k][mid], k, op, v)
+                   for k, op, v in filters):
             continue
         bucket = size_bucket(catalog.class_count(meta.project_id))
         chosen.append(TaskSample("", mid, payloads[mid], str(values[mid]),

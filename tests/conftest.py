@@ -1,9 +1,26 @@
+import importlib.util
+import re
+from pathlib import Path
+
 import pytest
+from hypothesis import strategies as st
 
 from codecorpus.catalog import ProjectData, catalog_project
 from codecorpus.fixturegen import (DEFAULT_BUCKET_CLASSES, fixture_files,
                                    write_fixture_corpus)
 from codecorpus.parser import FileView, MethodSource, file_view
+
+FIXTURE_SOURCES = sorted(fixture_files().items())
+# each parses wherever a statement may stand: right after `) {`
+STATEMENTS = (
+    "if (a && b) { x = f(y, 1); } else return;",
+    "while (i < n) i++;",
+    "for (int i = 0; i < n; i++) { s += g(i) ? i : -i; }",
+    'return obj.call(x).other("q", \'c\');',
+    "int v = (a + b) * c - d / e;",
+    "{ { p = new Box(q); } }",
+    "total = this.items.size() + count;",
+)
 
 
 @pytest.fixture(scope="session")
@@ -53,3 +70,27 @@ def nth_terminal(ast, lexeme: str, n: int = 0) -> int:
     hits = [i for i in ast.terminals() if ast.lexeme(i) == lexeme]
     assert len(hits) > n, f"only {len(hits)} terminals spell {lexeme!r}"
     return hits[n]
+
+
+@st.composite
+def fixture_with_statements(draw, statements=STATEMENTS) -> FileView:
+    """A fixture file with up to four of `statements` inserted, parsed."""
+    rel, text = draw(st.sampled_from(FIXTURE_SOURCES))
+    sites = [m.end() for m in re.finditer(r"\)\s*\{", text)]
+    if sites:
+        edits = draw(st.lists(st.tuples(st.sampled_from(sites),
+                                        st.sampled_from(statements)),
+                              max_size=4))
+        for site, statement in sorted(edits, reverse=True):
+            text = f"{text[:site]} {statement}{text[site:]}"
+    return file_view(text, rel)
+
+
+def longgen():
+    """`bench/longgen.py`, the benchmark's generator of long branchy
+    methods; `generate(seed)` maps relative paths to sources."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "longgen.py"
+    spec = importlib.util.spec_from_file_location("bench_longgen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -110,3 +110,24 @@ def test_call_site_resolution_goes_through_the_wrapped_bindings(tmp_path,
                                        pipeline.merged_catalog(datas))
     assert built == [(datas,)]
     assert summary["edges"] > 0
+
+
+def test_graph_payloads_go_through_the_wrapped_bindings(tmp_path,
+                                                        monkeypatch):
+    # featuregraph.ast_graph_s, build_feature_graph_s, graph_payload_s and
+    # edges come from `pipeline.ast_graph`, `pipeline.build_feature_graph`
+    # and `pipeline.graph_payload`.
+    corpus = tmp_path / "corpus"
+    write_fixture_corpus(corpus, {"bulk_b": 1, "bulk_c": 1, "bulk_d": 1})
+    datas = pipeline.parse_corpus(
+        pipeline.WorkspaceConfig(corpus_root=str(corpus)))
+    methods = sum(len(d.methods) for d in datas)
+    calls = {name: _counting(monkeypatch, pipeline, name)
+             for name in ("ast_graph", "build_feature_graph",
+                          "graph_payload")}
+    summary = pipeline.stage_representations(
+        pipeline.Workspace(tmp_path / "ws"), datas, ["ASTS", "FTGR"], 0)
+    assert summary["methods_per_type"] == {"ASTS": methods, "FTGR": methods}
+    assert {name: len(c) for name, c in calls.items()} == {
+        "ast_graph": methods, "build_feature_graph": methods,
+        "graph_payload": 2 * methods}

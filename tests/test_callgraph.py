@@ -181,6 +181,31 @@ def test_a_new_is_named_by_its_last_identifier_before_generics(tmp_path):
     assert make_call_masking_task(cat, data.sources, g).samples == []
 
 
+def test_a_qualified_new_resolves_the_named_class(tmp_path):
+    box = ("package {pkg};\n"
+           "class Box {{\n"
+           "  Box(int w, int h) {{ }}\n"
+           "  Object f() {{\n"
+           "    Object a = new q.Box(1, 2);\n"
+           "    return new Box(1, 2);\n"
+           "  }}\n"
+           "}}\n")
+    for pkg in ("p", "q"):
+        (tmp_path / "proj" / pkg).mkdir(parents=True)
+        (tmp_path / "proj" / pkg / "Box.java").write_text(
+            box.format(pkg=pkg), encoding="utf-8")
+    data = catalog_project(tmp_path / "proj", corpus_root=tmp_path)
+    g = build_callgraph([data])
+    p_f = _mid(data, "p/Box.java", "f()")
+    p_ctor = _mid(data, "p/Box.java", "Box(int,int)")
+    q_ctor = _mid(data, "q/Box.java", "Box(int,int)")
+    assert [(e.callee, e.callee_signature, e.call_type, e.line)
+            for e in g.by_caller[p_f]] == [
+        (q_ctor, "Box(int,int)", "Project", 5),
+        (p_ctor, "Box(int,int)", "Local", 6),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Corpus-wide partition
 # ---------------------------------------------------------------------------

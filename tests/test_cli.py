@@ -5,6 +5,7 @@ promise that the last stdout line of every successful command is a
 one-line JSON summary.
 """
 
+import csv
 import json
 import os
 import shutil
@@ -224,3 +225,50 @@ def test_a_call_report_without_call_sites_is_an_input_error(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "input error" in proc.stderr
     assert "callgraph.csv holds no call sites" in proc.stderr
+
+
+@pytest.fixture(scope="module")
+def metrics_ws(cli_env, tmp_path_factory):
+    """A copy of the cataloged workspace with TKNA payloads and metrics."""
+    _corpus, ws, _proc = cli_env
+    copy = tmp_path_factory.mktemp("metrics") / "ws"
+    shutil.copytree(ws, copy)
+    for command in (("repr", "--types", "TKNA"), ("metrics",)):
+        proc = run_cli(*command, "-w", copy)
+        assert proc.returncode == 0, (command, proc.stderr)
+    return copy
+
+
+@pytest.mark.parametrize("expr, code", [
+    ("SLOC>=x", 1), ("NAME>=5", 1), ("SLOC!=x", 0),
+])
+def test_a_filter_ordering_a_number_against_text_is_a_usage_error(
+        metrics_ws, expr, code):
+    proc = run_cli("taskgen", "-w", metrics_ws, "--task", "property",
+                   "--filter", expr)
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert "usage error" in proc.stderr
+        assert f"filter {expr}:" in proc.stderr
+        assert "cannot be ordered" in proc.stderr
+
+
+def test_a_bias_report_on_a_non_integer_size_is_an_input_error(metrics_ws,
+                                                                tmp_path):
+    ws = tmp_path / "ws"
+    shutil.copytree(metrics_ws, ws)
+    with open(ws / "properties" / "SLOC.csv", newline="",
+              encoding="utf-8") as f:
+        rows = list(csv.reader(f))
+    mid = rows[1][0]
+    rows[1][1] = "big"
+    imported = tmp_path / "SLOC.csv"
+    with open(imported, "w", newline="", encoding="utf-8") as f:
+        csv.writer(f, lineterminator="\n").writerows(rows)
+    proc = run_cli("props-import", imported, "-w", ws)
+    assert proc.returncode == 0, proc.stderr
+    proc = run_cli("report", "-w", ws, "--study", "bias")
+    assert proc.returncode == 2, proc.stderr
+    assert "input error" in proc.stderr
+    assert f"SLOC.csv: method {mid} has SLOC 'big', not an integer" \
+        in proc.stderr

@@ -5,12 +5,18 @@ before anything ran: each terminal is pinned down by its occurrence rank, so
 a test failure names the exact edge that moved. The oracle agreement test
 recomputes LastRead/LastWrite by brute-force path enumeration (loops unrolled
 until the edge sets saturate) and must match the fixpoint builder exactly.
+`build_feature_graph_oracle`, the builder that passed an `emit` flag through
+every step, must give the same payload bytes for every method.
 """
 
 import pytest
+from hypothesis import Phase, given, settings
 
-from conftest import method_named, nth_terminal
+from conftest import (STATEMENTS, fixture_with_statements, longgen,
+                      method_named, nth_terminal)
 
+from codecorpus.callgraph import arg_name_maps
+from codecorpus.catalog import catalog_project
 from codecorpus.errors import InvalidArgumentError
 from codecorpus.featuregraph import (
     EDGE_TYPES, ast_graph, build_feature_graph, filter_edges, graph_payload,
@@ -18,7 +24,7 @@ from codecorpus.featuregraph import (
 )
 from codecorpus.parser import file_view
 
-from oracles import flow_edges_saturated
+from oracles import build_feature_graph_oracle, flow_edges_saturated
 
 
 @pytest.fixture(scope="module")
@@ -237,3 +243,95 @@ def test_fixpoint_builder_matches_path_enumeration(views):
                 want, _ = flow_edges_saturated(m, cls.fields)
                 for fam, expected in want.items():
                     assert set(g.edges[fam]) == expected, (rel, m.name, fam)
+
+
+# ---------------------------------------------------------------------------
+# Builder oracle: the same payload bytes
+# ---------------------------------------------------------------------------
+
+def _assert_payloads_match_the_oracle(datas):
+    for d in datas:
+        argmaps = arg_name_maps(d)
+        for meta in d.methods:
+            m = d.sources[meta.method_id]
+            fields = d.class_views[meta.class_id].classes[0].fields
+            resolve = argmaps.get(meta.method_id, {}).get
+            assert graph_payload(build_feature_graph(m, fields, resolve)) == \
+                graph_payload(build_feature_graph_oracle(m, fields, resolve)), \
+                meta.method_id
+
+
+def test_payloads_match_the_builder_oracle(both_corpora):
+    _assert_payloads_match_the_oracle(both_corpora)
+
+
+def test_long_method_payloads_match_the_builder_oracle(tmp_path):
+    for seed in (0, 1):
+        for rel, text in longgen().generate(seed).items():
+            path = tmp_path / f"seed{seed}" / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text, encoding="utf-8")
+    _assert_payloads_match_the_oracle(
+        [catalog_project(p, corpus_root=tmp_path)
+         for p in sorted(tmp_path.iterdir())])
+
+
+# `seed` is a field of most fixture classes
+_FLOW_STATEMENTS = (
+    *STATEMENTS,
+    "while (i < n) { i = i + seed; int seed = i; }",
+    "for (int k = 0; k < n; k++) { while (k > seed) "
+    "{ seed = g(k, this.seed); k--; } }",
+    "this.seed += seed++ - --k;",
+    "if (seed > 0) { int t = seed; } else { seed = -seed; }",
+    "Box p = new Box(seed); p.seed = q.seed;",
+)
+
+
+def _some_formals(node):
+    # resolves about three call sites in four, to up to three names
+    return ["a", "b", "c"][:node % 4] or None
+
+
+@settings(max_examples=150, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(fixture_with_statements(_FLOW_STATEMENTS))
+def test_payloads_match_the_builder_oracle_with_statements_inserted(view):
+    for cls in view.classes:
+        for m in cls.methods:
+            for resolve in (None, _some_formals):
+                assert graph_payload(
+                    build_feature_graph(m, cls.fields, resolve)) == \
+                    graph_payload(
+                        build_feature_graph_oracle(m, cls.fields, resolve)), \
+                    m.signature
+
+
+def test_a_local_declared_later_in_a_loop_shadows_the_field_from_the_start():
+    # From the second pass on, `v` in the sum is the local declared after it;
+    # the edges come from the saturated state only, so none reaches the field.
+    v = file_view("class S { int v; int f(int n) { int s = 0;"
+                  " while (n > 0) { s = s + v; int v = n; n = n - 1; }"
+                  " return s; } }")
+    m = v.classes[0].methods[0]
+    g = build_feature_graph(m, v.classes[0].fields)
+    fdef = len(m.ast)
+    assert g.nodes[fdef].node_type == "FieldDef"
+    v_use, v_decl = (nth_terminal(m.ast, "v", k) for k in (0, 1))
+    assert {e for t in ("LastRead", "LastWrite") for e in g.edges[t]
+            if e[0] == v_use} == {(v_use, v_use), (v_use, v_decl)}
+    assert not any(fdef in e for es in g.edges.values() for e in es)
+
+
+def test_a_resolved_call_in_nested_loops_gets_one_formal_per_argument():
+    v = file_view("class A { int g(int p, int q) { return p; }"
+                  " int f(int n) { for (int i = 0; i < n; i++) {"
+                  " while (n > i) { n = g(i, n); } } return n; } }")
+    m = method_named(v, "f")
+    g = build_feature_graph(m, arg_name_resolver=lambda node: ["p", "q"])
+    synth = [n for n in g.nodes if n.node_type == "FormalArgName"]
+    assert [(n.index, n.token) for n in synth] == [
+        (len(m.ast), "p"), (len(m.ast) + 1, "q")]
+    i_arg, n_arg = nth_terminal(m.ast, "i", 4), nth_terminal(m.ast, "n", 4)
+    assert g.edges["FormalArgName"] == [(i_arg, len(m.ast)),
+                                        (n_arg, len(m.ast) + 1)]

@@ -9,20 +9,16 @@ ancestor-chain extraction and the shape-cached renderers replaced; the
 property tests below hold the two to the same paths and strings.
 """
 
-import importlib.util
 import random
-import re
-from pathlib import Path
 
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from conftest import method_named
+from conftest import fixture_with_statements, longgen, method_named
 
 from codecorpus import pathcontexts
 from codecorpus.errors import InvalidArgumentError
-from codecorpus.fixturegen import fixture_files
 from codecorpus.parser import file_view
 from codecorpus.pathcontexts import (
     MAX_CONTEXTS_DEFAULT, MAX_LENGTH_DEFAULT, MAX_WIDTH_DEFAULT,
@@ -211,41 +207,15 @@ def test_length_counts_internal_nodes_only():
 # ---------------------------------------------------------------------------
 
 def _long_methods():
-    path = Path(__file__).resolve().parents[1] / "bench" / "longgen.py"
-    spec = importlib.util.spec_from_file_location("bench_longgen", path)
-    longgen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(longgen)
     return [m for seed in (0, 1)
-            for rel, text in sorted(longgen.generate(seed).items())
+            for rel, text in sorted(longgen().generate(seed).items())
             for cls in file_view(text, rel).classes for m in cls.methods]
 
 
 _LONG_METHODS = _long_methods()
-_SOURCES = sorted(fixture_files().items())
-# each parses wherever a statement may stand: right after `) {`
-_STATEMENTS = st.sampled_from([
-    "if (a && b) { x = f(y, 1); } else return;",
-    "while (i < n) i++;",
-    "for (int i = 0; i < n; i++) { s += g(i) ? i : -i; }",
-    'return obj.call(x).other("q", \'c\');',
-    "int v = (a + b) * c - d / e;",
-    "{ { p = new Box(q); } }",
-    "total = this.items.size() + count;",
-])
-
-
-@st.composite
-def _mutated_fixture_methods(draw):
-    rel, text = draw(st.sampled_from(_SOURCES))
-    sites = [m.end() for m in re.finditer(r"\)\s*\{", text)]
-    if sites:
-        edits = draw(st.lists(st.tuples(st.sampled_from(sites), _STATEMENTS),
-                              max_size=4))
-        for site, statement in sorted(edits, reverse=True):
-            text = f"{text[:site]} {statement}{text[site:]}"
-    methods = [m for cls in file_view(text, rel).classes
-               for m in cls.methods]
-    return draw(st.sampled_from(methods))
+_mutated_fixture_methods = fixture_with_statements().flatmap(
+    lambda view: st.sampled_from([m for cls in view.classes
+                                  for m in cls.methods]))
 
 
 def _fields(p):
@@ -257,7 +227,7 @@ def _fields(p):
 # minutes, so a failure is reported as drawn.
 @settings(max_examples=200, deadline=None,
           phases=(Phase.explicit, Phase.reuse, Phase.generate))
-@given(st.one_of(_mutated_fixture_methods(), st.sampled_from(_LONG_METHODS)),
+@given(st.one_of(_mutated_fixture_methods, st.sampled_from(_LONG_METHODS)),
        st.integers(1, 10), st.integers(1, 4),
        st.one_of(st.integers(1, 300), st.just(NO_LIMIT)),
        st.integers(0, 2 ** 32))
