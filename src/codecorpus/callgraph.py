@@ -2,16 +2,23 @@
 
 Every call site of a cataloged method yields exactly one edge; what a call
 site is, and which token names it (the edge's line and column), is defined
-once by `parser.call_sites`. Resolution is source-level and per project:
+once by `parser.call_sites`. Resolution is source-level and per project.
+A call's receiver picks the class to search, by one rule:
 
-    implicit / this.m(...)    enclosing class, then its superclass chain
-    Name.m(...)               Name as a class of the project (same package,
-                              explicit import, wildcard import, qualified)
-    expr.m(...)               the static type of expr when derivable from a
-                              local, parameter, field, literal, `new T`, or a
-                              resolvable call's return type
+    m(...) / this.m(...)      the caller's own class
+    a.m(...), p.C.m(...)      a name: the declared type of the variable `a`
+                              (a local or parameter, else a field), or else
+                              the name as a class of the project (same
+                              package, explicit import, wildcard import,
+                              qualified)
+    expr.m(...)               any other receiver: its inferred type, from a
+                              literal, `this.f`, `new T`, a parenthesized
+                              expression or a resolvable call's return type
     new T(...)                the constructor of matching shape of class T,
-                              found like Name (T may be qualified)
+                              found like a class name (T may be qualified)
+
+The method is then looked up in that class and its superclass chain.
+Types are the simple names the parser erases them to.
 
 Anything that stays unresolved degrades to an API edge carrying a
 best-effort signature. Resolved edges are classified by where the callee
@@ -31,18 +38,13 @@ from .catalog import Catalog, ProjectData
 from .errors import InvalidArgumentError, NotFoundError
 from .identity import EntityId
 from .lexer import (KIND_BOOL, KIND_CHAR, KIND_IDENTIFIER, KIND_INT,
-                    KIND_KEYWORD, KIND_NULL, KIND_SEPARATOR, KIND_STRING)
+                    KIND_KEYWORD, KIND_NULL, KIND_STRING)
 from .parser import (
     Ast, CallSite, ClassView, FileView, MethodSource, NT_CALL,
     NT_FIELD_ACCESS, NT_LOCAL, NT_NEW, NT_PAREN, call_parts, call_sites,
-    local_decl_parts, new_parts, type_text,
+    local_decl_parts, new_parts, type_simple_name, type_text,
 )
 from .tables import read_table, write_table
-
-
-def _simple(type_str: str) -> str:
-    """Simple class name of a possibly dotted, possibly generic type."""
-    return type_str.split("<", 1)[0].rsplit(".", 1)[-1]
 
 CALL_TYPES = ("Local", "Package", "Project", "API")
 
@@ -112,7 +114,6 @@ class _Resolver:
         self.project_id = data.project.project_id
         self.entries: dict[EntityId, _ClassEntry] = {}
         self.by_package: dict[tuple[str, str], _ClassEntry] = {}
-        self.by_simple: dict[str, list[_ClassEntry]] = {}
         for meta in data.classes:
             view = data.class_views[meta.class_id]
             cv = view.classes[0]
@@ -120,7 +121,6 @@ class _Resolver:
                                 meta.class_id, view.package_name, view, cv)
             self.entries[meta.class_id] = entry
             self.by_package[(view.package_name, cv.name)] = entry
-            self.by_simple.setdefault(cv.name, []).append(entry)
 
     def class_in_context(self, name: str, ctx: FileView) -> _ClassEntry | None:
         """Resolve a dotted or simple class name from one file's viewpoint."""
@@ -174,7 +174,7 @@ class _Resolver:
         if not arity:
             return None
         typed = [m for m in arity
-                 if all(self._compatible(a, _simple(p))
+                 if all(self._compatible(a, p)
                         for a, p in zip(arg_types, m.param_types))]
         pool = typed or arity
         return min(pool, key=lambda m: m.signature)
@@ -190,25 +190,6 @@ class _Resolver:
                 chosen = self.pick_overload(cands, arg_types)
                 return (cur, chosen) if chosen else None
         return None
-
-
-class _MethodScope:
-    """Declared types visible inside one method body."""
-
-    def __init__(self, method: MethodSource, entry: _ClassEntry):
-        self.entry = entry
-        self.types: dict[str, str] = {}
-        for pname, ptype in zip(method.param_names, method.param_types):
-            self.types[pname] = _simple(ptype)
-        ast = method.ast
-        for d in ast.find(NT_LOCAL):
-            ty, name_term, _init = local_decl_parts(ast, d)
-            self.types[ast.lexeme(name_term)] = _simple(type_text(ast, ty))
-        self.field_types = {n: _simple(t)
-                            for n, t in entry.cv.fields.items()}
-
-    def type_of_name(self, name: str) -> str | None:
-        return self.types.get(name) or self.field_types.get(name)
 
 
 def _dotted_text(ast: Ast, node: int) -> str | None:
@@ -236,7 +217,14 @@ class _SiteExtractor:
         self.r = resolver
         self.entry = entry
         self.method = method
-        self.scope = _MethodScope(method, entry)
+        # declared simple type names: fields, then parameters and locals,
+        # which shadow them
+        self.types = dict(entry.cv.fields)
+        self.types.update(zip(method.param_names, method.param_types))
+        ast = method.ast
+        for d in ast.find(NT_LOCAL):
+            ty, name_term, _init = local_decl_parts(ast, d)
+            self.types[ast.lexeme(name_term)] = type_simple_name(ast, ty)
 
     def resolve(self, site: CallSite
                 ) -> tuple[tuple[_ClassEntry, MethodSource] | None, str]:
@@ -247,7 +235,7 @@ class _SiteExtractor:
         name = ast.lexeme(site.name)
         arg_types = self._arg_types(site.args)
         if ast.node_types[site.node] == NT_CALL:
-            resolved = self._resolve_call(site, arg_types)
+            resolved = self._resolve_call(site.node, arg_types)
         else:
             ty, _args = new_parts(ast, site.node)
             target = self.r.class_in_context(type_text(ast, ty),
@@ -268,33 +256,24 @@ class _SiteExtractor:
             if tok.kind in _LITERAL_TYPES:
                 return _LITERAL_TYPES[tok.kind]
             if tok.kind == KIND_IDENTIFIER:
-                return self.scope.type_of_name(tok.lexeme)
+                return self.types.get(tok.lexeme)
             if tok.kind == KIND_KEYWORD and tok.lexeme == "this":
                 return self.entry.cv.name
             return None
         nt = ast.node_types[node]
+        kids = ast.children[node]
         if nt == NT_NEW:
-            ty, _args = new_parts(ast, node)
-            return _simple(type_text(ast, ty))
-        if nt == NT_PAREN:
-            inner = [c for c in ast.children[node]
-                     if not (ast.is_terminal(c)
-                             and ast.token(c).kind == KIND_SEPARATOR)]
-            return self.expr_type(inner[0]) if inner else None
-        if nt == NT_FIELD_ACCESS:
-            recv, name_term = ast.children[node][0], ast.children[node][2]
-            if ast.is_terminal(recv) and ast.lexeme(recv) == "this":
-                return self.scope.field_types.get(ast.lexeme(name_term))
+            return type_simple_name(ast, new_parts(ast, node)[0])
+        if nt == NT_PAREN:                          # '(' expr ')'
+            return self.expr_type(kids[1])
+        if nt == NT_FIELD_ACCESS:                   # recv '.' name
+            if ast.is_terminal(kids[0]) and ast.lexeme(kids[0]) == "this":
+                return self.entry.cv.fields.get(ast.lexeme(kids[2]))
             return None
         if nt == NT_CALL:
-            _recv, name_term, args = call_parts(ast, node)
-            resolved = self._resolve_call(CallSite(node, name_term, args),
-                                          self._arg_types(args))
-            if resolved is not None:
-                _entry, target = resolved
-                return _simple(target.return_type) \
-                    if target.return_type else None
-            return None
+            resolved = self._resolve_call(
+                node, self._arg_types(call_parts(ast, node)[2]))
+            return resolved[1].return_type if resolved is not None else None
         return None
 
     # -- resolution ----------------------------------------------------------
@@ -302,44 +281,23 @@ class _SiteExtractor:
     def _arg_types(self, args: list[int]) -> list[str | None]:
         return [self.expr_type(a) for a in args]
 
-    def _resolve_call(self, site: CallSite, arg_types: list[str | None]
+    def _resolve_call(self, node: int, arg_types: list[str | None]
                       ) -> tuple[_ClassEntry, MethodSource] | None:
         ast = self.method.ast
-        name = ast.lexeme(site.name)
-        # an implicit call's first child is its name; any other's, its receiver
-        receiver = ast.children[site.node][0]
-        if receiver == site.name:
-            return self.r.lookup_method(self.entry, name, arg_types)
-        if ast.is_terminal(receiver):
-            tok = ast.token(receiver)
-            if tok.kind == KIND_KEYWORD and tok.lexeme == "this":
-                return self.r.lookup_method(self.entry, name, arg_types)
-            if tok.kind == KIND_KEYWORD and tok.lexeme == "super":
-                sup = self.r.superclass(self.entry)
-                return self.r.lookup_method(sup, name, arg_types) if sup else None
-            if tok.kind == KIND_IDENTIFIER:
-                var_type = self.scope.type_of_name(tok.lexeme)
-                if var_type is not None:
-                    target = self.r.class_in_context(var_type, self.entry.view)
-                    return self.r.lookup_method(target, name, arg_types) \
-                        if target else None
-                target = self.r.class_in_context(tok.lexeme, self.entry.view)
-                return self.r.lookup_method(target, name, arg_types) \
-                    if target else None
+        receiver, name_term, _args = call_parts(ast, node)
+        if receiver is None or (ast.is_terminal(receiver)
+                                and ast.lexeme(receiver) == "this"):
+            target = self.entry
+        elif (dotted := _dotted_text(ast, receiver)) is not None:
+            target = self.r.class_in_context(
+                self.types.get(dotted, dotted), self.entry.view)
+        else:
+            recv_type = self.expr_type(receiver)
+            target = None if recv_type in (None, _NULL) else \
+                self.r.class_in_context(recv_type, self.entry.view)
+        if target is None:
             return None
-        dotted = _dotted_text(ast, receiver)
-        if dotted is not None:
-            target = self.r.class_in_context(dotted, self.entry.view)
-            if target is not None:
-                return self.r.lookup_method(target, name, arg_types)
-            # a.b.c: `a` may still be a variable whose fields we don't track
-            return None
-        recv_type = self.expr_type(receiver)
-        if recv_type is not None and recv_type != _NULL:
-            target = self.r.class_in_context(recv_type, self.entry.view)
-            if target is not None:
-                return self.r.lookup_method(target, name, arg_types)
-        return None
+        return self.r.lookup_method(target, ast.lexeme(name_term), arg_types)
 
 
 # ---------------------------------------------------------------------------

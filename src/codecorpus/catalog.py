@@ -334,5 +334,9 @@ def write_property_csv(key: str, table: dict[EntityId, PropertyValue], out_dir) 
 
 def read_property_csv(path) -> dict[EntityId, str]:
     """Read a property CSV; values come back as text, caller coerces."""
-    rows = _read_csv(Path(path), ["method_id", "value"])
-    return {mid: value for mid, value in rows}
+    out: dict[EntityId, str] = {}
+    for mid, value in _read_csv(Path(path), ["method_id", "value"]):
+        if mid in out:
+            raise InputError(f"{path}: method id {mid} appears twice")
+        out[mid] = value
+    return out

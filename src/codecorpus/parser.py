@@ -691,19 +691,23 @@ def parse(source: str) -> Ast:
 # Structure accessors shared by downstream modules
 # ---------------------------------------------------------------------------
 
+def _type_base(ast: Ast, type_node: int) -> tuple[int, ...]:
+    """The Type's terminals before any `<`: its erased name, a primitive
+    keyword or `a` ('.' `b`)*."""
+    kids = ast.children[type_node]
+    for j, c in enumerate(kids):
+        if ast.lexeme(c) == "<":
+            return kids[:j]
+    return kids
+
+
 def type_text(ast: Ast, type_node: int) -> str:
     """Erased type text: dotted base name without generic arguments."""
-    parts = []
-    for c in ast.children[type_node]:
-        tok = ast.token(c)
-        if tok.kind == KIND_OPERATOR and tok.lexeme == "<":
-            break
-        parts.append(tok.lexeme)
-    return "".join(parts)
+    return "".join([ast.lexeme(c) for c in _type_base(ast, type_node)])
 
 
 def type_simple_name(ast: Ast, type_node: int) -> str:
-    return type_text(ast, type_node).rsplit(".", 1)[-1]
+    return ast.lexeme(_type_base(ast, type_node)[-1])
 
 
 def if_parts(ast: Ast, i: int) -> tuple[int, int, int | None]:
@@ -723,24 +727,17 @@ def while_parts(ast: Ast, i: int) -> tuple[int, int]:
 
 def for_parts(ast: Ast, i: int) -> tuple[int | None, int | None, int | None, int]:
     """(init, condition, update, body); the first three may be absent."""
-    init = cond = update = None
-    semis = 0
-    for c in ast.children[i][1:]:
-        nt = ast.node_types[c]
-        if ast.is_terminal(c):
-            tok = ast.token(c)
-            if tok.kind == KIND_SEPARATOR and tok.lexeme == ";":
-                semis += 1
-            continue
-        if nt == NT_FOR_INIT:
-            init = ast.nonterminal_children(c)[0] if ast.nonterminal_children(c) \
-                else ast.children[c][0]
-        elif nt == NT_FOR_UPDATE:
-            update = ast.children[c][0]
-        elif semis == 1 and cond is None:
-            cond = c
-    body = ast.children[i][-1]
-    return init, cond, update, body
+    kids = ast.children[i]
+    # shape: 'for' '(' [ForInit] ';' [cond] ';' [ForUpdate] ')' body, where
+    # a ForInit and a ForUpdate each hold one child
+    has_init = ast.node_types[kids[2]] == NT_FOR_INIT
+    init = ast.children[kids[2]][0] if has_init else None
+    cond = kids[4 if has_init else 3]               # after the first ';'
+    if ast.node_types[cond] == KIND_SEPARATOR:      # the second ';'
+        cond = None
+    upd = kids[-3]
+    update = ast.children[upd][0] if ast.node_types[upd] == NT_FOR_UPDATE else None
+    return init, cond, update, kids[-1]
 
 
 def assign_parts(ast: Ast, i: int) -> tuple[int, str, int]:
@@ -749,42 +746,28 @@ def assign_parts(ast: Ast, i: int) -> tuple[int, str, int]:
 
 
 def local_decl_parts(ast: Ast, i: int) -> tuple[int, int, int | None]:
-    """(type node, name terminal, init expression or None)."""
+    """(type node, name terminal, init expression or None) of a LocalDecl
+    or FieldDecl."""
     kids = ast.children[i]
-    ty = next(c for c in kids if ast.node_types[c] == NT_TYPE)
-    name = kids[kids.index(ty) + 1]
-    init = None
-    for j, c in enumerate(kids):
-        if ast.is_terminal(c) and ast.token(c).kind == KIND_OPERATOR \
-                and ast.lexeme(c) == "=":
-            init = kids[j + 1]
-            break
-    return ty, name, init
+    # shape: modifiers Type name ['=' init] [';']
+    j = next(j for j, c in enumerate(kids) if ast.node_types[c] == NT_TYPE)
+    return kids[j], kids[j + 1], kids[j + 3] if len(kids) > j + 3 else None
 
 
 def call_parts(ast: Ast, i: int) -> tuple[int | None, int, list[int]]:
     """(receiver node or None, callee-name terminal, argument roots)."""
     kids = ast.children[i]
-    lparen = next(j for j, c in enumerate(kids)
-                  if ast.is_terminal(c) and ast.token(c).kind == KIND_SEPARATOR
-                  and ast.lexeme(c) == "(")
-    name = kids[lparen - 1]
-    receiver = kids[0] if lparen >= 3 else None
-    args = [c for c in kids[lparen + 1:]
-            if not (ast.is_terminal(c) and ast.token(c).kind == KIND_SEPARATOR)]
-    return receiver, name, args
+    # shape: name '(' args ')' or recv '.' name '(' args ')'; ',' between args
+    if ast.lexeme(kids[1]) == "(":
+        return None, kids[0], list(kids[2:-1:2])
+    return kids[0], kids[2], list(kids[4:-1:2])
 
 
 def new_parts(ast: Ast, i: int) -> tuple[int, list[int]]:
     """(type node, argument roots) of a `new T(...)` expression."""
     kids = ast.children[i]
-    ty = next(c for c in kids if ast.node_types[c] == NT_TYPE)
-    lparen = next(j for j, c in enumerate(kids)
-                  if ast.is_terminal(c) and ast.token(c).kind == KIND_SEPARATOR
-                  and ast.lexeme(c) == "(")
-    args = [c for c in kids[lparen + 1:]
-            if not (ast.is_terminal(c) and ast.token(c).kind == KIND_SEPARATOR)]
-    return ty, args
+    # shape: 'new' Type '(' args ')'
+    return kids[1], list(kids[3:-1:2])
 
 
 class CallSite(NamedTuple):
@@ -799,9 +782,9 @@ def call_sites(ast: Ast, include_new: bool = True) -> list[CallSite]:
 
     This is the one definition of a call site, shared by the call graph,
     FTGR formal-argument names and the call-mask and mutation tasks. A call
-    is named by its callee-name terminal; `new T(...)` by the last
-    identifier of T before any `<`, or else T's first terminal, so
-    `new a.B<C>(...)` is named by `B` and `new int(5)` by the keyword `int`.
+    is named by its callee-name terminal; `new T(...)` by the last terminal
+    of T's erased name, so `new a.B<C>(...)` is named by `B` and
+    `new int(5)` by the keyword `int`.
     """
     sites = []
     for i, nt in enumerate(ast.node_types):
@@ -810,15 +793,7 @@ def call_sites(ast: Ast, include_new: bool = True) -> list[CallSite]:
             sites.append(CallSite(i, name, args))
         elif nt == NT_NEW and include_new:
             ty, args = new_parts(ast, i)
-            terms = ast.terminals(ty)
-            name = terms[0]
-            for t in terms:
-                tok = ast.token(t)
-                if tok.kind == KIND_OPERATOR and tok.lexeme == "<":
-                    break
-                if tok.kind == KIND_IDENTIFIER:
-                    name = t
-            sites.append(CallSite(i, name, args))
+            sites.append(CallSite(i, _type_base(ast, ty)[-1], args))
     return sites
 
 
@@ -853,7 +828,6 @@ class ClassView:
     implements: list[str]
     fields: dict[str, str]         # field name -> erased simple type text
     methods: list[MethodSource]
-    node_index: int
 
 
 @dataclass
@@ -874,27 +848,20 @@ def slice_lines(source: str, start_line: int, end_line: int) -> str:
 
 def _method_source(ast: Ast, source: str, member: int, class_name: str) -> MethodSource:
     kids = ast.children[member]
+    # shape: modifiers [Type] name '(' [Param (',' Param)*] ')' (Block | ';')
+    lparen = next(j for j, c in enumerate(kids)
+                  if ast.is_terminal(c) and ast.lexeme(c) == "(")
     is_ctor = ast.node_types[member] == NT_CTOR
-    modifiers = frozenset(
-        ast.lexeme(c) for c in kids
-        if ast.is_terminal(c) and ast.token(c).kind == KIND_KEYWORD
-        and ast.lexeme(c) in MODIFIER_WORDS)
-    if is_ctor:
-        name_node = next(c for c in kids if ast.is_terminal(c)
-                         and ast.token(c).kind == KIND_IDENTIFIER)
-        return_type = class_name
-    else:
-        ty = next(c for c in kids if ast.node_types[c] == NT_TYPE)
-        name_node = kids[kids.index(ty) + 1]
-        return_type = type_simple_name(ast, ty)
-    name = ast.lexeme(name_node)
-    params = [c for c in kids if ast.node_types[c] == NT_PARAM]
+    modifiers = frozenset(ast.lexeme(c) for c in kids[:lparen]
+                          if ast.is_terminal(c) and ast.lexeme(c) in MODIFIER_WORDS)
+    name = ast.lexeme(kids[lparen - 1])
+    return_type = class_name if is_ctor else type_simple_name(ast, kids[lparen - 2])
     param_types = []
     param_names = []
-    for p in params:
-        pty = next(c for c in ast.children[p] if ast.node_types[c] == NT_TYPE)
+    for p in kids[lparen + 1:-2:2]:
+        *_modifiers, pty, pname = ast.children[p]   # modifiers Type name
         param_types.append(type_simple_name(ast, pty))
-        param_names.append(ast.lexeme(ast.children[p][ast.children[p].index(pty) + 1]))
+        param_names.append(ast.lexeme(pname))
     signature = f"{name}({','.join(param_types)})"
     sub = ast.subtree(member)
     start, end = sub.tokens[0].line, sub.tokens[-1].line
@@ -922,38 +889,25 @@ def file_view(source: str, path: str = "<source>") -> FileView:
     classes: list[ClassView] = []
     for child in ast.children[0]:
         nt = ast.node_types[child]
-        if nt == NT_PACKAGE:
-            names = [ast.lexeme(c) for c in ast.children[child]
-                     if ast.is_terminal(c) and ast.token(c).kind == KIND_IDENTIFIER]
-            package_name = ".".join(names)
-        elif nt == NT_IMPORT:
-            parts = [ast.lexeme(c) for c in ast.children[child]
-                     if ast.is_terminal(c)
-                     and ast.token(c).kind in (KIND_IDENTIFIER, KIND_OPERATOR)]
-            wildcard = parts and parts[-1] == "*"
-            dotted = ".".join(p for p in parts if p != "*")
-            imports.append((dotted, bool(wildcard)))
+        if nt in (NT_PACKAGE, NT_IMPORT):
+            # shape: ('package' | 'import') a ('.' b)* ['.' '*'] ';'
+            dotted = "".join([ast.lexeme(c) for c in ast.children[child][1:-1]])
+            if nt == NT_PACKAGE:
+                package_name = dotted
+            else:
+                wildcard = dotted.endswith(".*")
+                imports.append((dotted[:-2] if wildcard else dotted, wildcard))
         elif nt in (NT_CLASS, NT_INTERFACE):
             kids = ast.children[child]
-            kw = next(c for c in kids if ast.is_terminal(c)
-                      and ast.token(c).kind == KIND_KEYWORD
+            kw = next(j for j, c in enumerate(kids) if ast.is_terminal(c)
                       and ast.lexeme(c) in ("class", "interface"))
-            name = ast.lexeme(kids[kids.index(kw) + 1])
+            name = ast.lexeme(kids[kw + 1])
+            # the Type children: ['extends' Type] ['implements' Type (',' Type)*]
+            supers = [c for c in kids if ast.node_types[c] == NT_TYPE]
             extends = None
-            implements = []
-            seen_extends = seen_implements = False
-            for c in kids:
-                if ast.is_terminal(c) and ast.token(c).kind == KIND_KEYWORD:
-                    if ast.lexeme(c) == "extends":
-                        seen_extends = True
-                    elif ast.lexeme(c) == "implements":
-                        seen_implements = True
-                        seen_extends = False
-                elif ast.node_types[c] == NT_TYPE:
-                    if seen_extends and extends is None:
-                        extends = type_text(ast, c)
-                    elif seen_implements:
-                        implements.append(type_text(ast, c))
+            if supers and ast.lexeme(supers[0] - 1) == "extends":
+                extends = type_text(ast, supers.pop(0))
+            implements = [type_text(ast, c) for c in supers]
             fields: dict[str, str] = {}
             methods: list[MethodSource] = []
             for c in kids:
@@ -970,7 +924,6 @@ def file_view(source: str, path: str = "<source>") -> FileView:
                 implements=implements,
                 fields=fields,
                 methods=methods,
-                node_index=child,
             ))
     return FileView(path=path, source=source, ast=ast,
                     package_name=package_name, imports=imports, classes=classes)

@@ -252,11 +252,13 @@ def read_repr_csv(path) -> dict[EntityId, str]:
 
 def stage_representations(ws: Workspace, datas: list[ProjectData],
                           types: list[str], seed: int) -> dict:
+    types = list(dict.fromkeys(types))      # each once, in first order
     bad = [t for t in types if t not in REPRESENTATION_TYPES]
-    if bad:
+    if bad or not types:
+        what = f"unknown representation types {bad}" if bad \
+            else "no representation types given"
         raise InvalidArgumentError(
-            f"unknown representation types {bad}; "
-            f"valid: {', '.join(REPRESENTATION_TYPES)}")
+            f"{what}; valid: {', '.join(REPRESENTATION_TYPES)}")
     counts = {}
     for rtype in types:
         build = _PAYLOAD_BUILDERS[rtype]
@@ -339,8 +341,10 @@ def stage_taskgen(ws: Workspace, datas: list[ProjectData], cat: Catalog,
                   include_constructors: bool = False) -> dict:
     sources = all_sources(datas)
     if task == "property":
-        payloads = read_repr_csv(ws.require(ws.repr_path("TKNA"), "repr"))
         needed = [key] + [f[0] for f in filters]
+        for k in needed:
+            validate_property_key(k)
+        payloads = read_repr_csv(ws.require(ws.repr_path("TKNA"), "repr"))
         props = _load_props(ws, sorted(set(needed)))
         dataset = make_property_task(
             key, props[key], payloads, cat, filters=list(filters),

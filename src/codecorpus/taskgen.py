@@ -87,7 +87,7 @@ def size_bucket(class_count: int) -> str:
 def _check_fracs(split_fracs) -> tuple[float, float, float]:
     fracs = tuple(split_fracs)
     if len(fracs) != len(SPLIT_NAMES) or any(f < 0 for f in fracs) \
-            or abs(sum(fracs) - 1.0) > 1e-9:
+            or not abs(sum(fracs) - 1.0) <= 1e-9:      # false for a NaN
         raise InvalidArgumentError(
             "split fractions must be three non-negatives summing to 1")
     return fracs

@@ -46,6 +46,19 @@ def scaled_corpus_data(tmp_path_factory) -> list[ProjectData]:
             for p in sorted(root.iterdir()) if p.is_dir()]
 
 
+@pytest.fixture(scope="session")
+def longgen_corpus_data(tmp_path_factory) -> list[ProjectData]:
+    """`bench/longgen.py`'s long branchy methods, seeds 0 and 1."""
+    root = tmp_path_factory.mktemp("corpus_longgen")
+    for seed in (0, 1):
+        for rel, text in longgen().generate(seed).items():
+            path = root / f"seed{seed}" / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text, encoding="utf-8")
+    return [catalog_project(p, corpus_root=root)
+            for p in sorted(root.iterdir())]
+
+
 @pytest.fixture(scope="session", params=["fixture", "x4"])
 def both_corpora(request) -> list[ProjectData]:
     """The fixture corpus, then the x4 one."""

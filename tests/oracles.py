@@ -25,7 +25,17 @@ different algorithmic shape:
 * `call_sites_oracle`, `mask_sites_oracle` and `swap_sites_oracle` are the
   three call-site scans that the call graph, the call-mask task and the
   mutation task each kept before `parser.call_sites` replaced them, with
-  their own copies of the rule that names a `new`.
+  their own copies of the rule that names a `new`. They read a node's
+  parts through the previous accessors.
+* `type_text_oracle`, `for_parts_oracle`, `local_decl_parts_oracle`,
+  `call_parts_oracle`, `new_parts_oracle` and `view_headers_oracle` are the
+  parser's previous accessors and file-view headers, which scan a node's
+  children for a `(`, `;`, `=` or `<` (and for `extends`/`implements`
+  with flags) instead of reading the positions the grammar fixes.
+* `SiteExtractorOracle` is the call graph's previous receiver resolution,
+  one case per receiver shape (including `super`, which the parser
+  rejects) with separate local and field scopes, and `simple_type_oracle`
+  the type-name simplifier it applied to names that are already simple.
 * `build_feature_graph_oracle` is the feature-graph builder that passed an
   `emit` flag through every step and kept a read, a write and a
   read-write step, two loop walks and two `this.field` rules, instead of
@@ -42,6 +52,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable
 
+from codecorpus.callgraph import _LITERAL_TYPES, _NULL, _dotted_text
 from codecorpus.errors import InvalidArgumentError, LexError
 from codecorpus.featuregraph import EDGE_TYPES, FeatureGraph, GraphNode
 from codecorpus.lexer import (
@@ -49,11 +60,13 @@ from codecorpus.lexer import (
     KIND_NULL, KIND_OPERATOR, KIND_SEPARATOR, KIND_STRING, Token,
 )
 from codecorpus.parser import (
-    Ast, MethodSource, NT_ASSIGN, NT_BINARY, NT_BLOCK, NT_CALL,
-    NT_EXPR_STMT, NT_FIELD_ACCESS, NT_FOR, NT_IF, NT_LOCAL, NT_NEW,
-    NT_PARAM, NT_PAREN, NT_POSTFIX, NT_RETURN, NT_TERNARY, NT_UNARY,
+    MODIFIER_WORDS, Ast, FileView, MethodSource, NT_ASSIGN, NT_BINARY,
+    NT_BLOCK, NT_CALL, NT_CLASS, NT_CTOR, NT_EXPR_STMT, NT_FIELD,
+    NT_FIELD_ACCESS, NT_FOR, NT_FOR_INIT, NT_FOR_UPDATE, NT_IF, NT_IMPORT,
+    NT_INTERFACE, NT_LOCAL, NT_METHOD, NT_NEW, NT_PACKAGE, NT_PARAM,
+    NT_PAREN, NT_POSTFIX, NT_RETURN, NT_TERNARY, NT_TYPE, NT_UNARY,
     NT_WHILE, assign_parts, call_parts, for_parts, if_parts,
-    local_decl_parts, new_parts, type_text, while_parts,
+    local_decl_parts, new_parts, while_parts,
 )
 from codecorpus.pathcontexts import (
     MAX_CONTEXTS_DEFAULT, MAX_LENGTH_DEFAULT, MAX_WIDTH_DEFAULT, subtokens,
@@ -655,12 +668,172 @@ def to_c2sq_oracle(method: MethodSource, paths) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Previous shape accessors
+# ---------------------------------------------------------------------------
+# Each scans a node's children for the separator or operator that bounds
+# the part it wants, instead of reading the position the grammar fixes.
+
+
+def type_text_oracle(ast: Ast, type_node: int) -> str:
+    parts = []
+    for c in ast.children[type_node]:
+        tok = ast.token(c)
+        if tok.kind == KIND_OPERATOR and tok.lexeme == "<":
+            break
+        parts.append(tok.lexeme)
+    return "".join(parts)
+
+
+def type_simple_name_oracle(ast: Ast, type_node: int) -> str:
+    return type_text_oracle(ast, type_node).rsplit(".", 1)[-1]
+
+
+def for_parts_oracle(ast: Ast, i: int):
+    """Drops a condition that is a single terminal."""
+    init = cond = update = None
+    semis = 0
+    for c in ast.children[i][1:]:
+        nt = ast.node_types[c]
+        if ast.is_terminal(c):
+            tok = ast.token(c)
+            if tok.kind == KIND_SEPARATOR and tok.lexeme == ";":
+                semis += 1
+            continue
+        if nt == NT_FOR_INIT:
+            init = ast.nonterminal_children(c)[0] if ast.nonterminal_children(c) \
+                else ast.children[c][0]
+        elif nt == NT_FOR_UPDATE:
+            update = ast.children[c][0]
+        elif semis == 1 and cond is None:
+            cond = c
+    body = ast.children[i][-1]
+    return init, cond, update, body
+
+
+def local_decl_parts_oracle(ast: Ast, i: int):
+    kids = ast.children[i]
+    ty = next(c for c in kids if ast.node_types[c] == NT_TYPE)
+    name = kids[kids.index(ty) + 1]
+    init = None
+    for j, c in enumerate(kids):
+        if ast.is_terminal(c) and ast.token(c).kind == KIND_OPERATOR \
+                and ast.lexeme(c) == "=":
+            init = kids[j + 1]
+            break
+    return ty, name, init
+
+
+def _args_after(ast: Ast, kids, lparen: int) -> list[int]:
+    return [c for c in kids[lparen + 1:]
+            if not (ast.is_terminal(c) and ast.token(c).kind == KIND_SEPARATOR)]
+
+
+def _lparen(ast: Ast, kids) -> int:
+    return next(j for j, c in enumerate(kids)
+                if ast.is_terminal(c) and ast.token(c).kind == KIND_SEPARATOR
+                and ast.lexeme(c) == "(")
+
+
+def call_parts_oracle(ast: Ast, i: int):
+    kids = ast.children[i]
+    lparen = _lparen(ast, kids)
+    receiver = kids[0] if lparen >= 3 else None
+    return receiver, kids[lparen - 1], _args_after(ast, kids, lparen)
+
+
+def new_parts_oracle(ast: Ast, i: int):
+    kids = ast.children[i]
+    ty = next(c for c in kids if ast.node_types[c] == NT_TYPE)
+    return ty, _args_after(ast, kids, _lparen(ast, kids))
+
+
+def view_headers_oracle(view: FileView) -> dict:
+    """Package, imports and, per class, the header and member summary that
+    `file_view` derives, read off the file's Ast by keyword and type scans
+    with flags for `extends` and `implements`."""
+    ast = view.ast
+    out = {"package": "", "imports": [], "classes": []}
+    for child in ast.children[0]:
+        nt = ast.node_types[child]
+        if nt == NT_PACKAGE:
+            out["package"] = ".".join(
+                ast.lexeme(c) for c in ast.children[child]
+                if ast.is_terminal(c) and ast.token(c).kind == KIND_IDENTIFIER)
+        elif nt == NT_IMPORT:
+            parts = [ast.lexeme(c) for c in ast.children[child]
+                     if ast.is_terminal(c)
+                     and ast.token(c).kind in (KIND_IDENTIFIER, KIND_OPERATOR)]
+            out["imports"].append((".".join(p for p in parts if p != "*"),
+                                   bool(parts) and parts[-1] == "*"))
+        elif nt in (NT_CLASS, NT_INTERFACE):
+            out["classes"].append(_class_header_oracle(ast, child))
+    return out
+
+
+def _class_header_oracle(ast: Ast, node: int) -> tuple:
+    kids = ast.children[node]
+    kw = next(c for c in kids if ast.is_terminal(c)
+              and ast.token(c).kind == KIND_KEYWORD
+              and ast.lexeme(c) in ("class", "interface"))
+    name = ast.lexeme(kids[kids.index(kw) + 1])
+    extends = None
+    implements = []
+    seen_extends = seen_implements = False
+    for c in kids:
+        if ast.is_terminal(c) and ast.token(c).kind == KIND_KEYWORD:
+            if ast.lexeme(c) == "extends":
+                seen_extends = True
+            elif ast.lexeme(c) == "implements":
+                seen_implements = True
+                seen_extends = False
+        elif ast.node_types[c] == NT_TYPE:
+            if seen_extends and extends is None:
+                extends = type_text_oracle(ast, c)
+            elif seen_implements:
+                implements.append(type_text_oracle(ast, c))
+    fields = {}
+    methods = []
+    for c in kids:
+        if ast.node_types[c] == NT_FIELD:
+            fty, fname, _ = local_decl_parts_oracle(ast, c)
+            fields[ast.lexeme(fname)] = type_simple_name_oracle(ast, fty)
+        elif ast.node_types[c] in (NT_METHOD, NT_CTOR):
+            methods.append(_method_header_oracle(ast, c, name))
+    kind = "interface" if ast.node_types[node] == NT_INTERFACE else "class"
+    return (name, kind, extends, implements, fields, methods)
+
+
+def _method_header_oracle(ast: Ast, member: int, class_name: str) -> tuple:
+    kids = ast.children[member]
+    is_ctor = ast.node_types[member] == NT_CTOR
+    modifiers = frozenset(
+        ast.lexeme(c) for c in kids
+        if ast.is_terminal(c) and ast.token(c).kind == KIND_KEYWORD
+        and ast.lexeme(c) in MODIFIER_WORDS)
+    if is_ctor:
+        name_node = next(c for c in kids if ast.is_terminal(c)
+                         and ast.token(c).kind == KIND_IDENTIFIER)
+        return_type = class_name
+    else:
+        ty = next(c for c in kids if ast.node_types[c] == NT_TYPE)
+        name_node = kids[kids.index(ty) + 1]
+        return_type = type_simple_name_oracle(ast, ty)
+    param_types = []
+    param_names = []
+    for p in kids:
+        if ast.node_types[p] != NT_PARAM:
+            continue
+        pkids = ast.children[p]
+        pty = next(c for c in pkids if ast.node_types[c] == NT_TYPE)
+        param_types.append(type_simple_name_oracle(ast, pty))
+        param_names.append(ast.lexeme(pkids[pkids.index(pty) + 1]))
+    return (ast.lexeme(name_node), return_type, param_types, param_names,
+            modifiers, is_ctor)
+
+
+# ---------------------------------------------------------------------------
 # Previous call-site scans
 # ---------------------------------------------------------------------------
-
-
-def _simple_type_name(type_str: str) -> str:
-    return type_str.split("<", 1)[0].rsplit(".", 1)[-1]
 
 
 def call_sites_oracle(ast: Ast, include_constructors: bool
@@ -673,11 +846,11 @@ def call_sites_oracle(ast: Ast, include_constructors: bool
     for i in range(len(ast)):
         nt = ast.node_types[i]
         if nt == NT_CALL:
-            _recv, name_term, args = call_parts(ast, i)
+            _recv, name_term, args = call_parts_oracle(ast, i)
             out.append((i, name_term, ast.lexeme(name_term), args))
         elif nt == NT_NEW and include_constructors:
-            ty, args = new_parts(ast, i)
-            name = _simple_type_name(type_text(ast, ty))
+            ty, args = new_parts_oracle(ast, i)
+            name = simple_type_oracle(type_text_oracle(ast, ty))
             name_term = ast.terminals(ty)[0]
             for t in ast.terminals(ty):
                 t_tok = ast.token(t)
@@ -716,10 +889,10 @@ def mask_sites_oracle(method: MethodSource, include_constructors: bool
     for i in range(len(ast)):
         nt = ast.node_types[i]
         if nt == NT_CALL:
-            _recv, name_term, _args = call_parts(ast, i)
+            _recv, name_term, _args = call_parts_oracle(ast, i)
             sites.append((name_term, pos[name_term], ast.lexeme(name_term)))
         elif nt == NT_NEW and include_constructors:
-            ty, _args = new_parts(ast, i)
+            ty, _args = new_parts_oracle(ast, i)
             name_term = _type_name_terminal(ast, ty)
             if name_term is not None:
                 sites.append((name_term, pos[name_term], ast.lexeme(name_term)))
@@ -733,14 +906,147 @@ def swap_sites_oracle(method: MethodSource) -> list[tuple[int, list[int]]]:
     for i in range(len(ast)):
         nt = ast.node_types[i]
         if nt == NT_CALL:
-            _recv, _name, args = call_parts(ast, i)
+            _recv, _name, args = call_parts_oracle(ast, i)
         elif nt == NT_NEW:
-            _ty, args = new_parts(ast, i)
+            _ty, args = new_parts_oracle(ast, i)
         else:
             continue
         if len(args) >= 2:
             sites.append((i, args))
     return sites
+
+
+# ---------------------------------------------------------------------------
+# Previous receiver resolution
+# ---------------------------------------------------------------------------
+
+
+def simple_type_oracle(type_str: str) -> str:
+    """Simple class name of a possibly dotted, possibly generic type."""
+    return type_str.split("<", 1)[0].rsplit(".", 1)[-1]
+
+
+class _MethodScopeOracle:
+    """Declared types visible inside one method body: locals and
+    parameters, with the fields apart."""
+
+    def __init__(self, method: MethodSource, entry):
+        self.entry = entry
+        self.types: dict[str, str] = {}
+        for pname, ptype in zip(method.param_names, method.param_types):
+            self.types[pname] = simple_type_oracle(ptype)
+        ast = method.ast
+        for d in ast.find(NT_LOCAL):
+            ty, name_term, _init = local_decl_parts_oracle(ast, d)
+            self.types[ast.lexeme(name_term)] = \
+                simple_type_oracle(type_text_oracle(ast, ty))
+        self.field_types = {n: simple_type_oracle(t)
+                            for n, t in entry.cv.fields.items()}
+
+    def type_of_name(self, name: str) -> str | None:
+        return self.types.get(name) or self.field_types.get(name)
+
+
+class SiteExtractorOracle:
+    """`callgraph._SiteExtractor` as it resolved a receiver case by case:
+    implicit, `this`, `super`, a variable, a class name, a dotted chain,
+    any other expression. A drop-in for it (same constructor and
+    `resolve`)."""
+
+    def __init__(self, resolver, entry, method: MethodSource):
+        self.r = resolver
+        self.entry = entry
+        self.method = method
+        self.scope = _MethodScopeOracle(method, entry)
+
+    def resolve(self, site):
+        ast = self.method.ast
+        name = ast.lexeme(site.name)
+        arg_types = [self.expr_type(a) for a in site.args]
+        if ast.node_types[site.node] == NT_CALL:
+            resolved = self._resolve_call(site.node, site.name, arg_types)
+        else:
+            ty, _args = new_parts_oracle(ast, site.node)
+            target = self.r.class_in_context(type_text_oracle(ast, ty),
+                                             self.entry.view)
+            resolved = None if target is None else self.r.lookup_method(
+                target, name, arg_types, constructor=True)
+        if resolved is not None:
+            return resolved, resolved[1].signature
+        types = [t if t and t != _NULL else "?" for t in arg_types]
+        return None, f"{name}({','.join(types)})"
+
+    def expr_type(self, node: int) -> str | None:
+        ast = self.method.ast
+        if ast.is_terminal(node):
+            tok = ast.token(node)
+            if tok.kind in _LITERAL_TYPES:
+                return _LITERAL_TYPES[tok.kind]
+            if tok.kind == KIND_IDENTIFIER:
+                return self.scope.type_of_name(tok.lexeme)
+            if tok.kind == KIND_KEYWORD and tok.lexeme == "this":
+                return self.entry.cv.name
+            return None
+        nt = ast.node_types[node]
+        if nt == NT_NEW:
+            ty, _args = new_parts_oracle(ast, node)
+            return simple_type_oracle(type_text_oracle(ast, ty))
+        if nt == NT_PAREN:
+            inner = [c for c in ast.children[node]
+                     if not (ast.is_terminal(c)
+                             and ast.token(c).kind == KIND_SEPARATOR)]
+            return self.expr_type(inner[0]) if inner else None
+        if nt == NT_FIELD_ACCESS:
+            recv, name_term = ast.children[node][0], ast.children[node][2]
+            if ast.is_terminal(recv) and ast.lexeme(recv) == "this":
+                return self.scope.field_types.get(ast.lexeme(name_term))
+            return None
+        if nt == NT_CALL:
+            _recv, name_term, args = call_parts_oracle(ast, node)
+            resolved = self._resolve_call(
+                node, name_term, [self.expr_type(a) for a in args])
+            if resolved is not None:
+                _entry, target = resolved
+                return simple_type_oracle(target.return_type) \
+                    if target.return_type else None
+            return None
+        return None
+
+    def _resolve_call(self, node: int, name_term: int, arg_types):
+        ast = self.method.ast
+        name = ast.lexeme(name_term)
+        receiver = ast.children[node][0]
+        if receiver == name_term:
+            return self.r.lookup_method(self.entry, name, arg_types)
+        if ast.is_terminal(receiver):
+            tok = ast.token(receiver)
+            if tok.kind == KIND_KEYWORD and tok.lexeme == "this":
+                return self.r.lookup_method(self.entry, name, arg_types)
+            if tok.kind == KIND_KEYWORD and tok.lexeme == "super":
+                sup = self.r.superclass(self.entry)
+                return self.r.lookup_method(sup, name, arg_types) if sup else None
+            if tok.kind == KIND_IDENTIFIER:
+                var_type = self.scope.type_of_name(tok.lexeme)
+                if var_type is not None:
+                    target = self.r.class_in_context(var_type, self.entry.view)
+                    return self.r.lookup_method(target, name, arg_types) \
+                        if target else None
+                target = self.r.class_in_context(tok.lexeme, self.entry.view)
+                return self.r.lookup_method(target, name, arg_types) \
+                    if target else None
+            return None
+        dotted = _dotted_text(ast, receiver)
+        if dotted is not None:
+            target = self.r.class_in_context(dotted, self.entry.view)
+            if target is not None:
+                return self.r.lookup_method(target, name, arg_types)
+            return None
+        recv_type = self.expr_type(receiver)
+        if recv_type is not None and recv_type != _NULL:
+            target = self.r.class_in_context(recv_type, self.entry.view)
+            if target is not None:
+                return self.r.lookup_method(target, name, arg_types)
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ partition test checks that they also coincide in the output.
 
 import pytest
 
+from codecorpus import callgraph
 from codecorpus.callgraph import (
     CALL_TYPES, CALLGRAPH_HEADER, CallEdge, CallGraph, arg_name_maps,
     build_callgraph, classify_distribution, connectivity_props,
@@ -18,12 +19,13 @@ from codecorpus.callgraph import (
 from codecorpus.catalog import catalog_project
 from codecorpus.errors import InputError, InvalidArgumentError, NotFoundError
 from codecorpus.lexer import KIND_IDENTIFIER
-from codecorpus.parser import call_sites
+from codecorpus.parser import CallSite, call_sites
 from codecorpus.pipeline import merged_catalog
 from codecorpus.taskgen import make_call_masking_task
 
-from oracles import (call_sites_oracle, mask_sites_oracle,
-                     recount_distribution, swap_sites_oracle)
+from oracles import (SiteExtractorOracle, call_sites_oracle,
+                     mask_sites_oracle, recount_distribution,
+                     simple_type_oracle, swap_sites_oracle)
 
 
 def _project(corpus_data, name):
@@ -204,6 +206,95 @@ def test_a_qualified_new_resolves_the_named_class(tmp_path):
         (q_ctor, "Box(int,int)", "Project", 5),
         (p_ctor, "Box(int,int)", "Local", 6),
     ]
+
+
+# ---------------------------------------------------------------------------
+# Receiver resolution against the previous case-by-case rule
+# ---------------------------------------------------------------------------
+
+_RECEIVERS = {
+    "p/Box.java": """package p;
+public class Box {
+    int w;
+    Box next;
+    Box(int w) { this.w = w; }
+    Box grow(int by) { return new Box(w + by); }
+    int size() { return w; }
+    static Box make() { return new Box(1); }
+}
+""",
+    "p/User.java": """package p;
+import q.Other;
+public class User {
+    Box box;
+    int run(Box b, int n) {
+        int k = size(n);
+        Box local = b.grow(n);
+        this.box.grow(1);
+        (local).size();
+        new Box(2).size();
+        make2().grow((k));
+        Box.make().size();
+        q.Other.twice(n);
+        Other.twice(k);
+        box.size();
+        this.run(b, k);
+        return local.next.size();
+    }
+    int size(int n) { Other box = null; box.twice(n); return n; }
+    Box make2() { return box; }
+}
+""",
+    "q/Other.java": """package q;
+public class Other { public static int twice(int x) { return x + x; } }
+""",
+}
+
+
+@pytest.fixture(scope="module")
+def receivers_corpus_data(tmp_path_factory) -> list:
+    """One project with a call through every receiver shape: implicit,
+    `this`, a parameter, a local (one shadowing a field), `this.f`, a
+    parenthesized name, `new T(...)`, a call, a simple and a qualified
+    class name, and a dotted chain through a field."""
+    root = tmp_path_factory.mktemp("receivers")
+    for rel, text in _RECEIVERS.items():
+        (root / "proj" / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / "proj" / rel).write_text(text, encoding="utf-8")
+    return [catalog_project(root / "proj", corpus_root=root)]
+
+
+def _graphs_and_arg_names(datas):
+    return {ctors: (build_callgraph(datas, include_constructors=ctors).edges,
+                    [arg_name_maps(d, ctors) for d in datas])
+            for ctors in (False, True)}
+
+
+@pytest.mark.parametrize("corpus", ["receivers_corpus_data", "corpus_data",
+                                    "scaled_corpus_data",
+                                    "longgen_corpus_data"])
+def test_edges_and_arg_names_match_the_previous_resolution(
+        request, monkeypatch, corpus):
+    datas = request.getfixturevalue(corpus)
+    got = _graphs_and_arg_names(datas)
+    monkeypatch.setattr(callgraph, "_SiteExtractor", SiteExtractorOracle)
+    monkeypatch.setattr(callgraph, "call_sites", lambda ast, ctors: [
+        CallSite(node, name, args)
+        for node, name, _n, args in call_sites_oracle(ast, ctors)])
+    assert got == _graphs_and_arg_names(datas)
+
+
+def test_resolver_type_names_are_already_simple(both_corpora):
+    # what the previous resolver simplified: field, parameter and return
+    # types, and the erased names of locals and `new` (the parser tests
+    # compare type_simple_name with the erased text)
+    for data in both_corpora:
+        for view in data.class_views.values():
+            for cls in view.classes:
+                names = [*cls.fields.values()]
+                for m in cls.methods:
+                    names += [*m.param_types, m.return_type]
+                assert all(simple_type_oracle(t) == t for t in names)
 
 
 # ---------------------------------------------------------------------------

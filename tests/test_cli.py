@@ -71,19 +71,32 @@ def test_workspace_can_come_from_the_environment(cli_env):
 
 def test_unknown_repr_type_is_a_usage_error(cli_env):
     _corpus, ws, _proc = cli_env
-    proc = run_cli("repr", "-w", ws, "--types", "TKNA,BEST")
-    assert proc.returncode == 1
-    assert "usage error" in proc.stderr
-    assert "BEST" in proc.stderr
+    for types, named in (("TKNA,BEST", "BEST"),
+                         ("", "no representation types"),
+                         (" , ", "no representation types")):
+        proc = run_cli("repr", "-w", ws, "--types", types)
+        assert proc.returncode == 1, types
+        assert "usage error" in proc.stderr
+        assert named in proc.stderr
+    # a repeated type is no error: it is built once, in its first place
+    proc = run_cli("repr", "-w", ws, "--types", "TKNA,TEXT,tkna")
+    assert proc.returncode == 0, proc.stderr
+    summary = last_json(proc)
+    assert summary["types"] == ["TKNA", "TEXT"]
+    assert summary["methods_per_type"] == {"TEXT": 774, "TKNA": 774}
 
 
 def test_malformed_fracs_is_a_usage_error(cli_env):
     _corpus, ws, _proc = cli_env
-    proc = run_cli("taskgen", "-w", ws, "--task", "mutation",
-                   "--fracs", "0.5,0.5")
-    assert proc.returncode == 1
-    assert "usage error" in proc.stderr
-    assert "three" in proc.stderr
+    # a NaN is neither `< 0` nor `> tolerance`: it passed both checks
+    for fracs, named in (("0.5,0.5", "three"),
+                         ("nan,0.5,0.5", "summing to 1"),
+                         ("0.5,0.5,nan", "summing to 1")):
+        proc = run_cli("taskgen", "-w", ws, "--task", "mutation",
+                       "--fracs", fracs)
+        assert proc.returncode == 1, fracs
+        assert "usage error" in proc.stderr
+        assert named in proc.stderr
 
 
 def test_unknown_command_is_a_usage_error():
@@ -251,6 +264,19 @@ def test_a_filter_ordering_a_number_against_text_is_a_usage_error(
         assert "usage error" in proc.stderr
         assert f"filter {expr}:" in proc.stderr
         assert "cannot be ordered" in proc.stderr
+
+
+@pytest.mark.parametrize("option, key", [
+    (("--filter", "cmpx>1"), "'cmpx'"),
+    (("--key", "../../x"), "'../../X'"),
+    (("--filter", "SLOC>1", "--filter", "a/b==1"), "'a/b'"),
+])
+def test_a_malformed_property_key_is_a_usage_error(metrics_ws, option, key):
+    proc = run_cli("taskgen", "-w", metrics_ws, "--task", "property", *option)
+    assert proc.returncode == 1, proc.stderr
+    assert "usage error" in proc.stderr
+    assert f"property key must be 4-16 uppercase letters, got {key}" \
+        in proc.stderr
 
 
 def test_a_bias_report_on_a_non_integer_size_is_an_input_error(metrics_ws,

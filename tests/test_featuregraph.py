@@ -9,14 +9,15 @@ until the edge sets saturate) and must match the fixpoint builder exactly.
 every step, must give the same payload bytes for every method.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import Phase, given, settings
 
-from conftest import (STATEMENTS, fixture_with_statements, longgen,
+from conftest import (STATEMENTS, fixture_with_statements,
                       method_named, nth_terminal)
 
 from codecorpus.callgraph import arg_name_maps
-from codecorpus.catalog import catalog_project
 from codecorpus.errors import InvalidArgumentError
 from codecorpus.featuregraph import (
     EDGE_TYPES, ast_graph, build_feature_graph, filter_edges, graph_payload,
@@ -107,6 +108,32 @@ def test_increment_reads_then_writes(flow):
     a0, a1, a2 = (nth_terminal(m.ast, "a", k) for k in range(3))
     assert set(g.edges["LastWrite"]) == {(a1, a0), (a2, a1)}
     assert set(g.edges["LastRead"]) == {(a2, a1)}
+
+
+def _flow_edges_by_occurrence(loop: str) -> dict[str, set]:
+    """LastRead and LastWrite edges of a method around `loop`, each end
+    named by (lexeme, occurrence), so two loop forms compare."""
+    view = file_view("class A { boolean f(boolean go) { " + loop
+                     + " { go = false; } return go; } }")
+    m = view.classes[0].methods[0]
+    g = build_feature_graph(m, {})
+    seen = Counter()
+    name = {}
+    for t in m.ast.terminals():
+        lexeme = m.ast.lexeme(t)
+        name[t] = (lexeme, seen[lexeme])
+        seen[lexeme] += 1
+    return {fam: {(name[a], name[b]) for a, b in g.edges[fam]}
+            for fam in ("LastRead", "LastWrite")}
+
+
+def test_a_single_name_for_condition_flows_like_a_while_condition():
+    got = _flow_edges_by_occurrence("for (; go; )")
+    # go#0 the parameter, go#1 the condition, go#2 the write, go#3 the return
+    assert got["LastWrite"] == {(("go", 1), ("go", 0)), (("go", 1), ("go", 2)),
+                                (("go", 3), ("go", 0)), (("go", 3), ("go", 2))}
+    assert got["LastRead"] == {(("go", 1), ("go", 1)), (("go", 3), ("go", 1))}
+    assert got == _flow_edges_by_occurrence("while (go)")
 
 
 def test_guard_edges_point_at_the_condition(flow):
@@ -265,15 +292,8 @@ def test_payloads_match_the_builder_oracle(both_corpora):
     _assert_payloads_match_the_oracle(both_corpora)
 
 
-def test_long_method_payloads_match_the_builder_oracle(tmp_path):
-    for seed in (0, 1):
-        for rel, text in longgen().generate(seed).items():
-            path = tmp_path / f"seed{seed}" / rel
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text, encoding="utf-8")
-    _assert_payloads_match_the_oracle(
-        [catalog_project(p, corpus_root=tmp_path)
-         for p in sorted(tmp_path.iterdir())])
+def test_long_method_payloads_match_the_builder_oracle(longgen_corpus_data):
+    _assert_payloads_match_the_oracle(longgen_corpus_data)
 
 
 # `seed` is a field of most fixture classes

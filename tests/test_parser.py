@@ -4,16 +4,24 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
+
+from conftest import STATEMENTS, fixture_with_statements
 
 from codecorpus.errors import CorpusError, ParseError
 from codecorpus.fixturegen import fixture_files
 from codecorpus.lexer import lex
 from codecorpus.parser import (
-    assign_parts, call_parts, file_view, for_parts, if_parts,
+    NT_CALL, NT_FIELD, NT_FOR, NT_LOCAL, NT_NEW, NT_TYPE, FileView,
+    assign_parts, call_parts, call_sites, file_view, for_parts, if_parts,
     local_decl_parts, new_parts, parse, slice_lines, type_simple_name,
     type_text, while_parts,
 )
+
+from oracles import (call_parts_oracle, call_sites_oracle, for_parts_oracle,
+                     local_decl_parts_oracle, new_parts_oracle,
+                     type_simple_name_oracle, type_text_oracle,
+                     view_headers_oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +154,17 @@ def test_for_parts_empty_slots():
     init, cond, update, body = for_parts(ast, ast.find("ForStmt")[0])
     assert init is None and cond is None and update is None
     assert ast.node_types[body] == "Block"
+
+    # a condition that is a single terminal is kept too
+    ast = parse("class A { void f(boolean go) { for (; go; ) go = false; } }")
+    init, cond, update, body = for_parts(ast, ast.find("ForStmt")[0])
+    assert init is None and update is None
+    assert ast.lexeme(cond) == "go" and ast.node_types[body] == "ExprStmt"
+
+    ast = parse("class A { void f(int i) { for (i = 0; ; i++) { } } }")
+    init, cond, update, body = for_parts(ast, ast.find("ForStmt")[0])
+    assert ast.node_types[init] == "Assign" and cond is None
+    assert ast.node_types[update] == "PostfixOp"
 
 
 def test_assign_parts_plain_and_compound():
@@ -330,6 +349,20 @@ def test_file_view_headers_with_wildcard_import_and_extends():
     assert cls.fields == {"size": "int"}
 
 
+@pytest.mark.parametrize("source", [
+    "package a.b; import c.*; import d.E;"
+    " public final class A extends B implements C, D<E> { }",
+    "class A extends p.B<T> { }",
+    "abstract class A<T extends B> implements C { }",
+    "@Deprecated interface I extends J { int f(final int x, @Q String s); }",
+    "class A { A(int x) { } private static void g() { } }",
+    "class A { java.util.List<String> xs = null; final int k; }",
+])
+def test_file_view_headers_match_the_previous_scans(source):
+    view = file_view(source)
+    assert _view_headers(view) == view_headers_oracle(view)
+
+
 def test_slice_lines_is_one_based_and_keeps_endings():
     src = "a\nb\nc\n"
     assert slice_lines(src, 1, 1) == "a\n"
@@ -367,3 +400,77 @@ def test_mutated_sources_parse_or_raise_a_corpus_error(item, edits):
         file_view(data.decode("utf-8", errors="replace"), rel)
     except CorpusError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# Accessors against the previous scans: the same parts of every node
+# ---------------------------------------------------------------------------
+
+def _view_headers(view: FileView) -> dict:
+    return {"package": view.package_name, "imports": view.imports,
+            "classes": [
+                (c.name, c.kind, c.extends, c.implements, c.fields,
+                 [(m.name, m.return_type, m.param_types, m.param_names,
+                   m.modifiers, m.is_constructor) for m in c.methods])
+                for c in view.classes]}
+
+
+def _assert_shapes_match_the_previous_scans(view: FileView,
+                                            single_name_conds=0) -> None:
+    """Every accessor on every node of the file, its call sites and its
+    headers, against the previous scans. The one difference allowed: the
+    previous `for_parts` dropped a condition that is a single terminal;
+    exactly `single_name_conds` such loops are expected."""
+    ast = view.ast
+    fixed = 0
+    for i, nt in enumerate(ast.node_types):
+        if nt == NT_TYPE:
+            assert type_text(ast, i) == type_text_oracle(ast, i)
+            assert type_simple_name(ast, i) == type_simple_name_oracle(ast, i)
+        elif nt == NT_FOR:
+            got, want = for_parts(ast, i), for_parts_oracle(ast, i)
+            if got != want:
+                init, cond, update, body = got
+                assert ast.is_terminal(cond), (view.path, i)
+                assert (init, None, update, body) == want
+                fixed += 1
+        elif nt in (NT_LOCAL, NT_FIELD):
+            assert local_decl_parts(ast, i) == local_decl_parts_oracle(ast, i)
+        elif nt == NT_CALL:
+            assert call_parts(ast, i) == call_parts_oracle(ast, i)
+        elif nt == NT_NEW:
+            assert new_parts(ast, i) == new_parts_oracle(ast, i)
+    assert fixed == single_name_conds, view.path
+    for ctors in (False, True):
+        assert [(s.node, s.name, s.args) for s in call_sites(ast, ctors)] == \
+            [(node, name, args)
+             for node, name, _n, args in call_sites_oracle(ast, ctors)]
+    assert _view_headers(view) == view_headers_oracle(view)
+
+
+@pytest.mark.parametrize("corpus", ["corpus_data", "scaled_corpus_data",
+                                    "longgen_corpus_data"])
+def test_accessors_and_views_match_the_previous_scans(request, corpus):
+    # fixture, x4 and `longgen` seeds 0-1: no single-name for condition
+    for data in request.getfixturevalue(corpus):
+        for view in data.class_views.values():
+            _assert_shapes_match_the_previous_scans(view)
+
+
+_SHAPE_STATEMENTS = (
+    *STATEMENTS,
+    "for (; go; ) { go = f(go); }",
+    "for (i = 0; ; ) i++;",
+    "java.util.List<String> xs = new java.util.ArrayList<String>(a, b);",
+    "final int k = (a);",
+    "q.r.m(this.f(x), new Box(), (y));",
+)
+
+
+@settings(max_examples=150, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(fixture_with_statements(_SHAPE_STATEMENTS))
+def test_accessors_and_views_match_the_previous_scans_with_statements_inserted(
+        view):
+    inserted = view.source.count("for (; go; )")
+    _assert_shapes_match_the_previous_scans(view, single_name_conds=inserted)

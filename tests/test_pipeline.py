@@ -257,6 +257,14 @@ def test_property_import_guards_key_and_source(pipe_env, tmp_path):
     src.write_text("method_id,value\n", encoding="utf-8")
     with pytest.raises(InvalidArgumentError, match="uppercase"):
         stage_props_import(ws, cat, src, key="lower")
+    # a method id given twice is an error, not "the last row wins"
+    mid = cat.methods[0].method_id
+    twice = tmp_path / "TWICE.csv"
+    twice.write_text(f"method_id,value\n{mid},1\n{mid},2\n", encoding="utf-8")
+    with pytest.raises(InputError, match=f"TWICE.csv: method id {mid} "
+                                         "appears twice"):
+        stage_props_import(ws, cat, twice)
+    assert not ws.property_path("TWICE").exists()
 
 
 def test_missing_artifacts_name_the_fix(tmp_path):
