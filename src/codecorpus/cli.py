@@ -4,8 +4,16 @@ Every subcommand prints a one-line JSON summary as its last stdout line.
 Exit codes: 0 success, 1 usage error, 2 input or prerequisite error,
 3 unexpected internal failure. The workspace directory defaults to the
 CODECORPUS_WORKSPACE environment variable.
+
+A command runs with the cyclic garbage collector switched off, and `main`
+restores the caller's setting when it returns. A command keeps its whole
+parsed corpus alive, so each collector pass would re-walk it, at a cost
+that grows with the corpus; no command builds up cyclic garbage (a parse
+leaves none), so reference counting alone frees what a command drops.
+The library functions that the commands call leave `gc` alone.
 """
 
+import gc
 import json
 import sys
 
@@ -201,6 +209,16 @@ def report(workspace_dir, study):
 
 
 def main(argv=None) -> int:
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run(argv) -> int:
     try:
         cli.main(args=argv, standalone_mode=False)
         return 0

@@ -24,12 +24,14 @@ parsed region exactly.
 Binary operators are parsed by precedence climbing, one call per operand.
 `_flatten` writes every table in one walk of the build tree, each node's
 `children` as a tuple (which the garbage collector stops tracking), and
-`Ast.subtree` slices the tables and shifts the indices they hold.
+`Ast.subtree` slices the tables and shifts the indices they hold. A parse
+leaves no reference cycle behind: reference counting frees all it drops.
 
 `call_sites` is the one definition of a call site: which `Call` and `New`
 nodes count, and which terminal names each callee.
 """
 
+import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -150,45 +152,45 @@ class Ast:
 def _flatten(root: _Node, tokens: list[Token]) -> Ast:
     """Preorder tables of the build tree; a nonterminal takes the position
     of its first leaf (every nonterminal has at least one child)."""
-    node_types: list[str] = []
-    token_indices: list[int | None] = []
-    parents: list[int] = []
-    lines: list[int] = []
-    cols: list[int] = []
-    children: list[tuple[int, ...]] = []
-    sizes: list[int] = []
-
-    def emit(node: _Node, parent: int) -> None:
-        idx = len(node_types)
-        node_types.append(node[0])
-        token_indices.append(None)
-        parents.append(parent)
-        lines.append(0)
-        cols.append(0)
-        children.append(())
-        sizes.append(0)
-        kids = []
-        for child in node[1:]:
-            kids.append(len(node_types))
-            if child.__class__ is int:
-                kind, _lexeme, line, col = tokens[child]
-                node_types.append(kind)
-                token_indices.append(child)
-                parents.append(idx)
-                lines.append(line)
-                cols.append(col)
-                children.append(())
-                sizes.append(1)
-            else:
-                emit(child, idx)
-        children[idx] = tuple(kids)
-        sizes[idx] = len(node_types) - idx
-        lines[idx] = lines[idx + 1]
-        cols[idx] = cols[idx + 1]
-
-    emit(root, -1)
+    tables = ([], [], [], [], [], [], [])
+    _emit(root, -1, tokens, tables)
+    node_types, token_indices, parents, lines, cols, children, sizes = tables
     return Ast(node_types, token_indices, parents, lines, cols, tokens,
                children, sizes)
+
+
+def _emit(node: _Node, parent: int, tokens: list[Token],
+          tables: tuple[list, ...]) -> None:
+    """Append `node`'s subtree to `_flatten`'s tables. They are passed in,
+    not closed over: a nested function that calls itself is a reference
+    cycle, which only the cyclic collector frees."""
+    node_types, token_indices, parents, lines, cols, children, sizes = tables
+    idx = len(node_types)
+    node_types.append(node[0])
+    token_indices.append(None)
+    parents.append(parent)
+    lines.append(0)
+    cols.append(0)
+    children.append(())
+    sizes.append(0)
+    kids = []
+    for child in node[1:]:
+        kids.append(len(node_types))
+        if child.__class__ is int:
+            kind, _lexeme, line, col = tokens[child]
+            node_types.append(kind)
+            token_indices.append(child)
+            parents.append(idx)
+            lines.append(line)
+            cols.append(col)
+            children.append(())
+            sizes.append(1)
+        else:
+            _emit(child, idx, tokens, tables)
+    children[idx] = tuple(kids)
+    sizes[idx] = len(node_types) - idx
+    lines[idx] = lines[idx + 1]
+    cols[idx] = cols[idx + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -840,13 +842,23 @@ class FileView:
     classes: list[ClassView]
 
 
+_LINE = re.compile(r"[^\n]*\n|[^\n]+")
+
+
+def split_lines(source: str) -> list[str]:
+    """The source's lines with their endings, broken at "\n" only, as the
+    lexer numbers them (`str.splitlines` also breaks at a form feed, a lone
+    carriage return and other separators)."""
+    return _LINE.findall(source)
+
+
 def slice_lines(source: str, start_line: int, end_line: int) -> str:
     """Whole-line slice, 1-based inclusive, preserving original line endings."""
-    lines = source.splitlines(keepends=True)
-    return "".join(lines[start_line - 1:end_line])
+    return "".join(split_lines(source)[start_line - 1:end_line])
 
 
-def _method_source(ast: Ast, source: str, member: int, class_name: str) -> MethodSource:
+def _method_source(ast: Ast, lines: list[str], member: int,
+                   class_name: str) -> MethodSource:
     kids = ast.children[member]
     # shape: modifiers [Type] name '(' [Param (',' Param)*] ')' (Block | ';')
     lparen = next(j for j, c in enumerate(kids)
@@ -870,7 +882,7 @@ def _method_source(ast: Ast, source: str, member: int, class_name: str) -> Metho
         signature=signature,
         start_line=start,
         end_line=end,
-        text=slice_lines(source, start, end),
+        text="".join(lines[start - 1:end]),
         ast=sub,
         param_types=param_types,
         param_names=param_names,
@@ -884,6 +896,7 @@ def _method_source(ast: Ast, source: str, member: int, class_name: str) -> Metho
 def file_view(source: str, path: str = "<source>") -> FileView:
     """Parse a file and summarize packages, imports, classes, and methods."""
     ast = parse(source)
+    lines = split_lines(source)
     package_name = ""
     imports: list[tuple[str, bool]] = []
     classes: list[ClassView] = []
@@ -916,7 +929,7 @@ def file_view(source: str, path: str = "<source>") -> FileView:
                     fty, fname, _ = local_decl_parts(ast, c)
                     fields[ast.lexeme(fname)] = type_simple_name(ast, fty)
                 elif nt_c in (NT_METHOD, NT_CTOR):
-                    methods.append(_method_source(ast, source, c, name))
+                    methods.append(_method_source(ast, lines, c, name))
             classes.append(ClassView(
                 name=name,
                 kind="interface" if nt == NT_INTERFACE else "class",

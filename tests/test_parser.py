@@ -370,6 +370,18 @@ def test_slice_lines_is_one_based_and_keeps_endings():
     assert slice_lines(src, 1, 3) == src
 
 
+@pytest.mark.parametrize("separator", ["\x0c", "\r", "\x0b", "\x1c", "\x85",
+                                       "\u2028", "\u2029"])
+def test_method_text_breaks_lines_where_the_lexer_counts_them(separator):
+    # str.splitlines would break inside the comment and shift every method
+    src = (f"class A {{\n  // page{separator}break\n"
+           "  int a() { return 1; }\n  int b() { return 2; }\n}\n")
+    a, b = file_view(src).classes[0].methods
+    assert (a.start_line, a.text) == (3, "  int a() { return 1; }\n")
+    assert (b.start_line, b.text) == (4, "  int b() { return 2; }\n")
+    assert slice_lines(src, 2, 2) == f"  // page{separator}break\n"
+
+
 # ---------------------------------------------------------------------------
 # Robustness: any input parses or raises a CorpusError
 # ---------------------------------------------------------------------------
