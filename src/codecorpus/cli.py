@@ -181,6 +181,11 @@ def taskgen(workspace_dir, task, key, filters, balance, augment,
         filters=[_parse_filter(f) for f in filters],
         p_mutate=p_mutate, augment=augment,
         include_constructors=include_constructors)
+    if task == "call-mask" and "baseline_overall" not in summary:
+        empty = "/".join(s for s in ("train", "test")
+                         if not summary["splits"][s])
+        click.echo("note: call_mask.eval.json was not written: "
+                   f"empty {empty} split", err=True)
     _emit({"command": "taskgen", **summary})
 
 

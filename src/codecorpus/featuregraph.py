@@ -31,7 +31,8 @@ filter_edges(g, {"Child"}) reproduces the plain AST graph.
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable
+from json.encoder import encode_basestring as _json_str
+from typing import Callable, NamedTuple
 
 from .errors import InvalidArgumentError
 from .lexer import KIND_IDENTIFIER, KIND_KEYWORD
@@ -52,8 +53,7 @@ EDGE_TYPES = (
 SYNTHETIC_TYPES = frozenset({"FieldDef", "FormalArgName"})
 
 
-@dataclass(frozen=True)
-class GraphNode:
+class GraphNode(NamedTuple):
     index: int
     node_type: str
     token: str | None
@@ -304,10 +304,11 @@ def _ast_nodes(ast: Ast) -> tuple[list[GraphNode], list[int],
                                   list[tuple[int, int]]]:
     """The AST as graph nodes, its terminals in source order, and its Child
     edges in sorted order."""
-    nodes = [GraphNode(i, ast.node_types[i],
-                       ast.lexeme(i) if ast.is_terminal(i) else None,
-                       ast.lines[i], ast.cols[i])
-             for i in range(len(ast))]
+    new, tokens = tuple.__new__, ast.tokens
+    nodes = [new(GraphNode, (i, node_type, None if t is None
+                             else tokens[t].lexeme, line, col))
+             for i, (node_type, t, line, col) in enumerate(
+                 zip(ast.node_types, ast.token_indices, ast.lines, ast.cols))]
     terminals = [n.index for n in nodes if n.token is not None]
     return nodes, terminals, sorted(zip(ast.parents[1:], range(1, len(ast))))
 
@@ -374,19 +375,20 @@ def ast_graph(method: MethodSource) -> FeatureGraph:
 # ---------------------------------------------------------------------------
 
 def graph_payload(g: FeatureGraph) -> str:
-    """Byte-stable JSON: nodes in index order, edge keys in EDGE_TYPES order."""
-    nodes = []
-    for n in g.nodes:
-        item: dict = {"i": n.index, "type": n.node_type}
-        if n.token is not None:
-            item["token"] = n.token
-        item["line"] = n.line
-        item["col"] = n.col
-        nodes.append(item)
-    edges = {t: [[s, d] for s, d in sorted(g.edges[t])]
-             for t in EDGE_TYPES if t in g.edges}
-    return json.dumps({"nodes": nodes, "edges": edges},
-                      separators=(",", ":"), ensure_ascii=False)
+    """Byte-stable JSON: nodes in index order, edge keys in EDGE_TYPES
+    order. It matches `json.dumps(..., separators=(",", ":"),
+    ensure_ascii=False)` of a dict per node byte for byte, with the same
+    string escaper."""
+    nodes = ",".join([
+        f'{{"i":{i},"type":{_json_str(node_type)},"line":{line},"col":{col}}}'
+        if token is None else
+        f'{{"i":{i},"type":{_json_str(node_type)},'
+        f'"token":{_json_str(token)},"line":{line},"col":{col}}}'
+        for i, node_type, token, line, col in g.nodes])
+    edges = ",".join([
+        f'"{t}":[{",".join([f"[{s},{d}]" for s, d in sorted(g.edges[t])])}]'
+        for t in EDGE_TYPES if t in g.edges])
+    return f'{{"nodes":[{nodes}],"edges":{{{edges}}}}}'
 
 
 def parse_graph_payload(payload: str) -> FeatureGraph:

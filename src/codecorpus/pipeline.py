@@ -29,6 +29,7 @@ the file (CLI exit 2 for both).
 """
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -210,19 +211,22 @@ def load_corpus(ws: Workspace
                 ) -> tuple[WorkspaceConfig, list[ProjectData], Catalog]:
     """Reparse the corpus recorded in the workspace config.
 
-    The recomputed entity ids must match the cataloged metadata, so stale
-    workspaces fail loudly instead of mixing ids.
+    The recomputed method ids must match the cataloged ones, each as often,
+    so stale or edited workspaces fail loudly instead of mixing ids.
     """
     cfg = ws.load_config()
     datas = parse_corpus(cfg)
     cat = merged_catalog(datas)
-    ws.require(ws.metadata_dir / "methods.csv", "catalog")
-    stored = read_metadata(ws.metadata_dir)
-    if {m.method_id for m in stored.methods} != \
-            {m.method_id for m in cat.methods}:
-        raise InputError(
-            "corpus no longer matches the cataloged metadata; "
-            "re-run `catalog`")
+    path = ws.require(ws.metadata_dir / "methods.csv", "catalog")
+    stored = Counter(m.method_id for m in read_metadata(path.parent).methods)
+    found = Counter(m.method_id for m in cat.methods)
+    if stored != found:
+        extra = next((i for i, n in stored.items() if n > found[i] > 0), None)
+        why = "" if extra is None else (
+            f": {path.name} lists method {extra} {stored[extra]} times, "
+            f"not {found[extra]}")
+        raise InputError("corpus no longer matches the cataloged metadata"
+                         f"{why}; re-run `catalog`")
     return cfg, datas, cat
 
 

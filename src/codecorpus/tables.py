@@ -1,12 +1,16 @@
 """The one reader and writer of every workspace CSV table, and the writer
 of the workspace's other files.
 
-A table is a header row plus data rows in the default `csv` dialect
-(`\\r\\n` line ends, minimal quoting). `write_table` and `write_text`
-replace the file in one step, so a failure part-way leaves the previous
-file (or none), never a torn one. `read_table` accepts exactly the header
-it is told to expect and rows of the same width; every problem is an
-`InputError` that names `file:line`.
+A table is a header row plus data rows in the default `csv` dialect,
+written byte for byte as `csv.writer` writes it and read back with
+`csv.reader`: fields are joined by `,` and rows end in `\\r\\n`; `None`
+is an empty field and any other non-string is written with `str()`; a
+field holding `,`, `"`, `\\r` or `\\n` is quoted, each `"` in it doubled,
+and a row of one empty field is written as `""`. `write_table` and
+`write_text` replace the file in one step, so a failure part-way leaves the
+previous file (or none), never a torn one. `read_table` accepts exactly the
+header it is told to expect and rows of the same width; every problem is
+an `InputError` that names `file:line`.
 """
 
 import csv
@@ -40,13 +44,26 @@ def _replacing(path):
         raise
 
 
+def _field(value) -> str:
+    text = "" if value is None else value if value.__class__ is str \
+        else str(value)
+    if '"' in text or "," in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _line(row) -> str:
+    line = ",".join(map(_field, row))
+    return line + "\r\n" if line or len(row) != 1 else '""\r\n'
+
+
 def write_table(path, header: list[str], rows) -> None:
     """Write `header` and then `rows`, in the given order, to `path`,
-    replacing it whole or not at all."""
+    replacing it whole or not at all. Rows are written one at a time, so
+    a large table is never held as one string."""
     with _replacing(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(_line(header))
+        fh.writelines(map(_line, rows))
 
 
 def write_text(path, text: str) -> None:

@@ -40,13 +40,19 @@ different algorithmic shape:
   `emit` flag through every step and kept a read, a write and a
   read-write step, two loop walks and two `this.field` rules, instead of
   one of each with emission as builder state.
+* `write_table_oracle` writes a table with `csv.writer`, and
+  `graph_payload_oracle` builds a dict per graph node and hands the whole
+  tree to `json.dumps`, instead of formatting each row or node as a
+  string.
 
 The event extraction conventions (evaluation order, which occurrences
 count as reads/writes) mirror the library's documented semantics; the
 flow semantics on top of them are computed from scratch.
 """
 
+import csv
 import hashlib
+import json
 import random
 import re
 from dataclasses import dataclass, field
@@ -1594,3 +1600,31 @@ def build_feature_graph_oracle(method: MethodSource,
     for etype in EDGE_TYPES:
         edges[etype].sort()
     return FeatureGraph(nodes, edges, terminals)
+
+
+# ---------------------------------------------------------------------------
+# Serializers: the table writer and the graph payload before they formatted
+# their output as strings
+# ---------------------------------------------------------------------------
+
+def write_table_oracle(fh, header: list[str], rows) -> None:
+    """`header` and `rows` to the text file `fh` through `csv.writer`."""
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
+def graph_payload_oracle(g: FeatureGraph) -> str:
+    """The graph payload as a dict per node passed to `json.dumps`."""
+    nodes = []
+    for n in g.nodes:
+        item: dict = {"i": n.index, "type": n.node_type}
+        if n.token is not None:
+            item["token"] = n.token
+        item["line"] = n.line
+        item["col"] = n.col
+        nodes.append(item)
+    edges = {t: [[s, d] for s, d in sorted(g.edges[t])]
+             for t in EDGE_TYPES if t in g.edges}
+    return json.dumps({"nodes": nodes, "edges": edges},
+                      separators=(",", ":"), ensure_ascii=False)

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -296,7 +297,7 @@ def test_criterion_8_tokenizer_study(acc):
         assert got == recount_fit(records, table.thresholds)
 
 
-def test_criterion_9_end_to_end(tmp_path):
+def test_criterion_9_end_to_end(tmp_path, monkeypatch):
     with criterion(9, "end to end"):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
@@ -337,4 +338,12 @@ def test_criterion_9_end_to_end(tmp_path):
         first, second = tree(tmp_path / "ws_a"), tree(tmp_path / "ws_b")
         assert set(first) == set(second)
         assert first == second
+        # the bytes are also those the benchmark recorded for this
+        # sequence, so a writer that drifts from `csv` or `json` fails here
+        bench = Path(__file__).resolve().parents[1] / "bench"
+        monkeypatch.syspath_prepend(str(bench))
+        from workloads import tree_digest
+        recorded = json.loads((bench / "digests.json").read_text())
+        assert tree_digest(tmp_path / "ws_a", corpus) == \
+            recorded["fixture_cli"]["5"]
         assert elapsed < 60.0, f"pipeline took {elapsed:.2f}s"

@@ -176,6 +176,56 @@ def test_truncated_artifact_row_is_an_input_error(cli_env, tmp_path, artifact,
     assert f"{target.name}:{line}: expected" in proc.stderr
 
 
+def test_a_duplicated_method_row_is_an_input_error(cli_env, tmp_path):
+    _corpus, ws, _proc = cli_env
+    copy = tmp_path / "ws"
+    shutil.copytree(ws, copy)
+    methods = copy / "metadata" / "methods.csv"
+    lines = methods.read_text(encoding="utf-8").splitlines(keepends=True)
+    methods.write_text("".join(lines[:2] + lines[1:]), encoding="utf-8")
+    mid = lines[1].split(",")[3]
+    proc = run_cli("metrics", "-w", copy)
+    assert proc.returncode == 2, proc.stderr
+    assert "input error" in proc.stderr
+    assert f"methods.csv lists method {mid} 2 times, not 1" in proc.stderr
+
+
+def test_same_signature_methods_on_one_line_share_an_id(tmp_path):
+    # `catalog` itself writes the one id twice; the check counts both
+    corpus = _one_class_corpus(
+        tmp_path, "int f() { return 1; } int f() { return 2; }")
+    ws = tmp_path / "ws"
+    for command in (("catalog", "--corpus", corpus), ("metrics",)):
+        proc = run_cli(*command, "-w", ws)
+        assert proc.returncode == 0, (command, proc.stderr)
+    rows = (ws / "metadata" / "methods.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2 and rows[0] == rows[1]
+
+
+def test_call_mask_says_when_it_writes_no_evaluation(cli_env, tmp_path):
+    _corpus, ws, _proc = cli_env
+    copy = tmp_path / "ws"
+    shutil.copytree(ws, copy)
+    proc = run_cli("callgraph", "-w", copy)
+    assert proc.returncode == 0, proc.stderr
+    evaluation = copy / "tasks" / "call_mask.eval.json"
+    # with seed 5 every fixture project lands in train
+    proc = run_cli("taskgen", "-w", copy, "--task", "call-mask",
+                   "--seed", "5")
+    assert proc.returncode == 0, proc.stderr
+    assert last_json(proc)["splits"]["test"] == 0
+    assert "baseline_overall" not in last_json(proc)
+    assert not evaluation.exists()
+    assert proc.stderr == ("note: call_mask.eval.json was not written: "
+                           "empty test split\n")
+    proc = run_cli("taskgen", "-w", copy, "--task", "call-mask",
+                   "--seed", "0")
+    assert proc.returncode == 0, proc.stderr
+    assert "baseline_overall" in last_json(proc)
+    assert evaluation.exists()
+    assert proc.stderr == ""
+
+
 def test_comments_across_method_lines_do_not_break_later_commands(tmp_path):
     # block comments open on the method's last line and close on its first
     # one, so lexing the method's whole lines on their own fails

@@ -6,13 +6,15 @@ a test failure names the exact edge that moved. The oracle agreement test
 recomputes LastRead/LastWrite by brute-force path enumeration (loops unrolled
 until the edge sets saturate) and must match the fixpoint builder exactly.
 `build_feature_graph_oracle`, the builder that passed an `emit` flag through
-every step, must give the same payload bytes for every method.
+every step, must give the same payload bytes for every method, and
+`graph_payload` must write what `graph_payload_oracle` (`json.dumps` over a
+dict per node) writes.
 """
 
 from collections import Counter
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, given, settings, strategies as st
 
 from conftest import (STATEMENTS, fixture_with_statements,
                       method_named, nth_terminal)
@@ -20,12 +22,13 @@ from conftest import (STATEMENTS, fixture_with_statements,
 from codecorpus.callgraph import arg_name_maps
 from codecorpus.errors import InvalidArgumentError
 from codecorpus.featuregraph import (
-    EDGE_TYPES, ast_graph, build_feature_graph, filter_edges, graph_payload,
-    parse_graph_payload,
+    EDGE_TYPES, FeatureGraph, GraphNode, ast_graph, build_feature_graph,
+    filter_edges, graph_payload, parse_graph_payload,
 )
 from codecorpus.parser import file_view
 
-from oracles import build_feature_graph_oracle, flow_edges_saturated
+from oracles import (build_feature_graph_oracle, flow_edges_saturated,
+                     graph_payload_oracle)
 
 
 @pytest.fixture(scope="module")
@@ -283,8 +286,12 @@ def _assert_payloads_match_the_oracle(datas):
             m = d.sources[meta.method_id]
             fields = d.class_views[meta.class_id].classes[0].fields
             resolve = argmaps.get(meta.method_id, {}).get
-            assert graph_payload(build_feature_graph(m, fields, resolve)) == \
+            g = build_feature_graph(m, fields, resolve)
+            assert graph_payload(g) == graph_payload_oracle(g) == \
                 graph_payload(build_feature_graph_oracle(m, fields, resolve)), \
+                meta.method_id
+            tree = ast_graph(m)
+            assert graph_payload(tree) == graph_payload_oracle(tree), \
                 meta.method_id
 
 
@@ -294,6 +301,25 @@ def test_payloads_match_the_builder_oracle(both_corpora):
 
 def test_long_method_payloads_match_the_builder_oracle(longgen_corpus_data):
     _assert_payloads_match_the_oracle(longgen_corpus_data)
+
+
+_TOKEN = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u2028\u2029'),
+                           st.characters(codec="utf-8"),
+                           st.characters(min_codepoint=0x10000,
+                                         codec="utf-8")),
+                 max_size=6)
+_INDEX = st.integers(0, 2 ** 40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_TOKEN, st.none() | _TOKEN, _INDEX, _INDEX),
+                max_size=6),
+       st.dictionaries(st.sampled_from(EDGE_TYPES + ("Sibling",)),
+                       st.lists(st.tuples(_INDEX, _INDEX), max_size=4)))
+def test_payloads_are_written_as_json_dumps_writes_them(nodes, edges):
+    g = FeatureGraph([GraphNode(i, *node) for i, node in enumerate(nodes)],
+                     edges)
+    assert graph_payload(g) == graph_payload_oracle(g)
 
 
 # `seed` is a field of most fixture classes

@@ -1,12 +1,22 @@
-"""The shared table layer: atomic replacement and one error per bad table.
+"""The shared table layer: atomic replacement, one error per bad table,
+and the bytes of `csv.writer`.
 
 Every reader of a workspace CSV must reject a foreign header, a row of the
 wrong width and, where a column holds integers, a non-integer value with an
-`InputError` that names the file and line.
+`InputError` that names the file and line. `write_table` formats rows
+itself and must write exactly what `write_table_oracle` (`csv.writer`)
+writes, for generated rows, every code point and every table the stages
+write for the fixture, x4 and long-method corpora.
 """
 
-import pytest
+import io
+import tempfile
+from pathlib import Path
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from codecorpus import callgraph, catalog, pipeline, tables
 from codecorpus.callgraph import CALLGRAPH_HEADER, read_callgraph_csv
 from codecorpus.catalog import (
     CLASSES_HEADER, METHODS_HEADER, PACKAGES_HEADER, PROJECTS_HEADER,
@@ -17,6 +27,8 @@ from codecorpus.pipeline import REPR_HEADER, read_repr_csv
 from codecorpus.tables import write_table, write_text
 from codecorpus.taskgen import TASK_HEADER, read_task_csv
 from codecorpus.tokenstats import SIZES_HEADER, read_sizes_csv
+
+from oracles import write_table_oracle
 
 
 def _read_methods(path):
@@ -113,3 +125,69 @@ def test_writers_keep_the_bytes_they_are_given(tmp_path):
     write_text(tmp_path / "t.txt", "one\ntwo\n")
     assert (tmp_path / "t.csv").read_bytes() == b'a,b\r\n1,"x,y"\r\n'
     assert (tmp_path / "t.txt").read_bytes() == b"one\ntwo\n"
+
+
+# ---------------------------------------------------------------------------
+# The bytes of csv.writer
+# ---------------------------------------------------------------------------
+
+def _oracle_bytes(header, rows) -> bytes:
+    buf = io.StringIO(newline="")
+    write_table_oracle(buf, header, rows)
+    return buf.getvalue().encode("utf-8")
+
+
+_TEXT = st.text(st.one_of(st.sampled_from(',"\r\n'),
+                          st.characters(codec="utf-8"),
+                          st.characters(min_codepoint=0x10000,
+                                        codec="utf-8")),
+                max_size=8)
+_FIELD = st.one_of(_TEXT, st.integers(), st.floats(), st.booleans(),
+                   st.none())
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_TEXT, max_size=4),
+       st.lists(st.lists(_FIELD, max_size=5), max_size=6))
+@example(["a"], [[""], [None], [], ["", ""], ['"'], ["\r"], ["x\ny"],
+                 ["\U0001f600,"], [1.5, True, -3]])
+def test_rows_are_written_as_csv_writer_writes_them(header, rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        write_table(path, header, rows)
+        assert path.read_bytes() == _oracle_bytes(header, rows)
+
+
+def test_every_code_point_is_quoted_as_csv_writer_quotes_it(tmp_path):
+    chars = [chr(c) for c in range(0x110000) if not 0xD800 <= c < 0xE000]
+    rows = [(c, f"a{c}") for c in chars]
+    write_table(tmp_path / "t.csv", ["alone", "after"], rows)
+    assert (tmp_path / "t.csv").read_bytes() == \
+        _oracle_bytes(["alone", "after"], rows)
+
+
+@pytest.mark.parametrize("corpus", ["corpus_data", "scaled_corpus_data",
+                                    "longgen_corpus_data"])
+def test_stage_tables_are_written_as_csv_writer_writes_them(
+        tmp_path, monkeypatch, request, corpus):
+    datas = request.getfixturevalue(corpus)
+    checked = []
+
+    def checking(path, header, rows):
+        rows = list(rows)
+        tables.write_table(path, header, rows)
+        assert Path(path).read_bytes() == _oracle_bytes(header, rows), path
+        checked.append(Path(path).name)
+
+    for module in (catalog, pipeline, callgraph):
+        monkeypatch.setattr(module, "write_table", checking)
+    ws = pipeline.Workspace(tmp_path / "ws")
+    cat = pipeline.merged_catalog(datas)
+    catalog.write_metadata(cat, ws.metadata_dir)
+    pipeline.stage_representations(ws, datas,
+                                   list(pipeline.REPRESENTATION_TYPES), 0)
+    pipeline.stage_metrics(ws, datas, cat)
+    pipeline.stage_callgraph(ws, datas, cat)
+    assert sorted(checked) == sorted(p.name for p in ws.root.rglob("*.csv"))
+    assert {"methods.csv", "C2SQ.csv", "FTGR.csv", "TEXT.csv", "NAME.csv",
+            "callgraph.csv"} <= set(checked)
