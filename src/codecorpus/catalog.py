@@ -9,7 +9,8 @@ rows, each method's parse (`sources`) and each class's file view
 joining again. A `Catalog` is the four tables of one or more projects plus
 `by_id`, an index of every entity by its id.
 
-Metadata persists as four CSV files with fixed headers:
+Metadata persists as four CSV files with fixed headers, one per row type
+(`ProjectMeta` ... `MethodMeta`, named tuples of the columns in order):
 
     projects.csv  project_id,project_path,project_name
     packages.csv  project_id,package_id,package_path,package_name
@@ -25,6 +26,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import (
     CorpusError, EmptyProjectError, InputError, InvalidArgumentError,
@@ -55,23 +57,20 @@ IMPORT_ONLY_KEYS = ("NLDF", "RSLK", "NTID")
 KNOWN_KEYS = METRIC_KEYS + CALLGRAPH_KEYS + IMPORT_ONLY_KEYS
 
 
-@dataclass(frozen=True)
-class ProjectMeta:
+class ProjectMeta(NamedTuple):
     project_id: EntityId
     project_path: str
     project_name: str
 
 
-@dataclass(frozen=True)
-class PackageMeta:
+class PackageMeta(NamedTuple):
     project_id: EntityId
     package_id: EntityId
     package_path: str
     package_name: str
 
 
-@dataclass(frozen=True)
-class ClassMeta:
+class ClassMeta(NamedTuple):
     project_id: EntityId
     package_id: EntityId
     class_id: EntityId
@@ -79,8 +78,7 @@ class ClassMeta:
     class_name: str
 
 
-@dataclass(frozen=True)
-class MethodMeta:
+class MethodMeta(NamedTuple):
     project_id: EntityId
     package_id: EntityId
     class_id: EntityId
@@ -271,19 +269,10 @@ def write_metadata(cat: Catalog, out_dir) -> list[Path]:
     cat.sort()
     paths = []
     for name, header, rows in (
-        ("projects.csv", PROJECTS_HEADER,
-         [(p.project_id, p.project_path, p.project_name) for p in cat.projects]),
-        ("packages.csv", PACKAGES_HEADER,
-         [(p.project_id, p.package_id, p.package_path, p.package_name)
-          for p in cat.packages]),
-        ("classes.csv", CLASSES_HEADER,
-         [(c.project_id, c.package_id, c.class_id, c.class_path, c.class_name)
-          for c in cat.classes]),
-        ("methods.csv", METHODS_HEADER,
-         [(m.project_id, m.package_id, m.class_id, m.method_id, m.method_path,
-           m.method_name, m.start_line, m.end_line, m.method_signature)
-          for m in cat.methods]),
-    ):
+            ("projects.csv", PROJECTS_HEADER, cat.projects),
+            ("packages.csv", PACKAGES_HEADER, cat.packages),
+            ("classes.csv", CLASSES_HEADER, cat.classes),
+            ("methods.csv", METHODS_HEADER, cat.methods)):
         path = out / name
         _write_csv(path, header, rows)
         paths.append(path)
@@ -293,15 +282,14 @@ def write_metadata(cat: Catalog, out_dir) -> list[Path]:
 def read_metadata(in_dir) -> Catalog:
     """Read metadata CSVs back; validates headers and field counts."""
     base = Path(in_dir)
-    projects = [ProjectMeta(*row)
-                for row in _read_csv(base / "projects.csv", PROJECTS_HEADER)]
-    packages = [PackageMeta(*row)
-                for row in _read_csv(base / "packages.csv", PACKAGES_HEADER)]
-    classes = [ClassMeta(*row)
-               for row in _read_csv(base / "classes.csv", CLASSES_HEADER)]
-    methods = [MethodMeta(*row)
-               for row in _read_csv(base / "methods.csv", METHODS_HEADER,
-                                    ("start_line", "end_line"))]
+    projects = list(map(ProjectMeta._make, _read_csv(
+        base / "projects.csv", PROJECTS_HEADER)))
+    packages = list(map(PackageMeta._make, _read_csv(
+        base / "packages.csv", PACKAGES_HEADER)))
+    classes = list(map(ClassMeta._make, _read_csv(
+        base / "classes.csv", CLASSES_HEADER)))
+    methods = list(map(MethodMeta._make, _read_csv(
+        base / "methods.csv", METHODS_HEADER, ("start_line", "end_line"))))
     return Catalog(projects, packages, classes, methods)
 
 

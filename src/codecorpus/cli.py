@@ -25,7 +25,7 @@ from .pipeline import (REPRESENTATION_TYPES, Workspace, WorkspaceConfig,
                        stage_catalog, stage_metrics, stage_props_import,
                        stage_report, stage_representations, stage_taskgen,
                        stage_tokenstats)
-from .taskgen import DEFAULT_SPLIT_FRACS
+from .taskgen import DEFAULT_SPLIT_FRACS, SPLIT_NAMES
 
 _WS_OPTION = click.option(
     "--workspace", "-w", "workspace_dir", envvar="CODECORPUS_WORKSPACE",
@@ -181,11 +181,14 @@ def taskgen(workspace_dir, task, key, filters, balance, augment,
         filters=[_parse_filter(f) for f in filters],
         p_mutate=p_mutate, augment=augment,
         include_constructors=include_constructors)
+    empty = [s for s in SPLIT_NAMES if not summary["splits"][s]]
+    for split in empty:
+        click.echo(f"note: tasks/{summary['task']}.csv has an empty "
+                   f"{split} split", err=True)
     if task == "call-mask" and "baseline_overall" not in summary:
-        empty = "/".join(s for s in ("train", "test")
-                         if not summary["splits"][s])
-        click.echo("note: call_mask.eval.json was not written: "
-                   f"empty {empty} split", err=True)
+        click.echo("note: call_mask.eval.json was not written: empty "
+                   f"{'/'.join(s for s in empty if s != 'valid')} split",
+                   err=True)
     _emit({"command": "taskgen", **summary})
 
 

@@ -27,12 +27,17 @@ Binary operators are parsed by precedence climbing, one call per operand.
 `Ast.subtree` slices the tables and shifts the indices they hold. A parse
 leaves no reference cycle behind: reference counting frees all it drops.
 
+`file_view` reads each method's header off the file's tables and copies
+nothing else per method: a `MethodSource` builds its `tokens`, `ast` and
+`text` views from the file's `Ast` and source when first read.
+
 `call_sites` is the one definition of a call site: which `Call` and `New`
 nodes count, and which terminal names each callee.
 """
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import ParseError
@@ -130,11 +135,14 @@ class Ast:
     def nonterminal_children(self, i: int) -> list[int]:
         return [c for c in self.children[i] if self.token_indices[c] is None]
 
-    def subtree(self, root: int) -> "Ast":
-        """Re-rooted copy of a subtree: slices of the tables, indices shifted."""
+    def subtree(self, root: int, tokens: list[Token] | None = None) -> "Ast":
+        """Re-rooted copy of a subtree: slices of the tables, indices
+        shifted; `tokens`, its slice of `self.tokens`, is shared if given."""
         end = root + self.subtree_sizes[root]
         token_indices = self.token_indices[root:end]
         t0 = next(ti for ti in token_indices if ti is not None)
+        if tokens is None:
+            tokens = self.tokens[t0:token_indices[-1] + 1]  # ends on a leaf
         return Ast(
             node_types=self.node_types[root:end],
             token_indices=[None if ti is None else ti - t0
@@ -142,7 +150,7 @@ class Ast:
             parents=[-1, *[p - root for p in self.parents[root + 1:end]]],
             lines=self.lines[root:end],
             cols=self.cols[root:end],
-            tokens=self.tokens[t0:token_indices[-1] + 1],  # ends on a leaf
+            tokens=tokens,
             children=[tuple([c - root for c in kids]) if kids else ()
                       for kids in self.children[root:end]],
             subtree_sizes=self.subtree_sizes[root:end],
@@ -803,23 +811,50 @@ def call_sites(ast: Ast, include_new: bool = True) -> list[CallSite]:
 # File views: the syntactic summary consumed by cataloging and resolution
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class MethodSource:
-    """One method or constructor declaration with its text and subtree."""
+    """One method or constructor declaration. The header is read with the
+    file; the views refer to the file's `Ast` and source, which its
+    `FileView` holds anyway: `tokens` (its token slice) and `ast` (sharing
+    it) are built on first read and kept, `text` is sliced on each read."""
 
     name: str
     signature: str
     start_line: int
     end_line: int
-    text: str
-    ast: Ast
     param_types: list[str]
     param_names: list[str]
     return_type: str
     is_constructor: bool
     modifiers: frozenset[str]
-    class_name: str = ""
+    class_name: str
+    _file: Ast = field(compare=False, repr=False)
+    _member: int = field(compare=False, repr=False)
+    _source: str = field(compare=False, repr=False)
+    _span: tuple[int, int] = field(compare=False, repr=False)  # text offsets
     method_id: str = ""
+    _tokens: list | None = field(default=None, compare=False, repr=False)
+    _ast: Ast | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def tokens(self) -> list[Token]:
+        if self._tokens is None:
+            at, first = self._file.token_indices, self._member + 1
+            while at[first] is None:            # to the member's first leaf
+                first += 1
+            last = self._member + self._file.subtree_sizes[self._member] - 1
+            self._tokens = self._file.tokens[at[first]:at[last] + 1]
+        return self._tokens
+
+    @property
+    def ast(self) -> Ast:
+        if self._ast is None:
+            self._ast = self._file.subtree(self._member, self.tokens)
+        return self._ast
+
+    @property
+    def text(self) -> str:
+        return self._source[self._span[0]:self._span[1]]
 
 
 @dataclass
@@ -857,46 +892,49 @@ def slice_lines(source: str, start_line: int, end_line: int) -> str:
     return "".join(split_lines(source)[start_line - 1:end_line])
 
 
-def _method_source(ast: Ast, lines: list[str], member: int,
+def _method_source(ast: Ast, source: str, starts: list[int], member: int,
                    class_name: str) -> MethodSource:
     kids = ast.children[member]
-    # shape: modifiers [Type] name '(' [Param (',' Param)*] ')' (Block | ';')
+    at, tokens = ast.token_indices, ast.tokens
+    # shape: modifiers [Type] name '(' [Param (',' Param)*] ')' (Block | ';');
+    # the terminals before the name are the modifier words
     lparen = next(j for j, c in enumerate(kids)
-                  if ast.is_terminal(c) and ast.lexeme(c) == "(")
+                  if at[c] is not None and tokens[at[c]].lexeme == "(")
     is_ctor = ast.node_types[member] == NT_CTOR
-    modifiers = frozenset(ast.lexeme(c) for c in kids[:lparen]
-                          if ast.is_terminal(c) and ast.lexeme(c) in MODIFIER_WORDS)
-    name = ast.lexeme(kids[lparen - 1])
+    modifiers = frozenset(tokens[at[c]].lexeme for c in kids[:lparen - 1]
+                          if at[c] is not None)
+    name = tokens[at[kids[lparen - 1]]].lexeme
     return_type = class_name if is_ctor else type_simple_name(ast, kids[lparen - 2])
-    param_types = []
-    param_names = []
+    param_types, param_names = [], []
     for p in kids[lparen + 1:-2:2]:
         *_modifiers, pty, pname = ast.children[p]   # modifiers Type name
         param_types.append(type_simple_name(ast, pty))
-        param_names.append(ast.lexeme(pname))
-    signature = f"{name}({','.join(param_types)})"
-    sub = ast.subtree(member)
-    start, end = sub.tokens[0].line, sub.tokens[-1].line
+        param_names.append(tokens[at[pname]].lexeme)
+    start = ast.lines[member]
+    end = ast.lines[member + ast.subtree_sizes[member] - 1]
     return MethodSource(
         name=name,
-        signature=signature,
+        signature=f"{name}({','.join(param_types)})",
         start_line=start,
         end_line=end,
-        text="".join(lines[start - 1:end]),
-        ast=sub,
         param_types=param_types,
         param_names=param_names,
         return_type=return_type,
         is_constructor=is_ctor,
         modifiers=modifiers,
         class_name=class_name,
+        _file=ast,
+        _member=member,
+        _source=source,
+        _span=(starts[start - 1], starts[end]),
     )
 
 
 def file_view(source: str, path: str = "<source>") -> FileView:
     """Parse a file and summarize packages, imports, classes, and methods."""
     ast = parse(source)
-    lines = split_lines(source)
+    # offset of each line's first character, then the source's length
+    starts = list(accumulate(map(len, split_lines(source)), initial=0))
     package_name = ""
     imports: list[tuple[str, bool]] = []
     classes: list[ClassView] = []
@@ -929,7 +967,7 @@ def file_view(source: str, path: str = "<source>") -> FileView:
                     fty, fname, _ = local_decl_parts(ast, c)
                     fields[ast.lexeme(fname)] = type_simple_name(ast, fty)
                 elif nt_c in (NT_METHOD, NT_CTOR):
-                    methods.append(_method_source(ast, lines, c, name))
+                    methods.append(_method_source(ast, source, starts, c, name))
             classes.append(ClassView(
                 name=name,
                 kind="interface" if nt == NT_INTERFACE else "class",

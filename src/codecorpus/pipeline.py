@@ -63,8 +63,8 @@ from .tokenstats import (english_sample_text, entity_sizes, read_sizes_csv,
 # through the current binding.
 _PAYLOAD_BUILDERS = {
     "TEXT": lambda method, fields, argmap, seed: method.text,
-    "TKNA": lambda method, fields, argmap, seed: tkna_text(method.ast.tokens),
-    "TKNB": lambda method, fields, argmap, seed: tknb_text(method.ast.tokens),
+    "TKNA": lambda method, fields, argmap, seed: tkna_text(method.tokens),
+    "TKNB": lambda method, fields, argmap, seed: tknb_text(method.tokens),
     "ASTS": lambda method, fields, argmap, seed:
         graph_payload(ast_graph(method)),
     "C2VC": lambda method, fields, argmap, seed:
@@ -396,7 +396,9 @@ def stage_tokenstats(ws: Workspace, datas: list[ProjectData], cat: Catalog,
                      vocab_size: int = 512) -> dict:
     sources = all_sources(datas)
     ordered = sorted(sources.items())
-    code_corpus = "".join(m.text for _, m in ordered)
+    method_texts = {mid: m.text for mid, m in ordered}  # each sliced once
+    texts = list(method_texts.values())
+    code_corpus = "".join(texts)
     vocabs = {
         "code": train_bpe(code_corpus, vocab_size, corpus_tag="code"),
         "english": train_bpe(english_sample_text(), vocab_size,
@@ -404,13 +406,11 @@ def stage_tokenstats(ws: Workspace, datas: list[ProjectData], cat: Catalog,
     }
     out = ws.tokenstats_dir
     out.mkdir(parents=True, exist_ok=True)
-    method_texts = {mid: m.text for mid, m in sources.items()}
     class_texts = {cid: v.source for d in datas
                    for cid, v in d.class_views.items()}
     records = []
     ratios = {}
-    texts = [m.text for _, m in ordered]
-    token_counts = [len(m.ast.tokens) for _, m in ordered]
+    token_counts = [len(m.tokens) for _, m in ordered]
     for tag, vocab in vocabs.items():
         write_vocab(out / f"vocab_{tag}.txt", vocab)
         records.extend(entity_sizes(cat, method_texts, class_texts,

@@ -40,6 +40,10 @@ different algorithmic shape:
   `emit` flag through every step and kept a read, a write and a
   read-write step, two loop walks and two `this.field` rules, instead of
   one of each with emission as builder state.
+* `method_sources_oracle` builds every method of a file eagerly, as
+  `file_view` did before its methods built their subtree, tokens and text
+  on first read: an `Ast.subtree` copy and a join of the file's lines per
+  method, and the header read through `Ast.lexeme`.
 * `write_table_oracle` writes a table with `csv.writer`, and
   `graph_payload_oracle` builds a dict per graph node and hands the whole
   tree to `json.dumps`, instead of formatting each row or node as a
@@ -72,7 +76,7 @@ from codecorpus.parser import (
     NT_INTERFACE, NT_LOCAL, NT_METHOD, NT_NEW, NT_PACKAGE, NT_PARAM,
     NT_PAREN, NT_POSTFIX, NT_RETURN, NT_TERNARY, NT_TYPE, NT_UNARY,
     NT_WHILE, assign_parts, call_parts, for_parts, if_parts,
-    local_decl_parts, new_parts, while_parts,
+    local_decl_parts, new_parts, split_lines, type_simple_name, while_parts,
 )
 from codecorpus.pathcontexts import (
     MAX_CONTEXTS_DEFAULT, MAX_LENGTH_DEFAULT, MAX_WIDTH_DEFAULT, subtokens,
@@ -835,6 +839,79 @@ def _method_header_oracle(ast: Ast, member: int, class_name: str) -> tuple:
         param_names.append(ast.lexeme(pkids[pkids.index(pty) + 1]))
     return (ast.lexeme(name_node), return_type, param_types, param_names,
             modifiers, is_ctor)
+
+
+# ---------------------------------------------------------------------------
+# Previous eager method sources
+# ---------------------------------------------------------------------------
+
+@dataclass
+class MethodSourceOracle:
+    name: str
+    signature: str
+    start_line: int
+    end_line: int
+    text: str
+    ast: Ast
+    param_types: list[str]
+    param_names: list[str]
+    return_type: str
+    is_constructor: bool
+    modifiers: frozenset[str]
+    class_name: str
+
+
+def _method_source_oracle(ast: Ast, lines: list[str], member: int,
+                          class_name: str) -> MethodSourceOracle:
+    kids = ast.children[member]
+    # shape: modifiers [Type] name '(' [Param (',' Param)*] ')' (Block | ';')
+    lparen = next(j for j, c in enumerate(kids)
+                  if ast.is_terminal(c) and ast.lexeme(c) == "(")
+    is_ctor = ast.node_types[member] == NT_CTOR
+    modifiers = frozenset(ast.lexeme(c) for c in kids[:lparen]
+                          if ast.is_terminal(c) and ast.lexeme(c) in MODIFIER_WORDS)
+    name = ast.lexeme(kids[lparen - 1])
+    return_type = class_name if is_ctor else type_simple_name(ast, kids[lparen - 2])
+    param_types = []
+    param_names = []
+    for p in kids[lparen + 1:-2:2]:
+        *_modifiers, pty, pname = ast.children[p]   # modifiers Type name
+        param_types.append(type_simple_name(ast, pty))
+        param_names.append(ast.lexeme(pname))
+    signature = f"{name}({','.join(param_types)})"
+    sub = ast.subtree(member)
+    start, end = sub.tokens[0].line, sub.tokens[-1].line
+    return MethodSourceOracle(
+        name=name,
+        signature=signature,
+        start_line=start,
+        end_line=end,
+        text="".join(lines[start - 1:end]),
+        ast=sub,
+        param_types=param_types,
+        param_names=param_names,
+        return_type=return_type,
+        is_constructor=is_ctor,
+        modifiers=modifiers,
+        class_name=class_name,
+    )
+
+
+def method_sources_oracle(view: FileView) -> list[list[MethodSourceOracle]]:
+    """Each class's methods, in `view.classes` order, built eagerly."""
+    ast = view.ast
+    lines = split_lines(view.source)
+    out = []
+    for child in ast.children[0]:
+        if ast.node_types[child] not in (NT_CLASS, NT_INTERFACE):
+            continue
+        kids = ast.children[child]
+        kw = next(j for j, c in enumerate(kids) if ast.is_terminal(c)
+                  and ast.lexeme(c) in ("class", "interface"))
+        name = ast.lexeme(kids[kw + 1])
+        out.append([_method_source_oracle(ast, lines, c, name) for c in kids
+                    if ast.node_types[c] in (NT_METHOD, NT_CTOR)])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -216,14 +216,16 @@ def test_call_mask_says_when_it_writes_no_evaluation(cli_env, tmp_path):
     assert last_json(proc)["splits"]["test"] == 0
     assert "baseline_overall" not in last_json(proc)
     assert not evaluation.exists()
-    assert proc.stderr == ("note: call_mask.eval.json was not written: "
+    assert proc.stderr == ("note: tasks/call_mask.csv has an empty valid split\n"
+                           "note: tasks/call_mask.csv has an empty test split\n"
+                           "note: call_mask.eval.json was not written: "
                            "empty test split\n")
     proc = run_cli("taskgen", "-w", copy, "--task", "call-mask",
                    "--seed", "0")
     assert proc.returncode == 0, proc.stderr
     assert "baseline_overall" in last_json(proc)
     assert evaluation.exists()
-    assert proc.stderr == ""
+    assert proc.stderr == "note: tasks/call_mask.csv has an empty valid split\n"
 
 
 def test_comments_across_method_lines_do_not_break_later_commands(tmp_path):
@@ -348,3 +350,28 @@ def test_a_bias_report_on_a_non_integer_size_is_an_input_error(metrics_ws,
     assert "input error" in proc.stderr
     assert f"SLOC.csv: method {mid} has SLOC 'big', not an integer" \
         in proc.stderr
+
+
+@pytest.fixture(scope="module")
+def tasks_ws(metrics_ws):
+    """`metrics_ws` with a call graph, so that every task can be built."""
+    proc = run_cli("callgraph", "-w", metrics_ws)
+    assert proc.returncode == 0, proc.stderr
+    return metrics_ws
+
+
+@pytest.mark.parametrize("task,seed,name,empty", [
+    ("call-mask", 5, "call_mask", ["valid", "test"]),
+    ("mutation", 0, "mutation", ["valid", "test"]),
+    ("property", 0, "property_CMPX", ["valid", "test"]),
+    ("mutation", 5, "mutation", []),
+])
+def test_taskgen_names_each_empty_split(tasks_ws, task, seed, name, empty):
+    proc = run_cli("taskgen", "-w", tasks_ws, "--task", task, "--seed", seed)
+    assert proc.returncode == 0, proc.stderr
+    splits = last_json(proc)["splits"]
+    assert [s for s in ("train", "valid", "test") if not splits[s]] == empty
+    notes = [line for line in proc.stderr.splitlines()
+             if "has an empty" in line]
+    assert notes == [f"note: tasks/{name}.csv has an empty {s} split"
+                     for s in empty]

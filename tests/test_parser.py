@@ -12,16 +12,16 @@ from codecorpus.errors import CorpusError, ParseError
 from codecorpus.fixturegen import fixture_files
 from codecorpus.lexer import lex
 from codecorpus.parser import (
-    NT_CALL, NT_FIELD, NT_FOR, NT_LOCAL, NT_NEW, NT_TYPE, FileView,
+    NT_CALL, NT_FIELD, NT_FOR, NT_LOCAL, NT_NEW, NT_TYPE, Ast, FileView,
     assign_parts, call_parts, call_sites, file_view, for_parts, if_parts,
     local_decl_parts, new_parts, parse, slice_lines, type_simple_name,
     type_text, while_parts,
 )
 
 from oracles import (call_parts_oracle, call_sites_oracle, for_parts_oracle,
-                     local_decl_parts_oracle, new_parts_oracle,
-                     type_simple_name_oracle, type_text_oracle,
-                     view_headers_oracle)
+                     local_decl_parts_oracle, method_sources_oracle,
+                     new_parts_oracle, type_simple_name_oracle,
+                     type_text_oracle, view_headers_oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +409,10 @@ def test_mutated_sources_parse_or_raise_a_corpus_error(item, edits):
             else:
                 data[i], data[i + 1] = data[i + 1], data[i]
     try:
-        file_view(data.decode("utf-8", errors="replace"), rel)
+        view = file_view(data.decode("utf-8", errors="replace"), rel)
+        for cls in view.classes:
+            for m in cls.methods:
+                m.ast, m.tokens, m.text    # the views built on first read
     except CorpusError:
         pass
 
@@ -458,6 +461,28 @@ def _assert_shapes_match_the_previous_scans(view: FileView,
             [(node, name, args)
              for node, name, _n, args in call_sites_oracle(ast, ctors)]
     assert _view_headers(view) == view_headers_oracle(view)
+    _assert_methods_match_the_eager_sources(view)
+
+
+_HEADER_FIELDS = ("name", "signature", "start_line", "end_line",
+                  "param_types", "param_names", "return_type",
+                  "is_constructor", "modifiers", "class_name")
+
+
+def _assert_methods_match_the_eager_sources(view: FileView) -> None:
+    """Each method's header fields and its views, built on first read,
+    equal the method built eagerly."""
+    eager = method_sources_oracle(view)
+    assert len(eager) == len(view.classes), view.path
+    for cls, want in zip(view.classes, eager):
+        assert len(cls.methods) == len(want), view.path
+        for m, o in zip(cls.methods, want):
+            assert [getattr(m, f) for f in _HEADER_FIELDS] == \
+                [getattr(o, f) for f in _HEADER_FIELDS], (view.path, m.name)
+            assert m.text == o.text, (view.path, m.name)
+            assert m.tokens == o.ast.tokens, (view.path, m.name)
+            assert m.ast == o.ast, (view.path, m.name)
+            assert m.ast is m.ast and m.ast.tokens is m.tokens
 
 
 @pytest.mark.parametrize("corpus", ["corpus_data", "scaled_corpus_data",
@@ -467,6 +492,28 @@ def test_accessors_and_views_match_the_previous_scans(request, corpus):
     for data in request.getfixturevalue(corpus):
         for view in data.class_views.values():
             _assert_shapes_match_the_previous_scans(view)
+
+
+def test_a_method_builds_its_views_in_either_order():
+    src = "class A {\n  int a(int x) {\n    return x;\n  }\n}\n"
+    first, second = file_view(src), file_view(src)
+    a, b = first.classes[0].methods[0], second.classes[0].methods[0]
+    assert a.ast.tokens is a.tokens
+    assert b.tokens is b.ast.tokens
+    assert a.text == b.text == "  int a(int x) {\n    return x;\n  }\n"
+
+
+def test_method_equality_compares_the_header_not_the_file(monkeypatch):
+    src = "class A { int a(int x) { return x; } }"
+    a = file_view(src).classes[0].methods[0]
+    b = file_view(src + "\n// another file\n").classes[0].methods[0]
+
+    def refuse(self, other):
+        raise AssertionError("== compared an Ast")
+    monkeypatch.setattr(Ast, "__eq__", refuse)
+    assert a == b
+    b.method_id = "other"
+    assert a != b
 
 
 _SHAPE_STATEMENTS = (

@@ -5,6 +5,8 @@ the on-disk contract: exact headers, deterministic bytes, and the guard
 rails (missing artifacts, stale metadata, duplicate projects).
 """
 
+import contextlib
+import io
 import json
 import sys
 
@@ -13,6 +15,7 @@ import pytest
 import codecorpus.catalog as catalog_mod
 import codecorpus.lexer as lexer_mod
 import codecorpus.pathcontexts as pathcontexts_mod
+from codecorpus import cli
 from codecorpus.catalog import (
     CLASSES_HEADER, METHODS_HEADER, PACKAGES_HEADER, PROJECTS_HEADER,
     read_metadata, read_property_csv,
@@ -20,6 +23,7 @@ from codecorpus.catalog import (
 from codecorpus.errors import InputError, InvalidArgumentError, ParseError
 from codecorpus.fixturegen import write_fixture_corpus
 from codecorpus.metrics import compute_metrics
+from codecorpus.parser import Ast
 from codecorpus.pipeline import (
     REPRESENTATION_TYPES, Workspace, WorkspaceConfig, _write_repr_csv,
     discover_projects, load_corpus, merged_catalog, parse_corpus,
@@ -120,6 +124,24 @@ def test_metadata_reads_back_as_the_same_catalog(pipe_env):
         == [c.class_id for c in cat.classes]
     assert {m.start_line for m in stored.methods} \
         == {m.start_line for m in cat.methods}
+
+
+def test_read_metadata_returns_the_cataloged_rows(pipe_env):
+    ws, _cfg, _datas, cat, _s = pipe_env
+    stored = read_metadata(ws.metadata_dir)
+    for table, header in (("projects", PROJECTS_HEADER),
+                          ("packages", PACKAGES_HEADER),
+                          ("classes", CLASSES_HEADER),
+                          ("methods", METHODS_HEADER)):
+        rows, want = getattr(stored, table), getattr(cat, table)
+        assert len(rows) == len(want), table
+        for row, cataloged in zip(rows, want):
+            assert type(row) is type(cataloged), table
+            # the fields are the table's columns, in the order written
+            assert list(row) == [getattr(row, f) for f in header], table
+            assert list(row) == [getattr(cataloged, f) for f in header], table
+        with pytest.raises(AttributeError):
+            setattr(rows[0], header[-1], "changed")
 
 
 def test_class_counts_match_a_brute_force_count(pipe_env):
@@ -444,6 +466,46 @@ def test_add_project_parses_each_file_once(tmp_path, monkeypatch):
     stage_add_project(ws, second)
     assert sorted(parsed) == sorted(
         p.relative_to(corpus).as_posix() for p in corpus.rglob("*.java"))
+
+
+def test_commands_build_method_subtrees_only_when_they_read_them(
+        tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus"
+    write_fixture_corpus(corpus)
+    built = []
+    real = Ast.subtree
+
+    def counting(self, root, *args):
+        built.append(root)
+        return real(self, root, *args)
+
+    def subtrees_built(*args) -> int:
+        built.clear()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([*map(str, args), "-w", str(tmp_path / "ws")])
+        assert code == 0, args
+        return len(built)
+
+    monkeypatch.setattr(Ast, "subtree", counting)
+    assert subtrees_built("catalog", "--corpus", corpus) == 0
+    assert subtrees_built("repr", "--types", "TEXT,TKNA,TKNB") == 0
+    counts = {" ".join(args): subtrees_built(*args) for args in (
+        ("repr",), ("metrics",), ("callgraph",),
+        ("taskgen", "--task", "property"), ("taskgen", "--task", "call-mask"),
+        ("taskgen", "--task", "mutation"), ("tokenstats",),
+        ("report", "--study", "calls"), ("report", "--study", "windows"),
+        ("report", "--study", "bias"))}
+    methods = 774
+    # the seven representation types share each method's one subtree
+    assert counts.pop("repr") == methods
+    assert counts.pop("metrics") == methods
+    assert counts.pop("callgraph") == methods
+    assert 0 < counts.pop("taskgen --task call-mask") <= methods
+    assert 0 < counts.pop("taskgen --task mutation") <= methods
+    assert counts == {"taskgen --task property": 0, "tokenstats": 0,
+                      "report --study calls": 0, "report --study windows": 0,
+                      "report --study bias": 0}
 
 
 def test_payloads_and_metrics_count_only_the_declaration_tokens(tmp_path):
