@@ -126,6 +126,17 @@ class Catalog:
         return self._class_counts[project_id]
 
 
+def size_bucket(class_count: int) -> str:
+    """Project-size buckets: A <=20 classes, B 21-50, C 51-100, D >100."""
+    if class_count <= 20:
+        return "A"
+    if class_count <= 50:
+        return "B"
+    if class_count <= 100:
+        return "C"
+    return "D"
+
+
 @dataclass
 class ProjectData:
     """Catalog rows for one project plus what parsing found for each.
@@ -163,8 +174,10 @@ def catalog_project(root, corpus_root=None, strict: bool = False
 
     `corpus_root` anchors the relative paths recorded in metadata; when
     omitted, paths are relative to the project root's parent. Unparseable
-    files become diagnostics (or errors if strict). A project with no
-    cataloged classes raises EmptyProjectError.
+    files become diagnostics (or errors if strict), and so does a method
+    declared again with the same signature on the same first line: only
+    the first one gets a row. A project with no cataloged classes raises
+    EmptyProjectError.
     """
     root = Path(root)
     if not root.is_dir():
@@ -225,7 +238,12 @@ def catalog_project(root, corpus_root=None, strict: bool = False
         class_views[class_id] = view
         for m in cv.methods:
             mid = assign_id("method", method_key(file_rel, m.signature, m.start_line))
-            m.method_id = mid
+            m.method_id = mid   # a call to a repeat resolves to it too
+            if mid in sources:
+                diagnostics.append(Diagnostic(
+                    file_rel, f"duplicate declaration of {m.signature} at "
+                    f"line {m.start_line}; skipped"))
+                continue
             methods.append(MethodMeta(
                 project_id, pkg.package_id, class_id, mid, file_rel,
                 m.name, m.start_line, m.end_line, m.signature))

@@ -303,12 +303,18 @@ class _FlowBuilder:
 def _ast_nodes(ast: Ast) -> tuple[list[GraphNode], list[int],
                                   list[tuple[int, int]]]:
     """The AST as graph nodes, its terminals in source order, and its Child
-    edges in sorted order."""
+    edges in sorted order. A node is at its first leaf's token, the last
+    leaf seen in a walk from the end."""
     new, tokens = tuple.__new__, ast.tokens
-    nodes = [new(GraphNode, (i, node_type, None if t is None
-                             else tokens[t].lexeme, line, col))
-             for i, (node_type, t, line, col) in enumerate(
-                 zip(ast.node_types, ast.token_indices, ast.lines, ast.cols))]
+    nodes = []
+    line = col = 0
+    for i in range(len(ast) - 1, -1, -1):
+        t = ast.token_indices[i]
+        lexeme = None
+        if t is not None:
+            _kind, lexeme, line, col = tokens[t]
+        nodes.append(new(GraphNode, (i, ast.node_types[i], lexeme, line, col)))
+    nodes.reverse()
     terminals = [n.index for n in nodes if n.token is not None]
     return nodes, terminals, sorted(zip(ast.parents[1:], range(1, len(ast))))
 

@@ -21,8 +21,8 @@ Two flat token-string encodings live here as well:
   literal itself contains a space; callers that need exact token recovery
   should use TKNB.
 * TKNB: lexemes joined by commas. Commas inside literal lexemes are replaced
-  by <LITCOMMA>; the comma separator token is emitted quoted as `","` so the
-  payload splits on unquoted commas into exactly one item per token.
+  by <LITCOMMA>; the comma separator token is emitted quoted as `","`, so
+  the only commas in the payload are that item's and the separators.
 """
 
 import re
@@ -134,52 +134,12 @@ def tknb_text(tokens: list[Token]) -> str:
     return ",".join(items)
 
 
-def tknb_split(payload: str) -> list[str]:
-    """Split a TKNB payload on unquoted commas.
-
-    Quote state tracks both double and single quotes with backslash escapes,
-    so literal lexemes (which keep their own quote characters) never leak a
-    split point. Yields exactly one item per original token.
-    """
-    if not payload:
-        return []
-    items: list[str] = []
-    buf: list[str] = []
-    in_dq = False
-    in_sq = False
-    escape = False
-    for ch in payload:
-        if escape:
-            buf.append(ch)
-            escape = False
-            continue
-        if (in_dq or in_sq) and ch == "\\":
-            buf.append(ch)
-            escape = True
-            continue
-        if ch == '"' and not in_sq:
-            in_dq = not in_dq
-            buf.append(ch)
-            continue
-        if ch == "'" and not in_dq:
-            in_sq = not in_sq
-            buf.append(ch)
-            continue
-        if ch == "," and not in_dq and not in_sq:
-            items.append("".join(buf))
-            buf = []
-            continue
-        buf.append(ch)
-    items.append("".join(buf))
-    return items
+_TKNB_ITEM = re.compile(r'","|[^,]+')
 
 
 def tknb_decode(payload: str) -> list[str]:
-    """Recover the original lexeme list from a TKNB payload."""
-    out = []
-    for item in tknb_split(payload):
-        if item == '","':
-            out.append(",")
-        else:
-            out.append(item.replace(LITCOMMA, ","))
-    return out
+    """Recover the original lexeme list from a TKNB payload. No item is
+    empty and none holds a comma but the quoted separator `","`, so each
+    item is that or a run of non-commas."""
+    return ["," if item == '","' else item.replace(LITCOMMA, ",")
+            for item in _TKNB_ITEM.findall(payload)]

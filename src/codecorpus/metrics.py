@@ -48,8 +48,7 @@ def _method_body(ast: Ast) -> int | None:
 def cmpx(ast: Ast) -> int:
     """Cyclomatic complexity: 1 + branching keywords + short-circuit ops + ?:."""
     count = 1
-    for i in ast.terminals():
-        tok = ast.token(i)
+    for tok in ast.tokens:
         if tok.kind == KIND_KEYWORD and tok.lexeme in DECISION_KEYWORDS:
             count += 1
         elif tok.kind == KIND_OPERATOR and tok.lexeme in ("&&", "||", "?"):
@@ -74,9 +73,9 @@ def mxin(ast: Ast) -> int:
 
 
 def _short_circuits(ast: Ast, expr: int) -> int:
-    return sum(1 for i in ast.terminals(expr)
-               if ast.token(i).kind == KIND_OPERATOR
-               and ast.lexeme(i) in ("&&", "||"))
+    first, end = ast.token_span(expr)
+    return sum(1 for tok in ast.tokens[first:end]
+               if tok.kind == KIND_OPERATOR and tok.lexeme in ("&&", "||"))
 
 
 def _npath_stmt(ast: Ast, stmt: int) -> int:

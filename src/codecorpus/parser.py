@@ -19,7 +19,9 @@ The Ast is a flat preorder table: node i's children are exactly the nodes
 whose parent is i, in index order. Because flattening is preorder, a
 subtree occupies a contiguous index range and terminal leaves read off in
 source order — the in-order leaf walk reproduces the token stream of the
-parsed region exactly.
+parsed region exactly. So a node's tokens are one slice of the token list
+(`Ast.token_span`), and positions live in the tokens only: a nonterminal
+is at its first leaf's line and column.
 
 Binary operators are parsed by precedence climbing, one call per operand.
 `_flatten` writes every table in one walk of the build tree, each node's
@@ -96,13 +98,11 @@ _Node = list
 
 @dataclass
 class Ast:
-    """Flat preorder AST over a token list."""
+    """Flat preorder AST over a token list; the tokens hold the positions."""
 
     node_types: list[str]
     token_indices: list[int | None]
     parents: list[int]              # -1 at the root
-    lines: list[int]
-    cols: list[int]
     tokens: list[Token]
     children: list[tuple[int, ...]]
     subtree_sizes: list[int]
@@ -127,29 +127,32 @@ class Ast:
         end = root + self.subtree_sizes[root]
         return [i for i in range(root, end) if self.token_indices[i] is not None]
 
-    def find(self, node_type: str, root: int = 0) -> list[int]:
-        """Preorder indices of nodes with the given type inside a subtree."""
-        end = root + self.subtree_sizes[root]
-        return [i for i in range(root, end) if self.node_types[i] == node_type]
+    def token_span(self, node: int) -> tuple[int, int]:
+        """The node's tokens are `tokens[first:end]`: from its first leaf,
+        reached through first children, to its last node, always a leaf."""
+        at = self.token_indices
+        leaf = node
+        while at[leaf] is None:
+            leaf += 1
+        return at[leaf], at[node + self.subtree_sizes[node] - 1] + 1
+
+    def find(self, node_type: str) -> list[int]:
+        """Preorder indices of the nodes with the given type."""
+        return [i for i, nt in enumerate(self.node_types) if nt == node_type]
 
     def nonterminal_children(self, i: int) -> list[int]:
         return [c for c in self.children[i] if self.token_indices[c] is None]
 
-    def subtree(self, root: int, tokens: list[Token] | None = None) -> "Ast":
-        """Re-rooted copy of a subtree: slices of the tables, indices
-        shifted; `tokens`, its slice of `self.tokens`, is shared if given."""
+    def subtree(self, root: int, tokens: list[Token]) -> "Ast":
+        """Re-rooted copy of a subtree over `tokens`, the slice of
+        `self.tokens` it spans: slices of the tables, indices shifted."""
         end = root + self.subtree_sizes[root]
-        token_indices = self.token_indices[root:end]
-        t0 = next(ti for ti in token_indices if ti is not None)
-        if tokens is None:
-            tokens = self.tokens[t0:token_indices[-1] + 1]  # ends on a leaf
+        t0 = self.token_span(root)[0]
         return Ast(
             node_types=self.node_types[root:end],
             token_indices=[None if ti is None else ti - t0
-                           for ti in token_indices],
+                           for ti in self.token_indices[root:end]],
             parents=[-1, *[p - root for p in self.parents[root + 1:end]]],
-            lines=self.lines[root:end],
-            cols=self.cols[root:end],
             tokens=tokens,
             children=[tuple([c - root for c in kids]) if kids else ()
                       for kids in self.children[root:end]],
@@ -158,13 +161,11 @@ class Ast:
 
 
 def _flatten(root: _Node, tokens: list[Token]) -> Ast:
-    """Preorder tables of the build tree; a nonterminal takes the position
-    of its first leaf (every nonterminal has at least one child)."""
-    tables = ([], [], [], [], [], [], [])
+    """Preorder tables of the build tree; every nonterminal has a child."""
+    tables = ([], [], [], [], [])
     _emit(root, -1, tokens, tables)
-    node_types, token_indices, parents, lines, cols, children, sizes = tables
-    return Ast(node_types, token_indices, parents, lines, cols, tokens,
-               children, sizes)
+    node_types, token_indices, parents, children, sizes = tables
+    return Ast(node_types, token_indices, parents, tokens, children, sizes)
 
 
 def _emit(node: _Node, parent: int, tokens: list[Token],
@@ -172,33 +173,26 @@ def _emit(node: _Node, parent: int, tokens: list[Token],
     """Append `node`'s subtree to `_flatten`'s tables. They are passed in,
     not closed over: a nested function that calls itself is a reference
     cycle, which only the cyclic collector frees."""
-    node_types, token_indices, parents, lines, cols, children, sizes = tables
+    node_types, token_indices, parents, children, sizes = tables
     idx = len(node_types)
     node_types.append(node[0])
     token_indices.append(None)
     parents.append(parent)
-    lines.append(0)
-    cols.append(0)
     children.append(())
     sizes.append(0)
     kids = []
     for child in node[1:]:
         kids.append(len(node_types))
         if child.__class__ is int:
-            kind, _lexeme, line, col = tokens[child]
-            node_types.append(kind)
+            node_types.append(tokens[child].kind)
             token_indices.append(child)
             parents.append(idx)
-            lines.append(line)
-            cols.append(col)
             children.append(())
             sizes.append(1)
         else:
             _emit(child, idx, tokens, tables)
     children[idx] = tuple(kids)
     sizes[idx] = len(node_types) - idx
-    lines[idx] = lines[idx + 1]
-    cols[idx] = cols[idx + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -839,11 +833,8 @@ class MethodSource:
     @property
     def tokens(self) -> list[Token]:
         if self._tokens is None:
-            at, first = self._file.token_indices, self._member + 1
-            while at[first] is None:            # to the member's first leaf
-                first += 1
-            last = self._member + self._file.subtree_sizes[self._member] - 1
-            self._tokens = self._file.tokens[at[first]:at[last] + 1]
+            first, end = self._file.token_span(self._member)
+            self._tokens = self._file.tokens[first:end]
         return self._tokens
 
     @property
@@ -910,8 +901,8 @@ def _method_source(ast: Ast, source: str, starts: list[int], member: int,
         *_modifiers, pty, pname = ast.children[p]   # modifiers Type name
         param_types.append(type_simple_name(ast, pty))
         param_names.append(tokens[at[pname]].lexeme)
-    start = ast.lines[member]
-    end = ast.lines[member + ast.subtree_sizes[member] - 1]
+    first, stop = ast.token_span(member)
+    start, end = tokens[first].line, tokens[stop - 1].line
     return MethodSource(
         name=name,
         signature=f"{name}({','.join(param_types)})",

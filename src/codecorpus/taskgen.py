@@ -15,7 +15,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
 
-from .catalog import Catalog
+from .catalog import Catalog, size_bucket
 from .errors import InputError, InvalidArgumentError, NotFoundError
 from .identity import EntityId
 from .callgraph import CallGraph, ContextBundle
@@ -67,17 +67,6 @@ class TaskDataset:
 
     def indices(self, split: str) -> list[int]:
         return sorted(self.splits[split])
-
-
-def size_bucket(class_count: int) -> str:
-    """Project-size buckets: A <=20 classes, B 21-50, C 51-100, D >100."""
-    if class_count <= 20:
-        return "A"
-    if class_count <= 50:
-        return "B"
-    if class_count <= 100:
-        return "C"
-    return "D"
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +220,8 @@ def make_call_masking_task(catalog: Catalog,
         tok = ast.token(name_term)
         edge = edge_at.get((meta.method_id, tok.line, tok.col))
         stratum = edge.call_type if edge is not None else "API"
-        order = ast.terminals()
-        token_pos = order.index(name_term)
-        lexemes = [ast.lexeme(t) for t in order]
+        token_pos = ast.token_indices[name_term]
+        lexemes = [t.lexeme for t in ast.tokens]
         lexemes[token_pos] = MASK_TOKEN
         bucket = size_bucket(catalog.class_count(meta.project_id))
         samples.append(TaskSample(
@@ -281,11 +269,6 @@ def augment_with_context(sample: TaskSample, bundle: ContextBundle,
 # Argument-swap mutation
 # ---------------------------------------------------------------------------
 
-def _subtree_token_span(ast, node: int, pos: dict[int, int]) -> tuple[int, int]:
-    terms = ast.terminals(node)
-    return pos[terms[0]], pos[terms[-1]] + 1
-
-
 def make_mutation_task(catalog: Catalog,
                        sources: dict[EntityId, MethodSource],
                        p_mutate: float,
@@ -302,19 +285,15 @@ def make_mutation_task(catalog: Catalog,
         if method is None:
             continue
         ast = method.ast
-        order = ast.terminals()
-        pos = {t: k for k, t in enumerate(order)}
-        lexemes = [ast.lexeme(t) for t in order]
+        lexemes = [t.lexeme for t in ast.tokens]
         bucket = size_bucket(catalog.class_count(meta.project_id))
 
         mutated = False
         meta_info: dict = {}
         if rng.random() < p_mutate:
             spans_by_site = []
-            for site in call_sites(ast):
-                if len(site.args) < 2:
-                    continue
-                spans = [_subtree_token_span(ast, a, pos) for a in site.args]
+            for site in call_sites(ast):       # pairs need two arguments
+                spans = [ast.token_span(a) for a in site.args]
                 texts = [" ".join(lexemes[a:b]) for a, b in spans]
                 pairs = [(x, y) for x in range(len(spans))
                          for y in range(x + 1, len(spans))
@@ -325,11 +304,10 @@ def make_mutation_task(catalog: Catalog,
                 spans, pairs = spans_by_site[rng.randrange(len(spans_by_site))]
                 x, y = pairs[rng.randrange(len(pairs))]
                 (a1, b1), (a2, b2) = spans[x], spans[y]
-                swapped = (lexemes[:a1] + lexemes[a2:b2] + lexemes[b1:a2]
+                lexemes = (lexemes[:a1] + lexemes[a2:b2] + lexemes[b1:a2]
                            + lexemes[a1:b1] + lexemes[b2:])
                 meta_info = {"arg_positions": (x, y),
                              "token_spans": ((a1, b1), (a2, b2))}
-                lexemes = swapped
                 mutated = True
         samples.append(TaskSample(
             "", meta.method_id, " ".join(lexemes),

@@ -26,10 +26,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .catalog import Catalog
+from .catalog import Catalog, size_bucket
 from .errors import InvalidArgumentError
 from .identity import EntityId
 from .lexer import lex
+from .parser import split_lines
 from .tables import read_table, write_table, write_text
 
 WINDOW_THRESHOLDS = (256, 512, 1024, 2048, 4096)
@@ -56,10 +57,6 @@ class BpeVocab:
             self._rank = {pair: i for i, pair in enumerate(self.merges)}
 
 
-def _lines(text: str) -> list[str]:
-    return text.splitlines(keepends=True) or ([text] if text else [])
-
-
 def train_bpe(corpus_text: str, vocab_size: int,
               corpus_tag: str = "") -> BpeVocab:
     """Learn merge rules on `corpus_text` until `vocab_size` symbols exist."""
@@ -68,7 +65,7 @@ def train_bpe(corpus_text: str, vocab_size: int,
     if vocab_size <= 256:
         raise InvalidArgumentError("vocab_size must exceed the 256 byte symbols")
 
-    weighted = Counter(_lines(corpus_text))
+    weighted = Counter(split_lines(corpus_text))
     seqs: list[list[bytes]] = []
     weights: list[int] = []
     counts: Counter = Counter()
@@ -180,7 +177,7 @@ def _encode_line(v: BpeVocab, line: str) -> list[bytes]:
 def bpe_encode(v: BpeVocab, text: str) -> list[bytes]:
     """Apply merges in rank order within each line; lossless by design."""
     out: list[bytes] = []
-    for line in _lines(text):
+    for line in split_lines(text):
         out.extend(_encode_line(v, line))
     return out
 
@@ -188,7 +185,7 @@ def bpe_encode(v: BpeVocab, text: str) -> list[bytes]:
 def bpe_encode_len(v: BpeVocab, text: str) -> int:
     """Symbol count of encode(text), with a per-line memo for speed."""
     total = 0
-    for line in _lines(text):
+    for line in split_lines(text):
         n = v._line_cache.get(line)
         if n is None:
             n = len(_encode_line(v, line))
@@ -314,7 +311,6 @@ def window_fit(records: list[SizeRecord],
     """
     if buckets and catalog is None:
         raise InvalidArgumentError("bucketed fit tables need the catalog")
-    from .taskgen import size_bucket
     groups: dict[tuple[str, str, str], list[int]] = {}
     for r in records:
         bucket = ""

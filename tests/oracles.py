@@ -44,6 +44,9 @@ different algorithmic shape:
   `file_view` did before its methods built their subtree, tokens and text
   on first read: an `Ast.subtree` copy and a join of the file's lines per
   method, and the header read through `Ast.lexeme`.
+* `tknb_decode_oracle` splits a TKNB payload on the commas outside quoted
+  literals with a quote and escape state machine, instead of matching the
+  quoted separator or a run of non-commas.
 * `write_table_oracle` writes a table with `csv.writer`, and
   `graph_payload_oracle` builds a dict per graph node and hands the whole
   tree to `json.dumps`, instead of formatting each row or node as a
@@ -67,7 +70,7 @@ from codecorpus.errors import InvalidArgumentError, LexError
 from codecorpus.featuregraph import EDGE_TYPES, FeatureGraph, GraphNode
 from codecorpus.lexer import (
     KEYWORDS, KIND_BOOL, KIND_CHAR, KIND_IDENTIFIER, KIND_INT, KIND_KEYWORD,
-    KIND_NULL, KIND_OPERATOR, KIND_SEPARATOR, KIND_STRING, Token,
+    KIND_NULL, KIND_OPERATOR, KIND_SEPARATOR, KIND_STRING, LITCOMMA, Token,
 )
 from codecorpus.parser import (
     MODIFIER_WORDS, Ast, FileView, MethodSource, NT_ASSIGN, NT_BINARY,
@@ -879,7 +882,9 @@ def _method_source_oracle(ast: Ast, lines: list[str], member: int,
         param_types.append(type_simple_name(ast, pty))
         param_names.append(ast.lexeme(pname))
     signature = f"{name}({','.join(param_types)})"
-    sub = ast.subtree(member)
+    terms = ast.terminals(member)
+    sub = ast.subtree(member, ast.tokens[ast.token_indices[terms[0]]:
+                                         ast.token_indices[terms[-1]] + 1])
     start, end = sub.tokens[0].line, sub.tokens[-1].line
     return MethodSourceOracle(
         name=name,
@@ -1176,12 +1181,18 @@ def _merge_all(symbols: list[bytes], pair: tuple[bytes, bytes]
     return out
 
 
+def _lines_oracle(text: str) -> list[str]:
+    """The text's lines with their endings, broken at "\\n" only."""
+    *ended, last = text.split("\n")
+    return [line + "\n" for line in ended] + ([last] if last else [])
+
+
 def bpe_merges_oracle(corpus_text: str, vocab_size: int
                       ) -> list[tuple[bytes, bytes]]:
     """Merge rules learned by recounting every pair of every line after each
     merge, instead of updating the counts around the merge sites."""
     from collections import Counter
-    lines = corpus_text.splitlines(keepends=True)
+    lines = _lines_oracle(corpus_text)
     seqs = [([bytes([b]) for b in line.encode("utf-8")], n)
             for line, n in sorted(Counter(lines).items())]
     vocab = {bytes([b]) for b in range(256)}
@@ -1221,8 +1232,7 @@ def _encode_line(v, line: str) -> list[bytes]:
 def bpe_encode_oracle(v, text: str) -> list[bytes]:
     """Symbols of `text` under vocabulary `v`, found by rescanning every pair
     of a line after each merge."""
-    lines = text.splitlines(keepends=True) or ([text] if text else [])
-    return [s for line in lines for s in _encode_line(v, line)]
+    return [s for line in _lines_oracle(text) for s in _encode_line(v, line)]
 
 
 # ---------------------------------------------------------------------------
@@ -1659,10 +1669,12 @@ def build_feature_graph_oracle(method: MethodSource,
     if body is not None:
         builder.stmt(body, env, True, [])
 
-    nodes = [GraphNode(i, ast.node_types[i],
-                       ast.lexeme(i) if ast.is_terminal(i) else None,
-                       ast.lines[i], ast.cols[i])
-             for i in range(len(ast))]
+    nodes = []
+    for i in range(len(ast)):
+        first = ast.token(ast.terminals(i)[0])
+        nodes.append(GraphNode(i, ast.node_types[i],
+                               ast.lexeme(i) if ast.is_terminal(i) else None,
+                               first.line, first.col))
     for fname in used_fields:
         nodes.append(GraphNode(builder.field_nodes[fname], "FieldDef", fname, 0, 0))
     formal_index = len(nodes)
@@ -1705,3 +1717,53 @@ def graph_payload_oracle(g: FeatureGraph) -> str:
              for t in EDGE_TYPES if t in g.edges}
     return json.dumps({"nodes": nodes, "edges": edges},
                       separators=(",", ":"), ensure_ascii=False)
+
+
+# ---------------------------------------------------------------------------
+# Previous TKNB decoder
+# ---------------------------------------------------------------------------
+
+def tknb_split_oracle(payload: str) -> list[str]:
+    """Split a TKNB payload on unquoted commas.
+
+    Quote state tracks both double and single quotes with backslash escapes,
+    so literal lexemes (which keep their own quote characters) never leak a
+    split point. Yields exactly one item per original token.
+    """
+    if not payload:
+        return []
+    items: list[str] = []
+    buf: list[str] = []
+    in_dq = False
+    in_sq = False
+    escape = False
+    for ch in payload:
+        if escape:
+            buf.append(ch)
+            escape = False
+            continue
+        if (in_dq or in_sq) and ch == "\\":
+            buf.append(ch)
+            escape = True
+            continue
+        if ch == '"' and not in_sq:
+            in_dq = not in_dq
+            buf.append(ch)
+            continue
+        if ch == "'" and not in_dq:
+            in_sq = not in_sq
+            buf.append(ch)
+            continue
+        if ch == "," and not in_dq and not in_sq:
+            items.append("".join(buf))
+            buf = []
+            continue
+        buf.append(ch)
+    items.append("".join(buf))
+    return items
+
+
+def tknb_decode_oracle(payload: str) -> list[str]:
+    """The lexeme list of a TKNB payload, split by `tknb_split_oracle`."""
+    return ["," if item == '","' else item.replace(LITCOMMA, ",")
+            for item in tknb_split_oracle(payload)]

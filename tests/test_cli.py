@@ -191,15 +191,18 @@ def test_a_duplicated_method_row_is_an_input_error(cli_env, tmp_path):
 
 
 def test_same_signature_methods_on_one_line_share_an_id(tmp_path):
-    # `catalog` itself writes the one id twice; the check counts both
+    # `catalog` keeps the first declaration; the repeat gets no row
     corpus = _one_class_corpus(
         tmp_path, "int f() { return 1; } int f() { return 2; }")
     ws = tmp_path / "ws"
-    for command in (("catalog", "--corpus", corpus), ("metrics",)):
+    for command in (("catalog", "--corpus", corpus), ("metrics",),
+                    ("repr", "--types", "TKNA")):
         proc = run_cli(*command, "-w", ws)
         assert proc.returncode == 0, (command, proc.stderr)
     rows = (ws / "metadata" / "methods.csv").read_text().splitlines()[1:]
-    assert len(rows) == 2 and rows[0] == rows[1]
+    assert len(rows) == 1
+    tkna = (ws / "representations" / "TKNA.csv").read_text().splitlines()[1:]
+    assert len(tkna) == 1 and tkna[0].endswith(",int f ( ) { return 1 ; }")
 
 
 def test_call_mask_says_when_it_writes_no_evaluation(cli_env, tmp_path):

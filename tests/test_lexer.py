@@ -3,13 +3,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codecorpus.errors import LexError
-from codecorpus.fixturegen import fixture_files
+from codecorpus.fixturegen import DEFAULT_BUCKET_CLASSES, fixture_files
 from codecorpus.lexer import (KIND_BOOL, KIND_CHAR, KIND_IDENTIFIER,
                               KIND_INT, KIND_KEYWORD, KIND_NULL,
                               KIND_OPERATOR, KIND_SEPARATOR, KIND_STRING,
                               lex, tkna_text, tknb_decode, tknb_text)
 
-from oracles import lex_oracle
+from oracles import lex_oracle, tknb_decode_oracle
 
 
 def kinds(source):
@@ -159,7 +159,21 @@ _SNIPPET_TOKENS = st.lists(
 def test_tknb_roundtrip_property(items):
     src = " ".join(items)
     toks = lex(src)
-    assert tknb_decode(tknb_text(toks)) == [t.lexeme for t in toks]
+    payload = tknb_text(toks)
+    assert tknb_decode(payload) == [t.lexeme for t in toks]
+    assert tknb_decode(payload) == tknb_decode_oracle(payload)
+
+
+@pytest.mark.parametrize("scale", [1, 4])
+def test_tknb_decode_matches_the_quote_tracking_split(scale):
+    for rel, text in fixture_files(
+            {k: scale * v for k, v in DEFAULT_BUCKET_CLASSES.items()}).items():
+        try:
+            toks = lex(text)
+        except LexError:
+            continue
+        payload = tknb_text(toks)
+        assert tknb_decode(payload) == tknb_decode_oracle(payload), rel
 
 
 @settings(max_examples=100, deadline=None)

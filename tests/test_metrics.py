@@ -107,6 +107,16 @@ def test_npath_recurrence_matches_path_enumeration(views):
                 assert npath(m.ast) == npath_enumerator(m.ast), (rel, m.name)
 
 
+def test_each_condition_counts_only_its_own_short_circuits():
+    # if: 1 + 1 + sc(a && b); while: 1 + 1 + sc(c || d); 3 * 3 paths
+    m = file_view(
+        "class A { int f(boolean a, boolean b, boolean c, boolean d) {"
+        " if (a && b) { a = c; } while (c || d) { c = a; } return 1; } }"
+    ).classes[0].methods[0]
+    assert npath(m.ast) == npath_enumerator(m.ast) == 9
+    assert compute_metrics(m)["CMPX"] == 5
+
+
 def test_bodyless_declarations_get_floor_values(views):
     shape = views["textzoo/text/Shape.java"]
     for m in shape.classes[0].methods:

@@ -9,6 +9,7 @@ from hypothesis import Phase, given, settings, strategies as st
 from conftest import STATEMENTS, fixture_with_statements
 
 from codecorpus.errors import CorpusError, ParseError
+from codecorpus.featuregraph import _ast_nodes
 from codecorpus.fixturegen import fixture_files
 from codecorpus.lexer import lex
 from codecorpus.parser import (
@@ -57,15 +58,25 @@ def test_flat_preorder_table_is_well_formed(views):
 
 def test_nonterminal_position_is_first_leaf_below(views):
     for rel, view in views.items():
-        ast = view.ast
-        for i in range(len(ast)):
-            if ast.is_terminal(i):
-                continue
-            leaves = ast.terminals(i)
-            if not leaves:
-                continue
-            tok = ast.token(leaves[0])
-            assert (ast.lines[i], ast.cols[i]) == (tok.line, tok.col), (rel, i)
+        asts = [view.ast, *[m.ast for cls in view.classes for m in cls.methods]]
+        for ast in asts:
+            nodes, _terminals, _edges = _ast_nodes(ast)
+            assert len(nodes) == len(ast), rel
+            for i, node in enumerate(nodes):
+                tok = ast.token(ast.terminals(i)[0])
+                assert (node.index, node.line, node.col) == \
+                    (i, tok.line, tok.col), (rel, i)
+
+
+@pytest.mark.parametrize("corpus", ["corpus_data", "scaled_corpus_data"])
+def test_token_span_runs_from_the_first_to_the_last_terminal(request, corpus):
+    for data in request.getfixturevalue(corpus):
+        for view in data.class_views.values():
+            ast = view.ast
+            for i in range(len(ast)):
+                terms = ast.terminals(i)
+                assert ast.token_span(i) == (ast.token_indices[terms[0]],
+                                             ast.token_indices[terms[-1]] + 1)
 
 
 def test_method_text_matches_method_subtree(views):
@@ -80,8 +91,11 @@ def test_method_text_matches_method_subtree(views):
 
 
 def _tables(ast):
-    return [ast.node_types, ast.token_indices, ast.parents, ast.lines,
-            ast.cols, [list(kids) for kids in ast.children],
+    # the digest holds a line and a column per node: its first leaf's
+    firsts = [ast.token(ast.terminals(i)[0]) for i in range(len(ast))]
+    return [ast.node_types, ast.token_indices, ast.parents,
+            [t.line for t in firsts], [t.col for t in firsts],
+            [list(kids) for kids in ast.children],
             ast.subtree_sizes,
             [[t.kind, t.lexeme, t.line, t.col] for t in ast.tokens]]
 

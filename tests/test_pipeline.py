@@ -16,12 +16,14 @@ import codecorpus.catalog as catalog_mod
 import codecorpus.lexer as lexer_mod
 import codecorpus.pathcontexts as pathcontexts_mod
 from codecorpus import cli
+from codecorpus.callgraph import build_callgraph
 from codecorpus.catalog import (
     CLASSES_HEADER, METHODS_HEADER, PACKAGES_HEADER, PROJECTS_HEADER,
     read_metadata, read_property_csv,
 )
 from codecorpus.errors import InputError, InvalidArgumentError, ParseError
 from codecorpus.fixturegen import write_fixture_corpus
+from codecorpus.lexer import tkna_text
 from codecorpus.metrics import compute_metrics
 from codecorpus.parser import Ast
 from codecorpus.pipeline import (
@@ -190,6 +192,28 @@ def test_strictness_controls_unparseable_files(tmp_path):
     strict = WorkspaceConfig(corpus_root=str(corpus), strictness="fail-fast")
     with pytest.raises(ParseError):
         stage_catalog(Workspace(tmp_path / "ws2"), strict)
+
+
+@pytest.mark.parametrize("body, first", [
+    ("int f() { return 1; } int f() { return 2; } int g() { return f(); }",
+     "int f ( ) { return 1 ; }"),
+    ("A() { } void A() { } void g() { A(); new A(); }", "A ( ) { }"),
+], ids=["method", "constructor"])
+def test_a_repeated_declaration_is_skipped_with_a_diagnostic(tmp_path, body,
+                                                              first):
+    # the repeat has the first one's signature and first line, so its id
+    (tmp_path / "p").mkdir()
+    (tmp_path / "p" / "A.java").write_text(f"class A {{ {body} }}\n",
+                                           encoding="utf-8")
+    data = catalog_mod.catalog_project(tmp_path / "p", corpus_root=tmp_path)
+    kept, g = data.methods
+    name = kept.method_signature
+    assert [d.message for d in data.diagnostics] == \
+        [f"duplicate declaration of {name} at line 1; skipped"]
+    assert list(data.sources) == [kept.method_id, g.method_id]
+    assert tkna_text(data.sources[kept.method_id].tokens) == first
+    edges = build_callgraph([data]).edges
+    assert edges and all(e.callee == kept.method_id for e in edges)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from codecorpus.taskgen import (
     write_task_csv,
 )
 
-from oracles import mask_sites_oracle
+from oracles import mask_sites_oracle, swap_sites_oracle
 
 
 @pytest.fixture(scope="module")
@@ -327,6 +327,32 @@ def test_mutation_swaps_the_argument_tokens(env):
     assert "( 3 , 2 )" in pkg_only.payload        # new Box(2, 3) swapped
     zero = _sample_for(ds, _mid(cat, "calc/Calc.java", "zero()"))
     assert zero.label == "clean"
+
+
+def test_mutation_swaps_whole_argument_token_spans(env):
+    # a swapped span runs from an argument's first terminal to its last
+    cat, sources, _g, _payloads, _props = env
+    ds = make_mutation_task(cat, sources, p_mutate=1.0, seed=0)
+    widest = 0
+    for s in ds.samples:
+        if s.label != "mutated":
+            continue
+        ast = sources[s.method_id].ast
+        order = ast.terminals()
+        pos = {t: k for k, t in enumerate(order)}
+        x, y = s.meta["arg_positions"]
+        spans = [tuple((pos[ast.terminals(a)[0]], pos[ast.terminals(a)[-1]] + 1)
+                       for a in (args[x], args[y]))
+                 for _node, args in swap_sites_oracle(sources[s.method_id])
+                 if len(args) > y]
+        assert s.meta["token_spans"] in spans, s.method_id
+        (a1, b1), (a2, b2) = s.meta["token_spans"]
+        lexemes = [ast.lexeme(t) for t in order]
+        assert s.payload == " ".join(
+            lexemes[:a1] + lexemes[a2:b2] + lexemes[b1:a2] + lexemes[a1:b1]
+            + lexemes[b2:])
+        widest = max(widest, b1 - a1, b2 - a2)
+    assert widest > 1
 
 
 def test_mutation_probability_is_validated(env):

@@ -82,10 +82,17 @@ def test_merges_never_cross_lines():
     assert bpe_decode(enc) == "a\nb"
 
 
-# small alphabet with runs and repeats, multibyte characters and newlines,
-# so that ties, overlapping pairs and shared merge sites are common
+def test_lines_break_at_newline_only():
+    # a form feed stays inside its line, as in the lexer's line count
+    assert train_bpe("x\x0cy\n" * 10, 257).merges[0] == (b"\x0c", b"y")
+    assert bpe_encode(train_bpe("a\rb\n" * 4, 300), "a\rb\n") == [b"a\rb\n"]
+
+
+# small alphabet with runs and repeats, multibyte characters, newlines and
+# other characters that `str.splitlines` breaks at, so that ties,
+# overlapping pairs and shared merge sites are common
 _PIECES = st.sampled_from(["a", "b", "c", "aaaa", "abab", "é", "€", "😀",
-                           " ", "\n"])
+                           " ", "\n", "\r", "\x0c"])
 
 
 @settings(max_examples=150, deadline=None)
