@@ -54,7 +54,6 @@ METRIC_KEYS = ("TLOC", "SLOC", "CMPX", "MXIN", "NPTH", "NMTK", "NMPR",
                "NUID", "NMOP", "NMLT", "NMRT", "NAME")
 CALLGRAPH_KEYS = ("NUPC", "NUCC", "NMNC", "NMLC")
 IMPORT_ONLY_KEYS = ("NLDF", "RSLK", "NTID")
-KNOWN_KEYS = METRIC_KEYS + CALLGRAPH_KEYS + IMPORT_ONLY_KEYS
 
 
 class ProjectMeta(NamedTuple):

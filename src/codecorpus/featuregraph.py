@@ -40,8 +40,8 @@ from .parser import (
     Ast, MethodSource, NT_ASSIGN, NT_BINARY, NT_BLOCK, NT_CALL, NT_FIELD_ACCESS,
     NT_FOR, NT_IF, NT_LOCAL, NT_NEW, NT_PARAM, NT_PAREN, NT_POSTFIX, NT_RETURN,
     NT_EXPR_STMT, NT_TERNARY, NT_UNARY, NT_WHILE,
-    assign_parts, call_parts, for_parts, if_parts, local_decl_parts, new_parts,
-    while_parts,
+    assign_parts, call_parts, for_parts, if_parts, local_decl_parts,
+    method_body, new_parts, while_parts,
 )
 
 EDGE_TYPES = (
@@ -352,7 +352,7 @@ def build_feature_graph(method: MethodSource,
         env[f"this.{fname}"] = (frozenset(), frozenset({len(nodes)}))
         nodes.append(GraphNode(len(nodes), "FieldDef", fname, 0, 0))
 
-    body = next((c for c in ast.children[0] if ast.node_types[c] == NT_BLOCK), None)
+    body = method_body(ast)
     if body is not None:
         builder.stmt(body, env, [])
 

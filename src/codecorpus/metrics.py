@@ -29,20 +29,10 @@ from .lexer import (
 )
 from .parser import (
     Ast, MethodSource, NT_BLOCK, NT_FOR, NT_IF, NT_RETURN, NT_WHILE,
-    for_parts, if_parts, while_parts,
+    for_parts, if_parts, method_body, while_parts,
 )
 
 DECISION_KEYWORDS = ("if", "while", "for")
-
-_STMT_TYPES = frozenset({NT_IF, NT_WHILE, NT_FOR})
-
-
-def _method_body(ast: Ast) -> int | None:
-    """Index of the method's body block, or None for abstract declarations."""
-    for c in ast.children[0]:
-        if ast.node_types[c] == NT_BLOCK:
-            return c
-    return None
 
 
 def cmpx(ast: Ast) -> int:
@@ -58,7 +48,7 @@ def cmpx(ast: Ast) -> int:
 
 def mxin(ast: Ast) -> int:
     """Max block nesting below the method body; counts braces, not indentation."""
-    body = _method_body(ast)
+    body = method_body(ast)
     if body is None:
         return 0
     best = 0
@@ -106,7 +96,7 @@ def _npath_seq(ast: Ast, block: int) -> int:
 
 
 def npath(ast: Ast) -> int:
-    body = _method_body(ast)
+    body = method_body(ast)
     return 1 if body is None else _npath_seq(ast, body)
 
 

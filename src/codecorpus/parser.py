@@ -262,16 +262,14 @@ class _Parser:
             raise ParseError("no type declaration in file", 1, 1)
         return unit
 
-    def _dotted_name(self, parent: _Node, allow_star: bool = False) -> str:
-        parts = [self.expect(parent, KIND_IDENTIFIER).lexeme]
+    def _dotted_name(self, parent: _Node, allow_star: bool = False) -> None:
+        self.expect(parent, KIND_IDENTIFIER)
         while self._at(KIND_SEPARATOR, "."):
             self.take(parent)
             if allow_star and self._at(KIND_OPERATOR, "*"):
                 self.take(parent)
-                parts.append("*")
                 break
-            parts.append(self.expect(parent, KIND_IDENTIFIER).lexeme)
-        return ".".join(parts)
+            self.expect(parent, KIND_IDENTIFIER)
 
     def _annotations_and_modifiers(self, parent: _Node) -> None:
         while True:
@@ -712,6 +710,12 @@ def type_text(ast: Ast, type_node: int) -> str:
 
 def type_simple_name(ast: Ast, type_node: int) -> str:
     return ast.lexeme(_type_base(ast, type_node)[-1])
+
+
+def method_body(ast: Ast) -> int | None:
+    """A method Ast's body: its root's last child if that is a Block."""
+    last = ast.children[0][-1]
+    return last if ast.node_types[last] == NT_BLOCK else None
 
 
 def if_parts(ast: Ast, i: int) -> tuple[int, int, int | None]:

@@ -29,6 +29,7 @@ the file (CLI exit 2 for both).
 """
 
 import json
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,10 +50,11 @@ from .parser import MethodSource
 from .pathcontexts import (clear_render_caches, extract_paths, to_c2sq,
                            to_c2vc)
 from .tables import read_table, write_table, write_text
-from .taskgen import (augment_with_context, baseline_context_unigram,
-                      baseline_most_frequent, bias_table,
-                      evaluate_exact_match, make_call_masking_task,
-                      make_mutation_task, make_property_task, write_task_csv)
+from .taskgen import (SPLIT_NAMES, augment_with_context,
+                      baseline_context_unigram, baseline_most_frequent,
+                      bias_table, evaluate_exact_match,
+                      make_call_masking_task, make_mutation_task,
+                      make_property_task, write_task_csv)
 from .tokenstats import (english_sample_text, entity_sizes, read_sizes_csv,
                          tokenizer_ratio, train_bpe, window_fit,
                          write_fit_csv, write_sizes_csv, write_vocab)
@@ -230,6 +232,18 @@ def load_corpus(ws: Workspace
     return cfg, datas, cat
 
 
+def _report_skipped_files(datas: list[ProjectData]) -> int:
+    """Print every diagnostic to stderr as a note; count the files that got
+    no class row (each of them has a diagnostic)."""
+    skipped = 0
+    for d in datas:
+        for diag in d.diagnostics:
+            print(f"note: {diag.path}: {diag.message}", file=sys.stderr)
+        skipped += len({diag.path for diag in d.diagnostics}
+                       - {c.class_path for c in d.classes})
+    return skipped
+
+
 # ---------------------------------------------------------------------------
 # Stages
 # ---------------------------------------------------------------------------
@@ -240,10 +254,9 @@ def stage_catalog(ws: Workspace, cfg: WorkspaceConfig) -> dict:
     datas = parse_corpus(cfg)
     cat = merged_catalog(datas)
     write_metadata(cat, ws.metadata_dir)
-    skipped = sum(len(d.diagnostics) for d in datas)
     return {"projects": len(cat.projects), "packages": len(cat.packages),
             "classes": len(cat.classes), "methods": len(cat.methods),
-            "skipped_files": skipped, "seed": cfg.seed}
+            "skipped_files": _report_skipped_files(datas), "seed": cfg.seed}
 
 
 def _write_repr_csv(path: Path, rows: list[tuple[str, str]]) -> None:
@@ -351,9 +364,8 @@ def stage_taskgen(ws: Workspace, datas: list[ProjectData], cat: Catalog,
         payloads = read_repr_csv(ws.require(ws.repr_path("TKNA"), "repr"))
         props = _load_props(ws, sorted(set(needed)))
         dataset = make_property_task(
-            key, props[key], payloads, cat, filters=list(filters),
-            balance=balance, split_fracs=split_fracs, seed=seed,
-            all_props=props)
+            key, props, payloads, cat, filters=list(filters),
+            balance=balance, split_fracs=split_fracs, seed=seed)
         name = f"property_{key}"
     elif task == "call-mask":
         graph = read_callgraph_csv(ws.require(ws.callgraph_path, "callgraph"))
@@ -374,11 +386,10 @@ def stage_taskgen(ws: Workspace, datas: list[ProjectData], cat: Catalog,
             "task must be property, call-mask, or mutation")
 
     write_task_csv(ws.task_path(name), dataset)
+    counts = Counter(s.split for s in dataset.samples)
     summary = {"task": name, "samples": len(dataset.samples),
-               "splits": {s: len(ix) for s, ix in dataset.splits.items()},
-               "seed": seed}
-    if task == "call-mask" and dataset.splits["test"] \
-            and dataset.splits["train"]:
+               "splits": {s: counts[s] for s in SPLIT_NAMES}, "seed": seed}
+    if task == "call-mask" and counts["test"] and counts["train"]:
         evals = {}
         for tag, fn in (("most_frequent", baseline_most_frequent),
                         ("context_unigram", baseline_context_unigram)):
@@ -519,4 +530,4 @@ def stage_add_project(ws: Workspace, project_root, replace: bool = False
     return {"project": new_data.project.project_name,
             "classes": len(new_data.classes),
             "methods": len(new_data.methods),
-            "skipped_files": len(new_data.diagnostics)}
+            "skipped_files": _report_skipped_files([new_data])}

@@ -3,8 +3,10 @@ argument-swap mutation detection, plus the exact-match evaluation harness.
 
 All datasets share the same leak-free split scheme: projects are shuffled by
 seed and greedily assigned whole to the split with the largest remaining
-deficit, so no project ever contributes to two splits. Sample order follows
-catalog order, which makes dataset files byte-reproducible for a fixed seed.
+deficit, so no project ever contributes to two splits. Each sample carries
+its split and its project's size bucket, both set in `_finalize`. Sample
+order follows catalog order, which makes dataset files byte-reproducible
+for a fixed seed.
 
 Call masking and mutation take their sites from `parser.call_sites`, the
 one definition of a call site, which the call graph also uses: a masked
@@ -16,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from .catalog import Catalog, size_bucket
-from .errors import InputError, InvalidArgumentError, NotFoundError
+from .errors import InputError, InvalidArgumentError
 from .identity import EntityId
 from .callgraph import CallGraph, ContextBundle
 from .lexer import KIND_IDENTIFIER
@@ -50,23 +52,15 @@ class TaskSample:
     stratum: str = ""            # call_type for masking tasks, else empty
     size_bucket: str = ""
     meta: dict = field(default_factory=dict)   # in-memory only
+    split: str = ""              # one of SPLIT_NAMES
 
 
 @dataclass
 class TaskDataset:
     samples: list[TaskSample]
-    splits: dict[str, set[int]]
-    seed: int
-    spec: str
 
-    def split_of(self, index: int) -> str:
-        for name in SPLIT_NAMES:
-            if index in self.splits[name]:
-                return name
-        raise NotFoundError(f"sample index {index} not in any split")
-
-    def indices(self, split: str) -> list[int]:
-        return sorted(self.splits[split])
+    def in_split(self, split: str) -> list[TaskSample]:
+        return [s for s in self.samples if s.split == split]
 
 
 # ---------------------------------------------------------------------------
@@ -83,35 +77,36 @@ def _check_fracs(split_fracs) -> tuple[float, float, float]:
 
 
 def assign_project_splits(samples: list[TaskSample], catalog: Catalog,
-                          split_fracs, seed: int) -> dict[str, set[int]]:
-    """Whole projects go to one split each, greedily filling targets."""
+                          split_fracs, seed: int) -> None:
+    """Set each sample's split: whole projects go to one split each,
+    greedily filling targets."""
     fracs = _check_fracs(split_fracs)
-    groups: dict[EntityId, list[int]] = {}
-    for i, s in enumerate(samples):
-        meta = catalog.by_id[s.method_id]
-        groups.setdefault(meta.project_id, []).append(i)
+    groups: dict[EntityId, list[TaskSample]] = {}
+    for s in samples:
+        groups.setdefault(catalog.by_id[s.method_id].project_id, []).append(s)
     order = sorted(groups)
     random.Random(seed).shuffle(order)
     targets = {name: frac * len(samples)
                for name, frac in zip(SPLIT_NAMES, fracs)}
-    splits: dict[str, set[int]] = {name: set() for name in SPLIT_NAMES}
     counts = {name: 0 for name in SPLIT_NAMES}
     for pid in order:
         best = max(SPLIT_NAMES,
                    key=lambda n: (targets[n] - counts[n],
                                   -SPLIT_NAMES.index(n)))
-        splits[best].update(groups[pid])
+        for s in groups[pid]:
+            s.split = best
         counts[best] += len(groups[pid])
-    return splits
 
 
 def _finalize(samples: list[TaskSample], catalog: Catalog, split_fracs,
-              seed: int, spec: str) -> TaskDataset:
+              seed: int) -> TaskDataset:
+    """Number the samples, give each its project's size bucket, split."""
     for i, s in enumerate(samples):
         s.sample_id = f"s{i:06d}"
-    return TaskDataset(samples, assign_project_splits(samples, catalog,
-                                                      split_fracs, seed),
-                       seed, spec)
+        pid = catalog.by_id[s.method_id].project_id
+        s.size_bucket = size_bucket(catalog.class_count(pid))
+    assign_project_splits(samples, catalog, split_fracs, seed)
+    return TaskDataset(samples)
 
 
 # ---------------------------------------------------------------------------
@@ -128,25 +123,25 @@ def _passes(value, fkey: str, op: str, fval) -> bool:
 
 
 def make_property_task(key: str,
-                       values: dict[EntityId, object],
+                       props: dict[str, dict[EntityId, object]],
                        payloads: dict[EntityId, str],
                        catalog: Catalog,
                        filters: list[tuple[str, str, object]] = (),
                        balance: bool = False,
                        split_fracs=DEFAULT_SPLIT_FRACS,
-                       seed: int = 0,
-                       all_props: dict[str, dict[EntityId, object]] | None = None,
-                       ) -> TaskDataset:
+                       seed: int = 0) -> TaskDataset:
     """Predict a method property from its token representation.
 
-    `filters` are (property_key, op, value) triples applied before
+    `props` maps property keys to their per-method values and must hold
+    `key`. `filters` are (property_key, op, value) triples applied before
     balancing; methods lacking a filtered property are dropped, and an
     order between a number and a text is an InvalidArgumentError. With
     `balance`, every label is down-sampled to the least frequent label's
     count using the seed.
     """
-    props = dict(all_props or {})
-    props.setdefault(key, values)
+    if key not in props:
+        raise InvalidArgumentError(f"no values for property {key}")
+    values = props[key]
     for fkey, op, _v in filters:
         if op not in _FILTER_OPS:
             raise InvalidArgumentError(f"unknown filter op: {op}")
@@ -161,9 +156,7 @@ def make_property_task(key: str,
         if not all(mid in props[k] and _passes(props[k][mid], k, op, v)
                    for k, op, v in filters):
             continue
-        bucket = size_bucket(catalog.class_count(meta.project_id))
-        chosen.append(TaskSample("", mid, payloads[mid], str(values[mid]),
-                                 "", bucket))
+        chosen.append(TaskSample("", mid, payloads[mid], str(values[mid])))
     if not chosen:
         raise InvalidArgumentError(
             f"no samples left for property {key} after filters")
@@ -180,10 +173,7 @@ def make_property_task(key: str,
             keep.update(idx if len(idx) == floor
                         else rng.sample(idx, floor))
         chosen = [s for i, s in enumerate(chosen) if i in keep]
-
-    spec = f"property key={key} balance={int(balance)}" + \
-        "".join(f" {k}{op}{v}" for k, op, v in filters)
-    return _finalize(chosen, catalog, split_fracs, seed, spec)
+    return _finalize(chosen, catalog, split_fracs, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +213,10 @@ def make_call_masking_task(catalog: Catalog,
         token_pos = ast.token_indices[name_term]
         lexemes = [t.lexeme for t in ast.tokens]
         lexemes[token_pos] = MASK_TOKEN
-        bucket = size_bucket(catalog.class_count(meta.project_id))
         samples.append(TaskSample(
             "", meta.method_id, " ".join(lexemes), tok.lexeme, stratum,
-            bucket,
             meta={"token_index": token_pos, "line": tok.line, "col": tok.col}))
-    spec = f"call-mask ctors={int(include_constructors)}"
-    return _finalize(samples, catalog, split_fracs, seed, spec)
+    return _finalize(samples, catalog, split_fracs, seed)
 
 
 def unmask_payload(sample: TaskSample) -> str:
@@ -243,9 +230,8 @@ def unmask_payload(sample: TaskSample) -> str:
 
 
 def augment_with_context(sample: TaskSample, bundle: ContextBundle,
-                         hop: int = 1,
                          exclude_masked_label: bool = True) -> TaskSample:
-    """Append hop-1 callee names after a <CTX> marker.
+    """Append the bundle's callee names after a <CTX> marker.
 
     The masked site's own ground-truth name is dropped unless some other
     site also reaches a callee of that name. Re-augmenting an already
@@ -253,7 +239,7 @@ def augment_with_context(sample: TaskSample, bundle: ContextBundle,
     """
     if bundle.center != sample.method_id:
         raise InvalidArgumentError("context bundle is for a different method")
-    if hop == 0 or CTX_TOKEN in sample.payload.split(" "):
+    if CTX_TOKEN in sample.payload.split(" "):
         return sample
     counts = bundle.callee_name_counts
     names = set(counts)
@@ -286,8 +272,6 @@ def make_mutation_task(catalog: Catalog,
             continue
         ast = method.ast
         lexemes = [t.lexeme for t in ast.tokens]
-        bucket = size_bucket(catalog.class_count(meta.project_id))
-
         mutated = False
         meta_info: dict = {}
         if rng.random() < p_mutate:
@@ -311,9 +295,8 @@ def make_mutation_task(catalog: Catalog,
                 mutated = True
         samples.append(TaskSample(
             "", meta.method_id, " ".join(lexemes),
-            "mutated" if mutated else "clean", "", bucket, meta=meta_info))
-    spec = f"mutation p={p_mutate}"
-    return _finalize(samples, catalog, split_fracs, seed, spec)
+            "mutated" if mutated else "clean", meta=meta_info))
+    return _finalize(samples, catalog, split_fracs, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +310,7 @@ def evaluate_exact_match(dataset: TaskDataset,
     Predictions may be keyed by sample_id or by method_id; a test sample
     with no prediction counts as incorrect and is tallied separately.
     """
-    test = dataset.indices("test")
+    test = dataset.in_split("test")
     if not test:
         raise InvalidArgumentError("dataset has an empty test split")
     overall_n = len(test)
@@ -335,8 +318,7 @@ def evaluate_exact_match(dataset: TaskDataset,
     missing = 0
     strata: dict[str, list[int]] = {}
     buckets: dict[str, list[int]] = {}
-    for i in test:
-        s = dataset.samples[i]
+    for s in test:
         pred = predictions.get(s.sample_id)
         if pred is None:
             pred = predictions.get(s.method_id)
@@ -362,36 +344,35 @@ def evaluate_exact_match(dataset: TaskDataset,
     }
 
 
+def _top(candidates, freq: Counter) -> str:
+    """The candidate most frequent as a training label, smallest on ties."""
+    return min(candidates, key=lambda c: (-freq[c], c))
+
+
 def baseline_most_frequent(dataset: TaskDataset) -> dict[str, str]:
     """Predict the most common training label for every test sample."""
-    train_labels = [dataset.samples[i].label for i in dataset.indices("train")]
-    if not train_labels:
+    freq = Counter(s.label for s in dataset.in_split("train"))
+    if not freq:
         raise InvalidArgumentError("dataset has an empty train split")
-    top = min(Counter(train_labels).items(), key=lambda kv: (-kv[1], kv[0]))[0]
-    return {dataset.samples[i].sample_id: top for i in dataset.indices("test")}
+    top = _top(freq, freq)
+    return {s.sample_id: top for s in dataset.in_split("test")}
 
 
 def baseline_context_unigram(dataset: TaskDataset) -> dict[str, str]:
     """Pick the candidate visible in the sample that is most frequent as a
     training label; candidates come from the <CTX> section when present,
     otherwise from the payload tokens."""
-    freq = Counter(dataset.samples[i].label for i in dataset.indices("train"))
-    fallback = min(freq.items(), key=lambda kv: (-kv[1], kv[0]))[0] \
-        if freq else ""
+    freq = Counter(s.label for s in dataset.in_split("train"))
+    fallback = _top(freq, freq) if freq else ""
     out: dict[str, str] = {}
-    for i in dataset.indices("test"):
-        s = dataset.samples[i]
+    for s in dataset.in_split("test"):
         tokens = s.payload.split(" ")
         if CTX_TOKEN in tokens:
             candidates = tokens[tokens.index(CTX_TOKEN) + 1:]
         else:
             candidates = tokens
-        scored = [c for c in candidates if freq.get(c, 0) > 0]
-        if scored:
-            out[s.sample_id] = min(scored,
-                                   key=lambda c: (-freq[c], c))
-        else:
-            out[s.sample_id] = fallback
+        scored = [c for c in candidates if freq[c] > 0]
+        out[s.sample_id] = _top(scored, freq) if scored else fallback
     return out
 
 
@@ -427,19 +408,18 @@ def bias_table(sloc: dict[EntityId, int], cmpx: dict[EntityId, int]
 
 def write_task_csv(path, dataset: TaskDataset) -> None:
     write_table(path, TASK_HEADER,
-                ((s.sample_id, s.method_id, dataset.split_of(i), s.stratum,
+                ((s.sample_id, s.method_id, s.split, s.stratum,
                   s.size_bucket, s.label, s.payload)
-                 for i, s in enumerate(dataset.samples)))
+                 for s in dataset.samples))
 
 
 def read_task_csv(path) -> TaskDataset:
     samples: list[TaskSample] = []
-    splits: dict[str, set[int]] = {name: set() for name in SPLIT_NAMES}
-    for i, r in enumerate(read_table(path, TASK_HEADER)):
-        sid, mid, split, stratum, bucket, label, payload = r
-        if split not in splits:
+    for sid, mid, split, stratum, bucket, label, payload in \
+            read_table(path, TASK_HEADER):
+        if split not in SPLIT_NAMES:
             raise InputError(f"{path}: sample {sid!r} has unknown split "
                              f"{split!r}")
-        splits[split].add(i)
-        samples.append(TaskSample(sid, mid, payload, label, stratum, bucket))
-    return TaskDataset(samples, splits, seed=0, spec="")
+        samples.append(TaskSample(sid, mid, payload, label, stratum, bucket,
+                                  split=split))
+    return TaskDataset(samples)

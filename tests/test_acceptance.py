@@ -33,9 +33,9 @@ from codecorpus.metrics import compute_metrics, npath, token_census
 from codecorpus.pathcontexts import extract_paths, to_c2vc
 from codecorpus.pipeline import all_sources, merged_catalog
 from codecorpus.taskgen import (
-    DEFAULT_SPLIT_FRACS, baseline_most_frequent, evaluate_exact_match,
-    make_call_masking_task, make_mutation_task, make_property_task,
-    unmask_payload, write_task_csv,
+    DEFAULT_SPLIT_FRACS, SPLIT_NAMES, baseline_most_frequent,
+    evaluate_exact_match, make_call_masking_task, make_mutation_task,
+    make_property_task, unmask_payload, write_task_csv,
 )
 from codecorpus.tokenstats import (
     bpe_decode, bpe_encode, english_sample_text, entity_sizes,
@@ -236,7 +236,7 @@ def test_criterion_7_task_generation(acc, tmp_path):
         datasets = [
             make_call_masking_task(acc.cat, acc.sources, acc.graph,
                                    seed=13, split_fracs=DEFAULT_SPLIT_FRACS),
-            make_property_task("CMPX", cmpx, payloads, acc.cat,
+            make_property_task("CMPX", {"CMPX": cmpx}, payloads, acc.cat,
                                split_fracs=DEFAULT_SPLIT_FRACS, seed=13),
             make_mutation_task(acc.cat, acc.sources, 0.5, seed=13,
                                split_fracs=DEFAULT_SPLIT_FRACS),
@@ -245,11 +245,11 @@ def test_criterion_7_task_generation(acc, tmp_path):
         for ds in datasets:
             violations = 0
             seen = {}
-            for split, indexes in ds.splits.items():
-                for i in indexes:
-                    proj = project_of[ds.samples[i].method_id]
-                    if seen.setdefault(proj, split) != split:
-                        violations += 1
+            for s in ds.samples:
+                assert s.split in SPLIT_NAMES, s.sample_id
+                proj = project_of[s.method_id]
+                if seen.setdefault(proj, s.split) != s.split:
+                    violations += 1
             assert violations == 0
 
         masked = datasets[0]

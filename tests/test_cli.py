@@ -205,6 +205,32 @@ def test_same_signature_methods_on_one_line_share_an_id(tmp_path):
     assert len(tkna) == 1 and tkna[0].endswith(",int f ( ) { return 1 ; }")
 
 
+def test_skipped_files_count_files_without_a_class_row(tmp_path):
+    # a repeated declaration is a diagnostic, yet its file keeps its class
+    corpus = _one_class_corpus(
+        tmp_path, "int f() { return 1; } int f() { return 2; }")
+    (corpus / "proj" / "Bad.java").write_text("class Bad { int[] xs; }\n",
+                                              encoding="utf-8")
+    ws = tmp_path / "ws"
+    proc = run_cli("catalog", "--corpus", corpus, "-w", ws)
+    assert proc.returncode == 0, proc.stderr
+    assert last_json(proc)["skipped_files"] == 1
+    notes = proc.stderr.splitlines()
+    assert len(notes) == 2
+    assert notes[0].startswith("note: proj/Bad.java: ")
+    assert notes[1] == ("note: proj/A.java: duplicate declaration of f() "
+                        "at line 1; skipped")
+    (corpus / "extra").mkdir()
+    (corpus / "extra" / "B.java").write_text(
+        "class B { int g() { return 1; } int g() { return 2; } }\n",
+        encoding="utf-8")
+    proc = run_cli("add-project", corpus / "extra", "-w", ws)
+    assert proc.returncode == 0, proc.stderr
+    assert last_json(proc)["skipped_files"] == 0
+    assert proc.stderr == ("note: extra/B.java: duplicate declaration of g() "
+                           "at line 1; skipped\n")
+
+
 def test_call_mask_says_when_it_writes_no_evaluation(cli_env, tmp_path):
     _corpus, ws, _proc = cli_env
     copy = tmp_path / "ws"

@@ -1,11 +1,12 @@
 """Task datasets: leak-free splits, masking, mutation, and evaluation."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from codecorpus.callgraph import build_callgraph, n_hop_context
-from codecorpus.errors import InputError, InvalidArgumentError, NotFoundError
+from codecorpus.errors import InputError, InvalidArgumentError
 from codecorpus.lexer import lex, tkna_text
 from codecorpus.metrics import compute_metrics
 from codecorpus.pipeline import all_sources, merged_catalog
@@ -46,35 +47,36 @@ def test_split_fractions_are_validated(env):
     cat, _src, _g, payloads, props = env
     for fracs in ((0.5, 0.5), (0.5, 0.4, 0.2), (-0.1, 0.6, 0.5), (1.0, 0.1, -0.1)):
         with pytest.raises(InvalidArgumentError):
-            make_property_task("CMPX", props["CMPX"], payloads, cat,
+            make_property_task("CMPX", props, payloads, cat,
                                split_fracs=fracs)
 
 
 def test_projects_never_straddle_splits(env):
     cat, _src, _g, payloads, props = env
     for seed in range(5):
-        ds = make_property_task("CMPX", props["CMPX"], payloads, cat, seed=seed)
-        all_indices = set(range(len(ds.samples)))
-        claimed = set()
-        for name in SPLIT_NAMES:
-            assert ds.splits[name] & claimed == set()
-            claimed |= ds.splits[name]
-        assert claimed == all_indices
+        ds = make_property_task("CMPX", props, payloads, cat, seed=seed)
         per_project = {}
-        for name in SPLIT_NAMES:
-            for i in ds.splits[name]:
-                pid = _project_of(cat, ds.samples[i])
-                per_project.setdefault(pid, set()).add(name)
+        for s in ds.samples:
+            assert s.split in SPLIT_NAMES
+            per_project.setdefault(_project_of(cat, s), set()).add(s.split)
         assert all(len(names) == 1 for names in per_project.values())
 
 
 def test_split_sizes_track_the_fractions(env):
     cat, _src, _g, payloads, props = env
-    ds = make_property_task("CMPX", props["CMPX"], payloads, cat, seed=1)
-    n = len(ds.samples)
+    ds = make_property_task("CMPX", props, payloads, cat, seed=1)
+    counts = Counter(s.split for s in ds.samples)
     # whole-project assignment is coarse; just require the right ranking
-    assert len(ds.splits["train"]) > len(ds.splits["test"])
-    assert n == sum(len(ds.splits[k]) for k in SPLIT_NAMES)
+    assert counts["train"] > counts["test"]
+    assert len(ds.samples) == sum(counts[k] for k in SPLIT_NAMES)
+
+
+def test_every_fixture_task_sample_has_a_split(env, mask_ds):
+    cat, sources, _g, payloads, props = env
+    for ds in (make_property_task("CMPX", props, payloads, cat, seed=3),
+               mask_ds, make_mutation_task(cat, sources, 0.5, seed=3)):
+        assert ds.samples
+        assert all(s.split in SPLIT_NAMES for s in ds.samples)
 
 
 def test_size_buckets():
@@ -84,7 +86,7 @@ def test_size_buckets():
 
 def test_fixture_projects_cover_all_buckets(env):
     cat, _src, _g, payloads, props = env
-    ds = make_property_task("CMPX", props["CMPX"], payloads, cat)
+    ds = make_property_task("CMPX", props, payloads, cat)
     by_project = {}
     for s in ds.samples:
         meta = cat.by_id[s.method_id]
@@ -101,7 +103,7 @@ def test_fixture_projects_cover_all_buckets(env):
 
 def test_property_samples_pair_payload_with_label(env):
     cat, _src, _g, payloads, props = env
-    ds = make_property_task("CMPX", props["CMPX"], payloads, cat)
+    ds = make_property_task("CMPX", props, payloads, cat)
     assert len(ds.samples) == len(cat.methods)
     for s in ds.samples:
         assert s.payload == payloads[s.method_id]
@@ -113,8 +115,8 @@ def test_property_samples_pair_payload_with_label(env):
 
 def test_property_filters_restrict_the_pool(env):
     cat, _src, _g, payloads, props = env
-    ds = make_property_task("CMPX", props["CMPX"], payloads, cat,
-                            filters=[("SLOC", ">=", 5)], all_props=props)
+    ds = make_property_task("CMPX", props, payloads, cat,
+                            filters=[("SLOC", ">=", 5)])
     assert ds.samples
     for s in ds.samples:
         assert props["SLOC"][s.method_id] >= 5
@@ -125,28 +127,29 @@ def test_property_filters_restrict_the_pool(env):
 def test_property_filter_validation(env):
     cat, _src, _g, payloads, props = env
     with pytest.raises(InvalidArgumentError):
-        make_property_task("CMPX", props["CMPX"], payloads, cat,
-                           filters=[("SLOC", "~", 5)], all_props=props)
+        make_property_task("CMPX", props, payloads, cat,
+                           filters=[("SLOC", "~", 5)])
     with pytest.raises(InvalidArgumentError):
-        make_property_task("CMPX", props["CMPX"], payloads, cat,
+        make_property_task("CMPX", props, payloads, cat,
                            filters=[("NOPE", ">=", 5)])
     with pytest.raises(InvalidArgumentError):
-        make_property_task("CMPX", props["CMPX"], payloads, cat,
-                           filters=[("SLOC", ">=", 10 ** 6)], all_props=props)
+        make_property_task("NOPE", props, payloads, cat)
+    with pytest.raises(InvalidArgumentError):
+        make_property_task("CMPX", props, payloads, cat,
+                           filters=[("SLOC", ">=", 10 ** 6)])
 
 
 def test_balancing_equalizes_label_counts(env):
     cat, _src, _g, payloads, props = env
-    plain = make_property_task("CMPX", props["CMPX"], payloads, cat, seed=2)
-    balanced = make_property_task("CMPX", props["CMPX"], payloads, cat,
+    plain = make_property_task("CMPX", props, payloads, cat, seed=2)
+    balanced = make_property_task("CMPX", props, payloads, cat,
                                   balance=True, seed=2)
-    from collections import Counter
     counts = Counter(s.label for s in balanced.samples)
     floor = min(Counter(s.label for s in plain.samples).values())
     assert set(counts.values()) == {floor}
     assert {s.method_id for s in balanced.samples} <= \
         {s.method_id for s in plain.samples}
-    again = make_property_task("CMPX", props["CMPX"], payloads, cat,
+    again = make_property_task("CMPX", props, payloads, cat,
                                balance=True, seed=2)
     assert [s.method_id for s in again.samples] == \
         [s.method_id for s in balanced.samples]
@@ -191,7 +194,8 @@ def test_masking_is_reproducible_and_seed_sensitive(env, mask_ds):
     again = make_call_masking_task(cat, sources, graph, seed=7)
     assert [s.payload for s in again.samples] == \
         [s.payload for s in mask_ds.samples]
-    assert again.splits == mask_ds.splits
+    assert [s.split for s in again.samples] == \
+        [s.split for s in mask_ds.samples]
     other = make_call_masking_task(cat, sources, graph, seed=8)
     assert [s.payload for s in other.samples] != \
         [s.payload for s in mask_ds.samples]
@@ -283,7 +287,6 @@ def test_augment_is_idempotent_and_validates_the_center(env, mask_ds):
     bundle = n_hop_context(graph, main, 1)
     once = augment_with_context(s, bundle)
     assert augment_with_context(once, bundle) == once
-    assert augment_with_context(s, bundle, hop=0) == s
     other = n_hop_context(graph, _mid(cat, "app/A.java", "helper()"), 1)
     with pytest.raises(InvalidArgumentError):
         augment_with_context(s, other)
@@ -306,7 +309,6 @@ def test_augment_can_keep_the_masked_label(env, mask_ds):
 def test_mutation_with_certain_coin_mutates_every_eligible_method(env):
     cat, sources, _g, payloads, _props = env
     ds = make_mutation_task(cat, sources, p_mutate=1.0, seed=0)
-    from collections import Counter
     counts = Counter(s.label for s in ds.samples)
     assert counts == {"clean": 707, "mutated": 67}
     assert len(ds.samples) == len(cat.methods)
@@ -375,16 +377,20 @@ def test_mutation_is_reproducible(env):
 # ---------------------------------------------------------------------------
 
 def _toy_dataset():
-    samples = [
-        TaskSample("s0", "m0", "p", "x", "Local", "A"),
-        TaskSample("s1", "m1", "p", "y", "Local", "A"),
-        TaskSample("s2", "m2", "p", "x", "API", "B"),
-        TaskSample("s3", "m3", "p", "x", "API", "B"),
-        TaskSample("s4", "m4", "p", "y", "Local", "A"),
-        TaskSample("s5", "m5", "p", "x", "Local", "B"),
-    ]
-    splits = {"train": {4, 5}, "valid": set(), "test": {0, 1, 2, 3}}
-    return TaskDataset(samples, splits, seed=0, spec="toy")
+    return TaskDataset([
+        TaskSample("s0", "m0", "p", "x", "Local", "A", split="test"),
+        TaskSample("s1", "m1", "p", "y", "Local", "A", split="test"),
+        TaskSample("s2", "m2", "p", "x", "API", "B", split="test"),
+        TaskSample("s3", "m3", "p", "x", "API", "B", split="test"),
+        TaskSample("s4", "m4", "p", "y", "Local", "A", split="train"),
+        TaskSample("s5", "m5", "p", "x", "Local", "B", split="train"),
+    ])
+
+
+def _move(ds, src, dst):
+    for s in ds.samples:
+        if s.split == src:
+            s.split = dst
 
 
 def test_exact_match_scores_strata_and_buckets():
@@ -404,7 +410,7 @@ def test_exact_match_scores_strata_and_buckets():
 
 def test_exact_match_requires_a_test_split():
     ds = _toy_dataset()
-    ds.splits["test"] = set()
+    _move(ds, "test", "valid")
     with pytest.raises(InvalidArgumentError):
         evaluate_exact_match(ds, {})
 
@@ -415,24 +421,22 @@ def test_most_frequent_baseline_breaks_ties_lexicographically():
     assert set(preds) == {"s0", "s1", "s2", "s3"}
     assert set(preds.values()) == {"x"}
 
-    ds.splits["train"] = set()
+    _move(ds, "train", "valid")
     with pytest.raises(InvalidArgumentError):
         baseline_most_frequent(ds)
 
 
 def test_context_unigram_baseline_reads_the_ctx_section():
-    samples = [
-        TaskSample("s0", "m0", "q r", "wrap", "", ""),
-        TaskSample("s1", "m1", f"a b {CTX_TOKEN} flip wrap", "flip", "", ""),
-        TaskSample("s2", "m2", f"a b {CTX_TOKEN} zzz", "wrap", "", ""),
-        TaskSample("s3", "m3", "wrap q", "wrap", "", ""),
-        TaskSample("s4", "m4", "p", "wrap", "", ""),
-        TaskSample("s5", "m5", "p", "wrap", "", ""),
-        TaskSample("s6", "m6", "p", "flip", "", ""),
-    ]
-    splits = {"train": {4, 5, 6}, "valid": set(),
-              "test": {0, 1, 2, 3}}
-    ds = TaskDataset(samples, splits, seed=0, spec="toy")
+    ds = TaskDataset([
+        TaskSample("s0", "m0", "q r", "wrap", split="test"),
+        TaskSample("s1", "m1", f"a b {CTX_TOKEN} flip wrap", "flip",
+                   split="test"),
+        TaskSample("s2", "m2", f"a b {CTX_TOKEN} zzz", "wrap", split="test"),
+        TaskSample("s3", "m3", "wrap q", "wrap", split="test"),
+        TaskSample("s4", "m4", "p", "wrap", split="train"),
+        TaskSample("s5", "m5", "p", "wrap", split="train"),
+        TaskSample("s6", "m6", "p", "flip", split="train"),
+    ])
     preds = baseline_context_unigram(ds)
     assert preds["s1"] == "wrap"        # ctx candidates; wrap trains 2 > flip 1
     assert preds["s2"] == "wrap"        # no scored candidate: global fallback
@@ -480,12 +484,11 @@ def test_task_csv_roundtrip(tmp_path, env, mask_ds):
 
     back = read_task_csv(path)
     assert len(back.samples) == len(mask_ds.samples)
-    for i, (a, b) in enumerate(zip(back.samples, mask_ds.samples)):
+    for a, b in zip(back.samples, mask_ds.samples):
         assert (a.sample_id, a.method_id, a.payload, a.label,
-                a.stratum, a.size_bucket) == \
+                a.stratum, a.size_bucket, a.split) == \
             (b.sample_id, b.method_id, b.payload, b.label,
-             b.stratum, b.size_bucket)
-        assert back.split_of(i) == mask_ds.split_of(i)
+             b.stratum, b.size_bucket, b.split)
         assert a.meta == {}             # positions live in memory only
 
 
@@ -499,10 +502,3 @@ def test_task_csv_rejects_bad_shapes(tmp_path):
         ",".join(TASK_HEADER) + "\ns0,m0,dev,,A,x,p\n", encoding="utf-8")
     with pytest.raises(InputError):
         read_task_csv(wrong_split)
-
-
-def test_split_lookup_raises_for_unassigned_indices():
-    ds = _toy_dataset()
-    ds.splits["test"].discard(3)
-    with pytest.raises(NotFoundError):
-        ds.split_of(3)
