@@ -16,10 +16,17 @@ when a method produces more than `max_contexts`.
 The enumeration is windowed rather than all-pairs: from each start terminal
 it climbs at most `max_length` ancestors, and at each one visits only the
 next `max_width` sibling subtrees, and in them only the terminals shallow
-enough to fit the remaining length. Each node keeps its terminals grouped by
-depth for that. Sampling draws indices over the admissible pairs before any
-`RawPath` is built, so only the kept paths are constructed; the draw depends
-only on the pair count, so it is the one an all-pairs scan would make.
+enough to fit the remaining length. Each (start, ancestor, sibling) visit is
+a group. Each node keeps its terminals, with their depth below it, in
+preorder, and how many lie within each depth. So a group's size is one
+lookup, and taking a start's groups by rising ancestor and siblings left to
+right lists its ends in token order without a sort.
+
+Counting comes before building. The group sizes give the admissible pair
+count; a method within `max_contexts` expands every group. Past it, the
+sample is drawn as indices over the pair count, the draw an all-pairs scan
+would make, and only the groups holding a kept index are expanded, so a
+capped method builds only the paths it keeps.
 
 The same climb records each terminal's ancestor chain: the node types above
 it, nearest first, as far as a path can reach. A kept path's `up_nodes`,
@@ -36,7 +43,10 @@ scattered through memory it could otherwise give back.
 import hashlib
 import random
 import re
+from bisect import bisect_right
 from functools import lru_cache
+from itertools import accumulate
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import InvalidArgumentError
@@ -101,59 +111,59 @@ def extract_paths(ast: Ast,
     if max_length < 1 or max_width < 1 or max_contexts < 1:
         raise InvalidArgumentError("path limits must be >= 1")
     terminals = [i for i, ti in enumerate(ast.token_indices) if ti is not None]
-    if len(terminals) < 2:
-        return []
-    parents = ast.parents
-    children = ast.children
-    types = ast.node_types
+    parents, types = ast.parents, ast.node_types
     reach = max_length - 1          # most nodes on either side of the lca
 
-    # below[n][r]: terminals r levels under node n (n itself at r = 0);
-    # chain[t]: types of the max_length nearest ancestors of terminal t
-    below: list[list[list[int]]] = [[] for _ in range(len(ast))]
+    # under[n]: (terminal, levels below n) within reach of n, in preorder;
+    # within[n][r]: how many of them are at most r levels below n;
+    # chain[t]: types of the max_length nearest ancestors of terminal t;
+    # right[n]: the max_width siblings after n
+    under: list[list[tuple[int, int]]] = [[] for _ in range(len(ast))]
+    level = [[0] * min(size, max_length) for size in ast.subtree_sizes]
     chain: list[tuple[str, ...]] = [()] * len(ast)
     for t in terminals:
-        n = t
-        above = []
+        n, above = t, []
         for r in range(max_length):
-            levels = below[n]
-            while len(levels) <= r:
-                levels.append([])
-            levels[r].append(t)
+            under[n].append((t, r))
+            level[n][r] += 1
             if n == 0:
                 break
             n = parents[n]
             above.append(types[n])
         chain[t] = tuple(above)
-    pos_in_parent = [0] * len(ast)
-    for kids in children:
+    within = [list(accumulate(counts)) for counts in level]
+    right: list[tuple[int, ...]] = [()] * len(ast)
+    for kids in ast.children:
         for k, c in enumerate(kids):
-            pos_in_parent[c] = k
+            right[c] = kids[k + 1:k + 1 + max_width]
 
-    # (start, end, nodes above start, nodes above end) below the lca
-    pairs: list[tuple[int, int, int, int]] = []
+    # Group (a, d_a, sibling, before): the ends under sibling that fit a path
+    # up d_a nodes from a, in token order, after `before` pairs.
+    groups, total = [], 0
     for a in terminals:
-        found = []
         branch, d_a = a, 0
         while branch != 0 and d_a <= reach:
-            lca = parents[branch]
-            k = pos_in_parent[branch]
-            for sibling in children[lca][k + 1:k + 1 + max_width]:
-                found += [(a, b, d_a, d_b) for d_b, ends
-                          in enumerate(below[sibling][:reach - d_a + 1])
-                          for b in ends]
-            branch, d_a = lca, d_a + 1
-        found.sort()
-        pairs += found
+            lim = reach - d_a
+            for sibling in right[branch]:
+                counts = within[sibling]
+                groups.append((a, d_a, sibling, total))
+                total += counts[lim] if lim < len(counts) else counts[-1]
+            branch, d_a = parents[branch], d_a + 1
 
-    if len(pairs) > max_contexts:
-        rng = random.Random(seed)
-        keep = sorted(rng.sample(range(len(pairs)), max_contexts))
-        pairs = [pairs[k] for k in keep]
     new = tuple.__new__
-    return [new(RawPath, (a, b, chain[a][:d_a], chain[a][d_a],
-                          chain[b][d_b - 1::-1] if d_b else ()))
-            for a, b, d_a, d_b in pairs]
+    if total <= max_contexts:
+        return [new(RawPath, (a, b, chain[a][:d_a], chain[a][d_a],
+                              chain[b][d_b - 1::-1] if d_b else ()))
+                for a, d_a, sibling, _ in groups
+                for b, d_b in under[sibling] if d_b <= reach - d_a]
+    paths = []
+    for k in sorted(random.Random(seed).sample(range(total), max_contexts)):
+        a, d_a, sibling, before = groups[bisect_right(
+            groups, k, key=itemgetter(3)) - 1]
+        b, d_b = [e for e in under[sibling] if e[1] <= reach - d_a][k - before]
+        paths.append(new(RawPath, (a, b, chain[a][:d_a], chain[a][d_a],
+                                   chain[b][d_b - 1::-1] if d_b else ())))
+    return paths
 
 
 @lru_cache(maxsize=RENDER_CACHE_SIZE)

@@ -264,7 +264,13 @@ def _write_repr_csv(path: Path, rows: list[tuple[str, str]]) -> None:
 
 
 def read_repr_csv(path) -> dict[EntityId, str]:
-    return dict(read_table(path, REPR_HEADER))
+    """Payload per method id; a method id on two rows is an InputError."""
+    out: dict[EntityId, str] = {}
+    for mid, payload in read_table(path, REPR_HEADER):
+        if mid in out:
+            raise InputError(f"{path}: method id {mid} appears twice")
+        out[mid] = payload
+    return out
 
 
 def stage_representations(ws: Workspace, datas: list[ProjectData],

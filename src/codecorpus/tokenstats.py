@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .catalog import Catalog, size_bucket
-from .errors import InvalidArgumentError
+from .errors import InputError, InvalidArgumentError
 from .identity import EntityId
 from .lexer import lex
 from .parser import split_lines
@@ -343,8 +343,16 @@ def write_sizes_csv(path, records: list[SizeRecord]) -> None:
 
 
 def read_sizes_csv(path) -> list[SizeRecord]:
-    return [SizeRecord(*row)
-            for row in read_table(path, SIZES_HEADER, ("subtoken_count",))]
+    """The size records; one entity, granularity and tokenizer on two rows
+    is an InputError."""
+    rows = read_table(path, SIZES_HEADER, ("subtoken_count",))
+    keys = set()
+    for entity, gran, tag, _count in rows:
+        if (entity, gran, tag) in keys:
+            raise InputError(f"{path}: size of {entity} at {gran} for {tag} "
+                             f"appears twice")
+        keys.add((entity, gran, tag))
+    return [SizeRecord(*row) for row in rows]
 
 
 def write_fit_csv(path, table: FitTable) -> None:

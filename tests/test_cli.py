@@ -381,6 +381,31 @@ def test_a_bias_report_on_a_non_integer_size_is_an_input_error(metrics_ws,
         in proc.stderr
 
 
+@pytest.mark.parametrize("artifact, first, command, key", [
+    ("representations/TKNA.csv", (), ("taskgen", "--task", "property"),
+     "method id {0}"),
+    ("tokenstats/sizes.csv", ("tokenstats",), ("report", "--study", "windows"),
+     "size of {0} at {1} for {2}"),
+], ids=["TKNA", "sizes"])
+def test_a_repeated_key_is_an_input_error(metrics_ws, tmp_path, artifact,
+                                          first, command, key):
+    ws = tmp_path / "ws"
+    shutil.copytree(metrics_ws, ws)
+    if first:
+        proc = run_cli(*first, "-w", ws)
+        assert proc.returncode == 0, proc.stderr
+    target = ws / artifact
+    with open(target, newline="", encoding="utf-8") as f:
+        rows = list(csv.reader(f))
+    with open(target, "w", newline="", encoding="utf-8") as f:
+        csv.writer(f).writerows(rows[:2] + rows[1:])
+    proc = run_cli(*command, "-w", ws)
+    assert proc.returncode == 2, proc.stderr
+    assert "input error" in proc.stderr
+    assert f"{target.name}: {key.format(*rows[1])} appears twice" \
+        in proc.stderr
+
+
 @pytest.fixture(scope="module")
 def tasks_ws(metrics_ws):
     """`metrics_ws` with a call graph, so that every task can be built."""

@@ -10,6 +10,9 @@ property tests below hold the two to the same paths and strings.
 """
 
 import random
+import sys
+import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -150,22 +153,68 @@ def test_sampling_is_seeded_and_source_ordered(views):
     assert extract_paths(m.ast, max_contexts=25, seed=4) != sampled
 
 
-def test_sampling_picks_the_stdlib_sample_of_the_full_list(views):
-    capped = {25: 0, MAX_CONTEXTS_DEFAULT: 0}
-    for view in views.values():
-        for cls in view.classes:
-            for m in cls.methods:
-                full = extract_paths(m.ast, max_contexts=NO_LIMIT)
-                for cap in capped:
-                    if len(full) <= cap:
-                        continue
-                    capped[cap] += 1
-                    keep = sorted(random.Random(7).sample(range(len(full)),
-                                                          cap))
-                    got = extract_paths(m.ast, max_contexts=cap, seed=7)
-                    assert got == [full[k] for k in keep], \
-                        (view.path, m.name, cap)
+def test_sampling_picks_the_stdlib_sample_of_the_full_list(views,
+                                                           monkeypatch):
+    # the bench tracer counts capped calls from these constructions
+    built = []
+
+    class CountingRandom(random.Random):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(pathcontexts, "random",
+                        SimpleNamespace(Random=CountingRandom))
+    methods = [m for v in views.values() for c in v.classes
+               for m in c.methods] + _LONG_METHODS
+    capped = {1: 0, 25: 0, MAX_CONTEXTS_DEFAULT: 0}
+    kept_edges = set()
+    for m in methods:
+        full = extract_paths(m.ast, max_contexts=NO_LIMIT)
+        # where the start terminal or the level of the lca changes
+        starts = {i for i in range(1, len(full))
+                  if full[i].start_terminal != full[i - 1].start_terminal
+                  or len(full[i].up_nodes) != len(full[i - 1].up_nodes)}
+        for cap in capped:
+            built.clear()
+            got = extract_paths(m.ast, max_contexts=cap, seed=7)
+            if len(full) <= cap:
+                assert got == full and not built, (m.signature, cap)
+                continue
+            capped[cap] += 1
+            assert built == [(7,)], (m.signature, cap)
+            keep = sorted(random.Random(7).sample(range(len(full)), cap))
+            assert got == [full[k] for k in keep], (m.signature, cap)
+            if keep[0] == 0:
+                kept_edges.add("first")
+            if keep[-1] == len(full) - 1:
+                kept_edges.add("last")
+            if starts.intersection(keep):
+                kept_edges.add("group start")
     assert all(capped.values()), capped
+    assert kept_edges == {"first", "last", "group start"}
+
+
+def test_a_capped_method_builds_only_the_kept_paths():
+    """Counting comes before building: on the largest long method the peak
+    stays within what its groups and kept paths need, which a list of every
+    admissible pair would exceed."""
+    m = max(_LONG_METHODS, key=lambda m: len(m.ast.terminals()))
+    admissible = len(extract_paths(m.ast, max_contexts=NO_LIMIT))
+    # per terminal: max_length table entries and at most max_length x
+    # max_width groups; 128 bytes per group covers both
+    groups = len(m.ast.terminals()) * MAX_LENGTH_DEFAULT * MAX_WIDTH_DEFAULT
+    bound = 128 * (groups + MAX_CONTEXTS_DEFAULT)
+    assert admissible * sys.getsizeof((0, 0, 0, 0)) > bound
+    extract_paths(m.ast, seed=5)    # fills the interpreter's tuple free lists
+    tracemalloc.start()
+    try:
+        kept = extract_paths(m.ast, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == MAX_CONTEXTS_DEFAULT
+    assert peak < bound, (peak, bound)
 
 
 def test_no_sampling_below_the_cap(views):
