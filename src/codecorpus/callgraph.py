@@ -445,5 +445,6 @@ def write_callgraph_csv(path, g: CallGraph) -> None:
 
 
 def read_callgraph_csv(path) -> CallGraph:
-    rows = read_table(path, CALLGRAPH_HEADER, ("line", "col"))
+    rows = read_table(path, CALLGRAPH_HEADER, ("line", "col"),
+                      ("caller_method_id", "line", "col"))
     return CallGraph([CallEdge(*r) for r in rows])

@@ -10,7 +10,8 @@ joining again. A `Catalog` is the four tables of one or more projects plus
 `by_id`, an index of every entity by its id.
 
 Metadata persists as four CSV files with fixed headers, one per row type
-(`ProjectMeta` ... `MethodMeta`, named tuples of the columns in order):
+(`ProjectMeta` ... `MethodMeta`, named tuples of the columns in order),
+each keyed on its entity's id; `METADATA_TABLES` is their one schema.
 
     projects.csv  project_id,project_path,project_name
     packages.csv  project_id,package_id,package_path,package_name
@@ -19,7 +20,7 @@ Metadata persists as four CSV files with fixed headers, one per row type
                   method_name,start_line,end_line,method_signature
 
 Method-level properties persist one file per key as `<KEY>.csv` with header
-`method_id,value`. Keys are 4-16 uppercase ASCII letters.
+`method_id,value`, keyed on `method_id`. Keys are 4-16 uppercase letters.
 """
 
 import re
@@ -38,14 +39,7 @@ from .identity import (
 from .parser import FileView, MethodSource, file_view
 from .tables import read_table, write_table
 
-PROJECTS_HEADER = ["project_id", "project_path", "project_name"]
-PACKAGES_HEADER = ["project_id", "package_id", "package_path", "package_name"]
-CLASSES_HEADER = ["project_id", "package_id", "class_id", "class_path", "class_name"]
-METHODS_HEADER = [
-    "project_id", "package_id", "class_id", "method_id", "method_path",
-    "method_name", "start_line", "end_line", "method_signature",
-]
-
+PROPERTY_HEADER = ["method_id", "value"]
 PROPERTY_KEY_RE = re.compile(r"^[A-Z]{4,16}$")
 
 # Known property codes. "metrics" and "callgraph" keys are computed by this
@@ -87,6 +81,15 @@ class MethodMeta(NamedTuple):
     start_line: int
     end_line: int
     method_signature: str
+
+
+# Catalog attribute (and file stem), row type, key, integer columns.
+METADATA_TABLES = (
+    ("projects", ProjectMeta, ("project_id",), ()),
+    ("packages", PackageMeta, ("package_id",), ()),
+    ("classes", ClassMeta, ("class_id",), ()),
+    ("methods", MethodMeta, ("method_id",), ("start_line", "end_line")),
+)
 
 
 @dataclass
@@ -276,38 +279,29 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     write_table(path, header, rows)
 
 
-def _read_csv(path: Path, header: list[str], int_columns=()) -> list[list]:
-    return read_table(path, header, int_columns)
+def _read_csv(path: Path, header: list[str], int_columns=(), key=()
+              ) -> list[list]:
+    return read_table(path, header, int_columns, key)
 
 
 def write_metadata(cat: Catalog, out_dir) -> list[Path]:
     """Write the four metadata CSVs; rows sorted for byte determinism."""
-    out = Path(out_dir)
     cat.sort()
     paths = []
-    for name, header, rows in (
-            ("projects.csv", PROJECTS_HEADER, cat.projects),
-            ("packages.csv", PACKAGES_HEADER, cat.packages),
-            ("classes.csv", CLASSES_HEADER, cat.classes),
-            ("methods.csv", METHODS_HEADER, cat.methods)):
-        path = out / name
-        _write_csv(path, header, rows)
+    for name, row, _key, _ints in METADATA_TABLES:
+        path = Path(out_dir) / f"{name}.csv"
+        _write_csv(path, list(row._fields), getattr(cat, name))
         paths.append(path)
     return paths
 
 
 def read_metadata(in_dir) -> Catalog:
-    """Read metadata CSVs back; validates headers and field counts."""
-    base = Path(in_dir)
-    projects = list(map(ProjectMeta._make, _read_csv(
-        base / "projects.csv", PROJECTS_HEADER)))
-    packages = list(map(PackageMeta._make, _read_csv(
-        base / "packages.csv", PACKAGES_HEADER)))
-    classes = list(map(ClassMeta._make, _read_csv(
-        base / "classes.csv", CLASSES_HEADER)))
-    methods = list(map(MethodMeta._make, _read_csv(
-        base / "methods.csv", METHODS_HEADER, ("start_line", "end_line"))))
-    return Catalog(projects, packages, classes, methods)
+    """Read the metadata CSVs back, rows in file order; each table is
+    checked for its header, field counts, integers and repeated keys."""
+    return Catalog(*(
+        list(map(row._make, _read_csv(Path(in_dir) / f"{name}.csv",
+                                      list(row._fields), ints, key)))
+        for name, row, key, ints in METADATA_TABLES))
 
 
 # ---------------------------------------------------------------------------
@@ -333,15 +327,10 @@ def write_property_csv(key: str, table: dict[EntityId, PropertyValue], out_dir) 
     validate_property_key(key)
     path = Path(out_dir) / f"{key}.csv"
     rows = [(mid, format_property_value(v)) for mid, v in sorted(table.items())]
-    _write_csv(path, ["method_id", "value"], rows)
+    _write_csv(path, PROPERTY_HEADER, rows)
     return path
 
 
 def read_property_csv(path) -> dict[EntityId, str]:
     """Read a property CSV; values come back as text, caller coerces."""
-    out: dict[EntityId, str] = {}
-    for mid, value in _read_csv(Path(path), ["method_id", "value"]):
-        if mid in out:
-            raise InputError(f"{path}: method id {mid} appears twice")
-        out[mid] = value
-    return out
+    return dict(_read_csv(Path(path), PROPERTY_HEADER, key=("method_id",)))

@@ -42,10 +42,14 @@ KIND_SEPARATOR = "separator"
 
 LITERAL_KINDS = frozenset({KIND_INT, KIND_STRING, KIND_CHAR, KIND_BOOL, KIND_NULL})
 
+# The reserved words of JLS SE 17 §3.9, `_` among them. Contextual words
+# (`var`, `record`, `yield`, `sealed`, `permits`, ...) stay identifiers.
 KEYWORDS = frozenset("""
-    abstract boolean byte char class double else extends final float for if
-    implements import int interface long new package private protected public
-    return short static super this void while
+    _ abstract assert boolean break byte case catch char class const continue
+    default do double else enum extends final finally float for goto if
+    implements import instanceof int interface long native new package private
+    protected public return short static strictfp super switch synchronized
+    this throw throws transient try void volatile while
 """.split())
 
 LITCOMMA = "<LITCOMMA>"

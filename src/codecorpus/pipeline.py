@@ -17,27 +17,32 @@ The corpus is loaded one way: `parse_corpus` catalogs every project once
 (one `ProjectData` each, holding the method parses and the class file
 views) and `merged_catalog` joins their rows into one sorted `Catalog`.
 Stages take those two and never re-join classes to files or reparse;
-`load_corpus` adds the check that the corpus still matches the stored
-metadata, and `add-project` reuses the same single parse.
+`load_corpus` adds the check that the reparsed corpus gives, row for row,
+the four stored metadata tables, and `add-project` reuses the same single
+parse.
 
 Every writer sorts its rows, so regenerating a workspace with the same
 corpus and seed reproduces identical bytes. Every workspace file is
-written through `tables`, so it is replaced whole or not at all. A
-malformed or truncated table is an `InputError` naming `file:line`, and
-a `workspace.json` that does not hold a config is an `InputError` naming
-the file (CLI exit 2 for both).
+written through `tables`, so it is replaced whole or not at all, and each
+reader gives `tables` its table's key (an entity, a method, a call site's
+caller, line and column, a sample, or a size's entity, granularity and
+tokenizer). A malformed or truncated table, or one whose key repeats, is an
+`InputError` naming `file:line`; so is a `workspace.json` that does not
+hold a config, naming the file (CLI exit 2 for all).
 """
 
 import json
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 
 from . import metrics as metrics_mod
-from .catalog import (Catalog, METRIC_KEYS, ProjectData, catalog_project,
-                      read_metadata, read_property_csv, validate_property_key,
-                      write_metadata, write_property_csv)
+from .catalog import (Catalog, METADATA_TABLES, METRIC_KEYS, ProjectData,
+                      catalog_project, read_metadata, read_property_csv,
+                      validate_property_key, write_metadata,
+                      write_property_csv)
 from .callgraph import (arg_name_maps, build_callgraph,
                         classify_distribution, connectivity_props,
                         n_hop_context, read_callgraph_csv,
@@ -213,22 +218,23 @@ def load_corpus(ws: Workspace
                 ) -> tuple[WorkspaceConfig, list[ProjectData], Catalog]:
     """Reparse the corpus recorded in the workspace config.
 
-    The recomputed method ids must match the cataloged ones, each as often,
-    so stale or edited workspaces fail loudly instead of mixing ids.
+    The reparse must give the four stored metadata tables row for row, so
+    a corpus edit that adds, removes or renames an entity or moves a
+    method's lines fails loudly instead of mixing artifacts. An edit that
+    keeps every row (a method body changed within its lines) passes.
     """
     cfg = ws.load_config()
     datas = parse_corpus(cfg)
     cat = merged_catalog(datas)
-    path = ws.require(ws.metadata_dir / "methods.csv", "catalog")
-    stored = Counter(m.method_id for m in read_metadata(path.parent).methods)
-    found = Counter(m.method_id for m in cat.methods)
-    if stored != found:
-        extra = next((i for i, n in stored.items() if n > found[i] > 0), None)
-        why = "" if extra is None else (
-            f": {path.name} lists method {extra} {stored[extra]} times, "
-            f"not {found[extra]}")
-        raise InputError("corpus no longer matches the cataloged metadata"
-                         f"{why}; re-run `catalog`")
+    ws.require(ws.metadata_dir / "methods.csv", "catalog")
+    stored = read_metadata(ws.metadata_dir)
+    for name, _row, _key, _ints in METADATA_TABLES:
+        pairs = zip_longest(getattr(stored, name), getattr(cat, name))
+        line = next((n for n, (a, b) in enumerate(pairs, 2) if a != b), None)
+        if line is not None:
+            raise InputError(
+                "corpus no longer matches the cataloged metadata: "
+                f"{name}.csv:{line} differs from the reparse; re-run `catalog`")
     return cfg, datas, cat
 
 
@@ -265,12 +271,7 @@ def _write_repr_csv(path: Path, rows: list[tuple[str, str]]) -> None:
 
 def read_repr_csv(path) -> dict[EntityId, str]:
     """Payload per method id; a method id on two rows is an InputError."""
-    out: dict[EntityId, str] = {}
-    for mid, payload in read_table(path, REPR_HEADER):
-        if mid in out:
-            raise InputError(f"{path}: method id {mid} appears twice")
-        out[mid] = payload
-    return out
+    return dict(read_table(path, REPR_HEADER, key=("method_id",)))
 
 
 def stage_representations(ws: Workspace, datas: list[ProjectData],

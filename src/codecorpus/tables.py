@@ -9,13 +9,14 @@ field holding `,`, `"`, `\\r` or `\\n` is quoted, each `"` in it doubled,
 and a row of one empty field is written as `""`. `write_table` and
 `write_text` replace the file in one step, so a failure part-way leaves the
 previous file (or none), never a torn one. `read_table` accepts exactly the
-header it is told to expect and rows of the same width; every problem is
-an `InputError` that names `file:line`.
+header it is told to expect, rows of the same width and each value of the
+table's key once; every problem is an `InputError` that names `file:line`.
 """
 
 import csv
 import os
 from contextlib import contextmanager
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import InputError
@@ -72,17 +73,20 @@ def write_text(path, text: str) -> None:
         fh.write(text)
 
 
-def read_table(path, header: list[str], int_columns: tuple[str, ...] = ()
-               ) -> list[list]:
+def read_table(path, header: list[str], int_columns: tuple[str, ...] = (),
+               key: tuple[str, ...] = ()) -> list[list]:
     """Data rows of the table at `path`, blank lines skipped.
 
     The first row must equal `header` and every other row must have as
-    many fields. Values of `int_columns` come back as ints.
+    many fields. Values of `int_columns` come back as ints. No two rows may
+    share their `key` values, compared after that conversion.
     """
     path = Path(path)
     if not path.is_file():
         raise InputError(f"missing artifact: {path}")
     ints = [header.index(name) for name in int_columns]
+    key_of = itemgetter(*map(header.index, key)) if key else None
+    seen = {}
     rows = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -106,6 +110,14 @@ def read_table(path, header: list[str], int_columns: tuple[str, ...] = ()
                         raise InputError(
                             f"{path}:{reader.line_num}: {header[i]} "
                             f"{row[i]!r} is not an integer") from None
+                if key_of is not None:
+                    value = key_of(row)
+                    first = seen.setdefault(value, reader.line_num)
+                    if first != reader.line_num:
+                        named = ", ".join(map("{}={}".format, key, value
+                                              if len(key) > 1 else [value]))
+                        raise InputError(f"{path}:{reader.line_num}: repeated "
+                                         f"key {named} (first on line {first})")
                 rows.append(row)
         except csv.Error as exc:
             raise InputError(f"{path}:{reader.line_num}: {exc}") from None

@@ -416,7 +416,7 @@ def write_task_csv(path, dataset: TaskDataset) -> None:
 def read_task_csv(path) -> TaskDataset:
     samples: list[TaskSample] = []
     for sid, mid, split, stratum, bucket, label, payload in \
-            read_table(path, TASK_HEADER):
+            read_table(path, TASK_HEADER, key=("sample_id",)):
         if split not in SPLIT_NAMES:
             raise InputError(f"{path}: sample {sid!r} has unknown split "
                              f"{split!r}")

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .catalog import Catalog, size_bucket
-from .errors import InputError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .identity import EntityId
 from .lexer import lex
 from .parser import split_lines
@@ -38,8 +38,6 @@ WINDOW_THRESHOLDS = (256, 512, 1024, 2048, 4096)
 SIZES_HEADER = ["entity_id", "granularity", "tokenizer_tag", "subtoken_count"]
 FIT_HEADER = ["granularity", "tokenizer_tag", "bucket", "threshold",
               "fit_fraction"]
-
-GRANULARITIES = ("method", "class", "package", "project")
 
 
 @dataclass
@@ -345,14 +343,9 @@ def write_sizes_csv(path, records: list[SizeRecord]) -> None:
 def read_sizes_csv(path) -> list[SizeRecord]:
     """The size records; one entity, granularity and tokenizer on two rows
     is an InputError."""
-    rows = read_table(path, SIZES_HEADER, ("subtoken_count",))
-    keys = set()
-    for entity, gran, tag, _count in rows:
-        if (entity, gran, tag) in keys:
-            raise InputError(f"{path}: size of {entity} at {gran} for {tag} "
-                             f"appears twice")
-        keys.add((entity, gran, tag))
-    return [SizeRecord(*row) for row in rows]
+    return [SizeRecord(*row) for row in read_table(
+        path, SIZES_HEADER, ("subtoken_count",),
+        ("entity_id", "granularity", "tokenizer_tag"))]
 
 
 def write_fit_csv(path, table: FitTable) -> None:

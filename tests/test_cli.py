@@ -187,7 +187,39 @@ def test_a_duplicated_method_row_is_an_input_error(cli_env, tmp_path):
     proc = run_cli("metrics", "-w", copy)
     assert proc.returncode == 2, proc.stderr
     assert "input error" in proc.stderr
-    assert f"methods.csv lists method {mid} 2 times, not 1" in proc.stderr
+    assert f"methods.csv:3: repeated key method_id={mid} (first on line 2)" \
+        in proc.stderr
+
+
+@pytest.mark.parametrize("old, new, table, column, value", [
+    ("        int x = 1;\n", "        int x = 1;\n        x = x + 1;\n",
+     "methods.csv", "method_name", "helper"),
+    ("public class A {", "public class Renamed {",
+     "classes.csv", "class_name", "A"),
+], ids=["method-grows", "class-renamed"])
+def test_an_edit_that_changes_a_metadata_row_is_stale(tmp_path, old, new,
+                                                      table, column, value):
+    # neither edit moves an id: a method id hashes no end line and a class
+    # id (keyed on its file) no class name, so only the rows show them
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    write_fixture_corpus(corpus)
+    ws = tmp_path / "ws"
+    proc = run_cli("catalog", "--corpus", corpus, "-w", ws)
+    assert proc.returncode == 0, proc.stderr
+    with open(ws / "metadata" / table, newline="", encoding="utf-8") as f:
+        rows = list(csv.DictReader(f))
+    line = next(n for n, row in enumerate(rows, 2)
+                if row[column] == value and "demo/app/A.java" in row.values())
+    source = corpus / "demo" / "app" / "A.java"
+    text = source.read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    source.write_text(text.replace(old, new), encoding="utf-8")
+    proc = run_cli("metrics", "-w", ws)
+    assert proc.returncode == 2, proc.stderr
+    assert "corpus no longer matches the cataloged metadata: " \
+        f"{table}:{line} differs from the reparse; re-run `catalog`" \
+        in proc.stderr
 
 
 def test_same_signature_methods_on_one_line_share_an_id(tmp_path):
@@ -383,10 +415,15 @@ def test_a_bias_report_on_a_non_integer_size_is_an_input_error(metrics_ws,
 
 @pytest.mark.parametrize("artifact, first, command, key", [
     ("representations/TKNA.csv", (), ("taskgen", "--task", "property"),
-     "method id {0}"),
+     "method_id={0}"),
     ("tokenstats/sizes.csv", ("tokenstats",), ("report", "--study", "windows"),
-     "size of {0} at {1} for {2}"),
-], ids=["TKNA", "sizes"])
+     "entity_id={0}, granularity={1}, tokenizer_tag={2}"),
+    ("callgraph.csv", ("callgraph",), ("report", "--study", "calls"),
+     "caller_method_id={0}, line={4}, col={5}"),
+    ("metadata/classes.csv", (), ("metrics",), "class_id={2}"),
+    ("properties/SLOC.csv", (), ("report", "--study", "bias"),
+     "method_id={0}"),
+], ids=["TKNA", "sizes", "callgraph", "classes", "SLOC"])
 def test_a_repeated_key_is_an_input_error(metrics_ws, tmp_path, artifact,
                                           first, command, key):
     ws = tmp_path / "ws"
@@ -402,8 +439,8 @@ def test_a_repeated_key_is_an_input_error(metrics_ws, tmp_path, artifact,
     proc = run_cli(*command, "-w", ws)
     assert proc.returncode == 2, proc.stderr
     assert "input error" in proc.stderr
-    assert f"{target.name}: {key.format(*rows[1])} appears twice" \
-        in proc.stderr
+    assert f"{target.name}:3: repeated key {key.format(*rows[1])} " \
+        "(first on line 2)" in proc.stderr
 
 
 @pytest.fixture(scope="module")

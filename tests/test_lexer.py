@@ -36,6 +36,27 @@ def test_kind_classification():
     assert table["String"] == KIND_IDENTIFIER  # class names are not keywords
 
 
+# JLS SE 17 §3.9, written out here rather than taken from the lexer
+RESERVED_WORDS = """
+    abstract continue for new switch assert default if package synchronized
+    boolean do goto private this break double implements protected throw
+    byte else import public throws case enum instanceof return transient
+    catch extends int short try char final interface static void
+    class finally long strictfp volatile const float native super while _
+""".split()
+
+
+def test_every_reserved_word_lexes_as_a_keyword():
+    assert len(set(RESERVED_WORDS)) == 51
+    assert {t.lexeme: t.kind for t in lex(" ".join(RESERVED_WORDS))} == \
+        dict.fromkeys(RESERVED_WORDS, KIND_KEYWORD)
+
+
+def test_contextual_words_stay_identifiers():
+    words = ["var", "record", "yield", "sealed", "permits", "module", "_x"]
+    assert {t.kind for t in lex(" ".join(words))} == {KIND_IDENTIFIER}
+
+
 def test_multi_char_operators_lex_as_one_token():
     assert lexemes("a && b || c <= d >= e == f != g++ h-- i += j") == [
         "a", "&&", "b", "||", "c", "<=", "d", ">=", "e", "==", "f", "!=",

@@ -8,6 +8,7 @@ rails (missing artifacts, stale metadata, duplicate projects).
 import contextlib
 import io
 import json
+import re
 import sys
 
 import pytest
@@ -17,10 +18,7 @@ import codecorpus.lexer as lexer_mod
 import codecorpus.pathcontexts as pathcontexts_mod
 from codecorpus import cli
 from codecorpus.callgraph import build_callgraph
-from codecorpus.catalog import (
-    CLASSES_HEADER, METHODS_HEADER, PACKAGES_HEADER, PROJECTS_HEADER,
-    read_metadata, read_property_csv,
-)
+from codecorpus.catalog import read_metadata, read_property_csv
 from codecorpus.errors import InputError, InvalidArgumentError, ParseError
 from codecorpus.fixturegen import write_fixture_corpus
 from codecorpus.lexer import tkna_text
@@ -98,15 +96,24 @@ def test_catalog_counts_the_fixture_corpus(pipe_env):
                        "methods": 774, "skipped_files": 0, "seed": 0}
 
 
+# The columns of each metadata table, in the order they are written.
+METADATA_HEADERS = {
+    "projects": ["project_id", "project_path", "project_name"],
+    "packages": ["project_id", "package_id", "package_path", "package_name"],
+    "classes": ["project_id", "package_id", "class_id", "class_path",
+                "class_name"],
+    "methods": ["project_id", "package_id", "class_id", "method_id",
+                "method_path", "method_name", "start_line", "end_line",
+                "method_signature"],
+}
+
+
 def test_metadata_headers_are_exact(pipe_env):
     ws = pipe_env[0]
-    for name, header in (("projects.csv", PROJECTS_HEADER),
-                         ("packages.csv", PACKAGES_HEADER),
-                         ("classes.csv", CLASSES_HEADER),
-                         ("methods.csv", METHODS_HEADER)):
-        first = (ws.metadata_dir / name).read_text(
+    for table, header in METADATA_HEADERS.items():
+        first = (ws.metadata_dir / f"{table}.csv").read_text(
             encoding="utf-8").splitlines()[0]
-        assert first == ",".join(header), name
+        assert first == ",".join(header), table
 
 
 def test_cataloging_twice_is_byte_identical(pipe_env):
@@ -131,10 +138,7 @@ def test_metadata_reads_back_as_the_same_catalog(pipe_env):
 def test_read_metadata_returns_the_cataloged_rows(pipe_env):
     ws, _cfg, _datas, cat, _s = pipe_env
     stored = read_metadata(ws.metadata_dir)
-    for table, header in (("projects", PROJECTS_HEADER),
-                          ("packages", PACKAGES_HEADER),
-                          ("classes", CLASSES_HEADER),
-                          ("methods", METHODS_HEADER)):
+    for table, header in METADATA_HEADERS.items():
         rows, want = getattr(stored, table), getattr(cat, table)
         assert len(rows) == len(want), table
         for row, cataloged in zip(rows, want):
@@ -214,6 +218,23 @@ def test_a_repeated_declaration_is_skipped_with_a_diagnostic(tmp_path, body,
     assert tkna_text(data.sources[kept.method_id].tokens) == first
     edges = build_callgraph([data]).edges
     assert edges and all(e.callee == kept.method_id for e in edges)
+
+
+@pytest.mark.parametrize("stmt", ["assert b;", "break;", "continue;"])
+def test_a_reserved_word_statement_skips_its_file(tmp_path, stmt):
+    # the words lex as keywords, so no statement reads them as names
+    (tmp_path / "p").mkdir()
+    (tmp_path / "p" / "A.java").write_text(
+        "class A { int f() { return 1; } }\n", encoding="utf-8")
+    (tmp_path / "p" / "B.java").write_text(
+        f"class B {{ void g(boolean b) {{ while (b) {{ {stmt} }} }} }}\n",
+        encoding="utf-8")
+    data = catalog_mod.catalog_project(tmp_path / "p", corpus_root=tmp_path)
+    assert [c.class_path for c in data.classes] == ["p/A.java"]
+    word = stmt.rstrip(";").split()[0]
+    assert [(d.path, d.message) for d in data.diagnostics] == [
+        ("p/B.java", "statement form outside the supported subset, "
+         f"found '{word}' at 1:43")]
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +328,8 @@ def test_property_import_guards_key_and_source(pipe_env, tmp_path):
     mid = cat.methods[0].method_id
     twice = tmp_path / "TWICE.csv"
     twice.write_text(f"method_id,value\n{mid},1\n{mid},2\n", encoding="utf-8")
-    with pytest.raises(InputError, match=f"TWICE.csv: method id {mid} "
-                                         "appears twice"):
+    with pytest.raises(InputError, match=re.escape(
+            f"TWICE.csv:3: repeated key method_id={mid} (first on line 2)")):
         stage_props_import(ws, cat, twice)
     assert not ws.property_path("TWICE").exists()
 

@@ -2,14 +2,16 @@
 and the bytes of `csv.writer`.
 
 Every reader of a workspace CSV must reject a foreign header, a row of the
-wrong width and, where a column holds integers, a non-integer value with an
-`InputError` that names the file and line. `write_table` formats rows
+wrong width, a non-integer value where a column holds integers and a
+repeat of its table's key with an `InputError` that names the file and
+line. `write_table` formats rows
 itself and must write exactly what `write_table_oracle` (`csv.writer`)
 writes, for generated rows, every code point and every table the stages
 write for the fixture, x4 and long-method corpora.
 """
 
 import io
+import re
 import tempfile
 from pathlib import Path
 
@@ -19,12 +21,11 @@ from hypothesis import example, given, settings, strategies as st
 from codecorpus import callgraph, catalog, pipeline, tables
 from codecorpus.callgraph import CALLGRAPH_HEADER, read_callgraph_csv
 from codecorpus.catalog import (
-    CLASSES_HEADER, METHODS_HEADER, PACKAGES_HEADER, PROJECTS_HEADER,
-    read_metadata, read_property_csv,
+    METADATA_TABLES, MethodMeta, read_metadata, read_property_csv,
 )
 from codecorpus.errors import InputError
 from codecorpus.pipeline import REPR_HEADER, read_repr_csv
-from codecorpus.tables import write_table, write_text
+from codecorpus.tables import read_table, write_table, write_text
 from codecorpus.taskgen import TASK_HEADER, read_task_csv
 from codecorpus.tokenstats import SIZES_HEADER, read_sizes_csv
 
@@ -32,23 +33,27 @@ from oracles import write_table_oracle
 
 
 def _read_methods(path):
-    for name, header in (("projects.csv", PROJECTS_HEADER),
-                         ("packages.csv", PACKAGES_HEADER),
-                         ("classes.csv", CLASSES_HEADER)):
-        write_table(path.parent / name, header, [])
+    for name, row, _key, _ints in METADATA_TABLES[:3]:
+        write_table(path.parent / f"{name}.csv", list(row._fields), [])
     return read_metadata(path.parent)
 
 
 # (file name, header, reader, integer columns)
 READERS = [
     ("NMTK.csv", ["method_id", "value"], read_property_csv, ()),
-    ("methods.csv", METHODS_HEADER, _read_methods, ("start_line", "end_line")),
+    ("methods.csv", list(MethodMeta._fields), _read_methods,
+     ("start_line", "end_line")),
     ("TKNA.csv", REPR_HEADER, read_repr_csv, ()),
     ("callgraph.csv", CALLGRAPH_HEADER, read_callgraph_csv, ("line", "col")),
     ("task.csv", TASK_HEADER, read_task_csv, ()),
     ("sizes.csv", SIZES_HEADER, read_sizes_csv, ("subtoken_count",)),
 ]
 IDS = [name for name, *_ in READERS]
+KEYS = {"NMTK.csv": ["method_id"], "methods.csv": ["method_id"],
+        "TKNA.csv": ["method_id"],
+        "callgraph.csv": ["caller_method_id", "line", "col"],
+        "task.csv": ["sample_id"],
+        "sizes.csv": ["entity_id", "granularity", "tokenizer_tag"]}
 INT_READERS = [(name, header, read, col)
                for name, header, read, cols in READERS for col in cols]
 
@@ -91,6 +96,56 @@ def test_readers_reject_a_non_integer(tmp_path, name, header, read, column):
     with pytest.raises(InputError,
                        match=f"{name}:2: {column} '7x' is not an integer"):
         read(path)
+
+
+@pytest.mark.parametrize("name, header, read, _ints", READERS, ids=IDS)
+def test_readers_reject_a_repeated_key(tmp_path, name, header, read, _ints):
+    path = tmp_path / name
+    _write(path, [",".join(header), ",".join(_row(header)), "",
+                  ",".join(_row(header))])
+    key = ", ".join(f"{column}=7" for column in KEYS[name])
+    with pytest.raises(InputError, match=re.escape(
+            f"{name}:4: repeated key {key} (first on line 2)")):
+        read(path)
+
+
+_KEYED = st.lists(st.tuples(st.integers(0, 3), st.sampled_from("ab"),
+                            st.text(st.characters(codec="utf-8",
+                                                  exclude_characters="\r\n"),
+                                    max_size=4)),
+                  max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_KEYED)
+@example([(1, "a", ""), (2, "a", ""), (1, "a", "x,y")])
+def test_a_repeated_key_is_rejected_at_its_line(rows):
+    # no field holds a line end, so row i is on line i + 2
+    first: dict = {}
+    repeat = next((i for i, (n, s, _v) in enumerate(rows)
+                   if first.setdefault((n, s), i) != i), None)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        write_table(path, ["n", "s", "v"], rows)
+        if repeat is None:
+            assert read_table(path, ["n", "s", "v"], ("n",), ("n", "s")) \
+                == [list(row) for row in rows]
+            return
+        n, s, _v = rows[repeat]
+        with pytest.raises(InputError, match=re.escape(
+                f"t.csv:{repeat + 2}: repeated key n={n}, s={s} "
+                f"(first on line {first[n, s] + 2})")):
+            read_table(path, ["n", "s", "v"], ("n",), ("n", "s"))
+
+
+def test_a_key_is_compared_after_the_int_conversion(tmp_path):
+    path = tmp_path / "t.csv"
+    _write(path, ["n,v", "7,a", "8,b", "007,c"])
+    with pytest.raises(InputError, match=re.escape(
+            "t.csv:4: repeated key n=7 (first on line 2)")):
+        read_table(path, ["n", "v"], ("n",), ("n",))
+    assert read_table(path, ["n", "v"]) == [["7", "a"], ["8", "b"],
+                                            ["007", "c"]]
 
 
 def _rows_then_fail():
