@@ -882,11 +882,6 @@ def split_lines(source: str) -> list[str]:
     return _LINE.findall(source)
 
 
-def slice_lines(source: str, start_line: int, end_line: int) -> str:
-    """Whole-line slice, 1-based inclusive, preserving original line endings."""
-    return "".join(split_lines(source)[start_line - 1:end_line])
-
-
 def _method_source(ast: Ast, source: str, starts: list[int], member: int,
                    class_name: str) -> MethodSource:
     kids = ast.children[member]

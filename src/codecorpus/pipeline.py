@@ -416,7 +416,8 @@ def stage_tokenstats(ws: Workspace, datas: list[ProjectData], cat: Catalog,
     ordered = sorted(sources.items())
     method_texts = {mid: m.text for mid, m in ordered}  # each sliced once
     texts = list(method_texts.values())
-    code_corpus = "".join(texts)
+    # a method that ends its file without a newline still ends its line
+    code_corpus = "".join(t if t.endswith("\n") else t + "\n" for t in texts)
     vocabs = {
         "code": train_bpe(code_corpus, vocab_size, corpus_tag="code"),
         "english": train_bpe(english_sample_text(), vocab_size,

@@ -5,11 +5,13 @@ most frequent adjacent pair (ties broken by the lexicographically smallest
 pair) until the target vocabulary size is reached or no pair repeats.
 Merging never crosses line boundaries; lines are deduplicated and weighted
 by their repeat counts, which keeps training fast on repetitive code.
-Pair counts are taken once and then updated incrementally: a pair -> lines
-index finds the lines a merge rewrites, and only the pairs next to each
-merge site change count. A heap keyed on (-count, pair) yields the next
-merge under the tie rule. Encoding applies the merges to a line in rank
-order from a heap of its ranked adjacent pairs, without rescanning it.
+Pair counts are taken once and then updated incrementally: symbols are
+integer ids over the unique lines laid end to end, an index of the
+positions where each pair starts takes a merge straight to its sites, and
+only the pairs next to each merge site change count. A heap keyed on
+(-count, byte pair) yields the next merge under the tie rule. Encoding
+applies the merges to a line in rank order from a heap of its ranked
+adjacent pairs, without rescanning it.
 
 Downstream measurements:
 
@@ -22,7 +24,7 @@ Downstream measurements:
 """
 
 import heapq
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -63,76 +65,85 @@ def train_bpe(corpus_text: str, vocab_size: int,
     if vocab_size <= 256:
         raise InvalidArgumentError("vocab_size must exceed the 256 byte symbols")
 
-    weighted = Counter(split_lines(corpus_text))
-    seqs: list[list[bytes]] = []
-    weights: list[int] = []
-    counts: Counter = Counter()
-    # pair -> lines that held it at some point; rechecked on merge
-    where: dict[tuple[bytes, bytes], set[int]] = {}
-    for k, (line, n) in enumerate(sorted(weighted.items())):
-        symbols = [bytes([b]) for b in line.encode("utf-8")]
-        seqs.append(symbols)
-        weights.append(n)
-        for pair in zip(symbols, symbols[1:]):
+    # Symbols are ids: 0-255 the bytes, then one per joined byte string.
+    # The unique lines lie end to end in `sym`, each followed by a -1
+    # separator; a position a merge consumed reads -1 too. `prv` and `nxt`
+    # link the live positions, and `sites` lists, per adjacent pair, the
+    # positions where it started at some point (rechecked on merge).
+    lines = [(line.encode("utf-8"), n) for line, n
+             in sorted(Counter(split_lines(corpus_text)).items())]
+    size = sum(len(data) + 1 for data, _n in lines)
+    # one int object per position, shared by the links and the site lists
+    pos = list(range(-1, size + 1))
+    prv, nxt = pos[:size], pos[2:]
+    sym: list[int] = []
+    weight: list[int] = []
+    counts: defaultdict[tuple[int, int], int] = defaultdict(int)
+    sites: defaultdict[tuple[int, int], list[int]] = defaultdict(list)
+    for data, n in lines:
+        for i, pair in enumerate(zip(data, data[1:]), len(sym) + 1):
             counts[pair] += n
-            where.setdefault(pair, set()).add(k)
-    # max-count first, then the smallest pair; stale entries are skipped
-    heap = [(-c, pair) for pair, c in counts.items()]
+            sites[pair].append(pos[i])
+        sym.extend(data)
+        sym.append(-1)
+        weight.extend([n] * (len(data) + 1))
+    names = [bytes([b]) for b in range(256)]
+    ids = {name: b for b, name in enumerate(names)}
+    # max-count first, then the smallest byte pair; stale entries are skipped
+    heap = [(-c, names[a], names[b], (a, b)) for (a, b), c in counts.items()]
     heapq.heapify(heap)
 
-    vocab = {bytes([b]) for b in range(256)}
     merges: list[tuple[bytes, bytes]] = []
-    while len(vocab) < vocab_size:
-        while heap and counts.get(heap[0][1]) != -heap[0][0]:
+    while len(names) < vocab_size:
+        while heap and counts.get(heap[0][3]) != -heap[0][0]:
             heapq.heappop(heap)
         if not heap or -heap[0][0] < 2:
             break
-        pair = heapq.heappop(heap)[1]
-        merges.append(pair)
-        vocab.add(pair[0] + pair[1])
-        for p in _merge_everywhere(pair, seqs, weights, counts, where):
-            if counts[p] > 0:
-                heapq.heappush(heap, (-counts[p], p))
+        _c, first_name, second_name, pair = heapq.heappop(heap)
+        merges.append((first_name, second_name))
+        joined = first_name + second_name
+        new = ids.setdefault(joined, len(names))
+        if new == len(names):
+            names.append(joined)
+        first, second = pair
+        changed = {pair}
+        # left to right, so a site an earlier merge consumed no longer
+        # matches; sym[-1], left of the first position, is a separator
+        for i in sorted(sites.pop(pair)):
+            j = nxt[i]
+            if sym[i] != first or sym[j] != second:
+                continue
+            n = weight[i]
+            counts[pair] -= n
+            h = prv[i]
+            left = sym[h]
+            if left >= 0:
+                old, moved = (left, first), (left, new)
+                counts[old] -= n
+                counts[moved] += n
+                sites[moved].append(h)
+                changed.add(old)
+                changed.add(moved)
+            k = nxt[j]
+            right = sym[k]
+            if right >= 0:
+                old, moved = (second, right), (new, right)
+                counts[old] -= n
+                counts[moved] += n
+                sites[moved].append(i)
+                changed.add(old)
+                changed.add(moved)
+            sym[i] = new
+            sym[j] = -1
+            nxt[i] = k
+            prv[k] = i
+        for p in changed:
+            c = counts[p]
+            if c > 0:
+                heapq.heappush(heap, (-c, names[p[0]], names[p[1]], p))
             else:
                 del counts[p]
-    return BpeVocab(merges, vocab, len(vocab), corpus_tag)
-
-
-def _merge_everywhere(pair: tuple[bytes, bytes], seqs: list[list[bytes]],
-                      weights: list[int], counts: Counter,
-                      where: dict[tuple[bytes, bytes], set[int]]
-                      ) -> set[tuple[bytes, bytes]]:
-    """Merge `pair` in place in every line that holds it and move the counts
-    of the pairs around each merge site; returns the pairs whose count
-    changed (the merged pair included, now at zero)."""
-    first, second = pair
-    joined = first + second
-    changed = {pair}
-
-    def move(k: int, n: int, old: tuple[bytes, bytes],
-             new: tuple[bytes, bytes]) -> None:
-        counts[old] -= n
-        counts[new] += n
-        where.setdefault(new, set()).add(k)
-        changed.add(old)
-        changed.add(new)
-
-    for k in where.pop(pair):
-        symbols = seqs[k]
-        n = weights[k]
-        i = 0
-        while i < len(symbols) - 1:
-            if symbols[i] == first and symbols[i + 1] == second:
-                counts[pair] -= n
-                if i > 0:
-                    left = symbols[i - 1]
-                    move(k, n, (left, first), (left, joined))
-                symbols[i:i + 2] = [joined]
-                if i + 1 < len(symbols):
-                    right = symbols[i + 1]
-                    move(k, n, (second, right), (joined, right))
-            i += 1
-    return changed
+    return BpeVocab(merges, set(names), len(names), corpus_tag)
 
 
 def _encode_line(v: BpeVocab, line: str) -> list[bytes]:

@@ -15,6 +15,9 @@ different algorithmic shape:
   instead of updating counts around the merge sites.
 * `bpe_encode_oracle` rescans every pair of a line after each merge it
   applies, instead of keeping a heap of the pairs around the merge sites.
+* `slice_lines_oracle` joins a method's whole lines from the file split at
+  every "\n", instead of slicing the source between the line offsets
+  `file_view` takes once per file.
 * `lex_oracle` matches one token at a time from the current position and
   measures each lexeme for the column, instead of one `finditer` pass with
   catch-all alternatives.
@@ -1185,6 +1188,12 @@ def _lines_oracle(text: str) -> list[str]:
     """The text's lines with their endings, broken at "\\n" only."""
     *ended, last = text.split("\n")
     return [line + "\n" for line in ended] + ([last] if last else [])
+
+
+def slice_lines_oracle(source: str, start_line: int, end_line: int) -> str:
+    """Lines `start_line` to `end_line` of `source`, 1-based and inclusive,
+    with their endings: the whole-line text a `MethodSource` holds."""
+    return "".join(_lines_oracle(source)[start_line - 1:end_line])
 
 
 def bpe_merges_oracle(corpus_text: str, vocab_size: int

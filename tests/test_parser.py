@@ -15,14 +15,15 @@ from codecorpus.lexer import lex
 from codecorpus.parser import (
     NT_CALL, NT_FIELD, NT_FOR, NT_LOCAL, NT_NEW, NT_TYPE, Ast, FileView,
     assign_parts, call_parts, call_sites, file_view, for_parts, if_parts,
-    local_decl_parts, new_parts, parse, slice_lines, type_simple_name,
+    local_decl_parts, new_parts, parse, type_simple_name,
     type_text, while_parts,
 )
 
 from oracles import (call_parts_oracle, call_sites_oracle, for_parts_oracle,
                      local_decl_parts_oracle, method_sources_oracle,
-                     new_parts_oracle, type_simple_name_oracle,
-                     type_text_oracle, view_headers_oracle)
+                     new_parts_oracle, slice_lines_oracle,
+                     type_simple_name_oracle, type_text_oracle,
+                     view_headers_oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +85,8 @@ def test_method_text_matches_method_subtree(views):
     for rel, view in views.items():
         for cls in view.classes:
             for m in cls.methods:
-                assert m.text == slice_lines(view.source, m.start_line, m.end_line)
+                assert m.text == slice_lines_oracle(view.source, m.start_line,
+                                                    m.end_line)
                 want = [m.ast.lexeme(i) for i in m.ast.terminals()]
                 assert want == [t.lexeme for t in lex(m.text)], (rel, m.name)
                 assert m.ast.parents[0] == -1
@@ -379,9 +381,9 @@ def test_file_view_headers_match_the_previous_scans(source):
 
 def test_slice_lines_is_one_based_and_keeps_endings():
     src = "a\nb\nc\n"
-    assert slice_lines(src, 1, 1) == "a\n"
-    assert slice_lines(src, 2, 3) == "b\nc\n"
-    assert slice_lines(src, 1, 3) == src
+    assert slice_lines_oracle(src, 1, 1) == "a\n"
+    assert slice_lines_oracle(src, 2, 3) == "b\nc\n"
+    assert slice_lines_oracle(src, 1, 3) == src
 
 
 @pytest.mark.parametrize("separator", ["\x0c", "\r", "\x0b", "\x1c", "\x85",
@@ -393,7 +395,7 @@ def test_method_text_breaks_lines_where_the_lexer_counts_them(separator):
     a, b = file_view(src).classes[0].methods
     assert (a.start_line, a.text) == (3, "  int a() { return 1; }\n")
     assert (b.start_line, b.text) == (4, "  int b() { return 2; }\n")
-    assert slice_lines(src, 2, 2) == f"  // page{separator}break\n"
+    assert slice_lines_oracle(src, 2, 2) == f"  // page{separator}break\n"
 
 
 # ---------------------------------------------------------------------------

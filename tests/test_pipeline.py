@@ -16,6 +16,7 @@ import pytest
 import codecorpus.catalog as catalog_mod
 import codecorpus.lexer as lexer_mod
 import codecorpus.pathcontexts as pathcontexts_mod
+import codecorpus.pipeline as pipeline_mod
 from codecorpus import cli
 from codecorpus.callgraph import build_callgraph
 from codecorpus.catalog import read_metadata, read_property_csv
@@ -23,10 +24,10 @@ from codecorpus.errors import InputError, InvalidArgumentError, ParseError
 from codecorpus.fixturegen import write_fixture_corpus
 from codecorpus.lexer import tkna_text
 from codecorpus.metrics import compute_metrics
-from codecorpus.parser import Ast
+from codecorpus.parser import Ast, split_lines
 from codecorpus.pipeline import (
     REPRESENTATION_TYPES, Workspace, WorkspaceConfig, _write_repr_csv,
-    discover_projects, load_corpus, merged_catalog, parse_corpus,
+    all_sources, discover_projects, load_corpus, merged_catalog, parse_corpus,
     read_repr_csv,
     stage_add_project,
     stage_callgraph, stage_catalog, stage_metrics, stage_props_import,
@@ -585,6 +586,35 @@ def test_payloads_and_metrics_count_only_the_declaration_tokens(tmp_path):
                       ("SLOC", {"g": "1", "a": "1", "b": "1"}),
                       ("NUID", {"g": "2", "a": "1", "b": "2"})):
         assert by_name(read_property_csv(ws.property_path(key))) == want, key
+
+
+def test_the_code_vocab_trains_on_the_method_lines(tmp_path, monkeypatch):
+    # no final newline: each method's last line ends its file without "\n"
+    corpus = tmp_path / "corpus"
+    (corpus / "p").mkdir(parents=True)
+    for k in range(4):
+        (corpus / "p" / f"C{k}.java").write_text(
+            f"class C{k} {{\n    int f() {{ return {k}; }} }}",
+            encoding="utf-8")
+    ws = Workspace(tmp_path / "ws")
+    stage_catalog(ws, WorkspaceConfig(corpus_root=str(corpus)))
+    _cfg, datas, cat = load_corpus(ws)
+    trained = {}
+    real = pipeline_mod.train_bpe
+
+    def recording(text, vocab_size, corpus_tag=""):
+        trained[corpus_tag] = text
+        return real(text, vocab_size, corpus_tag)
+
+    monkeypatch.setattr(pipeline_mod, "train_bpe", recording)
+    stage_tokenstats(ws, datas, cat)
+    method_lines = [line.rstrip("\n")
+                    for _mid, m in sorted(all_sources(datas).items())
+                    for line in split_lines(m.text)]
+    assert len(method_lines) == 4
+    lines = split_lines(trained["code"])
+    assert all(line.endswith("\n") for line in lines)
+    assert [line[:-1] for line in lines] == method_lines
 
 
 def test_no_stage_relexes_method_texts(pipe_env, tmp_path, monkeypatch):

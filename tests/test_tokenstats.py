@@ -113,6 +113,60 @@ def test_english_vocab_matches_the_full_rescan_oracle():
     assert train_bpe(text, 512).merges == bpe_merges_oracle(text, 512)
 
 
+def _assert_vocab_holds_the_merges(v):
+    joined = {a + b for a, b in v.merges}
+    assert v.vocab == {bytes([b]) for b in range(256)} | joined
+    assert v.size == len(v.vocab)
+
+
+@pytest.mark.parametrize("text, merges", [
+    # (a,a) 15; (a,b) and (b,a) tie at 5 once (aa,aa) 6 is gone, then
+    # (aa,\n), (aaaa,aa) and (ab,ab) tie at 3 and go in byte order
+    ("aaaaaa\n" * 3 + "ababab\n" + "bababa\n",
+     [(b"a", b"a"), (b"aa", b"aa"), (b"a", b"b"), (b"aa", b"\n"),
+      (b"aaaa", b"aa\n"), (b"ab", b"ab")]),
+    # (aa,aa) and (b,a) tie at 6: bytes order them, though "aa" is a
+    # symbol made after "b"; then (ba,\n) and (baba,ba) tie at 2
+    ("aaaaaa\n" * 3 + "bababa\n" * 2,
+     [(b"a", b"a"), (b"aa", b"aa"), (b"b", b"a"), (b"ba", b"ba"),
+      (b"aa", b"\n"), (b"aaaa", b"aa\n"), (b"ba", b"\n"),
+      (b"baba", b"ba\n")]),
+], ids=["overlapping-runs", "merged-symbol-tie"])
+def test_weighted_ties_break_to_the_smallest_byte_pair(text, merges):
+    v = train_bpe(text, 300)
+    assert v.merges == merges == bpe_merges_oracle(text, 300)
+    _assert_vocab_holds_the_merges(v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_PIECES, min_size=1, max_size=200).map("".join),
+       st.integers(min_value=257, max_value=400))
+def test_longer_training_matches_the_full_rescan_oracle(text, vocab_size):
+    v = train_bpe(text, vocab_size)
+    assert v.merges == bpe_merges_oracle(text, vocab_size)
+    _assert_vocab_holds_the_merges(v)
+
+
+def _method_text(datas) -> str:
+    return "".join(m.text for _mid, m in sorted(all_sources(datas).items()))
+
+
+def test_scaled_vocab_matches_the_full_rescan_oracle(scaled_corpus_data):
+    text = _method_text(scaled_corpus_data)
+    v = train_bpe(text, 512)
+    assert v.merges == bpe_merges_oracle(text, 512)
+    _assert_vocab_holds_the_merges(v)
+
+
+def test_long_method_vocabs_match_the_full_rescan_oracle(longgen_corpus_data):
+    for data in longgen_corpus_data:    # seeds 0 and 1
+        text = _method_text([data])
+        v = train_bpe(text, 512)
+        assert len(v.merges) == 256
+        assert v.merges == bpe_merges_oracle(text, 512)
+        _assert_vocab_holds_the_merges(v)
+
+
 # ---------------------------------------------------------------------------
 # Encoding
 # ---------------------------------------------------------------------------
