@@ -41,15 +41,14 @@ from .lexer import (KIND_BOOL, KIND_CHAR, KIND_IDENTIFIER, KIND_INT,
                     KIND_KEYWORD, KIND_NULL, KIND_STRING)
 from .parser import (
     Ast, CallSite, ClassView, FileView, MethodSource, NT_CALL,
-    NT_FIELD_ACCESS, NT_LOCAL, NT_NEW, NT_PAREN, call_parts, call_sites,
-    local_decl_parts, new_parts, type_simple_name, type_text,
+    NT_FIELD_ACCESS, NT_LOCAL, NT_NEW, NT_PAREN, PRIMITIVE_WORDS, call_parts,
+    call_sites, local_decl_parts, new_parts, type_simple_name, type_text,
 )
 from .tables import read_table, write_table
 
 CALL_TYPES = ("Local", "Package", "Project", "API")
 
-PRIMITIVES = frozenset({"int", "long", "short", "byte", "char", "boolean",
-                        "float", "double", "void"})
+PRIMITIVES = PRIMITIVE_WORDS | {"void"}
 _WRAPPER_OF = {"int": "Integer", "long": "Long", "short": "Short",
                "byte": "Byte", "char": "Character", "boolean": "Boolean",
                "float": "Float", "double": "Double"}

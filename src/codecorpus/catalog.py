@@ -145,7 +145,8 @@ class ProjectData:
 
     `sources` holds every method's parse and `class_views` the file view
     each class was cataloged from, so downstream stages never re-join
-    classes to files by path.
+    classes to files by path. A project `parse_corpus` skipped has no rows
+    but its project and its diagnostics.
     """
 
     project: ProjectMeta
@@ -179,7 +180,7 @@ def catalog_project(root, corpus_root=None, strict: bool = False
     files become diagnostics (or errors if strict), and so does a method
     declared again with the same signature on the same first line: only
     the first one gets a row. A project with no cataloged classes raises
-    EmptyProjectError.
+    EmptyProjectError, which carries that project's diagnostics.
     """
     root = Path(root)
     if not root.is_dir():
@@ -251,11 +252,8 @@ def catalog_project(root, corpus_root=None, strict: bool = False
                 m.name, m.start_line, m.end_line, m.signature))
             sources[mid] = m
 
-    if not classes:
-        raise EmptyProjectError(f"no cataloged classes under {root}")
-
     unique_packages = {p.package_id: p for p in packages.values()}
-    return ProjectData(
+    data = ProjectData(
         project=project,
         packages=sorted(unique_packages.values(),
                         key=lambda p: (p.package_path, p.package_id)),
@@ -265,6 +263,9 @@ def catalog_project(root, corpus_root=None, strict: bool = False
         class_views=class_views,
         diagnostics=diagnostics,
     )
+    if not classes:
+        raise EmptyProjectError(f"no cataloged classes under {root}", data)
+    return data
 
 
 # ---------------------------------------------------------------------------

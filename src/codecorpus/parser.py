@@ -11,9 +11,17 @@ return, block. Expressions: literals, identifiers, field access, `this`,
 
 Generic type arguments are consumed and attached as raw leaves under the
 Type node ("erased": they contribute no structure and no signature text).
-Lambdas, anonymous classes, arrays, try/catch and switch are outside the
-subset and raise ParseError; the cataloger turns that into a per-file
-diagnostic and skips the file.
+One rule reads them in every position: a balanced `<...>` run of
+identifiers, primitive words, `extends`, `super`, `?`, `&`, `.`, `,`, `[`,
+`]`, `@` and nested `<...>`; any other token is a ParseError that names it.
+The same balanced-run scanner reads annotation arguments `(...)`, which
+take any token. A statement is a local declaration when it starts at a
+primitive word, at `final`, or at an identifier where `type_node` reads a
+type and a name follows: the parser tries `type_node`, catches its
+ParseError and always rewinds, so a type reads the same in a local, a
+field and a parameter. Lambdas, anonymous classes, arrays, try/catch and
+switch are outside the subset and raise ParseError; the cataloger turns
+that into a per-file diagnostic and skips the file.
 
 The Ast is a flat preorder table: node i's children are exactly the nodes
 whose parent is i, in index order. Because flattening is preorder, a
@@ -81,6 +89,11 @@ NT_NEW = "New"
 
 MODIFIER_WORDS = frozenset({"public", "private", "protected", "static", "final", "abstract"})
 PRIMITIVE_WORDS = frozenset({"boolean", "byte", "char", "double", "float", "int", "long", "short"})
+# What a type-argument run `<...>` holds besides identifiers and nested
+# `<...>` (JLS SE 17 §4.5.1): wildcards and bounds, qualified names, arrays
+# and annotations.
+_TYPE_ARG_LEXEMES = PRIMITIVE_WORDS | {"extends", "super", "?", "&", ".", ",",
+                                       "[", "]", "@"}
 
 # Binary operator -> precedence level, loosest first; each level is
 # left-associative.
@@ -245,31 +258,28 @@ class _Parser:
     def compilation_unit(self) -> _Node:
         unit = [NT_COMPILATION_UNIT]
         if self._at_word("package"):
-            pkg = [NT_PACKAGE]
-            unit.append(pkg)
-            self.take(pkg)
-            self._dotted_name(pkg)
-            self.expect(pkg, KIND_SEPARATOR, ";")
+            unit.append(self._package_or_import(NT_PACKAGE))
         while self._at_word("import"):
-            imp = [NT_IMPORT]
-            unit.append(imp)
-            self.take(imp)
-            self._dotted_name(imp, allow_star=True)
-            self.expect(imp, KIND_SEPARATOR, ";")
+            unit.append(self._package_or_import(NT_IMPORT))
         while self.toks[self.i] is not None:
             unit.append(self.type_decl())
         if not any(c[0] in (NT_CLASS, NT_INTERFACE) for c in unit[1:]):
             raise ParseError("no type declaration in file", 1, 1)
         return unit
 
-    def _dotted_name(self, parent: _Node, allow_star: bool = False) -> None:
-        self.expect(parent, KIND_IDENTIFIER)
+    def _package_or_import(self, node_type: str) -> _Node:
+        """`package a.b;`, or `import a.b.C;` and `import a.b.*;`."""
+        node = [node_type]
+        self.take(node)
+        self.expect(node, KIND_IDENTIFIER)
         while self._at(KIND_SEPARATOR, "."):
-            self.take(parent)
-            if allow_star and self._at(KIND_OPERATOR, "*"):
-                self.take(parent)
+            self.take(node)
+            if node_type == NT_IMPORT and self._at(KIND_OPERATOR, "*"):
+                self.take(node)
                 break
-            self.expect(parent, KIND_IDENTIFIER)
+            self.expect(node, KIND_IDENTIFIER)
+        self.expect(node, KIND_SEPARATOR, ";")
+        return node
 
     def _annotations_and_modifiers(self, parent: _Node) -> None:
         while True:
@@ -282,18 +292,7 @@ class _Parser:
                 self.take(ann)
                 self.expect(ann, KIND_IDENTIFIER)
                 if self._at(KIND_SEPARATOR, "("):
-                    depth = 0
-                    while True:
-                        t = self.toks[self.i]
-                        if t is None:
-                            raise self._error("unterminated annotation arguments")
-                        if t.kind == KIND_SEPARATOR and t.lexeme == "(":
-                            depth += 1
-                        elif t.kind == KIND_SEPARATOR and t.lexeme == ")":
-                            depth -= 1
-                        self.take(ann)
-                        if depth == 0:
-                            break
+                    self._balanced(ann, ")", "annotation arguments")
             elif t.kind == KIND_KEYWORD and t.lexeme in MODIFIER_WORDS:
                 self.take(parent)
             else:
@@ -311,7 +310,7 @@ class _Parser:
         self.take(decl)
         name = self.expect(decl, KIND_IDENTIFIER).lexeme
         if self._at(KIND_OPERATOR, "<"):
-            self._raw_generics(decl)
+            self._balanced(decl, ">", "type arguments", _TYPE_ARG_LEXEMES)
         if self._at_word("extends"):
             self.take(decl)
             decl.append(self.type_node())
@@ -333,14 +332,14 @@ class _Parser:
         if self._at(KIND_IDENTIFIER, class_name) and self._at(KIND_SEPARATOR, "(", ahead=1):
             member[0] = NT_CTOR
             self.take(member)                      # constructor name
-            self._params(member)
+            self._list(member, self._param)
             member.append(self.block())
             return member
         member.append(self.type_node(allow_void=True))
         self.expect(member, KIND_IDENTIFIER)
         if self._at(KIND_SEPARATOR, "("):
             member[0] = NT_METHOD
-            self._params(member)
+            self._list(member, self._param)
             if self._at(KIND_SEPARATOR, ";"):
                 self.take(member)                  # abstract / interface method
             else:
@@ -353,13 +352,14 @@ class _Parser:
             self.expect(member, KIND_SEPARATOR, ";")
         return member
 
-    def _params(self, parent: _Node) -> None:
+    def _list(self, parent: _Node, item) -> None:
+        """`( [item (',' item)*] )`: parameters or call arguments."""
         self.expect(parent, KIND_SEPARATOR, "(")
         if not self._at(KIND_SEPARATOR, ")"):
-            parent.append(self._param())
+            parent.append(item())
             while self._at(KIND_SEPARATOR, ","):
                 self.take(parent)
-                parent.append(self._param())
+                parent.append(item())
         self.expect(parent, KIND_SEPARATOR, ")")
 
     def _param(self) -> _Node:
@@ -385,24 +385,29 @@ class _Parser:
         else:
             raise self._error("expected a type")
         if self._at(KIND_OPERATOR, "<"):
-            self._raw_generics(ty)
+            self._balanced(ty, ">", "type arguments", _TYPE_ARG_LEXEMES)
         if self._at(KIND_SEPARATOR, "["):
             raise self._error("array types are outside the supported subset")
         return ty
 
-    def _raw_generics(self, parent: _Node) -> None:
-        """Consume a balanced `<...>` run as raw leaves (type erasure)."""
+    def _balanced(self, parent: _Node, close: str, what: str,
+                  allowed: frozenset[str] | None = None) -> None:
+        """Consume the run from the current `(` or `<` to its matching
+        `close` as raw leaves. Between them, annotation arguments take any
+        token and type arguments only identifiers and `allowed` lexemes."""
+        opener = self.toks[self.i].lexeme
         depth = 0
         while True:
             t = self.toks[self.i]
             if t is None:
-                raise self._error("unterminated type arguments")
-            if t.kind == KIND_OPERATOR and t.lexeme == "<":
+                raise self._error(f"unterminated {what}")
+            if t.lexeme == opener:
                 depth += 1
-            elif t.kind == KIND_OPERATOR and t.lexeme == ">":
+            elif t.lexeme == close:
                 depth -= 1
-            elif t.kind == KIND_SEPARATOR and t.lexeme in "(){};":
-                raise self._error("unterminated type arguments")
+            elif allowed is not None and t.kind != KIND_IDENTIFIER \
+                    and t.lexeme not in allowed:
+                raise self._error(f"unexpected token in {what}")
             self.take(parent)
             if depth == 0:
                 return
@@ -424,64 +429,39 @@ class _Parser:
         if t.kind == KIND_SEPARATOR and t.lexeme == "{":
             return self.block()
         if t.kind == KIND_KEYWORD:
-            if t.lexeme == "if":
-                return self._if_stmt()
-            if t.lexeme == "while":
-                return self._while_stmt()
+            if t.lexeme in ("if", "while"):
+                return self._if_or_while()
             if t.lexeme == "for":
                 return self._for_stmt()
             if t.lexeme == "return":
                 return self._return_stmt()
-            if t.lexeme in PRIMITIVE_WORDS or t.lexeme == "final":
-                return self._local_decl(want_semi=True)
-            if t.lexeme in ("this", "new"):
-                stmt = [NT_EXPR_STMT]
-                stmt.append(self.expression())
-                self.expect(stmt, KIND_SEPARATOR, ";")
-                return stmt
-            raise self._error("statement form outside the supported subset")
-        if t.kind == KIND_IDENTIFIER and self._looks_like_decl():
+        if self._at_local_decl():
             return self._local_decl(want_semi=True)
-        stmt = [NT_EXPR_STMT]
-        stmt.append(self.expression())
+        if t.kind == KIND_KEYWORD and t.lexeme not in ("this", "new"):
+            raise self._error("statement form outside the supported subset")
+        stmt = [NT_EXPR_STMT, self.expression()]
         self.expect(stmt, KIND_SEPARATOR, ";")
         return stmt
 
-    def _looks_like_decl(self) -> bool:
-        """Lookahead: identifier-led statement that is really `Type name ...`."""
-        j = self.i
-        toks = self.toks
-        n = self.n
-
-        def at(k, lx=None, off=0):
-            t = toks[j + off]
-            return t is not None and t.kind == k and (lx is None or t.lexeme == lx)
-
-        if not at(KIND_IDENTIFIER):
+    def _at_local_decl(self) -> bool:
+        """Whether a local declaration starts here: at a primitive word, at
+        `final`, or at an identifier where `type_node` reads a type that a
+        name follows. The trial read is always rewound."""
+        t = self.toks[self.i]
+        if t is None:
             return False
-        j += 1
-        while at(KIND_SEPARATOR, ".") and at(KIND_IDENTIFIER, off=1):
-            j += 2
-        if at(KIND_OPERATOR, "<"):
-            depth = 0
-            while j < n:
-                t = toks[j]
-                if t.kind == KIND_OPERATOR and t.lexeme == "<":
-                    depth += 1
-                elif t.kind == KIND_OPERATOR and t.lexeme == ">":
-                    depth -= 1
-                    if depth == 0:
-                        j += 1
-                        break
-                elif not (t.kind == KIND_IDENTIFIER
-                          or (t.kind == KIND_KEYWORD and t.lexeme in PRIMITIVE_WORDS)
-                          or (t.kind == KIND_SEPARATOR and t.lexeme in ".,")):
-                    return False
-                j += 1
-            else:
-                return False
-        t = toks[j]
-        return t is not None and t.kind == KIND_IDENTIFIER
+        if t.kind == KIND_KEYWORD:
+            return t.lexeme in PRIMITIVE_WORDS or t.lexeme == "final"
+        if t.kind != KIND_IDENTIFIER:
+            return False
+        start = self.i
+        try:
+            self.type_node()
+            return self._at(KIND_IDENTIFIER)
+        except ParseError:
+            return False
+        finally:
+            self.i = start
 
     def _local_decl(self, want_semi: bool) -> _Node:
         decl = [NT_LOCAL]
@@ -496,25 +476,19 @@ class _Parser:
             self.expect(decl, KIND_SEPARATOR, ";")
         return decl
 
-    def _if_stmt(self) -> _Node:
-        node = [NT_IF]
+    def _if_or_while(self) -> _Node:
+        """`if` or `while`, `( condition )` and a statement; an `if` may
+        end with `else` and a statement."""
+        is_if = self._at_word("if")
+        node = [NT_IF if is_if else NT_WHILE]
         self.take(node)
         self.expect(node, KIND_SEPARATOR, "(")
         node.append(self.expression())
         self.expect(node, KIND_SEPARATOR, ")")
         node.append(self.statement())
-        if self._at_word("else"):
+        if is_if and self._at_word("else"):
             self.take(node)
             node.append(self.statement())
-        return node
-
-    def _while_stmt(self) -> _Node:
-        node = [NT_WHILE]
-        self.take(node)
-        self.expect(node, KIND_SEPARATOR, "(")
-        node.append(self.expression())
-        self.expect(node, KIND_SEPARATOR, ")")
-        node.append(self.statement())
         return node
 
     def _for_stmt(self) -> _Node:
@@ -524,13 +498,8 @@ class _Parser:
         if not self._at(KIND_SEPARATOR, ";"):
             init = [NT_FOR_INIT]
             node.append(init)
-            t = self.toks[self.i]
-            if t is not None and (
-                    (t.kind == KIND_KEYWORD and (t.lexeme in PRIMITIVE_WORDS or t.lexeme == "final"))
-                    or (t.kind == KIND_IDENTIFIER and self._looks_like_decl())):
-                init.append(self._local_decl(want_semi=False))
-            else:
-                init.append(self.expression())
+            init.append(self._local_decl(want_semi=False)
+                        if self._at_local_decl() else self.expression())
         self.expect(node, KIND_SEPARATOR, ";")
         if not self._at(KIND_SEPARATOR, ";"):
             node.append(self.expression())
@@ -620,19 +589,13 @@ class _Parser:
             if t.kind == KIND_SEPARATOR and t.lexeme == ".":
                 if not self._at(KIND_IDENTIFIER, ahead=1):
                     raise self._error("expected a member name after '.'")
-                if self._at(KIND_SEPARATOR, "(", ahead=2):
-                    node = [NT_CALL]
-                    node.append(expr)
-                    self.take(node)              # '.'
-                    self.take(node)              # name
-                    self._args(node)
-                    expr = node
-                else:
-                    node = [NT_FIELD_ACCESS]
-                    node.append(expr)
-                    self.take(node)
-                    self.take(node)
-                    expr = node
+                node = [NT_FIELD_ACCESS, expr]
+                self.take(node)                  # '.'
+                self.take(node)                  # name
+                if self._at(KIND_SEPARATOR, "("):
+                    node[0] = NT_CALL
+                    self._list(node, self.expression)
+                expr = node
             elif t.kind == KIND_OPERATOR and t.lexeme in ("++", "--"):
                 node = [NT_POSTFIX]
                 node.append(expr)
@@ -641,15 +604,6 @@ class _Parser:
             else:
                 return expr
 
-    def _args(self, call: _Node) -> None:
-        self.expect(call, KIND_SEPARATOR, "(")
-        if not self._at(KIND_SEPARATOR, ")"):
-            call.append(self.expression())
-            while self._at(KIND_SEPARATOR, ","):
-                self.take(call)
-                call.append(self.expression())
-        self.expect(call, KIND_SEPARATOR, ")")
-
     def _primary(self) -> _Node | int:
         t = self.toks[self.i]
         if t is None:
@@ -657,7 +611,7 @@ class _Parser:
         if t.kind == KIND_IDENTIFIER and self._at(KIND_SEPARATOR, "(", ahead=1):
             node = [NT_CALL]
             self.take(node)                      # implicit-this callee name
-            self._args(node)
+            self._list(node, self.expression)
             return node
         if t.kind in (KIND_IDENTIFIER, KIND_INT, KIND_STRING, KIND_CHAR,
                       KIND_BOOL, KIND_NULL) \
@@ -668,7 +622,7 @@ class _Parser:
             node = [NT_NEW]
             self.take(node)
             node.append(self.type_node())
-            self._args(node)
+            self._list(node, self.expression)
             return node
         if t.kind == KIND_SEPARATOR and t.lexeme == "(":
             node = [NT_PAREN]

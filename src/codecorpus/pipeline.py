@@ -47,7 +47,7 @@ from .callgraph import (arg_name_maps, build_callgraph,
                         classify_distribution, connectivity_props,
                         n_hop_context, read_callgraph_csv,
                         write_callgraph_csv)
-from .errors import InputError, InvalidArgumentError
+from .errors import EmptyProjectError, InputError, InvalidArgumentError
 from .featuregraph import ast_graph, build_feature_graph, graph_payload
 from .identity import EntityId
 from .lexer import tkna_text, tknb_text
@@ -191,15 +191,27 @@ def discover_projects(corpus_root: Path) -> list[Path]:
 
 
 def parse_corpus(cfg: WorkspaceConfig) -> list[ProjectData]:
+    """Catalog every project once. A project with no cataloged classes (a
+    strict run fails at its first bad file before that) is skipped: it
+    stays in the list without rows, so its notes are reported, and
+    `merged_catalog` leaves it out. A corpus with no cataloged class at
+    all is an EmptyProjectError naming its root."""
     strict = cfg.strictness == "fail-fast"
     root = Path(cfg.corpus_root)
-    return [catalog_project(p, corpus_root=root, strict=strict)
-            for p in discover_projects(root)]
+    datas = []
+    for p in discover_projects(root):
+        try:
+            datas.append(catalog_project(p, corpus_root=root, strict=strict))
+        except EmptyProjectError as exc:
+            datas.append(exc.data)
+    if not any(d.classes for d in datas):
+        raise EmptyProjectError(f"no cataloged classes under {root}")
+    return datas
 
 
 def merged_catalog(datas: list[ProjectData]) -> Catalog:
     """One catalog over the rows of every project, in metadata order."""
-    cat = Catalog([d.project for d in datas],
+    cat = Catalog([d.project for d in datas if d.classes],
                   [p for d in datas for p in d.packages],
                   [c for d in datas for c in d.classes],
                   [m for d in datas for m in d.methods])
@@ -239,12 +251,16 @@ def load_corpus(ws: Workspace
 
 
 def _report_skipped_files(datas: list[ProjectData]) -> int:
-    """Print every diagnostic to stderr as a note; count the files that got
-    no class row (each of them has a diagnostic)."""
+    """Print every diagnostic to stderr as a note, and a note for each
+    skipped project; count the files that got no class row (each of them
+    has a diagnostic)."""
     skipped = 0
     for d in datas:
         for diag in d.diagnostics:
             print(f"note: {diag.path}: {diag.message}", file=sys.stderr)
+        if not d.classes:
+            print(f"note: {d.project.project_path}: no cataloged classes; "
+                  "project skipped", file=sys.stderr)
         skipped += len({diag.path for diag in d.diagnostics}
                        - {c.class_path for c in d.classes})
     return skipped
@@ -523,6 +539,8 @@ def stage_add_project(ws: Workspace, project_root, replace: bool = False
                      if d.project.project_path == project_path), None)
     if new_data is None:
         raise InputError("project was not discovered under the corpus root")
+    if not new_data.classes:
+        raise EmptyProjectError(f"no cataloged classes under {root}")
     if ws.metadata_dir.joinpath("projects.csv").exists():
         existing = read_metadata(ws.metadata_dir)
         if not replace and new_data.project.project_id in existing.by_id:

@@ -35,6 +35,10 @@ different algorithmic shape:
   parser's previous accessors and file-view headers, which scan a node's
   children for a `(`, `;`, `=` or `<` (and for `extends`/`implements`
   with flags) instead of reading the positions the grammar fixes.
+* `local_decl_start_oracle` is the parser's previous lookahead for a local
+  declaration, which re-read a dotted name and its `<...>` run (of names,
+  primitive words, `.` and `,` only) by hand instead of trying
+  `type_node` and rewinding.
 * `SiteExtractorOracle` is the call graph's previous receiver resolution,
   one case per receiver shape (including `super`, which the parser
   rejects) with separate local and field scopes, and `simple_type_oracle`
@@ -81,8 +85,9 @@ from codecorpus.parser import (
     NT_FIELD_ACCESS, NT_FOR, NT_FOR_INIT, NT_FOR_UPDATE, NT_IF, NT_IMPORT,
     NT_INTERFACE, NT_LOCAL, NT_METHOD, NT_NEW, NT_PACKAGE, NT_PARAM,
     NT_PAREN, NT_POSTFIX, NT_RETURN, NT_TERNARY, NT_TYPE, NT_UNARY,
-    NT_WHILE, assign_parts, call_parts, for_parts, if_parts,
-    local_decl_parts, new_parts, split_lines, type_simple_name, while_parts,
+    NT_WHILE, PRIMITIVE_WORDS, assign_parts, call_parts, for_parts,
+    if_parts, local_decl_parts, new_parts, split_lines, type_simple_name,
+    while_parts,
 )
 from codecorpus.pathcontexts import (
     MAX_CONTEXTS_DEFAULT, MAX_LENGTH_DEFAULT, MAX_WIDTH_DEFAULT, subtokens,
@@ -688,6 +693,46 @@ def to_c2sq_oracle(method: MethodSource, paths) -> str:
 # ---------------------------------------------------------------------------
 # Each scans a node's children for the separator or operator that bounds
 # the part it wants, instead of reading the position the grammar fixes.
+
+
+def local_decl_start_oracle(tokens: list[Token], i: int) -> bool:
+    """Whether a statement at `tokens[i]` was read as a local declaration:
+    a primitive word or `final`, or `Type name` with the type scanned by
+    hand."""
+    t = tokens[i] if i < len(tokens) else None
+    if t is None:
+        return False
+    if t.kind == KIND_KEYWORD:
+        return t.lexeme in PRIMITIVE_WORDS or t.lexeme == "final"
+    if t.kind != KIND_IDENTIFIER:
+        return False
+
+    def at(j, kind, lexeme=None):
+        return j < len(tokens) and tokens[j].kind == kind \
+            and (lexeme is None or tokens[j].lexeme == lexeme)
+
+    j = i + 1
+    while at(j, KIND_SEPARATOR, ".") and at(j + 1, KIND_IDENTIFIER):
+        j += 2
+    if at(j, KIND_OPERATOR, "<"):
+        depth = 0
+        while j < len(tokens):
+            t = tokens[j]
+            if t.kind == KIND_OPERATOR and t.lexeme == "<":
+                depth += 1
+            elif t.kind == KIND_OPERATOR and t.lexeme == ">":
+                depth -= 1
+                if depth == 0:
+                    j += 1
+                    break
+            elif not (t.kind == KIND_IDENTIFIER
+                      or (t.kind == KIND_KEYWORD and t.lexeme in PRIMITIVE_WORDS)
+                      or (t.kind == KIND_SEPARATOR and t.lexeme in ".,")):
+                return False
+            j += 1
+        else:
+            return False
+    return at(j, KIND_IDENTIFIER)
 
 
 def type_text_oracle(ast: Ast, type_node: int) -> str:

@@ -263,6 +263,38 @@ def test_skipped_files_count_files_without_a_class_row(tmp_path):
                            "at line 1; skipped\n")
 
 
+def test_a_project_with_no_cataloged_class_is_skipped(tmp_path):
+    corpus = _one_class_corpus(tmp_path)
+    (corpus / "bad" / "q").mkdir(parents=True)
+    (corpus / "bad" / "q" / "B.java").write_text(
+        "class B { double h() { return 1.5; } }\n", encoding="utf-8")
+    ws = tmp_path / "ws"
+    proc = run_cli("catalog", "--corpus", corpus, "-w", ws)
+    assert proc.returncode == 0, proc.stderr
+    summary = last_json(proc)
+    assert (summary["projects"], summary["methods"]) == (1, 1)
+    assert summary["skipped_files"] == 1
+    notes = proc.stderr.splitlines()
+    assert len(notes) == 2 and notes[0].startswith("note: bad/q/B.java: ")
+    assert notes[1] == "note: bad: no cataloged classes; project skipped"
+    for command in (("repr", "--types", "TKNA"), ("metrics",),
+                    ("callgraph",), ("tokenstats",)):
+        proc = run_cli(*command, "-w", ws)
+        assert proc.returncode == 0, (command, proc.stderr)
+    proc = run_cli("add-project", corpus / "bad", "-w", ws)
+    assert proc.returncode == 2
+    assert "no cataloged classes under" in proc.stderr
+    assert proc.stderr.rstrip().endswith("bad")
+    proc = run_cli("catalog", "--corpus", corpus, "-w", tmp_path / "strict",
+                   "--strict")
+    assert proc.returncode == 2 and "bad/q/B.java" in proc.stderr
+    shutil.rmtree(corpus / "proj")
+    proc = run_cli("catalog", "--corpus", corpus, "-w", tmp_path / "none")
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1] == (
+        f"input error: no cataloged classes under {corpus.resolve()}")
+
+
 def test_call_mask_says_when_it_writes_no_evaluation(cli_env, tmp_path):
     _corpus, ws, _proc = cli_env
     copy = tmp_path / "ws"

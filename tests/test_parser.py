@@ -2,25 +2,28 @@
 
 import hashlib
 import json
+import re
 
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from conftest import STATEMENTS, fixture_with_statements
+from conftest import STATEMENTS, fixture_with_statements, longgen
 
 from codecorpus.errors import CorpusError, ParseError
 from codecorpus.featuregraph import _ast_nodes
 from codecorpus.fixturegen import fixture_files
 from codecorpus.lexer import lex
 from codecorpus.parser import (
-    NT_CALL, NT_FIELD, NT_FOR, NT_LOCAL, NT_NEW, NT_TYPE, Ast, FileView,
-    assign_parts, call_parts, call_sites, file_view, for_parts, if_parts,
-    local_decl_parts, new_parts, parse, type_simple_name,
+    NT_BLOCK, NT_CALL, NT_EXPR_STMT, NT_FIELD, NT_FOR, NT_FOR_INIT, NT_IF,
+    NT_LOCAL, NT_NEW, NT_PARAM, NT_RETURN, NT_TYPE, NT_WHILE, Ast, FileView,
+    _Parser, assign_parts, call_parts, call_sites, file_view, for_parts,
+    if_parts, local_decl_parts, new_parts, parse, type_simple_name,
     type_text, while_parts,
 )
 
 from oracles import (call_parts_oracle, call_sites_oracle, for_parts_oracle,
-                     local_decl_parts_oracle, method_sources_oracle,
+                     local_decl_parts_oracle, local_decl_start_oracle,
+                     method_sources_oracle,
                      new_parts_oracle, slice_lines_oracle,
                      type_simple_name_oracle, type_text_oracle,
                      view_headers_oracle)
@@ -204,6 +207,32 @@ def test_local_decl_parts_and_type_erasure():
     _, name2, init2 = local_decl_parts(ast, bare)
     assert ast.lexeme(name2) == "k"
     assert init2 is None
+
+
+@pytest.mark.parametrize("ty", ["List<? extends Number>", "Map<K, List<V>>"])
+def test_a_type_reads_alike_as_a_local_a_field_and_a_parameter(ty):
+    ast = parse(f"class A {{ {ty} g; void f({ty} p) {{ {ty} xs = ys; }} }}")
+    want = [ast.lexeme(i) for i in ast.terminals(ast.find(NT_TYPE)[0])]
+    for node_type in (NT_FIELD, NT_PARAM, NT_LOCAL):
+        node = ast.find(node_type)[0]
+        ty_node = next(c for c in ast.children[node]
+                       if ast.node_types[c] == NT_TYPE)
+        assert [ast.lexeme(i) for i in ast.terminals(ty_node)] == want
+        assert type_text(ast, ty_node) == ty.split("<")[0]
+    assert "".join(want) == ty.replace(" ", "")
+
+
+def test_a_type_argument_outside_the_rule_is_named():
+    with pytest.raises(ParseError) as exc:
+        parse("class A { List<1> x; }")
+    assert "found '1'" in str(exc.value)
+    assert (exc.value.line, exc.value.col) == (1, 16)
+
+
+def test_a_comparison_chain_stays_one_expression_statement():
+    ast = parse("class A { void f() { a < b == c > d != e; } }")
+    assert ast.find(NT_LOCAL) == []
+    assert len(ast.find(NT_EXPR_STMT)) == 1
 
 
 def _bracketed(ast, i):
@@ -431,6 +460,78 @@ def test_mutated_sources_parse_or_raise_a_corpus_error(item, edits):
                 m.ast, m.tokens, m.text    # the views built on first read
     except CorpusError:
         pass
+
+
+_GENERIC_STATEMENTS = (
+    "List<String> xs = f(a);",
+    "Map<K, List<V>> m = new HashMap<K, List<V>>(n);",
+    "List<? extends Number> ns = ys;",
+    "a < b == c > d != e;",
+    "for (Map<K, V> e = m; e != null; e = e.next()) x++;",
+)
+_BODY_SOURCES = [(rel, text) for rel, text in _SOURCES
+                 if re.search(r"\)\s*\{", text)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_BODY_SOURCES), st.integers(0, 1 << 16),
+       st.sampled_from(_GENERIC_STATEMENTS),
+       st.lists(st.tuples(st.integers(0, 1 << 16),
+                          st.sampled_from(["<", ">", "?", "[", "@", "<<",
+                                           "? super ", " & "])),
+                min_size=1, max_size=5))
+def test_mutated_generic_statements_parse_or_raise_a_corpus_error(
+        item, site, statement, splices):
+    # a statement start that `type_node` reads part of and rewinds
+    rel, text = item
+    for pos, mark in splices:
+        at = pos % (len(statement) + 1)
+        statement = f"{statement[:at]}{mark}{statement[at:]}"
+    sites = [m.end() for m in re.finditer(r"\)\s*\{", text)]
+    at = sites[site % len(sites)]
+    try:
+        file_view(f"{text[:at]} {statement}{text[at:]}", rel)
+    except CorpusError:
+        pass
+
+
+# ---------------------------------------------------------------------------
+# The local-declaration lookahead against the previous hand scan
+# ---------------------------------------------------------------------------
+
+_STATEMENT_TYPES = frozenset({NT_BLOCK, NT_LOCAL, NT_EXPR_STMT, NT_IF,
+                              NT_WHILE, NT_FOR, NT_RETURN})
+
+
+def _assert_statement_starts_match_the_previous_lookahead(ast: Ast) -> int:
+    parser = _Parser(ast.tokens)
+    starts = {ast.token_span(i)[0] for i, nt in enumerate(ast.node_types)
+              if nt in _STATEMENT_TYPES or (
+                  i and ast.node_types[ast.parents[i]] == NT_FOR_INIT)}
+    for start in starts:
+        parser.i = start
+        assert parser._at_local_decl() == \
+            local_decl_start_oracle(ast.tokens, start), ast.tokens[start]
+        assert parser.i == start
+    return len(starts)
+
+
+@pytest.mark.parametrize("corpus", ["corpus_data", "scaled_corpus_data"])
+def test_every_statement_start_reads_as_the_previous_lookahead(request,
+                                                               corpus):
+    for data in request.getfixturevalue(corpus):
+        for view in data.class_views.values():
+            _assert_statement_starts_match_the_previous_lookahead(view.ast)
+
+
+def test_every_long_method_statement_start_reads_as_the_previous_lookahead():
+    generate = longgen().generate
+    starts = 0
+    for seed in range(32):
+        for rel, text in generate(seed).items():
+            starts += _assert_statement_starts_match_the_previous_lookahead(
+                file_view(text, rel).ast)
+    assert starts > 1000
 
 
 # ---------------------------------------------------------------------------
