@@ -6,9 +6,8 @@ static call graph, generates split datasets for prediction tasks, and
 measures subword-tokenized entity sizes against context-window budgets.
 """
 
-from .catalog import (CALLGRAPH_KEYS, Catalog, IMPORT_ONLY_KEYS, METRIC_KEYS,
-                      ProjectData, catalog_project, read_metadata,
-                      write_metadata)
+from .catalog import (CALLGRAPH_KEYS, Catalog, METRIC_KEYS, ProjectData,
+                      catalog_project, read_metadata, write_metadata)
 from .callgraph import (CALL_TYPES, CallEdge, CallGraph, build_callgraph,
                         classify_distribution, connectivity_props,
                         n_hop_context)
@@ -37,7 +36,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CALLGRAPH_KEYS", "CALL_TYPES", "BpeVocab", "CallEdge", "CallGraph",
     "Catalog", "CorpusError", "EDGE_TYPES", "EmptyProjectError",
-    "FeatureGraph", "FileView", "IMPORT_ONLY_KEYS", "InputError",
+    "FeatureGraph", "FileView", "InputError",
     "InvalidArgumentError", "LexError", "METRIC_KEYS", "MethodSource",
     "NotFoundError", "ParseError", "ProjectData", "REPRESENTATION_TYPES",
     "TaskDataset", "TaskSample", "Token",

@@ -34,8 +34,8 @@ falls back to the lexicographically first signature so output stays stable.
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .catalog import Catalog, ProjectData
-from .errors import InvalidArgumentError, NotFoundError
+from .catalog import CALLGRAPH_KEYS, Catalog, ProjectData
+from .errors import InputError, InvalidArgumentError, NotFoundError
 from .identity import EntityId
 from .lexer import (KIND_BOOL, KIND_CHAR, KIND_IDENTIFIER, KIND_INT,
                     KIND_KEYWORD, KIND_NULL, KIND_STRING)
@@ -375,7 +375,7 @@ def connectivity_props(g: CallGraph, catalog: Catalog
                        ) -> dict[str, dict[EntityId, int]]:
     """NUPC/NUCC (distinct resolved partners) and NMLC/NMNC (site counts)."""
     tables = {k: {m.method_id: 0 for m in catalog.methods}
-              for k in ("NUPC", "NUCC", "NMLC", "NMNC")}
+              for k in CALLGRAPH_KEYS}
     callers: dict[EntityId, set] = {}
     callees: dict[EntityId, set] = {}
     for e in g.edges:
@@ -444,6 +444,16 @@ def write_callgraph_csv(path, g: CallGraph) -> None:
 
 
 def read_callgraph_csv(path) -> CallGraph:
-    rows = read_table(path, CALLGRAPH_HEADER, ("line", "col"),
-                      ("caller_method_id", "line", "col"))
-    return CallGraph([CallEdge(*r) for r in rows])
+    """The stored call sites; each `call_type` must be one of CALL_TYPES,
+    and `API` exactly when the callee is empty, or it is an InputError."""
+    edges = [CallEdge(*r) for r in read_table(
+        path, CALLGRAPH_HEADER, ("line", "col"),
+        ("caller_method_id", "line", "col"))]
+    for e in edges:
+        if e.call_type not in CALL_TYPES or \
+                (e.callee == "") != (e.call_type == "API"):
+            raise InputError(
+                f"{path}: call site of {e.caller} at line {e.line}, col "
+                f"{e.col} has call_type {e.call_type!r} and callee "
+                f"{e.callee!r}; want one of {CALL_TYPES}, API iff no callee")
+    return CallGraph(edges)

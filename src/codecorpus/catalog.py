@@ -6,8 +6,9 @@ subset are skipped with a diagnostic instead of failing the project, unless
 strict mode is on. The resulting `ProjectData` keeps, beside the metadata
 rows, each method's parse (`sources`) and each class's file view
 (`class_views`); every later stage reads those instead of parsing or
-joining again. A `Catalog` is the four tables of one or more projects plus
-`by_id`, an index of every entity by its id.
+joining again; a project with no cataloged class is returned without
+rows. A `Catalog` is the four tables of one or more projects plus `by_id`,
+an index of every entity by its id.
 
 Metadata persists as four CSV files with fixed headers, one per row type
 (`ProjectMeta` ... `MethodMeta`, named tuples of the columns in order),
@@ -21,6 +22,8 @@ each keyed on its entity's id; `METADATA_TABLES` is their one schema.
 
 Method-level properties persist one file per key as `<KEY>.csv` with header
 `method_id,value`, keyed on `method_id`. Keys are 4-16 uppercase letters.
+A stored value is read back by `property_value` (`7` is an int, `007` and
+`x` are text); `property_writer` names the command that writes a table.
 """
 
 import re
@@ -29,10 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import (
-    CorpusError, EmptyProjectError, InputError, InvalidArgumentError,
-    ParseError,
-)
+from .errors import CorpusError, InputError, InvalidArgumentError, ParseError
 from .identity import (
     EntityId, assign_id, class_key, method_key, package_key, project_key,
 )
@@ -42,12 +42,10 @@ from .tables import read_table, write_table
 PROPERTY_HEADER = ["method_id", "value"]
 PROPERTY_KEY_RE = re.compile(r"^[A-Z]{4,16}$")
 
-# Known property codes. "metrics" and "callgraph" keys are computed by this
-# package; "import" keys only ever arrive via props-import.
+# The property keys this package computes; any other key is imported.
 METRIC_KEYS = ("TLOC", "SLOC", "CMPX", "MXIN", "NPTH", "NMTK", "NMPR",
                "NUID", "NMOP", "NMLT", "NMRT", "NAME")
 CALLGRAPH_KEYS = ("NUPC", "NUCC", "NMNC", "NMLC")
-IMPORT_ONLY_KEYS = ("NLDF", "RSLK", "NTID")
 
 
 class ProjectMeta(NamedTuple):
@@ -145,8 +143,8 @@ class ProjectData:
 
     `sources` holds every method's parse and `class_views` the file view
     each class was cataloged from, so downstream stages never re-join
-    classes to files by path. A project `parse_corpus` skipped has no rows
-    but its project and its diagnostics.
+    classes to files by path. A project with no cataloged class has no
+    rows but its project and its diagnostics.
     """
 
     project: ProjectMeta
@@ -171,22 +169,19 @@ def _parse_one(path: Path, rel: str) -> FileView | Diagnostic:
         return Diagnostic(rel, str(exc))
 
 
-def catalog_project(root, corpus_root=None, strict: bool = False
-                    ) -> ProjectData:
+def catalog_project(root, corpus_root, strict: bool = False) -> ProjectData:
     """Catalog one project directory tree.
 
-    `corpus_root` anchors the relative paths recorded in metadata; when
-    omitted, paths are relative to the project root's parent. Unparseable
-    files become diagnostics (or errors if strict), and so does a method
-    declared again with the same signature on the same first line: only
-    the first one gets a row. A project with no cataloged classes raises
-    EmptyProjectError, which carries that project's diagnostics.
+    `corpus_root` anchors the relative paths recorded in metadata.
+    Unparseable files become diagnostics (or errors if strict), and so does
+    a method declared again with the same signature on the same first line:
+    only the first one gets a row. A project with no cataloged classes is
+    returned as it is: no rows, and the diagnostics that say why.
     """
     root = Path(root)
     if not root.is_dir():
         raise InputError(f"project root is not a directory: {root}")
-    base = Path(corpus_root) if corpus_root is not None else root.parent
-    project_rel = root.relative_to(base).as_posix()
+    project_rel = root.relative_to(corpus_root).as_posix()
     project_name = root.name
     project_id = assign_id("project", project_key(project_name, project_rel))
     project = ProjectMeta(project_id, project_rel, project_name)
@@ -213,10 +208,8 @@ def catalog_project(root, corpus_root=None, strict: bool = False
     for view in views:
         file_rel = view.path
         pkg_name = view.package_name
-        pkg_dir = file_rel.rsplit("/", 1)[0] if "/" in file_rel else file_rel
         if pkg_name not in packages:
-            pkg_path = Path(pkg_dir).relative_to(project_rel).as_posix() \
-                if pkg_dir != project_rel else "."
+            pkg_path = Path(file_rel).parent.relative_to(project_rel).as_posix()
             if pkg_path in packages_by_path:
                 # the package id is path-keyed; fold mismatched declarations in
                 diagnostics.append(Diagnostic(
@@ -252,10 +245,9 @@ def catalog_project(root, corpus_root=None, strict: bool = False
                 m.name, m.start_line, m.end_line, m.signature))
             sources[mid] = m
 
-    unique_packages = {p.package_id: p for p in packages.values()}
-    data = ProjectData(
+    return ProjectData(
         project=project,
-        packages=sorted(unique_packages.values(),
+        packages=sorted(packages_by_path.values(),
                         key=lambda p: (p.package_path, p.package_id)),
         classes=classes,
         methods=methods,
@@ -263,9 +255,6 @@ def catalog_project(root, corpus_root=None, strict: bool = False
         class_views=class_views,
         diagnostics=diagnostics,
     )
-    if not classes:
-        raise EmptyProjectError(f"no cataloged classes under {root}", data)
-    return data
 
 
 # ---------------------------------------------------------------------------
@@ -309,29 +298,38 @@ def read_metadata(in_dir) -> Catalog:
 # Property tables
 # ---------------------------------------------------------------------------
 
-PropertyValue = int | str | bool
-
-
 def validate_property_key(key: str) -> None:
     if not PROPERTY_KEY_RE.match(key or ""):
         raise InvalidArgumentError(
             f"property key must be 4-16 uppercase letters, got {key!r}")
 
 
-def format_property_value(value: PropertyValue) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
+def property_writer(key: str) -> str:
+    """The command that writes the table of property `key`."""
+    if key in METRIC_KEYS:
+        return "metrics"
+    return "callgraph" if key in CALLGRAPH_KEYS else "props-import"
 
 
-def write_property_csv(key: str, table: dict[EntityId, PropertyValue], out_dir) -> Path:
+def property_value(text: str) -> int | str:
+    """A stored property value: an int when `text` is that int's canonical
+    decimal form, else `text`; so `str(property_value(t)) == t`."""
+    try:
+        value = int(text)
+    except ValueError:
+        return text
+    return value if str(value) == text else text
+
+
+def write_property_csv(key: str, table: dict[EntityId, int | str], out_dir
+                       ) -> Path:
     validate_property_key(key)
     path = Path(out_dir) / f"{key}.csv"
-    rows = [(mid, format_property_value(v)) for mid, v in sorted(table.items())]
-    _write_csv(path, PROPERTY_HEADER, rows)
+    _write_csv(path, PROPERTY_HEADER,
+               [(mid, str(v)) for mid, v in sorted(table.items())])
     return path
 
 
 def read_property_csv(path) -> dict[EntityId, str]:
-    """Read a property CSV; values come back as text, caller coerces."""
+    """Read a property CSV; values come back as text (see `property_value`)."""
     return dict(_read_csv(Path(path), PROPERTY_HEADER, key=("method_id",)))

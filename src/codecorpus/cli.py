@@ -5,6 +5,9 @@ Exit codes: 0 success, 1 usage error, 2 input or prerequisite error,
 3 unexpected internal failure. The workspace directory defaults to the
 CODECORPUS_WORKSPACE environment variable.
 
+The commands only split strings: every check, and every note on stderr,
+belongs to the library stage that a command calls.
+
 A command runs with the cyclic garbage collector switched off, and `main`
 restores the caller's setting when it returns. A command keeps its whole
 parsed corpus alive, so each collector pass would re-walk it, at a cost
@@ -19,13 +22,14 @@ import sys
 
 import click
 
+from .catalog import property_value
 from .errors import CorpusError, InvalidArgumentError
 from .pipeline import (REPRESENTATION_TYPES, Workspace, WorkspaceConfig,
                        load_corpus, stage_add_project, stage_callgraph,
                        stage_catalog, stage_metrics, stage_props_import,
                        stage_report, stage_representations, stage_taskgen,
                        stage_tokenstats)
-from .taskgen import DEFAULT_SPLIT_FRACS, SPLIT_NAMES
+from .taskgen import DEFAULT_SPLIT_FRACS, FILTER_OPS
 
 _WS_OPTION = click.option(
     "--workspace", "-w", "workspace_dir", envvar="CODECORPUS_WORKSPACE",
@@ -37,29 +41,20 @@ def _emit(summary: dict) -> None:
     click.echo(json.dumps(summary, sort_keys=True))
 
 
-def _parse_fracs(text: str) -> tuple[float, float, float]:
+def _parse_fracs(text: str) -> tuple[float, ...]:
     try:
-        parts = tuple(float(x) for x in text.split(","))
+        return tuple(float(x) for x in text.split(","))
     except ValueError:
         raise click.UsageError(f"--fracs must be three numbers, got {text!r}")
-    if len(parts) != 3:
-        raise click.UsageError("--fracs needs exactly three comma-separated "
-                               "values, e.g. 0.8,0.05,0.15")
-    return parts
 
 
-def _parse_filter(text: str) -> tuple[str, str, object]:
-    for op in (">=", "<=", "==", "!=", ">", "<"):
+def _parse_filter(text: str) -> tuple[str, str, int | str]:
+    for op in FILTER_OPS:
         if op in text:
             key, _, raw = text.partition(op)
-            key, raw = key.strip(), raw.strip()
-            try:
-                value: object = int(raw)
-            except ValueError:
-                value = raw
-            return key, op, value
-    raise click.UsageError(
-        f"filter {text!r} needs an operator (one of >= <= == != > <)")
+            return key.strip(), op, property_value(raw.strip())
+    raise click.UsageError(f"filter {text!r} needs an operator "
+                           f"(one of {' '.join(FILTER_OPS)})")
 
 
 @click.group()
@@ -181,14 +176,6 @@ def taskgen(workspace_dir, task, key, filters, balance, augment,
         filters=[_parse_filter(f) for f in filters],
         p_mutate=p_mutate, augment=augment,
         include_constructors=include_constructors)
-    empty = [s for s in SPLIT_NAMES if not summary["splits"][s]]
-    for split in empty:
-        click.echo(f"note: tasks/{summary['task']}.csv has an empty "
-                   f"{split} split", err=True)
-    if task == "call-mask" and "baseline_overall" not in summary:
-        click.echo("note: call_mask.eval.json was not written: empty "
-                   f"{'/'.join(s for s in empty if s != 'valid')} split",
-                   err=True)
     _emit({"command": "taskgen", **summary})
 
 

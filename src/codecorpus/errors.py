@@ -17,12 +17,7 @@ class NotFoundError(CorpusError, KeyError):
 
 
 class EmptyProjectError(CorpusError):
-    """A project root yielded no cataloged entities; `data`, when given, is
-    what cataloging found (no rows, and the diagnostics that say why)."""
-
-    def __init__(self, message: str, data=None):
-        super().__init__(message)
-        self.data = data
+    """A corpus, or a project added to one, yielded no cataloged class."""
 
 
 class LexError(CorpusError):

@@ -19,7 +19,8 @@ views) and `merged_catalog` joins their rows into one sorted `Catalog`.
 Stages take those two and never re-join classes to files or reparse;
 `load_corpus` adds the check that the reparsed corpus gives, row for row,
 the four stored metadata tables, and `add-project` reuses the same single
-parse.
+parse. Property values are read by `catalog.property_value`; each stage
+prints its own notes (diagnostics, empty task splits) on stderr.
 
 Every writer sorts its rows, so regenerating a workspace with the same
 corpus and seed reproduces identical bytes. Every workspace file is
@@ -40,9 +41,9 @@ from pathlib import Path
 
 from . import metrics as metrics_mod
 from .catalog import (Catalog, METADATA_TABLES, METRIC_KEYS, ProjectData,
-                      catalog_project, read_metadata, read_property_csv,
-                      validate_property_key, write_metadata,
-                      write_property_csv)
+                      catalog_project, property_value, property_writer,
+                      read_metadata, read_property_csv, validate_property_key,
+                      write_metadata, write_property_csv)
 from .callgraph import (arg_name_maps, build_callgraph,
                         classify_distribution, connectivity_props,
                         n_hop_context, read_callgraph_csv,
@@ -198,12 +199,8 @@ def parse_corpus(cfg: WorkspaceConfig) -> list[ProjectData]:
     all is an EmptyProjectError naming its root."""
     strict = cfg.strictness == "fail-fast"
     root = Path(cfg.corpus_root)
-    datas = []
-    for p in discover_projects(root):
-        try:
-            datas.append(catalog_project(p, corpus_root=root, strict=strict))
-        except EmptyProjectError as exc:
-            datas.append(exc.data)
+    datas = [catalog_project(p, corpus_root=root, strict=strict)
+             for p in discover_projects(root)]
     if not any(d.classes for d in datas):
         raise EmptyProjectError(f"no cataloged classes under {root}")
     return datas
@@ -356,19 +353,12 @@ def stage_props_import(ws: Workspace, cat: Catalog, source_csv,
             "rejected": len(values) - len(table)}
 
 
-def _coerce(value: str):
-    try:
-        return int(value)
-    except ValueError:
-        return value
-
-
 def _load_props(ws: Workspace, keys: list[str]) -> dict[str, dict]:
-    """Property tables with numeric strings restored to ints."""
+    """Property tables; a missing one names the command that writes it."""
     out = {}
     for key in keys:
-        path = ws.require(ws.property_path(key), "metrics")
-        out[key] = {mid: _coerce(v)
+        path = ws.require(ws.property_path(key), property_writer(key))
+        out[key] = {mid: property_value(v)
                     for mid, v in read_property_csv(path).items()}
     return out
 
@@ -376,7 +366,7 @@ def _load_props(ws: Workspace, keys: list[str]) -> dict[str, dict]:
 def stage_taskgen(ws: Workspace, datas: list[ProjectData], cat: Catalog,
                   task: str, seed: int, split_fracs,
                   key: str = "CMPX", balance: bool = False,
-                  filters: list[tuple[str, str, object]] = (),
+                  filters: list[tuple[str, str, int | str]] = (),
                   p_mutate: float = 0.5, augment: bool = False,
                   include_constructors: bool = False) -> dict:
     sources = all_sources(datas)
@@ -412,17 +402,24 @@ def stage_taskgen(ws: Workspace, datas: list[ProjectData], cat: Catalog,
     counts = Counter(s.split for s in dataset.samples)
     summary = {"task": name, "samples": len(dataset.samples),
                "splits": {s: counts[s] for s in SPLIT_NAMES}, "seed": seed}
+    empty = [s for s in SPLIT_NAMES if not counts[s]]
+    for split in empty:
+        print(f"note: tasks/{name}.csv has an empty {split} split",
+              file=sys.stderr)
     if task == "call-mask" and counts["test"] and counts["train"]:
         evals = {}
         for tag, fn in (("most_frequent", baseline_most_frequent),
                         ("context_unigram", baseline_context_unigram)):
-            report = evaluate_exact_match(dataset, fn(dataset))
-            evals[tag] = report
+            evals[tag] = evaluate_exact_match(dataset, fn(dataset))
         write_text(ws.task_path(name).with_suffix(".eval.json"),
                    json.dumps(evals, indent=2, sort_keys=True) + "\n")
         summary["baseline_overall"] = {
             tag: round(report["overall"], 6)
             for tag, report in evals.items()}
+    elif task == "call-mask":
+        print("note: call_mask.eval.json was not written: empty "
+              f"{'/'.join(s for s in empty if s != 'valid')} split",
+              file=sys.stderr)
     return summary
 
 

@@ -13,6 +13,7 @@ one definition of a call site, which the call graph also uses: a masked
 name token sits at the (line, col) of its site's call-graph edge.
 """
 
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -33,14 +34,10 @@ CTX_TOKEN = "<CTX>"
 TASK_HEADER = ["sample_id", "method_id", "split", "stratum", "size_bucket",
                "label", "payload"]
 
-_FILTER_OPS = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-}
+# Property filter operators; the two-character ones come first, so a scan
+# of `SLOC>=5` for the first operator it holds finds `>=`, not `>`.
+FILTER_OPS = {">=": operator.ge, "<=": operator.le, "==": operator.eq,
+              "!=": operator.ne, ">": operator.gt, "<": operator.lt}
 
 
 @dataclass
@@ -115,7 +112,7 @@ def _finalize(samples: list[TaskSample], catalog: Catalog, split_fracs,
 
 def _passes(value, fkey: str, op: str, fval) -> bool:
     try:
-        return _FILTER_OPS[op](value, fval)
+        return FILTER_OPS[op](value, fval)
     except TypeError:   # an order between a number and a text
         raise InvalidArgumentError(
             f"filter {fkey}{op}{fval}: {fkey} value {value!r} cannot be "
@@ -143,7 +140,7 @@ def make_property_task(key: str,
         raise InvalidArgumentError(f"no values for property {key}")
     values = props[key]
     for fkey, op, _v in filters:
-        if op not in _FILTER_OPS:
+        if op not in FILTER_OPS:
             raise InvalidArgumentError(f"unknown filter op: {op}")
         if fkey not in props:
             raise InvalidArgumentError(f"filter on unavailable property {fkey}")

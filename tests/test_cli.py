@@ -14,7 +14,9 @@ import sys
 
 import pytest
 
+from codecorpus import cli
 from codecorpus.fixturegen import write_fixture_corpus
+from codecorpus.taskgen import FILTER_OPS
 
 
 def run_cli(*args, env_extra=None):
@@ -411,6 +413,44 @@ def test_a_filter_ordering_a_number_against_text_is_a_usage_error(
         assert "cannot be ordered" in proc.stderr
 
 
+@pytest.mark.parametrize("op", list(FILTER_OPS))
+def test_every_filter_operator_parses_from_a_filter(op):
+    # a two-character operator is not read as its first character
+    assert cli._parse_filter(f"SLOC{op}5") == ("SLOC", op, 5)
+    assert cli._parse_filter(f" SLOC {op} 05 ") == ("SLOC", op, "05")
+
+
+def _property_labels(ws, key):
+    with open(ws / "tasks" / f"property_{key}.csv", newline="",
+              encoding="utf-8") as f:
+        return {row["method_id"]: row["label"] for row in csv.DictReader(f)}
+
+
+def test_imported_property_values_keep_their_text(metrics_ws, tmp_path):
+    ws = tmp_path / "ws"
+    shutil.copytree(metrics_ws, ws)
+    with open(ws / "metadata" / "methods.csv", newline="",
+              encoding="utf-8") as f:
+        mids = [row["method_id"] for row in csv.DictReader(f)]
+    texts = ("007", "7", "1_000", " 5", "x")
+    stored = {mid: texts[i % len(texts)] for i, mid in enumerate(mids)}
+    imported = tmp_path / "GRADE.csv"
+    with open(imported, "w", newline="", encoding="utf-8") as f:
+        csv.writer(f, lineterminator="\n").writerows(
+            [("method_id", "value"), *stored.items()])
+    proc = run_cli("props-import", imported, "-w", ws)
+    assert proc.returncode == 0, proc.stderr
+    proc = run_cli("taskgen", "-w", ws, "--task", "property", "--key", "GRADE")
+    assert proc.returncode == 0, proc.stderr
+    assert _property_labels(ws, "GRADE") == stored
+    # the filter value is read like a stored one: 007 is text, not 7
+    proc = run_cli("taskgen", "-w", ws, "--task", "property", "--key", "GRADE",
+                   "--filter", "GRADE==007")
+    assert proc.returncode == 0, proc.stderr
+    assert _property_labels(ws, "GRADE") == \
+        {mid: t for mid, t in stored.items() if t == "007"}
+
+
 @pytest.mark.parametrize("option, key", [
     (("--filter", "cmpx>1"), "'cmpx'"),
     (("--key", "../../x"), "'../../X'"),
@@ -481,6 +521,43 @@ def tasks_ws(metrics_ws):
     proc = run_cli("callgraph", "-w", metrics_ws)
     assert proc.returncode == 0, proc.stderr
     return metrics_ws
+
+
+@pytest.mark.parametrize("field, value", [
+    ("call_type", "Remote"), ("callee_method_id", ""),
+], ids=["unknown-call-type", "resolved-without-callee"])
+def test_a_call_site_with_a_bad_locality_is_an_input_error(tasks_ws, tmp_path,
+                                                           field, value):
+    ws = tmp_path / "ws"
+    shutil.copytree(tasks_ws, ws)
+    target = ws / "callgraph.csv"
+    with open(target, newline="", encoding="utf-8") as f:
+        rows = list(csv.DictReader(f))
+    row = next(r for r in rows if r["call_type"] != "API")
+    row[field] = value
+    with open(target, "w", newline="", encoding="utf-8") as f:
+        writer = csv.DictWriter(f, list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    proc = run_cli("report", "-w", ws, "--study", "calls")
+    assert proc.returncode == 2, proc.stderr
+    assert "input error" in proc.stderr
+    assert f"callgraph.csv: call site of {row['caller_method_id']} at line " \
+        f"{row['line']}, col {row['col']} has call_type {row['call_type']!r}" \
+        in proc.stderr
+
+
+@pytest.mark.parametrize("key, writer", [
+    ("NUPC", "callgraph"), ("SLOC", "metrics"), ("ZZZZ", "props-import"),
+])
+def test_a_missing_property_table_names_its_writer(tasks_ws, tmp_path, key,
+                                                   writer):
+    ws = tmp_path / "ws"
+    shutil.copytree(tasks_ws, ws)
+    (ws / "properties" / f"{key}.csv").unlink(missing_ok=True)
+    proc = run_cli("taskgen", "-w", ws, "--task", "property", "--key", key)
+    assert proc.returncode == 2, proc.stderr
+    assert f"missing artifact {key}.csv; run `{writer}` first" in proc.stderr
 
 
 @pytest.mark.parametrize("task,seed,name,empty", [

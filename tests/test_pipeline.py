@@ -12,6 +12,7 @@ import re
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 import codecorpus.catalog as catalog_mod
 import codecorpus.lexer as lexer_mod
@@ -236,6 +237,35 @@ def test_a_reserved_word_statement_skips_its_file(tmp_path, stmt):
     assert [(d.path, d.message) for d in data.diagnostics] == [
         ("p/B.java", "statement form outside the supported subset, "
          f"found '{word}' at 1:43")]
+
+
+def test_a_project_where_no_file_parses_is_returned_without_rows(tmp_path):
+    (tmp_path / "p" / "q").mkdir(parents=True)
+    for name in ("A", "B"):
+        (tmp_path / "p" / "q" / f"{name}.java").write_text(
+            f"class {name} {{ double h() {{ return 1.5; }} }}\n",
+            encoding="utf-8")
+    data = catalog_mod.catalog_project(tmp_path / "p", corpus_root=tmp_path)
+    assert data.project.project_path == "p"
+    assert (data.packages, data.classes, data.methods) == ([], [], [])
+    assert (data.sources, data.class_views) == ({}, {})
+    assert [d.path for d in data.diagnostics] == ["p/q/A.java", "p/q/B.java"]
+
+
+def test_a_property_value_is_an_int_only_in_canonical_form():
+    texts = ["7", "-3", "0", "007", "-0", "+5", "1_000", " 5", "5 ", "x", ""]
+    assert [catalog_mod.property_value(t) for t in texts] == \
+        [7, -3, 0, "007", "-0", "+5", "1_000", " 5", "5 ", "x", ""]
+
+
+@given(st.text())
+def test_a_property_value_keeps_its_text(text):
+    assert str(catalog_mod.property_value(text)) == text
+
+
+@given(st.integers())
+def test_an_integer_property_value_reads_back_as_that_integer(n):
+    assert catalog_mod.property_value(str(n)) == n
 
 
 # ---------------------------------------------------------------------------
