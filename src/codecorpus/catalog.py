@@ -221,9 +221,6 @@ def catalog_project(root, corpus_root, strict: bool = False) -> ProjectData:
                 packages[pkg_name] = PackageMeta(project_id, pkg_id, pkg_path, pkg_name)
                 packages_by_path[pkg_path] = packages[pkg_name]
         pkg = packages[pkg_name]
-        if not view.classes:
-            diagnostics.append(Diagnostic(file_rel, "no type declarations"))
-            continue
         if len(view.classes) > 1:
             diagnostics.append(Diagnostic(
                 file_rel, "multiple top-level types; extra types skipped"))

@@ -11,9 +11,12 @@ subset. Generic angle brackets lex as ordinary `<` / `>` operators and are
 dealt with by the parser.
 
 A `Token` is a named tuple (kind, lexeme, line, col). `lex` walks the source
-once with `_TOKEN_RE.finditer`; catch-all alternatives (an unclosed `/*`,
-then any single character) turn what starts no token into the LexError for
-that position. Columns count characters from the start of the current line.
+once with `_TOKEN_RE.findall`, one match per token: the whitespace and
+comments before a token are a prefix group of its match. A lexeme's kind is
+looked up in a table of the fixed lexemes, or else read off its first
+character. Catch-all alternatives (an unclosed `/*`, then any single
+character) turn what starts no token into the LexError for that position.
+Columns count characters from the start of the current line.
 
 Two flat token-string encodings live here as well:
 
@@ -26,6 +29,7 @@ Two flat token-string encodings live here as well:
 """
 
 import re
+import string
 from typing import NamedTuple
 
 from .errors import LexError
@@ -62,27 +66,44 @@ class Token(NamedTuple):
     col: int   # 1-based, in characters
 
 
-# Some alternative matches at every position: `open_comment` and `illegal`
-# catch what starts no token, so `lex` walks the source in one `finditer`
-# pass. Token groups are named after the kind they produce; `word` is split
-# by `_WORD_KINDS`.
+_OPERATORS = ("&& || ++ -- <= >= == != += -= *= /= %= "
+              "= < > ! ? : + - * / % & | ^ ~").split()
+
+# Each match is one token and the whitespace and comments before it. A
+# closed comment is always skipped, so a `/*` in the token group opens one
+# that never closes; `.` takes a one-character operator or separator, and
+# whatever starts no token, as one character. The token group also matches
+# empty at the end, so every match succeeds where it starts and the skipped
+# run is never backtracked into.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<skip>\s+|//[^\n]*|/\*.*?\*/)
-    | (?P<open_comment>/\*)
-    | (?P<string_literal>"(?:\\.|[^"\\\n])*")
-    | (?P<char_literal>'(?:\\.|[^'\\\n])')
-    | (?P<int_literal>[0-9]+)
-    | (?P<word>[A-Za-z_$][A-Za-z0-9_$]*)
-    | (?P<operator>&&|\|\||\+\+|--|<=|>=|==|!=|\+=|-=|\*=|/=|%=|[=<>!?:+\-*/%&|^~])
-    | (?P<separator>[(){}\[\];,.@])
-    | (?P<illegal>.)
+    (\s*(?:(?://[^\n]*|/\*.*?\*/)\s*)*)
+    ( /\*
+    | "(?:\\.|[^"\\\n])*"
+    | '(?:\\.|[^'\\\n])'
+    | [0-9]+
+    | [A-Za-z_$][A-Za-z0-9_$]*
+    | """ + "|".join(re.escape(op) for op in _OPERATORS if len(op) > 1) + r"""
+    | .
+    | \Z
+    )
     """,
     re.VERBOSE | re.DOTALL,
 )
 
-_WORD_KINDS = {"true": KIND_BOOL, "false": KIND_BOOL, "null": KIND_NULL,
-               **{w: KIND_KEYWORD for w in KEYWORDS}}
+# A lexeme's kind: a fixed lexeme's from this table, any other's from its
+# first character.
+_LEXEME_KINDS = {
+    **dict.fromkeys(_OPERATORS, KIND_OPERATOR),
+    **dict.fromkeys("(){}[];,.@", KIND_SEPARATOR),
+    **dict.fromkeys(KEYWORDS, KIND_KEYWORD),
+    "true": KIND_BOOL, "false": KIND_BOOL, "null": KIND_NULL,
+}
+_FIRST_KINDS = {
+    **dict.fromkeys(string.ascii_letters + "_$", KIND_IDENTIFIER),
+    **dict.fromkeys(string.digits, KIND_INT),
+    '"': KIND_STRING, "'": KIND_CHAR,
+}
 
 _ILLEGAL = {"/*": "unterminated block comment",
             '"': "unterminated string literal",
@@ -94,25 +115,28 @@ def lex(source: str) -> list[Token]:
     tokens: list[Token] = []
     append = tokens.append
     new_tuple = tuple.__new__
-    line = 1
-    line_start = 0          # offset of the first character of `line`
-    for m in _TOKEN_RE.finditer(source):
-        kind = m.lastgroup
-        text = m.group()
-        if kind == "skip":
+    kinds, first_kinds = _LEXEME_KINDS, _FIRST_KINDS
+    line = col = 1
+    for skipped, text in _TOKEN_RE.findall(source):
+        if skipped:
             # only whitespace and block comments span lines
-            nl = text.rfind("\n")
+            nl = skipped.rfind("\n")
             if nl >= 0:
-                line += text.count("\n")
-                line_start = m.start() + nl + 1
-            continue
-        if kind == "word":
-            kind = _WORD_KINDS.get(text, KIND_IDENTIFIER)
-        elif kind == "open_comment" or kind == "illegal":
-            raise LexError(_ILLEGAL.get(text, f"illegal character {text!r}"),
-                           line, m.start() - line_start + 1)
+                line += skipped.count("\n")
+                col = len(skipped) - nl
+            else:
+                col += len(skipped)
+        kind = kinds.get(text)
+        if kind is None:
+            kind = None if text in _ILLEGAL else first_kinds.get(text[:1])
+            if kind is None:
+                if not text:        # the end of the source
+                    break
+                raise LexError(_ILLEGAL.get(text, f"illegal character {text!r}"),
+                               line, col)
         # Token(...) without the Python-level __new__ of a NamedTuple
-        append(new_tuple(Token, (kind, text, line, m.start() - line_start + 1)))
+        append(new_tuple(Token, (kind, text, line, col)))
+        col += len(text)
     return tokens
 
 

@@ -32,14 +32,16 @@ parsed region exactly. So a node's tokens are one slice of the token list
 is at its first leaf's line and column.
 
 Binary operators are parsed by precedence climbing, one call per operand.
-`_flatten` writes every table in one walk of the build tree, each node's
-`children` as a tuple (which the garbage collector stops tracking), and
-`Ast.subtree` slices the tables and shifts the indices they hold. A parse
-leaves no reference cycle behind: reference counting frees all it drops.
+The parser builds a tree of nested lists; `_flatten` writes every table in
+one walk of a build node, each node's `children` as a tuple (which the
+garbage collector stops tracking), with token indices shifted to the token
+slice the node spans. A parse leaves no reference cycle behind: reference
+counting frees all it drops.
 
-`file_view` reads each method's header off the file's tables and copies
-nothing else per method: a `MethodSource` builds its `tokens`, `ast` and
-`text` views from the file's `Ast` and source when first read.
+`file_view` reads the package, imports, class headers, fields and method
+headers off the build tree and flattens nothing: a `MethodSource` slices
+its `tokens` and flattens its own build node into its `ast` when first
+read, and `FileView.ast` flattens the whole file when first read.
 
 `call_sites` is the one definition of a call site: which `Call` and `New`
 nodes count, and which terminal names each callee.
@@ -156,32 +158,17 @@ class Ast:
     def nonterminal_children(self, i: int) -> list[int]:
         return [c for c in self.children[i] if self.token_indices[c] is None]
 
-    def subtree(self, root: int, tokens: list[Token]) -> "Ast":
-        """Re-rooted copy of a subtree over `tokens`, the slice of
-        `self.tokens` it spans: slices of the tables, indices shifted."""
-        end = root + self.subtree_sizes[root]
-        t0 = self.token_span(root)[0]
-        return Ast(
-            node_types=self.node_types[root:end],
-            token_indices=[None if ti is None else ti - t0
-                           for ti in self.token_indices[root:end]],
-            parents=[-1, *[p - root for p in self.parents[root + 1:end]]],
-            tokens=tokens,
-            children=[tuple([c - root for c in kids]) if kids else ()
-                      for kids in self.children[root:end]],
-            subtree_sizes=self.subtree_sizes[root:end],
-        )
 
-
-def _flatten(root: _Node, tokens: list[Token]) -> Ast:
-    """Preorder tables of the build tree; every nonterminal has a child."""
+def _flatten(root: _Node, tokens: list[Token], first: int = 0) -> Ast:
+    """Preorder tables of the build tree over `tokens`, the slice of the
+    file's tokens from index `first` on; every nonterminal has a child."""
     tables = ([], [], [], [], [])
-    _emit(root, -1, tokens, tables)
+    _emit(root, -1, tokens, first, tables)
     node_types, token_indices, parents, children, sizes = tables
     return Ast(node_types, token_indices, parents, tokens, children, sizes)
 
 
-def _emit(node: _Node, parent: int, tokens: list[Token],
+def _emit(node: _Node, parent: int, tokens: list[Token], first: int,
           tables: tuple[list, ...]) -> None:
     """Append `node`'s subtree to `_flatten`'s tables. They are passed in,
     not closed over: a nested function that calls itself is a reference
@@ -197,13 +184,14 @@ def _emit(node: _Node, parent: int, tokens: list[Token],
     for child in node[1:]:
         kids.append(len(node_types))
         if child.__class__ is int:
+            child -= first
             node_types.append(tokens[child].kind)
             token_indices.append(child)
             parents.append(idx)
             children.append(())
             sizes.append(1)
         else:
-            _emit(child, idx, tokens, tables)
+            _emit(child, idx, tokens, first, tables)
     children[idx] = tuple(kids)
     sizes[idx] = len(node_types) - idx
 
@@ -633,14 +621,17 @@ class _Parser:
         raise self._error("expression form outside the supported subset")
 
 
-def parse(source: str) -> Ast:
-    """Lex + parse a compilation unit into a flat Ast."""
+def _build(source: str) -> tuple[_Node, list[Token]]:
+    """Lex + parse a compilation unit into its build tree and tokens."""
     tokens = lex(source)
     if not tokens:
         raise ParseError("empty source", 1, 1)
-    parser = _Parser(tokens)
-    root = parser.compilation_unit()
-    return _flatten(root, tokens)
+    return _Parser(tokens).compilation_unit(), tokens
+
+
+def parse(source: str) -> Ast:
+    """Lex + parse a compilation unit into a flat Ast."""
+    return _flatten(*_build(source))
 
 
 # ---------------------------------------------------------------------------
@@ -766,9 +757,10 @@ def call_sites(ast: Ast, include_new: bool = True) -> list[CallSite]:
 @dataclass(slots=True)
 class MethodSource:
     """One method or constructor declaration. The header is read with the
-    file; the views refer to the file's `Ast` and source, which its
-    `FileView` holds anyway: `tokens` (its token slice) and `ast` (sharing
-    it) are built on first read and kept, `text` is sliced on each read."""
+    file; the views refer to its build node and the file's tokens and
+    source, which its `FileView` holds anyway: `tokens` (its token slice)
+    and `ast` (flattened over that slice) are built on first read and kept,
+    `text` is sliced on each read."""
 
     name: str
     signature: str
@@ -780,8 +772,9 @@ class MethodSource:
     is_constructor: bool
     modifiers: frozenset[str]
     class_name: str
-    _file: Ast = field(compare=False, repr=False)
-    _member: int = field(compare=False, repr=False)
+    _node: _Node = field(compare=False, repr=False)
+    _file_tokens: list[Token] = field(compare=False, repr=False)
+    _token_span: tuple[int, int] = field(compare=False, repr=False)
     _source: str = field(compare=False, repr=False)
     _span: tuple[int, int] = field(compare=False, repr=False)  # text offsets
     method_id: str = ""
@@ -791,14 +784,14 @@ class MethodSource:
     @property
     def tokens(self) -> list[Token]:
         if self._tokens is None:
-            first, end = self._file.token_span(self._member)
-            self._tokens = self._file.tokens[first:end]
+            first, end = self._token_span
+            self._tokens = self._file_tokens[first:end]
         return self._tokens
 
     @property
     def ast(self) -> Ast:
         if self._ast is None:
-            self._ast = self._file.subtree(self._member, self.tokens)
+            self._ast = _flatten(self._node, self.tokens, self._token_span[0])
         return self._ast
 
     @property
@@ -818,12 +811,22 @@ class ClassView:
 
 @dataclass
 class FileView:
+    """A file's summary; its `ast` is flattened on first read and kept."""
+
     path: str
     source: str
-    ast: Ast
     package_name: str
     imports: list[tuple[str, bool]]  # (dotted name, is_wildcard)
     classes: list[ClassView]
+    _root: _Node = field(compare=False, repr=False)
+    _tokens: list[Token] = field(compare=False, repr=False)
+    _ast: Ast | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def ast(self) -> Ast:
+        if self._ast is None:
+            self._ast = _flatten(self._root, self._tokens)
+        return self._ast
 
 
 _LINE = re.compile(r"[^\n]*\n|[^\n]+")
@@ -836,26 +839,43 @@ def split_lines(source: str) -> list[str]:
     return _LINE.findall(source)
 
 
-def _method_source(ast: Ast, source: str, starts: list[int], member: int,
-                   class_name: str) -> MethodSource:
-    kids = ast.children[member]
-    at, tokens = ast.token_indices, ast.tokens
+def _leaf(node: _Node | int, side: int) -> int:
+    """A build node's first (`side` 1) or last (`side` -1) leaf."""
+    while node.__class__ is not int:
+        node = node[side]
+    return node
+
+
+def _type_name(tokens: list[Token], ty: _Node) -> list[str]:
+    """A build Type node's erased name: its lexemes before any `<`, a
+    primitive keyword or `a` ('.' `b`)*."""
+    names = []
+    for i in ty[1:]:
+        lexeme = tokens[i].lexeme
+        if lexeme == "<":
+            break
+        names.append(lexeme)
+    return names
+
+
+def _method_source(tokens: list[Token], source: str, starts: list[int],
+                   member: _Node, class_name: str) -> MethodSource:
     # shape: modifiers [Type] name '(' [Param (',' Param)*] ')' (Block | ';');
-    # the terminals before the name are the modifier words
-    lparen = next(j for j, c in enumerate(kids)
-                  if at[c] is not None and tokens[at[c]].lexeme == "(")
-    is_ctor = ast.node_types[member] == NT_CTOR
-    modifiers = frozenset(tokens[at[c]].lexeme for c in kids[:lparen - 1]
-                          if at[c] is not None)
-    name = tokens[at[kids[lparen - 1]]].lexeme
-    return_type = class_name if is_ctor else type_simple_name(ast, kids[lparen - 2])
+    # the leaves before the name are the modifier words
+    lparen = next(j for j, c in enumerate(member)
+                  if c.__class__ is int and tokens[c].lexeme == "(")
+    is_ctor = member[0] == NT_CTOR
+    modifiers = frozenset(tokens[c].lexeme for c in member[1:lparen - 1]
+                          if c.__class__ is int)
+    name = tokens[member[lparen - 1]].lexeme
+    return_type = class_name if is_ctor else _type_name(tokens, member[lparen - 2])[-1]
     param_types, param_names = [], []
-    for p in kids[lparen + 1:-2:2]:
-        *_modifiers, pty, pname = ast.children[p]   # modifiers Type name
-        param_types.append(type_simple_name(ast, pty))
-        param_names.append(tokens[at[pname]].lexeme)
-    first, stop = ast.token_span(member)
-    start, end = tokens[first].line, tokens[stop - 1].line
+    for p in member[lparen + 1:-2:2]:
+        *_modifiers, pty, pname = p[1:]             # modifiers Type name
+        param_types.append(_type_name(tokens, pty)[-1])
+        param_names.append(tokens[pname].lexeme)
+    first, last = _leaf(member, 1), _leaf(member, -1)
+    start, end = tokens[first].line, tokens[last].line
     return MethodSource(
         name=name,
         signature=f"{name}({','.join(param_types)})",
@@ -867,58 +887,73 @@ def _method_source(ast: Ast, source: str, starts: list[int], member: int,
         is_constructor=is_ctor,
         modifiers=modifiers,
         class_name=class_name,
-        _file=ast,
-        _member=member,
+        _node=member,
+        _file_tokens=tokens,
+        _token_span=(first, last + 1),
         _source=source,
         _span=(starts[start - 1], starts[end]),
     )
 
 
 def file_view(source: str, path: str = "<source>") -> FileView:
-    """Parse a file and summarize packages, imports, classes, and methods."""
-    ast = parse(source)
+    """Parse a file and summarize packages, imports, classes, and methods.
+
+    The summary is read off the parser's build tree; no whole-file `Ast` is
+    flattened unless `FileView.ast` is read. A file holds at least one
+    class or interface, or `compilation_unit` raises "no type declaration
+    in file"."""
+    root, tokens = _build(source)
     # offset of each line's first character, then the source's length
     starts = list(accumulate(map(len, split_lines(source)), initial=0))
     package_name = ""
     imports: list[tuple[str, bool]] = []
     classes: list[ClassView] = []
-    for child in ast.children[0]:
-        nt = ast.node_types[child]
+    for child in root[1:]:
+        nt = child[0]
         if nt in (NT_PACKAGE, NT_IMPORT):
             # shape: ('package' | 'import') a ('.' b)* ['.' '*'] ';'
-            dotted = "".join([ast.lexeme(c) for c in ast.children[child][1:-1]])
+            dotted = "".join([tokens[i].lexeme for i in child[2:-1]])
             if nt == NT_PACKAGE:
                 package_name = dotted
             else:
                 wildcard = dotted.endswith(".*")
                 imports.append((dotted[:-2] if wildcard else dotted, wildcard))
-        elif nt in (NT_CLASS, NT_INTERFACE):
-            kids = ast.children[child]
-            kw = next(j for j, c in enumerate(kids) if ast.is_terminal(c)
-                      and ast.lexeme(c) in ("class", "interface"))
-            name = ast.lexeme(kids[kw + 1])
-            # the Type children: ['extends' Type] ['implements' Type (',' Type)*]
-            supers = [c for c in kids if ast.node_types[c] == NT_TYPE]
-            extends = None
-            if supers and ast.lexeme(supers[0] - 1) == "extends":
-                extends = type_text(ast, supers.pop(0))
-            implements = [type_text(ast, c) for c in supers]
-            fields: dict[str, str] = {}
-            methods: list[MethodSource] = []
-            for c in kids:
-                nt_c = ast.node_types[c]
-                if nt_c == NT_FIELD:
-                    fty, fname, _ = local_decl_parts(ast, c)
-                    fields[ast.lexeme(fname)] = type_simple_name(ast, fty)
-                elif nt_c in (NT_METHOD, NT_CTOR):
-                    methods.append(_method_source(ast, source, starts, c, name))
-            classes.append(ClassView(
-                name=name,
-                kind="interface" if nt == NT_INTERFACE else "class",
-                extends=extends,
-                implements=implements,
-                fields=fields,
-                methods=methods,
-            ))
-    return FileView(path=path, source=source, ast=ast,
-                    package_name=package_name, imports=imports, classes=classes)
+            continue
+        # a ClassDecl or InterfaceDecl: modifiers keyword name ...
+        kw = next(j for j, c in enumerate(child) if c.__class__ is int
+                  and tokens[c].lexeme in ("class", "interface"))
+        name = tokens[child[kw + 1]].lexeme
+        extends = None
+        implements: list[str] = []
+        fields: dict[str, str] = {}
+        methods: list[MethodSource] = []
+        for j in range(kw + 2, len(child)):
+            c = child[j]
+            if c.__class__ is int:
+                continue
+            nt_c = c[0]
+            if nt_c == NT_TYPE:
+                # ['extends' Type] ['implements' Type (',' Type)*]
+                text = "".join(_type_name(tokens, c))
+                if tokens[child[j - 1]].lexeme == "extends":
+                    extends = text
+                else:
+                    implements.append(text)
+            elif nt_c == NT_FIELD:
+                # shape: modifiers Type name ['=' init] ';'
+                ty = next(k for k, f in enumerate(c) if f.__class__ is not int
+                          and f[0] == NT_TYPE)
+                fields[tokens[c[ty + 1]].lexeme] = _type_name(tokens, c[ty])[-1]
+            elif nt_c in (NT_METHOD, NT_CTOR):
+                methods.append(_method_source(tokens, source, starts, c, name))
+        classes.append(ClassView(
+            name=name,
+            kind="interface" if nt == NT_INTERFACE else "class",
+            extends=extends,
+            implements=implements,
+            fields=fields,
+            methods=methods,
+        ))
+    return FileView(path=path, source=source, package_name=package_name,
+                    imports=imports, classes=classes, _root=root,
+                    _tokens=tokens)

@@ -19,8 +19,8 @@ different algorithmic shape:
   every "\n", instead of slicing the source between the line offsets
   `file_view` takes once per file.
 * `lex_oracle` matches one token at a time from the current position and
-  measures each lexeme for the column, instead of one `finditer` pass with
-  catch-all alternatives.
+  measures each lexeme for the column, instead of one `findall` pass whose
+  matches each take a token and the text skipped before it.
 * `extract_paths_oracle` walks the parent chain twice for every kept path
   and builds a frozen dataclass per path, and `to_c2vc_oracle` /
   `to_c2sq_oracle` render and hash every path anew, instead of slicing
@@ -49,8 +49,11 @@ different algorithmic shape:
   one of each with emission as builder state.
 * `method_sources_oracle` builds every method of a file eagerly, as
   `file_view` did before its methods built their subtree, tokens and text
-  on first read: an `Ast.subtree` copy and a join of the file's lines per
+  on first read: a `subtree` copy and a join of the file's lines per
   method, and the header read through `Ast.lexeme`.
+* `subtree` re-roots a method's subtree by slicing the whole file's
+  tables and shifting the indices they hold, as `Ast.subtree` did, instead
+  of flattening the method's own build node over its token slice.
 * `tknb_decode_oracle` splits a TKNB payload on the commas outside quoted
   literals with a quote and escape state machine, instead of matching the
   quoted separator or a run of non-commas.
@@ -896,6 +899,23 @@ def _method_header_oracle(ast: Ast, member: int, class_name: str) -> tuple:
 # Previous eager method sources
 # ---------------------------------------------------------------------------
 
+def subtree(ast: Ast, root: int, tokens: list[Token]) -> Ast:
+    """Re-rooted copy of a subtree over `tokens`, the slice of `ast.tokens`
+    it spans: slices of the tables, indices shifted."""
+    end = root + ast.subtree_sizes[root]
+    t0 = ast.token_span(root)[0]
+    return Ast(
+        node_types=ast.node_types[root:end],
+        token_indices=[None if ti is None else ti - t0
+                       for ti in ast.token_indices[root:end]],
+        parents=[-1, *[p - root for p in ast.parents[root + 1:end]]],
+        tokens=tokens,
+        children=[tuple([c - root for c in kids]) if kids else ()
+                  for kids in ast.children[root:end]],
+        subtree_sizes=ast.subtree_sizes[root:end],
+    )
+
+
 @dataclass
 class MethodSourceOracle:
     name: str
@@ -931,8 +951,8 @@ def _method_source_oracle(ast: Ast, lines: list[str], member: int,
         param_names.append(ast.lexeme(pname))
     signature = f"{name}({','.join(param_types)})"
     terms = ast.terminals(member)
-    sub = ast.subtree(member, ast.tokens[ast.token_indices[terms[0]]:
-                                         ast.token_indices[terms[-1]] + 1])
+    sub = subtree(ast, member, ast.tokens[ast.token_indices[terms[0]]:
+                                          ast.token_indices[terms[-1]] + 1])
     start, end = sub.tokens[0].line, sub.tokens[-1].line
     return MethodSourceOracle(
         name=name,

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -141,6 +143,26 @@ def test_lex_matches_the_oracle_on_mutated_sources(item, edits):
        .map("".join))
 def test_lex_matches_the_oracle_on_snippets(source):
     assert _outcome(lex, source) == _outcome(lex_oracle, source)
+
+
+@pytest.mark.parametrize("source", [
+    " " * 200_000,
+    "class A {}" + "\n" * 200_000,
+    "// c\n" * 50_000,
+])
+def test_long_runs_of_skipped_text_lex_within_a_second(source):
+    start = time.perf_counter()
+    lex(source)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("tail", [
+    " ", "\n\n", " \t\r\n", "// c", "// c\n", "/* c */", "/* c */\n  ",
+    "/* c", " /* c\n", "/*", "/*/", "/", "\"", "'", "\u00a0",
+])
+@pytest.mark.parametrize("head", ["", "class A {}", "a\n  b"])
+def test_what_ends_a_source_lexes_as_the_oracle_does(head, tail):
+    assert _outcome(lex, head + tail) == _outcome(lex_oracle, head + tail)
 
 
 def test_tkna_spaces_are_lossy_for_spaced_strings():

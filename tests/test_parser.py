@@ -11,20 +11,20 @@ from conftest import STATEMENTS, fixture_with_statements, longgen
 
 from codecorpus.errors import CorpusError, ParseError
 from codecorpus.featuregraph import _ast_nodes
-from codecorpus.fixturegen import fixture_files
+from codecorpus.fixturegen import DEFAULT_BUCKET_CLASSES, fixture_files
 from codecorpus.lexer import lex
 from codecorpus.parser import (
-    NT_BLOCK, NT_CALL, NT_EXPR_STMT, NT_FIELD, NT_FOR, NT_FOR_INIT, NT_IF,
-    NT_LOCAL, NT_NEW, NT_PARAM, NT_RETURN, NT_TYPE, NT_WHILE, Ast, FileView,
-    _Parser, assign_parts, call_parts, call_sites, file_view, for_parts,
-    if_parts, local_decl_parts, new_parts, parse, type_simple_name,
-    type_text, while_parts,
+    NT_BLOCK, NT_CALL, NT_CTOR, NT_EXPR_STMT, NT_FIELD, NT_FOR, NT_FOR_INIT,
+    NT_IF, NT_LOCAL, NT_METHOD, NT_NEW, NT_PARAM, NT_RETURN, NT_TYPE,
+    NT_WHILE, Ast, FileView, _Parser, assign_parts, call_parts, call_sites,
+    file_view, for_parts, if_parts, local_decl_parts, new_parts, parse,
+    type_simple_name, type_text, while_parts,
 )
 
 from oracles import (call_parts_oracle, call_sites_oracle, for_parts_oracle,
                      local_decl_parts_oracle, local_decl_start_oracle,
                      method_sources_oracle,
-                     new_parts_oracle, slice_lines_oracle,
+                     new_parts_oracle, slice_lines_oracle, subtree,
                      type_simple_name_oracle, type_text_oracle,
                      view_headers_oracle)
 
@@ -609,6 +609,45 @@ def test_accessors_and_views_match_the_previous_scans(request, corpus):
     for data in request.getfixturevalue(corpus):
         for view in data.class_views.values():
             _assert_shapes_match_the_previous_scans(view)
+
+
+def _corpus_sources(name: str) -> dict[str, str]:
+    if name == "fixture":
+        return fixture_files()
+    if name == "x4":
+        return fixture_files({k: 4 * v
+                              for k, v in DEFAULT_BUCKET_CLASSES.items()})
+    seed = int(name.removeprefix("longgen"))
+    return longgen().generate(seed)
+
+
+@pytest.mark.parametrize("corpus", ["fixture", "x4", "longgen0", "longgen1",
+                                    "longgen2", "longgen3"])
+def test_method_asts_equal_the_subtree_of_the_whole_file(corpus):
+    """Each method's AST, flattened from its own build node, has the tables
+    of its member's subtree in the whole-file parse, and its tokens are the
+    file's slice from its first leaf to its last."""
+    for rel, text in sorted(_corpus_sources(corpus).items()):
+        view = file_view(text, rel)
+        whole = parse(text)
+        members = [i for i, nt in enumerate(whole.node_types)
+                   if nt in (NT_METHOD, NT_CTOR)]
+        methods = [m for cls in view.classes for m in cls.methods]
+        assert len(methods) == len(members), rel
+        for m, member in zip(methods, members):
+            first, end = whole.token_span(member)
+            assert m.tokens == whole.tokens[first:end], (rel, m.name)
+            # every table, and the tokens, of the re-rooted subtree
+            assert m.ast == subtree(whole, member, whole.tokens[first:end]), \
+                (rel, m.name)
+
+
+def test_a_file_view_has_at_least_one_class():
+    with pytest.raises(ParseError, match="no type declaration in file"):
+        file_view("package q;")
+    view = file_view("interface I { }")
+    assert [(c.name, c.kind, c.methods) for c in view.classes] == \
+        [("I", "interface", [])]
 
 
 def test_a_method_builds_its_views_in_either_order():

@@ -16,6 +16,7 @@ from hypothesis import given, strategies as st
 
 import codecorpus.catalog as catalog_mod
 import codecorpus.lexer as lexer_mod
+import codecorpus.parser as parser_mod
 import codecorpus.pathcontexts as pathcontexts_mod
 import codecorpus.pipeline as pipeline_mod
 from codecorpus import cli
@@ -25,7 +26,7 @@ from codecorpus.errors import InputError, InvalidArgumentError, ParseError
 from codecorpus.fixturegen import write_fixture_corpus
 from codecorpus.lexer import tkna_text
 from codecorpus.metrics import compute_metrics
-from codecorpus.parser import Ast, split_lines
+from codecorpus.parser import split_lines
 from codecorpus.pipeline import (
     REPRESENTATION_TYPES, Workspace, WorkspaceConfig, _write_repr_csv,
     all_sources, discover_projects, load_corpus, merged_catalog, parse_corpus,
@@ -549,11 +550,11 @@ def test_commands_build_method_subtrees_only_when_they_read_them(
     corpus = tmp_path / "corpus"
     write_fixture_corpus(corpus)
     built = []
-    real = Ast.subtree
+    real = parser_mod._flatten
 
-    def counting(self, root, *args):
+    def counting(root, *args):
         built.append(root)
-        return real(self, root, *args)
+        return real(root, *args)
 
     def subtrees_built(*args) -> int:
         built.clear()
@@ -563,7 +564,7 @@ def test_commands_build_method_subtrees_only_when_they_read_them(
         assert code == 0, args
         return len(built)
 
-    monkeypatch.setattr(Ast, "subtree", counting)
+    monkeypatch.setattr(parser_mod, "_flatten", counting)
     assert subtrees_built("catalog", "--corpus", corpus) == 0
     assert subtrees_built("repr", "--types", "TEXT,TKNA,TKNB") == 0
     counts = {" ".join(args): subtrees_built(*args) for args in (
@@ -582,6 +583,41 @@ def test_commands_build_method_subtrees_only_when_they_read_them(
     assert counts == {"taskgen --task property": 0, "tokenstats": 0,
                       "report --study calls": 0, "report --study windows": 0,
                       "report --study bias": 0}
+
+
+def test_loading_the_corpus_flattens_no_ast(tmp_path, monkeypatch):
+    """`load_corpus` reads headers off the build trees: a metadata-only
+    command flattens nothing while it loads, and `repr` flattens each
+    method once and no whole file."""
+    corpus = tmp_path / "corpus"
+    write_fixture_corpus(corpus)
+    ws = tmp_path / "ws"
+    for command in (["catalog", "--corpus", str(corpus)], ["callgraph"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([*command, "-w", str(ws)]) == 0
+    flattened, loads = [], []
+    real_flatten, real_load = parser_mod._flatten, pipeline_mod.load_corpus
+
+    def counting(root, *args):
+        flattened.append(root[0])
+        return real_flatten(root, *args)
+
+    def load(*args, **kwargs):
+        before = len(flattened)
+        out = real_load(*args, **kwargs)
+        loads.append(len(flattened) - before)
+        return out
+
+    monkeypatch.setattr(parser_mod, "_flatten", counting)
+    monkeypatch.setattr(cli, "load_corpus", load)
+    for command in (["report", "--study", "calls"], ["repr"]):
+        flattened.clear()
+        loads.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([*command, "-w", str(ws)]) == 0
+        assert loads == [0], command
+    assert len(flattened) == 774
+    assert set(flattened) == {"MethodDecl", "ConstructorDecl"}
 
 
 def test_payloads_and_metrics_count_only_the_declaration_tokens(tmp_path):
