@@ -32,7 +32,7 @@ falls back to the lexicographically first signature so output stays stable.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .catalog import CALLGRAPH_KEYS, Catalog, ProjectData
 from .errors import InputError, InvalidArgumentError, NotFoundError
@@ -55,8 +55,7 @@ _WRAPPER_OF = {"int": "Integer", "long": "Long", "short": "Short",
 _NULL = "<null>"
 
 
-@dataclass(frozen=True)
-class CallEdge:
+class CallEdge(NamedTuple):
     caller: EntityId
     callee: EntityId            # "" when unresolved
     callee_signature: str
@@ -69,35 +68,47 @@ class CallEdge:
         return self.callee_signature.split("(", 1)[0]
 
 
-@dataclass
 class CallGraph:
-    edges: list[CallEdge]
-    by_caller: dict[EntityId, list[CallEdge]] = field(default_factory=dict)
-    by_callee: dict[EntityId, list[CallEdge]] = field(default_factory=dict)
+    """The edges, indexed by caller and by resolved callee; the indexes are
+    built from the edges unless `by_caller` is given and not empty."""
 
-    def __post_init__(self):
+    __slots__ = ("edges", "by_caller", "by_callee")
+
+    def __init__(self, edges: list[CallEdge],
+                 by_caller: dict[EntityId, list[CallEdge]] | None = None,
+                 by_callee: dict[EntityId, list[CallEdge]] | None = None):
+        self.edges = edges
+        self.by_caller = {} if by_caller is None else by_caller
+        self.by_callee = {} if by_callee is None else by_callee
         if not self.by_caller:
-            for e in self.edges:
+            for e in edges:
                 self.by_caller.setdefault(e.caller, []).append(e)
                 if e.callee:
                     self.by_callee.setdefault(e.callee, []).append(e)
 
 
-@dataclass
 class ContextBundle:
-    center: EntityId
-    direction: str                      # "callee" or "caller"
-    hop_sets: list[set[EntityId]]       # hop_sets[k] = ids reachable in <= k
-    external_names: set[str] = field(default_factory=set)
-    callee_name_counts: Counter = field(default_factory=Counter)
+    __slots__ = ("center", "direction", "hop_sets", "external_names",
+                 "callee_name_counts")
+
+    def __init__(self, center: EntityId, direction: str,
+                 hop_sets: list[set[EntityId]],
+                 external_names: set[str] | None = None,
+                 callee_name_counts: Counter | None = None):
+        self.center = center
+        self.direction = direction      # "callee" or "caller"
+        self.hop_sets = hop_sets        # hop_sets[k] = ids reachable in <= k
+        self.external_names = set() if external_names is None \
+            else external_names
+        self.callee_name_counts = Counter() if callee_name_counts is None \
+            else callee_name_counts
 
 
 # ---------------------------------------------------------------------------
 # Resolution
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _ClassEntry:
+class _ClassEntry(NamedTuple):
     project_id: EntityId
     package_id: EntityId
     class_id: EntityId

@@ -28,7 +28,6 @@ A stored value is read back by `property_value` (`7` is an int, `007` and
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -90,23 +89,26 @@ METADATA_TABLES = (
 )
 
 
-@dataclass
-class Diagnostic:
+class Diagnostic(NamedTuple):
     path: str
     message: str
 
 
-@dataclass
 class Catalog:
     """The four metadata tables, an index of every entity by id and each
     project's class count, both taken once (`sort` only reorders rows)."""
 
-    projects: list[ProjectMeta] = field(default_factory=list)
-    packages: list[PackageMeta] = field(default_factory=list)
-    classes: list[ClassMeta] = field(default_factory=list)
-    methods: list[MethodMeta] = field(default_factory=list)
+    __slots__ = ("projects", "packages", "classes", "methods", "by_id",
+                 "_class_counts")
 
-    def __post_init__(self):
+    def __init__(self, projects: list[ProjectMeta] | None = None,
+                 packages: list[PackageMeta] | None = None,
+                 classes: list[ClassMeta] | None = None,
+                 methods: list[MethodMeta] | None = None):
+        self.projects = [] if projects is None else projects
+        self.packages = [] if packages is None else packages
+        self.classes = [] if classes is None else classes
+        self.methods = [] if methods is None else methods
         self.by_id: dict[EntityId, object] = {
             **{p.project_id: p for p in self.projects},
             **{p.package_id: p for p in self.packages},
@@ -137,8 +139,7 @@ def size_bucket(class_count: int) -> str:
     return "D"
 
 
-@dataclass
-class ProjectData:
+class ProjectData(NamedTuple):
     """Catalog rows for one project plus what parsing found for each.
 
     `sources` holds every method's parse and `class_views` the file view

@@ -1,12 +1,14 @@
-"""Command-line entry point.
+"""Command-line entry point, built on the standard library's `argparse`.
 
 Every subcommand prints a one-line JSON summary as its last stdout line.
-Exit codes: 0 success, 1 usage error, 2 input or prerequisite error,
-3 unexpected internal failure. The workspace directory defaults to the
-CODECORPUS_WORKSPACE environment variable.
+Exit codes: 0 success, 1 usage error (also no command, or an option cut
+short), 2 input or prerequisite error, 3 unexpected internal failure;
+`main` returns the code, also after `--help`. The workspace directory
+defaults to the CODECORPUS_WORKSPACE environment variable.
 
-The commands only split strings: every check, and every note on stderr,
-belongs to the library stage that a command calls.
+Beyond parsing (a path argument must exist), the commands only split
+strings: every other check, and every note on stderr, belongs to the
+library stage that a command calls.
 
 A command runs with the cyclic garbage collector switched off, and `main`
 restores the caller's setting when it returns. A command keeps its whole
@@ -16,11 +18,11 @@ leaves none), so reference counting alone frees what a command drops.
 The library functions that the commands call leave `gc` alone.
 """
 
+import argparse
 import gc
 import json
+import os
 import sys
-
-import click
 
 from .catalog import property_value
 from .errors import CorpusError, InvalidArgumentError
@@ -31,21 +33,43 @@ from .pipeline import (REPRESENTATION_TYPES, Workspace, WorkspaceConfig,
                        stage_tokenstats)
 from .taskgen import DEFAULT_SPLIT_FRACS, FILTER_OPS
 
-_WS_OPTION = click.option(
-    "--workspace", "-w", "workspace_dir", envvar="CODECORPUS_WORKSPACE",
-    required=True, type=click.Path(), metavar="DIR",
-    help="Workspace directory (or set CODECORPUS_WORKSPACE).")
+
+class _Formatter(argparse.HelpFormatter):
+    """Starts a help page with `Usage:`."""
+
+    def add_usage(self, usage, actions, groups, prefix="Usage: "):
+        super().add_usage(usage, actions, groups, prefix)
 
 
-def _emit(summary: dict) -> None:
-    click.echo(json.dumps(summary, sort_keys=True))
+class _Parser(argparse.ArgumentParser):
+    """Takes `--help` but no `-h` and no prefix of an option, and raises a
+    usage error where argparse would print one and exit."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, formatter_class=_Formatter,
+                         add_help=False, **kwargs)
+        self.add_argument("--help", action="help",
+                          help="Show this message and exit.")
+
+    def error(self, message):
+        raise InvalidArgumentError(message)
+
+
+def _path(kind: str, exists):
+    """An argparse `type` that takes a path for which `exists` holds."""
+    def check(text: str) -> str:
+        if not exists(text):
+            raise argparse.ArgumentTypeError(f"{text!r} is not a {kind}")
+        return text
+    return check
 
 
 def _parse_fracs(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(x) for x in text.split(","))
     except ValueError:
-        raise click.UsageError(f"--fracs must be three numbers, got {text!r}")
+        raise InvalidArgumentError(
+            f"--fracs must be three numbers, got {text!r}") from None
 
 
 def _parse_filter(text: str) -> tuple[str, str, int | str]:
@@ -53,154 +77,151 @@ def _parse_filter(text: str) -> tuple[str, str, int | str]:
         if op in text:
             key, _, raw = text.partition(op)
             return key.strip(), op, property_value(raw.strip())
-    raise click.UsageError(f"filter {text!r} needs an operator "
-                           f"(one of {' '.join(FILTER_OPS)})")
+    raise InvalidArgumentError(f"filter {text!r} needs an operator "
+                               f"(one of {' '.join(FILTER_OPS)})")
 
 
-@click.group()
-def cli():
-    """Build metadata, representations, properties, graphs, datasets and
-    reports for a directory tree of Java projects."""
-
-
-@cli.command()
-@click.option("--corpus", "corpus_root", required=True,
-              type=click.Path(exists=True, file_okay=False),
-              help="Directory whose subdirectories are projects.")
-@_WS_OPTION
-@click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--strict", is_flag=True,
-              help="Fail on the first unparseable file instead of skipping.")
-def catalog(corpus_root, workspace_dir, seed, strict):
+def catalog(ws: Workspace, args) -> dict:
     """Scan the corpus and write the metadata tables."""
-    ws = Workspace(workspace_dir)
-    cfg = WorkspaceConfig(
-        corpus_root=str(corpus_root), seed=seed,
-        strictness="fail-fast" if strict else "skip-unparseable")
-    summary = stage_catalog(ws, cfg)
-    _emit({"command": "catalog", **summary})
+    return stage_catalog(ws, WorkspaceConfig(
+        corpus_root=args.corpus_root, seed=args.seed,
+        strictness="fail-fast" if args.strict else "skip-unparseable"))
 
 
-@cli.command("add-project")
-@click.argument("project_root", type=click.Path(exists=True, file_okay=False))
-@_WS_OPTION
-@click.option("--replace", is_flag=True,
-              help="Regenerate a project that is already cataloged.")
-def add_project(project_root, workspace_dir, replace):
+def add_project(ws: Workspace, args) -> dict:
     """Catalog one project and regenerate every downstream artifact."""
-    ws = Workspace(workspace_dir)
-    summary = stage_add_project(ws, project_root, replace=replace)
-    _emit({"command": "add-project", **summary})
+    return stage_add_project(ws, args.project_root, replace=args.replace)
 
 
-@cli.command("repr")
-@_WS_OPTION
-@click.option("--types", "types_csv", default=",".join(REPRESENTATION_TYPES),
-              show_default=True, metavar="LIST",
-              help="Comma-separated representation types to generate.")
-def repr_cmd(workspace_dir, types_csv):
+def repr_cmd(ws: Workspace, args) -> dict:
     """Write one payload CSV per requested representation type."""
-    types = [t.strip().upper() for t in types_csv.split(",") if t.strip()]
-    ws = Workspace(workspace_dir)
-    cfg, datas, cat = load_corpus(ws)
-    summary = stage_representations(ws, datas, types, cfg.seed)
-    _emit({"command": "repr", **summary})
+    types = [t.strip().upper() for t in args.types_csv.split(",") if t.strip()]
+    cfg, datas, _cat = load_corpus(ws)
+    return stage_representations(ws, datas, types, cfg.seed)
 
 
-@cli.command()
-@_WS_OPTION
-def metrics(workspace_dir):
+def metrics(ws: Workspace, args) -> dict:
     """Compute the static source metrics for every method."""
-    ws = Workspace(workspace_dir)
     _cfg, datas, cat = load_corpus(ws)
-    summary = stage_metrics(ws, datas, cat)
-    _emit({"command": "metrics", **summary})
+    return stage_metrics(ws, datas, cat)
 
 
-@cli.command()
-@_WS_OPTION
-@click.option("--no-constructors", is_flag=True,
-              help="Skip object-creation sites.")
-def callgraph(workspace_dir, no_constructors):
+def callgraph(ws: Workspace, args) -> dict:
     """Resolve call sites and write the edge table plus connectivity
     properties."""
-    ws = Workspace(workspace_dir)
     _cfg, datas, cat = load_corpus(ws)
-    summary = stage_callgraph(ws, datas, cat,
-                              include_constructors=not no_constructors)
-    _emit({"command": "callgraph", **summary})
+    return stage_callgraph(ws, datas, cat,
+                           include_constructors=not args.no_constructors)
 
 
-@cli.command("props-import")
-@click.argument("csv_file", type=click.Path(exists=True, dir_okay=False))
-@_WS_OPTION
-@click.option("--key", default=None, metavar="KEY",
-              help="Property key; defaults to the file stem.")
-def props_import(csv_file, workspace_dir, key):
+def props_import(ws: Workspace, args) -> dict:
     """Validate and store an externally computed property table."""
-    ws = Workspace(workspace_dir)
     _cfg, _datas, cat = load_corpus(ws)
-    summary = stage_props_import(ws, cat, csv_file, key=key)
-    _emit({"command": "props-import", **summary})
+    return stage_props_import(ws, cat, args.csv_file, key=args.key)
 
 
-@cli.command()
-@_WS_OPTION
-@click.option("--task", required=True,
-              type=click.Choice(["property", "call-mask", "mutation"]))
-@click.option("--key", default="CMPX", show_default=True,
-              help="Property key for the property task.")
-@click.option("--filter", "filters", multiple=True, metavar="EXPR",
-              help="Property filter like 'SLOC>=5'; repeatable.")
-@click.option("--balance", is_flag=True,
-              help="Down-sample every label to the rarest label's count.")
-@click.option("--augment", is_flag=True,
-              help="Append one-hop callee names to masked payloads.")
-@click.option("--include-constructors", is_flag=True,
-              help="Mask object-creation sites too.")
-@click.option("--p-mutate", default=0.5, show_default=True, type=float)
-@click.option("--seed", default=None, type=int,
-              help="Override the workspace seed for this dataset.")
-@click.option("--fracs", default=None, metavar="A,B,C",
-              help="Train,valid,test fractions; must sum to 1.")
-def taskgen(workspace_dir, task, key, filters, balance, augment,
-            include_constructors, p_mutate, seed, fracs):
+def taskgen(ws: Workspace, args) -> dict:
     """Generate a labeled dataset with project-disjoint splits."""
-    ws = Workspace(workspace_dir)
     cfg, datas, cat = load_corpus(ws)
-    summary = stage_taskgen(
-        ws, datas, cat, task,
-        seed=cfg.seed if seed is None else seed,
-        split_fracs=_parse_fracs(fracs) if fracs else DEFAULT_SPLIT_FRACS,
-        key=key.upper(), balance=balance,
-        filters=[_parse_filter(f) for f in filters],
-        p_mutate=p_mutate, augment=augment,
-        include_constructors=include_constructors)
-    _emit({"command": "taskgen", **summary})
+    return stage_taskgen(
+        ws, datas, cat, args.task,
+        seed=cfg.seed if args.seed is None else args.seed,
+        split_fracs=(_parse_fracs(args.fracs) if args.fracs
+                     else DEFAULT_SPLIT_FRACS),
+        key=args.key.upper(), balance=args.balance,
+        filters=[_parse_filter(f) for f in args.filters or ()],
+        p_mutate=args.p_mutate, augment=args.augment,
+        include_constructors=args.include_constructors)
 
 
-@cli.command()
-@_WS_OPTION
-@click.option("--vocab-size", default=512, show_default=True, type=int)
-def tokenstats(workspace_dir, vocab_size):
+def tokenstats(ws: Workspace, args) -> dict:
     """Train the code and English subword vocabularies and measure
     entity sizes against common context-window budgets."""
-    ws = Workspace(workspace_dir)
     _cfg, datas, cat = load_corpus(ws)
-    summary = stage_tokenstats(ws, datas, cat, vocab_size=vocab_size)
-    _emit({"command": "tokenstats", **summary})
+    return stage_tokenstats(ws, datas, cat, vocab_size=args.vocab_size)
 
 
-@cli.command()
-@_WS_OPTION
-@click.option("--study", required=True,
-              type=click.Choice(["calls", "windows", "bias"]))
-def report(workspace_dir, study):
+def report(ws: Workspace, args) -> dict:
     """Render one of the built-in study tables."""
-    ws = Workspace(workspace_dir)
     _cfg, _datas, cat = load_corpus(ws)
-    summary = stage_report(ws, cat, study)
-    _emit({"command": "report", **summary})
+    return stage_report(ws, cat, args.study)
+
+
+def _parser() -> _Parser:
+    top = _Parser(prog="codecorpus", description=(
+        "Build metadata, representations, properties, graphs, datasets and "
+        "reports for a directory tree of Java projects."))
+    commands = top.add_subparsers(dest="command", metavar="COMMAND",
+                                  required=True)
+
+    def command(name, run):
+        sub = commands.add_parser(name, help=run.__doc__,
+                                  description=run.__doc__)
+        sub.set_defaults(run=run)
+        sub.add_argument("-w", "--workspace", dest="workspace_dir",
+                         metavar="DIR", help="Workspace directory; required "
+                         "unless CODECORPUS_WORKSPACE names one.")
+        return sub.add_argument
+
+    directory = _path("directory", os.path.isdir)
+    arg = command("catalog", catalog)
+    arg("--corpus", dest="corpus_root", required=True, type=directory,
+        metavar="DIRECTORY",
+        help="Directory whose subdirectories are projects.")
+    arg("--seed", default=0, type=int, help="(default: %(default)s)")
+    arg("--strict", action="store_true",
+        help="Fail on the first unparseable file instead of skipping.")
+
+    arg = command("add-project", add_project)
+    arg("project_root", type=directory)
+    arg("--replace", action="store_true",
+        help="Regenerate a project that is already cataloged.")
+
+    arg = command("repr", repr_cmd)
+    arg("--types", dest="types_csv", default=",".join(REPRESENTATION_TYPES),
+        metavar="LIST", help="Comma-separated representation types to "
+                             "generate (default: %(default)s).")
+
+    command("metrics", metrics)
+
+    arg = command("callgraph", callgraph)
+    arg("--no-constructors", action="store_true",
+        help="Skip object-creation sites.")
+
+    arg = command("props-import", props_import)
+    arg("csv_file", type=_path("file", os.path.isfile))
+    arg("--key", metavar="KEY",
+        help="Property key; defaults to the file stem.")
+
+    arg = command("taskgen", taskgen)
+    arg("--task", required=True, choices=["property", "call-mask", "mutation"])
+    arg("--key", default="CMPX",
+        help="Property key for the property task (default: %(default)s).")
+    arg("--filter", dest="filters", action="append", metavar="EXPR",
+        help="Property filter like 'SLOC>=5'; repeatable.")
+    arg("--balance", action="store_true",
+        help="Down-sample every label to the rarest label's count.")
+    arg("--augment", action="store_true",
+        help="Append one-hop callee names to masked payloads.")
+    arg("--include-constructors", action="store_true",
+        help="Mask object-creation sites too.")
+    arg("--p-mutate", default=0.5, type=float, help="(default: %(default)s)")
+    arg("--seed", type=int,
+        help="Override the workspace seed for this dataset.")
+    arg("--fracs", metavar="A,B,C",
+        help="Train,valid,test fractions; must sum to 1.")
+
+    arg = command("tokenstats", tokenstats)
+    arg("--vocab-size", default=512, type=int, help="(default: %(default)s)")
+
+    arg = command("report", report)
+    arg("--study", required=True, choices=["calls", "windows", "bias"])
+    return top
+
+
+# Built once per process: building a parser leaves reference cycles, and a
+# command, which runs with the collector off, must leave none.
+_PARSER = _parser()
 
 
 def main(argv=None) -> int:
@@ -215,27 +236,25 @@ def main(argv=None) -> int:
 
 def _run(argv) -> int:
     try:
-        cli.main(args=argv, standalone_mode=False)
-        return 0
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.UsageError as exc:
-        click.echo(f"usage error: {exc.format_message()}", err=True)
-        return 1
-    except click.ClickException as exc:
-        exc.show()
-        return 1
-    except click.exceptions.Abort:
-        return 1
+        args = _PARSER.parse_args(argv)
+        ws = args.workspace_dir or os.environ.get("CODECORPUS_WORKSPACE")
+        if not ws:
+            raise InvalidArgumentError(
+                "the following arguments are required: -w/--workspace")
+        summary = args.run(Workspace(ws), args)
+    except SystemExit as exc:   # `--help`, once it has printed the usage
+        return exc.code
     except InvalidArgumentError as exc:
-        click.echo(f"usage error: {exc}", err=True)
+        print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except CorpusError as exc:
-        click.echo(f"input error: {exc}", err=True)
+        print(f"input error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive
-        click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    print(json.dumps({"command": args.command, **summary}, sort_keys=True))
+    return 0
 
 
 if __name__ == "__main__":

@@ -30,7 +30,6 @@ filter_edges(g, {"Child"}) reproduces the plain AST graph.
 """
 
 import json
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring as _json_str
 from typing import Callable, NamedTuple
 
@@ -61,17 +60,20 @@ class GraphNode(NamedTuple):
     col: int
 
 
-@dataclass
 class FeatureGraph:
-    nodes: list[GraphNode]
-    edges: dict[str, list[tuple[int, int]]]
-    token_order: list[int] = field(default_factory=list)
+    """Nodes, edges by type, and the terminals in source order (taken from
+    the nodes unless given)."""
 
-    def __post_init__(self):
-        if not self.token_order:
-            self.token_order = [n.index for n in self.nodes
-                                if n.token is not None
-                                and n.node_type not in SYNTHETIC_TYPES]
+    __slots__ = ("nodes", "edges", "token_order")
+
+    def __init__(self, nodes: list[GraphNode],
+                 edges: dict[str, list[tuple[int, int]]],
+                 token_order: list[int] | None = None):
+        self.nodes = nodes
+        self.edges = edges
+        self.token_order = token_order or [
+            n.index for n in nodes
+            if n.token is not None and n.node_type not in SYNTHETIC_TYPES]
 
 
 def filter_edges(g: FeatureGraph, keep: set[str]) -> FeatureGraph:

@@ -48,7 +48,6 @@ nodes count, and which terminal names each callee.
 """
 
 import re
-from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -111,16 +110,28 @@ _BINARY_LEVELS = {
 _Node = list
 
 
-@dataclass
 class Ast:
-    """Flat preorder AST over a token list; the tokens hold the positions."""
+    """Flat preorder AST over a token list; the tokens hold the positions.
+    Two are equal when all six tables are."""
 
-    node_types: list[str]
-    token_indices: list[int | None]
-    parents: list[int]              # -1 at the root
-    tokens: list[Token]
-    children: list[tuple[int, ...]]
-    subtree_sizes: list[int]
+    __slots__ = ("node_types", "token_indices", "parents", "tokens",
+                 "children", "subtree_sizes")
+
+    def __init__(self, node_types: list[str], token_indices: list[int | None],
+                 parents: list[int], tokens: list[Token],
+                 children: list[tuple[int, ...]], subtree_sizes: list[int]):
+        self.node_types = node_types
+        self.token_indices = token_indices
+        self.parents = parents              # -1 at the root
+        self.tokens = tokens
+        self.children = children
+        self.subtree_sizes = subtree_sizes
+
+    def __eq__(self, other):
+        if other.__class__ is not Ast:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f)
+                   for f in self.__slots__)
 
     def __len__(self) -> int:
         return len(self.node_types)
@@ -754,32 +765,51 @@ def call_sites(ast: Ast, include_new: bool = True) -> list[CallSite]:
 # File views: the syntactic summary consumed by cataloging and resolution
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
 class MethodSource:
     """One method or constructor declaration. The header is read with the
     file; the views refer to its build node and the file's tokens and
     source, which its `FileView` holds anyway: `tokens` (its token slice)
     and `ast` (flattened over that slice) are built on first read and kept,
-    `text` is sliced on each read."""
+    `text` is sliced on each read. Two are equal when their headers and
+    ids are (`_COMPARED`), whatever file holds them."""
 
-    name: str
-    signature: str
-    start_line: int
-    end_line: int
-    param_types: list[str]
-    param_names: list[str]
-    return_type: str
-    is_constructor: bool
-    modifiers: frozenset[str]
-    class_name: str
-    _node: _Node = field(compare=False, repr=False)
-    _file_tokens: list[Token] = field(compare=False, repr=False)
-    _token_span: tuple[int, int] = field(compare=False, repr=False)
-    _source: str = field(compare=False, repr=False)
-    _span: tuple[int, int] = field(compare=False, repr=False)  # text offsets
-    method_id: str = ""
-    _tokens: list | None = field(default=None, compare=False, repr=False)
-    _ast: Ast | None = field(default=None, compare=False, repr=False)
+    _COMPARED = ("name", "signature", "start_line", "end_line", "param_types",
+                 "param_names", "return_type", "is_constructor", "modifiers",
+                 "class_name", "method_id")
+    __slots__ = (*_COMPARED, "_node", "_file_tokens", "_token_span",
+                 "_source", "_span", "_tokens", "_ast")
+
+    def __init__(self, name: str, signature: str, start_line: int,
+                 end_line: int, param_types: list[str], param_names: list[str],
+                 return_type: str, is_constructor: bool,
+                 modifiers: frozenset[str], class_name: str, _node: _Node,
+                 _file_tokens: list[Token], _token_span: tuple[int, int],
+                 _source: str, _span: tuple[int, int], method_id: str = "",
+                 _tokens: list | None = None, _ast: Ast | None = None):
+        self.name = name
+        self.signature = signature
+        self.start_line = start_line
+        self.end_line = end_line
+        self.param_types = param_types
+        self.param_names = param_names
+        self.return_type = return_type
+        self.is_constructor = is_constructor
+        self.modifiers = modifiers
+        self.class_name = class_name
+        self._node = _node
+        self._file_tokens = _file_tokens
+        self._token_span = _token_span
+        self._source = _source
+        self._span = _span              # text offsets
+        self.method_id = method_id
+        self._tokens = _tokens
+        self._ast = _ast
+
+    def __eq__(self, other):
+        if other.__class__ is not MethodSource:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f)
+                   for f in self._COMPARED)
 
     @property
     def tokens(self) -> list[Token]:
@@ -799,8 +829,7 @@ class MethodSource:
         return self._source[self._span[0]:self._span[1]]
 
 
-@dataclass
-class ClassView:
+class ClassView(NamedTuple):
     name: str
     kind: str                      # "class" | "interface"
     extends: str | None
@@ -809,18 +838,23 @@ class ClassView:
     methods: list[MethodSource]
 
 
-@dataclass
 class FileView:
     """A file's summary; its `ast` is flattened on first read and kept."""
 
-    path: str
-    source: str
-    package_name: str
-    imports: list[tuple[str, bool]]  # (dotted name, is_wildcard)
-    classes: list[ClassView]
-    _root: _Node = field(compare=False, repr=False)
-    _tokens: list[Token] = field(compare=False, repr=False)
-    _ast: Ast | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("path", "source", "package_name", "imports", "classes",
+                 "_root", "_tokens", "_ast")
+
+    def __init__(self, path: str, source: str, package_name: str,
+                 imports: list[tuple[str, bool]], classes: list[ClassView],
+                 _root: _Node, _tokens: list[Token], _ast: Ast | None = None):
+        self.path = path
+        self.source = source
+        self.package_name = package_name
+        self.imports = imports          # (dotted name, is_wildcard)
+        self.classes = classes
+        self._root = _root
+        self._tokens = _tokens
+        self._ast = _ast
 
     @property
     def ast(self) -> Ast:

@@ -35,7 +35,6 @@ hold a config, naming the file (CLI exit 2 for all).
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from itertools import zip_longest
 from pathlib import Path
 
@@ -87,11 +86,23 @@ REPR_HEADER = ["method_id", "payload"]
 STRICTNESS = ("skip-unparseable", "fail-fast")
 
 
-@dataclass
 class WorkspaceConfig:
-    corpus_root: str
-    seed: int = 0
-    strictness: str = "skip-unparseable"
+    """What `workspace.json` holds; `WorkspaceConfig(**data)` raises
+    TypeError on an unknown or a missing key."""
+
+    __slots__ = ("corpus_root", "seed", "strictness")
+
+    def __init__(self, corpus_root: str, seed: int = 0,
+                 strictness: str = "skip-unparseable"):
+        self.corpus_root = corpus_root
+        self.seed = seed
+        self.strictness = strictness
+
+    def __eq__(self, other):
+        if other.__class__ is not WorkspaceConfig:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f)
+                   for f in self.__slots__)
 
 
 class Workspace:

@@ -16,7 +16,7 @@ name token sits at the (line, col) of its site's call-graph edge.
 import operator
 import random
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .catalog import Catalog, size_bucket
 from .errors import InputError, InvalidArgumentError
@@ -40,20 +40,24 @@ FILTER_OPS = {">=": operator.ge, "<=": operator.le, "==": operator.eq,
               "!=": operator.ne, ">": operator.gt, "<": operator.lt}
 
 
-@dataclass
 class TaskSample:
-    sample_id: str
-    method_id: EntityId
-    payload: str
-    label: str
-    stratum: str = ""            # call_type for masking tasks, else empty
-    size_bucket: str = ""
-    meta: dict = field(default_factory=dict)   # in-memory only
-    split: str = ""              # one of SPLIT_NAMES
+    __slots__ = ("sample_id", "method_id", "payload", "label", "stratum",
+                 "size_bucket", "meta", "split")
+
+    def __init__(self, sample_id: str, method_id: EntityId, payload: str,
+                 label: str, stratum: str = "", size_bucket: str = "",
+                 meta: dict | None = None, split: str = ""):
+        self.sample_id = sample_id
+        self.method_id = method_id
+        self.payload = payload
+        self.label = label
+        self.stratum = stratum      # call_type for masking tasks, else empty
+        self.size_bucket = size_bucket
+        self.meta = {} if meta is None else meta     # in-memory only
+        self.split = split          # one of SPLIT_NAMES
 
 
-@dataclass
-class TaskDataset:
+class TaskDataset(NamedTuple):
     samples: list[TaskSample]
 
     def in_split(self, split: str) -> list[TaskSample]:
@@ -245,7 +249,9 @@ def augment_with_context(sample: TaskSample, bundle: ContextBundle,
     if not names:
         return sample
     payload = f"{sample.payload} {CTX_TOKEN} " + " ".join(sorted(names))
-    return replace(sample, payload=payload, meta=dict(sample.meta))
+    return TaskSample(sample.sample_id, sample.method_id, payload,
+                      sample.label, sample.stratum, sample.size_bucket,
+                      dict(sample.meta), sample.split)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ Downstream measurements:
 
 import heapq
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .catalog import Catalog, size_bucket
 from .errors import InvalidArgumentError
@@ -42,19 +42,23 @@ FIT_HEADER = ["granularity", "tokenizer_tag", "bucket", "threshold",
               "fit_fraction"]
 
 
-@dataclass
 class BpeVocab:
-    merges: list[tuple[bytes, bytes]]
-    vocab: set[bytes]
-    size: int
-    corpus_tag: str
-    _rank: dict[tuple[bytes, bytes], int] = field(default_factory=dict,
-                                                  repr=False)
-    _line_cache: dict[str, int] = field(default_factory=dict, repr=False)
+    """Merges in rank order and the vocabulary, with a pair's rank
+    (`_rank`) and the memo of `bpe_encode_len` per line (`_line_cache`)."""
 
-    def __post_init__(self):
-        if not self._rank:
-            self._rank = {pair: i for i, pair in enumerate(self.merges)}
+    __slots__ = ("merges", "vocab", "size", "corpus_tag", "_rank",
+                 "_line_cache")
+
+    def __init__(self, merges: list[tuple[bytes, bytes]], vocab: set[bytes],
+                 size: int, corpus_tag: str,
+                 _rank: dict[tuple[bytes, bytes], int] | None = None,
+                 _line_cache: dict[str, int] | None = None):
+        self.merges = merges
+        self.vocab = vocab
+        self.size = size
+        self.corpus_tag = corpus_tag
+        self._rank = _rank or {pair: i for i, pair in enumerate(merges)}
+        self._line_cache = {} if _line_cache is None else _line_cache
 
 
 def train_bpe(corpus_text: str, vocab_size: int,
@@ -249,8 +253,7 @@ def tokenizer_ratio(vocab_or_encoder, texts: list[str],
 # Entity sizes and window fit
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SizeRecord:
+class SizeRecord(NamedTuple):
     entity_id: EntityId
     granularity: str
     tokenizer_tag: str
@@ -297,8 +300,7 @@ def entity_sizes(catalog: Catalog, method_texts: dict[EntityId, str],
     return records
 
 
-@dataclass
-class FitTable:
+class FitTable(NamedTuple):
     thresholds: tuple[int, ...]
     # (granularity, tokenizer_tag, bucket) -> fraction per threshold
     fractions: dict[tuple[str, str, str], list[float]]

@@ -111,6 +111,118 @@ def test_missing_required_option_is_a_usage_error(tmp_path):
     assert proc.returncode == 1
 
 
+COMMANDS = ("catalog", "add-project", "repr", "metrics", "callgraph",
+            "props-import", "taskgen", "tokenstats", "report")
+
+
+def _command_line(command, tmp_path) -> list[str]:
+    """A command line that parses, less its workspace option."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir(exist_ok=True)
+    table = tmp_path / "GRADE.csv"
+    table.write_text("method_id,value\n", encoding="utf-8")
+    return {"catalog": ["catalog", "--corpus", str(corpus)],
+            "add-project": ["add-project", str(corpus)],
+            "props-import": ["props-import", str(table)],
+            "taskgen": ["taskgen", "--task", "property"],
+            "report": ["report", "--study", "calls"],
+            }.get(command, [command])
+
+
+def _usage_error(argv, capsys, monkeypatch) -> str:
+    """Run `argv` in this process; it must exit 1 with a usage error and
+    no output. Returns the message."""
+    monkeypatch.delenv("CODECORPUS_WORKSPACE", raising=False)
+    assert cli.main(argv) == 1, argv
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage error: "), err
+    return err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_prints_its_help(command, capsys):
+    # in this process: `main` returns the code and never raises SystemExit
+    assert cli.main([command, "--help"]) == 0
+    out, err = capsys.readouterr()
+    assert "Usage:" in out
+    assert "--workspace" in out
+    assert err == ""
+
+
+@pytest.mark.parametrize("case", ["unknown-option", "no-workspace",
+                                  "extra-argument", "abbreviated-option"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_malformed_command_line_is_a_usage_error(command, case, tmp_path,
+                                                   capsys, monkeypatch):
+    base = _command_line(command, tmp_path)
+    ws = str(tmp_path / "ws")
+    argv = {"unknown-option": [*base, "-w", ws, "--bogus"],
+            "no-workspace": base,
+            "extra-argument": [*base, "-w", ws, "extra"],
+            "abbreviated-option": [*base, "--work", ws]}[case]
+    _usage_error(argv, capsys, monkeypatch)
+    assert not (tmp_path / "ws").exists()
+
+
+@pytest.mark.parametrize("command", ["catalog", "add-project", "props-import",
+                                     "taskgen", "report"])
+def test_a_missing_required_argument_is_a_usage_error(command, tmp_path,
+                                                      capsys, monkeypatch):
+    _usage_error([command, "-w", str(tmp_path / "ws")], capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("extra", [
+    ["--seed", "x"], ["--seed", "1.5"]], ids=["word", "fraction"])
+@pytest.mark.parametrize("command", ["catalog", "taskgen"])
+def test_a_non_integer_seed_is_a_usage_error(command, extra, tmp_path,
+                                             capsys, monkeypatch):
+    argv = [*_command_line(command, tmp_path), "-w", str(tmp_path), *extra]
+    assert "--seed" in _usage_error(argv, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["tokenstats", "--vocab-size", "big"], "--vocab-size"),
+    (["taskgen", "--task", "sorting"], "--task"),
+    (["taskgen", "--task", "property", "--p-mutate", "half"], "--p-mutate"),
+    (["report", "--study", "everything"], "--study"),
+], ids=["vocab-size", "task", "p-mutate", "study"])
+def test_a_bad_option_value_is_a_usage_error(argv, named, tmp_path, capsys,
+                                             monkeypatch):
+    err = _usage_error([*argv, "-w", str(tmp_path)], capsys, monkeypatch)
+    assert named in err
+
+
+@pytest.mark.parametrize("command,path", [
+    ("catalog", "nowhere"), ("catalog", "GRADE.csv"),
+    ("add-project", "nowhere"), ("add-project", "GRADE.csv"),
+    ("props-import", "nowhere.csv"), ("props-import", "corpus"),
+])
+def test_a_missing_or_wrong_kind_of_path_is_a_usage_error(
+        command, path, tmp_path, capsys, monkeypatch):
+    argv = _command_line(command, tmp_path)
+    argv[-1] = str(tmp_path / path)
+    err = _usage_error([*argv, "-w", str(tmp_path / "ws")], capsys,
+                       monkeypatch)
+    assert path in err
+    assert not (tmp_path / "ws").exists()
+
+
+def test_no_arguments_is_a_usage_error():
+    proc = run_cli()
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("usage error: ")
+
+
+def test_importing_the_cli_loads_no_click_dataclasses_or_inspect():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, codecorpus.cli; print(sorted("
+         "{'click', 'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_absent_workspace_is_an_input_error(tmp_path):
     proc = run_cli("metrics", "-w", tmp_path / "nowhere")
     assert proc.returncode == 2
@@ -126,8 +238,9 @@ def test_absent_workspace_is_an_input_error(tmp_path):
     '{"corpus_root": 5, "seed": 0, "strictness": "skip-unparseable"}',
     '{"corpus_root": "/x", "seed": true, "strictness": "skip-unparseable"}',
     '{"corpus_root": "/x", "seed": 0, "strictness": "lenient"}',
+    '{"seed": 0, "strictness": "skip-unparseable"}',
 ], ids=["truncated", "unknown-key", "not-an-object", "corpus-root-not-a-string",
-        "seed-not-an-int", "unknown-strictness"])
+        "seed-not-an-int", "unknown-strictness", "no-corpus-root"])
 def test_malformed_workspace_config_is_an_input_error(tmp_path, text):
     ws = tmp_path / "ws"
     ws.mkdir()
