@@ -69,39 +69,26 @@ class CallEdge(NamedTuple):
 
 
 class CallGraph:
-    """The edges, indexed by caller and by resolved callee; the indexes are
-    built from the edges unless `by_caller` is given and not empty."""
+    """The edges, indexed by caller and by resolved callee."""
 
     __slots__ = ("edges", "by_caller", "by_callee")
 
-    def __init__(self, edges: list[CallEdge],
-                 by_caller: dict[EntityId, list[CallEdge]] | None = None,
-                 by_callee: dict[EntityId, list[CallEdge]] | None = None):
+    def __init__(self, edges: list[CallEdge]):
         self.edges = edges
-        self.by_caller = {} if by_caller is None else by_caller
-        self.by_callee = {} if by_callee is None else by_callee
-        if not self.by_caller:
-            for e in edges:
-                self.by_caller.setdefault(e.caller, []).append(e)
-                if e.callee:
-                    self.by_callee.setdefault(e.callee, []).append(e)
+        self.by_caller: dict[EntityId, list[CallEdge]] = {}
+        self.by_callee: dict[EntityId, list[CallEdge]] = {}
+        for e in edges:
+            self.by_caller.setdefault(e.caller, []).append(e)
+            if e.callee:
+                self.by_callee.setdefault(e.callee, []).append(e)
 
 
-class ContextBundle:
-    __slots__ = ("center", "direction", "hop_sets", "external_names",
-                 "callee_name_counts")
-
-    def __init__(self, center: EntityId, direction: str,
-                 hop_sets: list[set[EntityId]],
-                 external_names: set[str] | None = None,
-                 callee_name_counts: Counter | None = None):
-        self.center = center
-        self.direction = direction      # "callee" or "caller"
-        self.hop_sets = hop_sets        # hop_sets[k] = ids reachable in <= k
-        self.external_names = set() if external_names is None \
-            else external_names
-        self.callee_name_counts = Counter() if callee_name_counts is None \
-            else callee_name_counts
+class ContextBundle(NamedTuple):
+    center: EntityId
+    direction: str                  # "callee" or "caller"
+    hop_sets: list[set[EntityId]]   # hop_sets[k] = ids reachable in <= k
+    external_names: set[str]
+    callee_name_counts: Counter
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +404,7 @@ def n_hop_context(g: CallGraph, center: EntityId, n: int = 1,
         raise InvalidArgumentError("direction must be 'callee' or 'caller'")
     if known_ids is not None and center not in known_ids:
         raise NotFoundError(f"unknown method id: {center}")
-    bundle = ContextBundle(center, direction, [{center}])
+    bundle = ContextBundle(center, direction, [{center}], set(), Counter())
     if direction == "callee":
         for e in g.by_caller.get(center, []):
             bundle.callee_name_counts[e.callee_name] += 1

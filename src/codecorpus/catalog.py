@@ -101,14 +101,13 @@ class Catalog:
     __slots__ = ("projects", "packages", "classes", "methods", "by_id",
                  "_class_counts")
 
-    def __init__(self, projects: list[ProjectMeta] | None = None,
-                 packages: list[PackageMeta] | None = None,
-                 classes: list[ClassMeta] | None = None,
-                 methods: list[MethodMeta] | None = None):
-        self.projects = [] if projects is None else projects
-        self.packages = [] if packages is None else packages
-        self.classes = [] if classes is None else classes
-        self.methods = [] if methods is None else methods
+    def __init__(self, projects: list[ProjectMeta],
+                 packages: list[PackageMeta], classes: list[ClassMeta],
+                 methods: list[MethodMeta]):
+        self.projects = projects
+        self.packages = packages
+        self.classes = classes
+        self.methods = methods
         self.by_id: dict[EntityId, object] = {
             **{p.project_id: p for p in self.projects},
             **{p.package_id: p for p in self.packages},

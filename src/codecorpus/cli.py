@@ -26,11 +26,11 @@ import sys
 
 from .catalog import property_value
 from .errors import CorpusError, InvalidArgumentError
-from .pipeline import (REPRESENTATION_TYPES, Workspace, WorkspaceConfig,
-                       load_corpus, stage_add_project, stage_callgraph,
-                       stage_catalog, stage_metrics, stage_props_import,
-                       stage_report, stage_representations, stage_taskgen,
-                       stage_tokenstats)
+from .pipeline import (REPRESENTATION_TYPES, STUDIES, TASKS, Workspace,
+                       WorkspaceConfig, load_corpus, stage_add_project,
+                       stage_callgraph, stage_catalog, stage_metrics,
+                       stage_props_import, stage_report,
+                       stage_representations, stage_taskgen, stage_tokenstats)
 from .taskgen import DEFAULT_SPLIT_FRACS, FILTER_OPS
 
 
@@ -194,7 +194,7 @@ def _parser() -> _Parser:
         help="Property key; defaults to the file stem.")
 
     arg = command("taskgen", taskgen)
-    arg("--task", required=True, choices=["property", "call-mask", "mutation"])
+    arg("--task", required=True, choices=TASKS)
     arg("--key", default="CMPX",
         help="Property key for the property task (default: %(default)s).")
     arg("--filter", dest="filters", action="append", metavar="EXPR",
@@ -215,7 +215,7 @@ def _parser() -> _Parser:
     arg("--vocab-size", default=512, type=int, help="(default: %(default)s)")
 
     arg = command("report", report)
-    arg("--study", required=True, choices=["calls", "windows", "bias"])
+    arg("--study", required=True, choices=STUDIES)
     return top
 
 

@@ -60,20 +60,12 @@ class GraphNode(NamedTuple):
     col: int
 
 
-class FeatureGraph:
-    """Nodes, edges by type, and the terminals in source order (taken from
-    the nodes unless given)."""
+class FeatureGraph(NamedTuple):
+    """Nodes, edges by type, and the terminals in source order."""
 
-    __slots__ = ("nodes", "edges", "token_order")
-
-    def __init__(self, nodes: list[GraphNode],
-                 edges: dict[str, list[tuple[int, int]]],
-                 token_order: list[int] | None = None):
-        self.nodes = nodes
-        self.edges = edges
-        self.token_order = token_order or [
-            n.index for n in nodes
-            if n.token is not None and n.node_type not in SYNTHETIC_TYPES]
+    nodes: list[GraphNode]
+    edges: dict[str, list[tuple[int, int]]]
+    token_order: list[int]
 
 
 def filter_edges(g: FeatureGraph, keep: set[str]) -> FeatureGraph:
@@ -406,4 +398,6 @@ def parse_graph_payload(payload: str) -> FeatureGraph:
              for item in data["nodes"]]
     edges = {t: [(s, d) for s, d in pairs]
              for t, pairs in data["edges"].items()}
-    return FeatureGraph(nodes, edges)
+    terminals = [n.index for n in nodes
+                 if n.token is not None and n.node_type not in SYNTHETIC_TYPES]
+    return FeatureGraph(nodes, edges, terminals)

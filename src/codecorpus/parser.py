@@ -784,8 +784,7 @@ class MethodSource:
                  return_type: str, is_constructor: bool,
                  modifiers: frozenset[str], class_name: str, _node: _Node,
                  _file_tokens: list[Token], _token_span: tuple[int, int],
-                 _source: str, _span: tuple[int, int], method_id: str = "",
-                 _tokens: list | None = None, _ast: Ast | None = None):
+                 _source: str, _span: tuple[int, int]):
         self.name = name
         self.signature = signature
         self.start_line = start_line
@@ -801,9 +800,9 @@ class MethodSource:
         self._token_span = _token_span
         self._source = _source
         self._span = _span              # text offsets
-        self.method_id = method_id
-        self._tokens = _tokens
-        self._ast = _ast
+        self.method_id = ""             # set by `catalog_project`
+        self._tokens: list[Token] | None = None
+        self._ast: Ast | None = None
 
     def __eq__(self, other):
         if other.__class__ is not MethodSource:
@@ -846,7 +845,7 @@ class FileView:
 
     def __init__(self, path: str, source: str, package_name: str,
                  imports: list[tuple[str, bool]], classes: list[ClassView],
-                 _root: _Node, _tokens: list[Token], _ast: Ast | None = None):
+                 _root: _Node, _tokens: list[Token]):
         self.path = path
         self.source = source
         self.package_name = package_name
@@ -854,7 +853,7 @@ class FileView:
         self.classes = classes
         self._root = _root
         self._tokens = _tokens
-        self._ast = _ast
+        self._ast: Ast | None = None
 
     @property
     def ast(self) -> Ast:

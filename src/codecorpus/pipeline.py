@@ -37,6 +37,7 @@ import sys
 from collections import Counter
 from itertools import zip_longest
 from pathlib import Path
+from typing import NamedTuple
 
 from . import metrics as metrics_mod
 from .catalog import (Catalog, METADATA_TABLES, METRIC_KEYS, ProjectData,
@@ -84,25 +85,17 @@ _PAYLOAD_BUILDERS = {
 REPRESENTATION_TYPES = tuple(_PAYLOAD_BUILDERS)
 REPR_HEADER = ["method_id", "payload"]
 STRICTNESS = ("skip-unparseable", "fail-fast")
+TASKS = ("property", "call-mask", "mutation")
+STUDIES = ("calls", "windows", "bias")
 
 
-class WorkspaceConfig:
+class WorkspaceConfig(NamedTuple):
     """What `workspace.json` holds; `WorkspaceConfig(**data)` raises
     TypeError on an unknown or a missing key."""
 
-    __slots__ = ("corpus_root", "seed", "strictness")
-
-    def __init__(self, corpus_root: str, seed: int = 0,
-                 strictness: str = "skip-unparseable"):
-        self.corpus_root = corpus_root
-        self.seed = seed
-        self.strictness = strictness
-
-    def __eq__(self, other):
-        if other.__class__ is not WorkspaceConfig:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f)
-                   for f in self.__slots__)
+    corpus_root: str
+    seed: int = 0
+    strictness: str = "skip-unparseable"
 
 
 class Workspace:
@@ -279,7 +272,7 @@ def _report_skipped_files(datas: list[ProjectData]) -> int:
 # ---------------------------------------------------------------------------
 
 def stage_catalog(ws: Workspace, cfg: WorkspaceConfig) -> dict:
-    cfg.corpus_root = str(Path(cfg.corpus_root).resolve())
+    cfg = cfg._replace(corpus_root=str(Path(cfg.corpus_root).resolve()))
     ws.save_config(cfg)
     datas = parse_corpus(cfg)
     cat = merged_catalog(datas)
@@ -406,8 +399,7 @@ def stage_taskgen(ws: Workspace, datas: list[ProjectData], cat: Catalog,
                                      split_fracs=split_fracs)
         name = "mutation"
     else:
-        raise InvalidArgumentError(
-            "task must be property, call-mask, or mutation")
+        raise InvalidArgumentError(f"task must be one of {TASKS}")
 
     write_task_csv(ws.task_path(name), dataset)
     counts = Counter(s.split for s in dataset.samples)
@@ -462,7 +454,7 @@ def stage_tokenstats(ws: Workspace, datas: list[ProjectData], cat: Catalog,
     write_sizes_csv(out / "sizes.csv", records)
     write_fit_csv(out / "fit.csv", window_fit(records))
     write_fit_csv(out / "fit_bucketed.csv",
-                  window_fit(records, catalog=cat, buckets=True))
+                  window_fit(records, catalog=cat))
     return {"vocab_size": vocab_size, "ratios": ratios,
             "size_records": len(records)}
 
@@ -523,7 +515,7 @@ def stage_report(ws: Workspace, cat: Catalog, study: str) -> dict:
                      rows, "Method counts by size and complexity")
         return {"study": study,
                 "methods": sum(sum(r) for r in matrix)}
-    raise InvalidArgumentError("study must be calls, windows, or bias")
+    raise InvalidArgumentError(f"study must be one of {STUDIES}")
 
 
 # ---------------------------------------------------------------------------

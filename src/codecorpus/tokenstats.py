@@ -50,15 +50,13 @@ class BpeVocab:
                  "_line_cache")
 
     def __init__(self, merges: list[tuple[bytes, bytes]], vocab: set[bytes],
-                 size: int, corpus_tag: str,
-                 _rank: dict[tuple[bytes, bytes], int] | None = None,
-                 _line_cache: dict[str, int] | None = None):
+                 size: int, corpus_tag: str):
         self.merges = merges
         self.vocab = vocab
         self.size = size
         self.corpus_tag = corpus_tag
-        self._rank = _rank or {pair: i for i, pair in enumerate(merges)}
-        self._line_cache = {} if _line_cache is None else _line_cache
+        self._rank = {pair: i for i, pair in enumerate(merges)}
+        self._line_cache: dict[str, int] = {}
 
 
 def train_bpe(corpus_text: str, vocab_size: int,
@@ -313,19 +311,16 @@ class FitTable(NamedTuple):
 
 def window_fit(records: list[SizeRecord],
                thresholds: tuple[int, ...] = WINDOW_THRESHOLDS,
-               catalog: Catalog | None = None,
-               buckets: bool = False) -> FitTable:
+               catalog: Catalog | None = None) -> FitTable:
     """Fraction of entities whose subtoken count fits each window size.
 
-    With `buckets`, project rows are additionally grouped by project size
-    class (A-D by class count), which requires the catalog.
+    Given the catalog, project rows are additionally grouped by project
+    size class (A-D by class count); without it every bucket is "".
     """
-    if buckets and catalog is None:
-        raise InvalidArgumentError("bucketed fit tables need the catalog")
     groups: dict[tuple[str, str, str], list[int]] = {}
     for r in records:
         bucket = ""
-        if buckets and r.granularity == "project":
+        if catalog is not None and r.granularity == "project":
             bucket = size_bucket(catalog.class_count(r.entity_id))
         groups.setdefault((r.granularity, r.tokenizer_tag, bucket),
                           []).append(r.subtoken_count)

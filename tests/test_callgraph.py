@@ -390,6 +390,16 @@ def test_callee_hops_collect_neighbors_and_external_names(demo):
     assert two.hop_sets[2] == two.hop_sets[1]
 
 
+def test_bundles_share_no_mutable_field(demo):
+    data, g = demo
+    main = _mid(data, "app/A.java", "main()")
+    helper = _mid(data, "app/A.java", "helper()")
+    one, other = n_hop_context(g, main, 1), n_hop_context(g, helper, 1)
+    assert one.external_names is not other.external_names
+    assert one.callee_name_counts is not other.callee_name_counts
+    assert other.external_names == set()
+
+
 def test_zero_hops_keep_only_the_center(demo):
     data, g = demo
     main = _mid(data, "app/A.java", "main()")

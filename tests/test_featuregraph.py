@@ -253,6 +253,7 @@ def test_payload_roundtrip_is_byte_stable(flow):
         assert again == payload
         back = parse_graph_payload(payload)
         assert back.nodes == g.nodes
+        assert back.token_order == g.token_order
         assert {t: set(es) for t, es in back.edges.items() if es} == \
             {t: set(es) for t, es in g.edges.items() if es}
 
@@ -318,7 +319,7 @@ _INDEX = st.integers(0, 2 ** 40)
                        st.lists(st.tuples(_INDEX, _INDEX), max_size=4)))
 def test_payloads_are_written_as_json_dumps_writes_them(nodes, edges):
     g = FeatureGraph([GraphNode(i, *node) for i, node in enumerate(nodes)],
-                     edges)
+                     edges, [])
     assert graph_payload(g) == graph_payload_oracle(g)
 
 

@@ -201,6 +201,21 @@ def test_strictness_controls_unparseable_files(tmp_path):
         stage_catalog(Workspace(tmp_path / "ws2"), strict)
 
 
+def test_catalog_saves_the_resolved_root_and_keeps_its_argument(tmp_path):
+    corpus = tmp_path / "corpus"
+    (corpus / "mini").mkdir(parents=True)
+    (corpus / "mini" / "A.java").write_text(
+        "class A { int f() { return 1; } }\n", encoding="utf-8")
+    given = str(corpus / "mini" / "..")
+    cfg = WorkspaceConfig(corpus_root=given, seed=4)
+    ws = Workspace(tmp_path / "ws")
+    stage_catalog(ws, cfg)
+    assert cfg == WorkspaceConfig(corpus_root=given, seed=4)
+    saved = json.loads(ws.config_path.read_text(encoding="utf-8"))
+    assert saved["corpus_root"] == str(corpus.resolve())
+    assert ws.load_config() == WorkspaceConfig(str(corpus.resolve()), 4)
+
+
 @pytest.mark.parametrize("body, first", [
     ("int f() { return 1; } int f() { return 2; } int g() { return f(); }",
      "int f ( ) { return 1 ; }"),

@@ -338,9 +338,7 @@ def test_fit_matches_a_direct_recount(size_records):
 
 def test_bucketed_fit_groups_projects_by_size(corpus_env, size_records):
     cat, _m, _c, _t = corpus_env
-    with pytest.raises(InvalidArgumentError):
-        window_fit(size_records, buckets=True)
-    table = window_fit(size_records, catalog=cat, buckets=True)
+    table = window_fit(size_records, catalog=cat)
     project_buckets = {bucket for (g, _t2, bucket) in table.fractions
                        if g == "project"}
     assert project_buckets == {"A", "B", "C", "D"}
