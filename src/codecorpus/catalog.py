@@ -23,7 +23,8 @@ each keyed on its entity's id; `METADATA_TABLES` is their one schema.
 Method-level properties persist one file per key as `<KEY>.csv` with header
 `method_id,value`, keyed on `method_id`. Keys are 4-16 uppercase letters.
 A stored value is read back by `property_value` (`7` is an int, `007` and
-`x` are text); `property_writer` names the command that writes a table.
+`x` are text). The workspace's artifact table (`pipeline.ARTIFACT_WRITERS`
+and `pipeline.PROPERTY_WRITERS`) names the command that writes each table.
 """
 
 import re
@@ -299,13 +300,6 @@ def validate_property_key(key: str) -> None:
     if not PROPERTY_KEY_RE.match(key or ""):
         raise InvalidArgumentError(
             f"property key must be 4-16 uppercase letters, got {key!r}")
-
-
-def property_writer(key: str) -> str:
-    """The command that writes the table of property `key`."""
-    if key in METRIC_KEYS:
-        return "metrics"
-    return "callgraph" if key in CALLGRAPH_KEYS else "props-import"
 
 
 def property_value(text: str) -> int | str:

@@ -1,17 +1,10 @@
 """Workspace orchestration: each pipeline stage reads the corpus plus
 earlier artifacts and writes its own files under the workspace directory.
 
-Layout:
-
-    workspace.json            corpus root, seed, strictness, and a fixed
-                              legacy `"parallelism": 1`
-    metadata/                 projects/packages/classes/methods CSVs
-    properties/<KEY>.csv      one value column per method
-    representations/<T>.csv   method_id,payload for each representation
-    callgraph.csv             one row per call site
-    tasks/<name>.csv          generated datasets (+ eval JSON per dataset)
-    tokenstats/               vocab files, sizes.csv, fit tables
-    reports/                  plain-text and CSV study tables
+`ARTIFACT_WRITERS` names the command that writes each top-level entry of
+the workspace (the README's "Workspace layout" says what each holds), and
+`PROPERTY_WRITERS` the command that writes each computed property table.
+`Workspace.require` reads both, so every missing artifact names its writer.
 
 The corpus is loaded one way: `parse_corpus` catalogs every project once
 (one `ProjectData` each, holding the method parses and the class file
@@ -40,8 +33,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import metrics as metrics_mod
-from .catalog import (Catalog, METADATA_TABLES, METRIC_KEYS, ProjectData,
-                      catalog_project, property_value, property_writer,
+from .catalog import (CALLGRAPH_KEYS, Catalog, METADATA_TABLES, METRIC_KEYS,
+                      ProjectData, catalog_project, property_value,
                       read_metadata, read_property_csv, validate_property_key,
                       write_metadata, write_property_csv)
 from .callgraph import (arg_name_maps, build_callgraph,
@@ -88,6 +81,18 @@ STRICTNESS = ("skip-unparseable", "fail-fast")
 TASKS = ("property", "call-mask", "mutation")
 STUDIES = ("calls", "windows", "bias")
 
+# The command that writes each top-level workspace entry. A property table
+# is written by the command `PROPERTY_WRITERS` names for its key, and by
+# `props-import` for any other key.
+ARTIFACT_WRITERS = {
+    "workspace.json": "catalog", "metadata": "catalog",
+    "representations": "repr", "properties": "props-import",
+    "callgraph.csv": "callgraph", "tasks": "taskgen",
+    "tokenstats": "tokenstats", "reports": "report",
+}
+PROPERTY_WRITERS = {**dict.fromkeys(METRIC_KEYS, "metrics"),
+                    **dict.fromkeys(CALLGRAPH_KEYS, "callgraph")}
+
 
 class WorkspaceConfig(NamedTuple):
     """What `workspace.json` holds; `WorkspaceConfig(**data)` raises
@@ -100,13 +105,15 @@ class WorkspaceConfig(NamedTuple):
 
 class Workspace:
     def __init__(self, root):
-        self.root = Path(root)
+        self.root = root = Path(root)
+        self.config_path = root / "workspace.json"
+        self.metadata_dir = root / "metadata"
+        self.properties_dir = root / "properties"
+        self.callgraph_path = root / "callgraph.csv"
+        self.tokenstats_dir = root / "tokenstats"
+        self.reports_dir = root / "reports"
 
     # -- config ---------------------------------------------------------------
-
-    @property
-    def config_path(self) -> Path:
-        return self.root / "workspace.json"
 
     def save_config(self, cfg: WorkspaceConfig) -> None:
         if cfg.strictness not in STRICTNESS:
@@ -123,8 +130,8 @@ class Workspace:
         """The saved config; a file that does not hold one is an InputError."""
         path = self.config_path
         if not path.exists():
-            raise InputError(
-                f"no workspace at {self.root}; run `catalog` first")
+            raise InputError(f"no workspace at {self.root}; "
+                             f"run `{self.writer(path)}` first")
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
@@ -147,35 +154,31 @@ class Workspace:
 
     # -- paths ------------------------------------------------------------------
 
-    @property
-    def metadata_dir(self) -> Path:
-        return self.root / "metadata"
-
     def property_path(self, key: str) -> Path:
-        return self.root / "properties" / f"{key}.csv"
+        return self.properties_dir / f"{key}.csv"
 
     def repr_path(self, rtype: str) -> Path:
         return self.root / "representations" / f"{rtype}.csv"
 
-    @property
-    def callgraph_path(self) -> Path:
-        return self.root / "callgraph.csv"
-
     def task_path(self, name: str) -> Path:
         return self.root / "tasks" / f"{name}.csv"
 
-    @property
-    def tokenstats_dir(self) -> Path:
-        return self.root / "tokenstats"
+    def writer(self, path: Path) -> str:
+        """The command that writes the workspace file at `path`."""
+        entry = path.relative_to(self.root).parts[0]
+        if entry == "properties":
+            return PROPERTY_WRITERS.get(path.stem, ARTIFACT_WRITERS[entry])
+        return ARTIFACT_WRITERS[entry]
 
-    @property
-    def reports_dir(self) -> Path:
-        return self.root / "reports"
-
-    def require(self, path: Path, hint: str) -> Path:
+    def require(self, path: Path) -> Path:
         if not path.exists():
-            raise InputError(f"missing artifact {path.name}; run `{hint}` first")
+            raise InputError(f"missing artifact {path.name}; "
+                             f"run `{self.writer(path)}` first")
         return path
+
+    def require_metadata(self) -> None:
+        for name, _row, _key, _ints in METADATA_TABLES:
+            self.require(self.metadata_dir / f"{name}.csv")
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +237,13 @@ def load_corpus(ws: Workspace
     The reparse must give the four stored metadata tables row for row, so
     a corpus edit that adds, removes or renames an entity or moves a
     method's lines fails loudly instead of mixing artifacts. An edit that
-    keeps every row (a method body changed within its lines) passes.
+    keeps every row (a method body changed within its lines) passes. A
+    missing metadata table is reported before anything is parsed.
     """
     cfg = ws.load_config()
+    ws.require_metadata()
     datas = parse_corpus(cfg)
     cat = merged_catalog(datas)
-    ws.require(ws.metadata_dir / "methods.csv", "catalog")
     stored = read_metadata(ws.metadata_dir)
     for name, _row, _key, _ints in METADATA_TABLES:
         pairs = zip_longest(getattr(stored, name), getattr(cat, name))
@@ -326,7 +330,7 @@ def stage_metrics(ws: Workspace, datas: list[ProjectData],
             for key in METRIC_KEYS:
                 tables[key][meta.method_id] = values[key]
     for key in METRIC_KEYS:
-        write_property_csv(key, tables[key], ws.root / "properties")
+        write_property_csv(key, tables[key], ws.properties_dir)
     return {"keys": list(METRIC_KEYS), "methods": len(cat.methods)}
 
 
@@ -336,7 +340,7 @@ def stage_callgraph(ws: Workspace, datas: list[ProjectData], cat: Catalog,
     write_callgraph_csv(ws.callgraph_path, graph)
     conn = connectivity_props(graph, cat)
     for key, table in conn.items():
-        write_property_csv(key, table, ws.root / "properties")
+        write_property_csv(key, table, ws.properties_dir)
     dist = classify_distribution(graph) if graph.edges else {}
     return {"edges": len(graph.edges),
             "distribution": {k: round(v, 6) for k, v in dist.items()}}
@@ -345,14 +349,14 @@ def stage_callgraph(ws: Workspace, datas: list[ProjectData], cat: Catalog,
 def stage_props_import(ws: Workspace, cat: Catalog, source_csv,
                        key: str | None = None) -> dict:
     source = Path(source_csv)
-    if not source.exists():
+    if not source.is_file():
         raise InputError(f"no such property file: {source}")
     inferred = key or source.stem
     validate_property_key(inferred)
     values = read_property_csv(source)
     known = {m.method_id for m in cat.methods}
     table = {mid: v for mid, v in values.items() if mid in known}
-    write_property_csv(inferred, table, ws.root / "properties")
+    write_property_csv(inferred, table, ws.properties_dir)
     return {"key": inferred, "stored": len(table),
             "rejected": len(values) - len(table)}
 
@@ -361,7 +365,7 @@ def _load_props(ws: Workspace, keys: list[str]) -> dict[str, dict]:
     """Property tables; a missing one names the command that writes it."""
     out = {}
     for key in keys:
-        path = ws.require(ws.property_path(key), property_writer(key))
+        path = ws.require(ws.property_path(key))
         out[key] = {mid: property_value(v)
                     for mid, v in read_property_csv(path).items()}
     return out
@@ -378,14 +382,14 @@ def stage_taskgen(ws: Workspace, datas: list[ProjectData], cat: Catalog,
         needed = [key] + [f[0] for f in filters]
         for k in needed:
             validate_property_key(k)
-        payloads = read_repr_csv(ws.require(ws.repr_path("TKNA"), "repr"))
+        payloads = read_repr_csv(ws.require(ws.repr_path("TKNA")))
         props = _load_props(ws, sorted(set(needed)))
         dataset = make_property_task(
             key, props, payloads, cat, filters=list(filters),
             balance=balance, split_fracs=split_fracs, seed=seed)
         name = f"property_{key}"
     elif task == "call-mask":
-        graph = read_callgraph_csv(ws.require(ws.callgraph_path, "callgraph"))
+        graph = read_callgraph_csv(ws.require(ws.callgraph_path))
         dataset = make_call_masking_task(
             cat, sources, graph, seed=seed, split_fracs=split_fracs,
             include_constructors=include_constructors)
@@ -478,7 +482,7 @@ def _write_table(path_base: Path, header: list[str], rows: list[list],
 
 def stage_report(ws: Workspace, cat: Catalog, study: str) -> dict:
     if study == "calls":
-        path = ws.require(ws.callgraph_path, "callgraph")
+        path = ws.require(ws.callgraph_path)
         graph = read_callgraph_csv(path)
         if not graph.edges:
             raise InputError(f"{path.name} holds no call sites, so there is "
@@ -490,7 +494,7 @@ def stage_report(ws: Workspace, cat: Catalog, study: str) -> dict:
         return {"study": study, "total_percent":
                 round(sum(float(r[1]) for r in rows), 6)}
     if study == "windows":
-        sizes_path = ws.require(ws.tokenstats_dir / "sizes.csv", "tokenstats")
+        sizes_path = ws.require(ws.tokenstats_dir / "sizes.csv")
         records = read_sizes_csv(sizes_path)
         table = window_fit(records)
         rows = [[g, tag, bucket, tau, f"{f:.4f}"]
@@ -532,6 +536,7 @@ def stage_add_project(ws: Workspace, project_root, replace: bool = False
     if corpus_root not in root.parents:
         raise InputError(
             f"project must live under the corpus root {corpus_root}")
+    ws.require_metadata()
 
     datas = parse_corpus(cfg)
     project_path = root.relative_to(corpus_root).as_posix()
@@ -541,12 +546,10 @@ def stage_add_project(ws: Workspace, project_root, replace: bool = False
         raise InputError("project was not discovered under the corpus root")
     if not new_data.classes:
         raise EmptyProjectError(f"no cataloged classes under {root}")
-    if ws.metadata_dir.joinpath("projects.csv").exists():
-        existing = read_metadata(ws.metadata_dir)
-        if not replace and new_data.project.project_id in existing.by_id:
-            raise InputError(
-                f"project already cataloged: {project_path}; "
-                "pass --replace to regenerate it")
+    existing = read_metadata(ws.metadata_dir)
+    if not replace and new_data.project.project_id in existing.by_id:
+        raise InputError(f"project already cataloged: {project_path}; "
+                         "pass --replace to regenerate it")
 
     cat = merged_catalog(datas)
     write_metadata(cat, ws.metadata_dir)

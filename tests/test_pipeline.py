@@ -367,6 +367,10 @@ def test_property_import_guards_key_and_source(pipe_env, tmp_path):
     ws, _cfg, _datas, cat, _s = pipe_env
     with pytest.raises(InputError, match="no such property file"):
         stage_props_import(ws, cat, tmp_path / "ghost.csv")
+    # a directory is not a property file, nor a missing workspace artifact
+    (tmp_path / "GRADES.csv").mkdir()
+    with pytest.raises(InputError, match="no such property file: .*GRADES"):
+        stage_props_import(ws, cat, tmp_path / "GRADES.csv")
     src = tmp_path / "bad.csv"
     src.write_text("method_id,value\n", encoding="utf-8")
     with pytest.raises(InvalidArgumentError, match="uppercase"):
@@ -385,7 +389,29 @@ def test_missing_artifacts_name_the_fix(tmp_path):
     ws = Workspace(tmp_path / "ws")
     with pytest.raises(InputError,
                        match=r"missing artifact TKNA\.csv; run `repr` first"):
-        ws.require(ws.repr_path("TKNA"), "repr")
+        ws.require(ws.repr_path("TKNA"))
+
+
+@pytest.mark.parametrize("table", ["projects", "packages", "classes",
+                                   "methods"])
+def test_a_missing_metadata_table_names_catalog_before_any_parse(
+        tmp_path, monkeypatch, table):
+    corpus = tmp_path / "corpus"
+    (corpus / "first").mkdir(parents=True)
+    (corpus / "first" / "A.java").write_text(
+        "class A { int f() { return 1; } }\n", encoding="utf-8")
+    ws = Workspace(tmp_path / "ws")
+    stage_catalog(ws, WorkspaceConfig(corpus_root=str(corpus)))
+    (ws.metadata_dir / f"{table}.csv").unlink()
+    parsed = []
+    monkeypatch.setattr(catalog_mod, "file_view",
+                        lambda text, path: parsed.append(path))
+    message = re.escape(f"missing artifact {table}.csv; run `catalog` first")
+    with pytest.raises(InputError, match=message):
+        load_corpus(ws)
+    with pytest.raises(InputError, match=message):
+        stage_add_project(ws, corpus / "first", replace=True)
+    assert parsed == []
 
 
 # ---------------------------------------------------------------------------
