@@ -7,8 +7,9 @@ representations do not). Annotations are not special here: `@Override` lexes
 as a separator `@` followed by an identifier.
 
 Number literals are plain decimal digit runs; float/hex forms are outside the
-subset. Generic angle brackets lex as ordinary `<` / `>` operators and are
-dealt with by the parser.
+subset. A char literal holds one character or escape, octal (`'\\101'`) and
+Unicode (`'\\u0041'`, one or more `u`) ones included. Generic angle brackets
+lex as ordinary `<` / `>` operators and are dealt with by the parser.
 
 A `Token` is a named tuple (kind, lexeme, line, col). `lex` walks the source
 once with `_TOKEN_RE.findall`, one match per token: the whitespace and
@@ -80,7 +81,7 @@ _TOKEN_RE = re.compile(
     (\s*(?:(?://[^\n]*|/\*.*?\*/)\s*)*)
     ( /\*
     | "(?:\\.|[^"\\\n])*"
-    | '(?:\\.|[^'\\\n])'
+    | '(?:\\u+[0-9A-Fa-f]{4}|\\[0-3]?[0-7]{1,2}|\\.|[^'\\\n])'
     | [0-9]+
     | [A-Za-z_$][A-Za-z0-9_$]*
     | """ + "|".join(re.escape(op) for op in _OPERATORS if len(op) > 1) + r"""

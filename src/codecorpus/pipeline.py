@@ -15,14 +15,14 @@ the four stored metadata tables, and `add-project` reuses the same single
 parse. Property values are read by `catalog.property_value`; each stage
 prints its own notes (diagnostics, empty task splits) on stderr.
 
-Every writer sorts its rows, so regenerating a workspace with the same
-corpus and seed reproduces identical bytes. Every workspace file is
-written through `tables`, so it is replaced whole or not at all, and each
-reader gives `tables` its table's key (an entity, a method, a call site's
-caller, line and column, a sample, or a size's entity, granularity and
-tokenizer). A malformed or truncated table, or one whose key repeats, is an
-`InputError` naming `file:line`; so is a `workspace.json` that does not
-hold a config, naming the file (CLI exit 2 for all).
+Every writer writes its rows in key order (`repr` builds each payload as it
+writes it), so the same corpus and seed reproduce identical bytes. Every
+workspace file is written through `tables`, so it is replaced whole or not
+at all, and each reader gives `tables` its table's key (an entity, a method,
+a call site's caller, line and column, a sample, or a size's entity,
+granularity and tokenizer). A malformed or truncated table, or one whose key
+repeats, is an `InputError` naming `file:line`; so is a `workspace.json`
+that does not hold a config, naming the file (CLI exit 2 for all).
 """
 
 import json
@@ -30,7 +30,7 @@ import sys
 from collections import Counter
 from itertools import zip_longest
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import metrics as metrics_mod
 from .catalog import (CALLGRAPH_KEYS, Catalog, METADATA_TABLES, METRIC_KEYS,
@@ -251,7 +251,8 @@ def load_corpus(ws: Workspace
         if line is not None:
             raise InputError(
                 "corpus no longer matches the cataloged metadata: "
-                f"{name}.csv:{line} differs from the reparse; re-run `catalog`")
+                f"{name}.csv:{line} differs from the reparse; "
+                f"re-run `{ws.writer(ws.metadata_dir)}`")
     return cfg, datas, cat
 
 
@@ -286,8 +287,9 @@ def stage_catalog(ws: Workspace, cfg: WorkspaceConfig) -> dict:
             "skipped_files": _report_skipped_files(datas), "seed": cfg.seed}
 
 
-def _write_repr_csv(path: Path, rows: list[tuple[str, str]]) -> None:
-    write_table(path, REPR_HEADER, sorted(rows))
+def _write_repr_csv(path: Path, rows: Iterable[tuple[str, str]]) -> None:
+    """Write (method id, payload) rows as they come, in method-id order."""
+    write_table(path, REPR_HEADER, rows)
 
 
 def read_repr_csv(path) -> dict[EntityId, str]:
@@ -304,21 +306,20 @@ def stage_representations(ws: Workspace, datas: list[ProjectData],
             else "no representation types given"
         raise InvalidArgumentError(
             f"{what}; valid: {', '.join(REPRESENTATION_TYPES)}")
-    counts = {}
+    methods = sorted(((meta.method_id, d.sources[meta.method_id],
+                       d.class_views[meta.class_id].classes[0].fields)
+                      for d in datas for meta in d.methods),
+                     key=lambda entry: entry[0])
     for rtype in types:
         build = _PAYLOAD_BUILDERS[rtype]
-        rows = []
-        for d in datas:
-            argmaps = arg_name_maps(d) if rtype == "FTGR" else {}
-            for meta in d.methods:
-                fields = d.class_views[meta.class_id].classes[0].fields
-                payload = build(d.sources[meta.method_id], fields,
-                                argmaps.get(meta.method_id, {}), seed)
-                rows.append((meta.method_id, payload))
-        _write_repr_csv(ws.repr_path(rtype), rows)
-        counts[rtype] = len(rows)
+        argmaps = {mid: names for d in datas if rtype == "FTGR"
+                   for mid, names in arg_name_maps(d).items()}
+        _write_repr_csv(ws.repr_path(rtype), (
+            (mid, build(method, fields, argmaps.get(mid, {}), seed))
+            for mid, method, fields in methods))
     clear_render_caches()
-    return {"types": types, "methods_per_type": counts}
+    return {"types": types,
+            "methods_per_type": dict.fromkeys(types, len(methods))}
 
 
 def stage_metrics(ws: Workspace, datas: list[ProjectData],

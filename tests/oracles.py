@@ -1319,7 +1319,8 @@ _TOKEN_RE = re.compile(
     | (?P<line_comment>//[^\n]*)
     | (?P<block_comment>/\*.*?\*/)
     | (?P<string>"(?:\\.|[^"\\\n])*")
-    | (?P<char>'(?:\\.|[^'\\\n])')
+    | (?P<char>'(?:\\u+[0-9A-Fa-f]{4}|\\[0-3][0-7]{2}|\\[0-7]{1,2}|\\.
+                  |[^'\\\n])')
     | (?P<number>[0-9]+)
     | (?P<word>[A-Za-z_$][A-Za-z0-9_$]*)
     | (?P<op>&&|\|\||\+\+|--|<=|>=|==|!=|\+=|-=|\*=|/=|%=|[=<>!?:+\-*/%&|^~])

@@ -5,7 +5,7 @@ from the workspace's artifact table (`pipeline.ARTIFACT_WRITERS` and
 `pipeline.PROPERTY_WRITERS`), so the table stays the one owner of which
 command writes what. This reads every string constant of each module,
 the literal parts of its f-strings included, and fails on any that spells
-a command inside "run `...` first".
+a command inside "run `...`" ("re-run `...`" and "run `...` first" alike).
 """
 
 import ast
@@ -17,7 +17,7 @@ import pytest
 import codecorpus
 
 MODULES = sorted(Path(codecorpus.__file__).parent.glob("*.py"))
-HAND_WRITTEN = re.compile(r"run `[^`{}]+` first")
+HAND_WRITTEN = re.compile(r"run `[^`{}]+`")
 
 
 def hand_written_hints(source: str) -> list[str]:
@@ -38,6 +38,9 @@ def test_the_scan_finds_a_hand_written_hint():
         'def f(path, writer):\n'
         '    a = f"missing {path}; run `{writer}` first"\n'
         '    b = f"missing {path}; run `repr` first"\n'
+        '    c = f"{path} differs; re-run `{writer}`"\n'
+        '    d = f"{path} differs; re-run `catalog`"\n'
         '    return "no workspace; run `catalog` first"\n') == [
         "'; run `repr` first' (line 3)",
-        "'no workspace; run `catalog` first' (line 4)"]
+        "' differs; re-run `catalog`' (line 5)",
+        "'no workspace; run `catalog` first' (line 6)"]

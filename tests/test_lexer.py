@@ -59,6 +59,24 @@ def test_contextual_words_stay_identifiers():
     assert {t.kind for t in lex(" ".join(words))} == {KIND_IDENTIFIER}
 
 
+@pytest.mark.parametrize("literal", [
+    "'\\u0041'", "'\\uuu00e9'", "'\\uFFFF'", "'\\101'", "'\\377'", "'\\77'",
+    "'\\7'", "'\\0'", "'\\n'", "'\\''",
+])
+def test_a_char_escape_lexes_as_one_char_literal(literal):
+    assert [(t.kind, t.lexeme) for t in lex(f"c = {literal};")] == [
+        (KIND_IDENTIFIER, "c"), (KIND_OPERATOR, "="), (KIND_CHAR, literal),
+        (KIND_SEPARATOR, ";")]
+
+
+@pytest.mark.parametrize("literal", [
+    "'\\u004'", "'\\u00G1'", "'\\477'", "'\\1011'", "'\\u00411'",
+])
+def test_a_malformed_char_escape_is_a_lex_error(literal):
+    with pytest.raises(LexError, match="malformed char literal at 1:5"):
+        lex(f"c = {literal};")
+
+
 def test_multi_char_operators_lex_as_one_token():
     assert lexemes("a && b || c <= d >= e == f != g++ h-- i += j") == [
         "a", "&&", "b", "||", "c", "<=", "d", ">=", "e", "==", "f", "!=",
@@ -120,7 +138,8 @@ _PIECES = st.sampled_from([
     "/*", "*/", "//", '"', "'", "\\", "'a'", "'\\''", '"a b"', '"\\""',
     "\n", "\r\n", "\r", "\t", " ", "\u00a0", "\u2028", "\x0c", "é", "☃",
     "😀", "#", "`", "int", "x1", "$y", "_", "42", "true", "null", "<=", "&&",
-    "++", "=", "@", ";", "{", "}", "(", ".",
+    "++", "=", "@", ";", "{", "}", "(", ".", "'\\u0041'", "'\\uu00e9'",
+    "'\\101'", "'\\7'", "\\u", "\\377", "u00", "7",
 ])
 _SOURCES = sorted(fixture_files().items())
 _EDITS = st.lists(st.tuples(st.integers(0, 1 << 20), st.integers(0, 3),
@@ -192,7 +211,7 @@ _SNIPPET_TOKENS = st.lists(
                          ")", "{", "}", ";", ",", ".", "?", ":",
                          "true", "null"]),
         st.sampled_from(['"a,b"', '"say \\"hi\\""', "','", "'\\n'",
-                         '"sp ace"', '""']),
+                         '"sp ace"', '""', "'\\u002c'", "'\\101'", "'\\7'"]),
     ),
     min_size=0, max_size=40)
 

@@ -10,6 +10,7 @@ import io
 import json
 import re
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -172,7 +173,9 @@ def test_stale_metadata_is_detected(pipe_env):
                      encoding="utf-8")
     try:
         with pytest.raises(InputError,
-                           match="no longer matches the cataloged metadata"):
+                           match="no longer matches the cataloged metadata: "
+                                 r"\w+\.csv:\d+ differs from the reparse; "
+                                 "re-run `catalog`$"):
             load_corpus(ws)
         # rebuilding parses the changed corpus without that check
         datas = parse_corpus(ws.load_config())
@@ -324,6 +327,40 @@ def test_repr_reader_names_the_line_of_a_short_row(tmp_path):
                    encoding="utf-8")
     with pytest.raises(InputError, match="TKNA.csv:4: expected 2 fields"):
         read_repr_csv(bad)
+
+
+def test_repr_holds_no_table_and_a_failed_build_keeps_the_old_one(
+        tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus"
+    write_fixture_corpus(corpus)
+    datas = parse_corpus(WorkspaceConfig(corpus_root=str(corpus)))
+    ws = Workspace(tmp_path / "ws")
+    tracemalloc.start()
+    try:
+        stage_representations(ws, datas, list(REPRESENTATION_TYPES), 0)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # what the stage allocates and frees again stays well below any table
+    largest = max(ws.repr_path(t).stat().st_size for t in REPRESENTATION_TYPES)
+    assert peak - retained < largest / 4
+
+    tkna = ws.repr_path("TKNA")
+    before = tkna.read_bytes()
+    calls = []
+
+    def failing(method, fields, argmap, seed):
+        calls.append(method)
+        if len(calls) == 300:
+            raise RuntimeError("payload 300")
+        return "changed"
+
+    monkeypatch.setitem(pipeline_mod._PAYLOAD_BUILDERS, "TKNA", failing)
+    with pytest.raises(RuntimeError, match="payload 300"):
+        stage_representations(ws, datas, ["TKNA"], 0)
+    assert tkna.read_bytes() == before
+    assert sorted(p.name for p in tkna.parent.iterdir()) == sorted(
+        f"{t}.csv" for t in REPRESENTATION_TYPES)
 
 
 def test_repr_payloads_beyond_the_csv_field_limit_read_back(tmp_path):
