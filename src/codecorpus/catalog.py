@@ -27,10 +27,11 @@ A stored value is read back by `property_value` (`7` is an int, `007` and
 and `pipeline.PROPERTY_WRITERS`) names the command that writes each table.
 """
 
+import os
 import re
 from collections import Counter
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import CorpusError, InputError, InvalidArgumentError, ParseError
 from .identity import (
@@ -157,9 +158,23 @@ class ProjectData(NamedTuple):
     diagnostics: list[Diagnostic]
 
 
-def _parse_one(path: Path, rel: str) -> FileView | Diagnostic:
+def java_entries(root: str) -> Iterator[tuple[str, ...]]:
+    """The path parts, below `root`, of every entry named `*.java`, in
+    walk order: the entries `Path(root).rglob("*.java")` yields. Hidden
+    directories are entered and symlinked ones are not; a directory or a
+    link named `*.java` is listed too."""
+    base = os.path.join(root, "")
+    for dirpath, dirnames, filenames in os.walk(root):
+        prefix = tuple(filter(None, dirpath[len(base):].split(os.sep)))
+        for name in dirnames + filenames:
+            if name.endswith(".java"):
+                yield (*prefix, name)
+
+
+def _parse_one(path: str, rel: str) -> FileView | Diagnostic:
     try:
-        text = path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except UnicodeDecodeError as exc:
         return Diagnostic(rel, f"not valid UTF-8: {exc}")
     except OSError as exc:  # a directory or a dangling link named *.java
@@ -188,16 +203,17 @@ def catalog_project(root, corpus_root, strict: bool = False) -> ProjectData:
     project = ProjectMeta(project_id, project_rel, project_name)
 
     diagnostics: list[Diagnostic] = []
-    views: list[FileView] = []
-    for path in sorted(root.rglob("*.java")):
-        rel = f"{project_rel}/{path.relative_to(root).as_posix()}"
-        res = _parse_one(path, rel)
+    views: list[tuple[str, FileView]] = []     # (package path, view)
+    top = str(root)
+    for parts in sorted(java_entries(top)):     # as Paths sort: by parts
+        res = _parse_one(os.path.join(top, *parts),
+                         f"{project_rel}/{'/'.join(parts)}")
         if isinstance(res, Diagnostic):
             if strict:
                 raise ParseError(f"{res.path}: {res.message}")
             diagnostics.append(res)
         else:
-            views.append(res)
+            views.append(("/".join(parts[:-1]) or ".", res))
 
     packages: dict[str, PackageMeta] = {}
     packages_by_path: dict[str, PackageMeta] = {}
@@ -206,11 +222,10 @@ def catalog_project(root, corpus_root, strict: bool = False) -> ProjectData:
     sources: dict[EntityId, MethodSource] = {}
     class_views: dict[EntityId, FileView] = {}
 
-    for view in views:
+    for pkg_path, view in views:
         file_rel = view.path
         pkg_name = view.package_name
         if pkg_name not in packages:
-            pkg_path = Path(file_rel).parent.relative_to(project_rel).as_posix()
             if pkg_path in packages_by_path:
                 # the package id is path-keyed; fold mismatched declarations in
                 diagnostics.append(Diagnostic(

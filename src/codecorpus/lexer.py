@@ -7,9 +7,12 @@ representations do not). Annotations are not special here: `@Override` lexes
 as a separator `@` followed by an identifier.
 
 Number literals are plain decimal digit runs; float/hex forms are outside the
-subset. A char literal holds one character or escape, octal (`'\\101'`) and
-Unicode (`'\\u0041'`, one or more `u`) ones included. Generic angle brackets
-lex as ordinary `<` / `>` operators and are dealt with by the parser.
+subset. A char literal holds one character or escape and a string literal
+any run of them. The escapes are those of JLS SE 17 §3.10.7 (`\\b \\s \\t
+\\n \\f \\r \\" \\' \\\\` and octal, `'\\101'`) and Unicode ones (`'\\u0041'`,
+one or more `u`); any other backslash makes the literal a LexError. Generic
+angle brackets lex as ordinary `<` / `>` operators and are dealt with by the
+parser.
 
 A `Token` is a named tuple (kind, lexeme, line, col). `lex` walks the source
 once with `_TOKEN_RE.findall`, one match per token: the whitespace and
@@ -80,8 +83,8 @@ _TOKEN_RE = re.compile(
     r"""
     (\s*(?:(?://[^\n]*|/\*.*?\*/)\s*)*)
     ( /\*
-    | "(?:\\.|[^"\\\n])*"
-    | '(?:\\u+[0-9A-Fa-f]{4}|\\[0-3]?[0-7]{1,2}|\\.|[^'\\\n])'
+    | "(?:\\(?:u+[0-9A-Fa-f]{4}|[0-7bstnfr"'\\])|[^"\\\n])*"
+    | '(?:\\u+[0-9A-Fa-f]{4}|\\[0-3]?[0-7]{1,2}|\\[bstnfr"'\\]|[^'\\\n])'
     | [0-9]+
     | [A-Za-z_$][A-Za-z0-9_$]*
     | """ + "|".join(re.escape(op) for op in _OPERATORS if len(op) > 1) + r"""
@@ -107,7 +110,7 @@ _FIRST_KINDS = {
 }
 
 _ILLEGAL = {"/*": "unterminated block comment",
-            '"': "unterminated string literal",
+            '"': "unterminated or malformed string literal",
             "'": "unterminated or malformed char literal"}
 
 

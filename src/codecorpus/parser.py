@@ -894,13 +894,17 @@ def _type_name(tokens: list[Token], ty: _Node) -> list[str]:
 def _method_source(tokens: list[Token], source: str, starts: list[int],
                    member: _Node, class_name: str) -> MethodSource:
     # shape: modifiers [Type] name '(' [Param (',' Param)*] ')' (Block | ';');
-    # the leaves before the name are the modifier words
-    lparen = next(j for j, c in enumerate(member)
-                  if c.__class__ is int and tokens[c].lexeme == "(")
+    # the leaves before '(' are the modifier words and then the name
+    words = []
+    for lparen in range(1, len(member)):
+        c = member[lparen]
+        if c.__class__ is int:
+            lexeme = tokens[c].lexeme
+            if lexeme == "(":
+                break
+            words.append(lexeme)
+    name = words.pop()
     is_ctor = member[0] == NT_CTOR
-    modifiers = frozenset(tokens[c].lexeme for c in member[1:lparen - 1]
-                          if c.__class__ is int)
-    name = tokens[member[lparen - 1]].lexeme
     return_type = class_name if is_ctor else _type_name(tokens, member[lparen - 2])[-1]
     param_types, param_names = [], []
     for p in member[lparen + 1:-2:2]:
@@ -910,22 +914,10 @@ def _method_source(tokens: list[Token], source: str, starts: list[int],
     first, last = _leaf(member, 1), _leaf(member, -1)
     start, end = tokens[first].line, tokens[last].line
     return MethodSource(
-        name=name,
-        signature=f"{name}({','.join(param_types)})",
-        start_line=start,
-        end_line=end,
-        param_types=param_types,
-        param_names=param_names,
-        return_type=return_type,
-        is_constructor=is_ctor,
-        modifiers=modifiers,
-        class_name=class_name,
-        _node=member,
-        _file_tokens=tokens,
-        _token_span=(first, last + 1),
-        _source=source,
-        _span=(starts[start - 1], starts[end]),
-    )
+        name, f"{name}({','.join(param_types)})", start, end, param_types,
+        param_names, return_type, is_ctor, frozenset(words), class_name,
+        member, tokens, (first, last + 1), source,
+        (starts[start - 1], starts[end]))
 
 
 def file_view(source: str, path: str = "<source>") -> FileView:

@@ -18,15 +18,17 @@ it climbs at most `max_length` ancestors, and at each one visits only the
 next `max_width` sibling subtrees, and in them only the terminals shallow
 enough to fit the remaining length. Each (start, ancestor, sibling) visit is
 a group. Each node keeps its terminals, with their depth below it, in
-preorder, and how many lie within each depth. So a group's size is one
-lookup, and taking a start's groups by rising ancestor and siblings left to
-right lists its ends in token order without a sort.
+preorder, so taking a start's groups by rising ancestor and siblings left
+to right lists its ends in token order without a sort.
 
-Counting comes before building. The group sizes give the admissible pair
-count; a method within `max_contexts` expands every group. Past it, the
-sample is drawn as indices over the pair count, the draw an all-pairs scan
-would make, and only the groups holding a kept index are expanded, so a
-capped method builds only the paths it keeps.
+Counting happens only where a sample can be drawn. Each pair lies in one
+group, so t terminals make at most t(t-1)/2 pairs; within `max_contexts`,
+each group is expanded as the climb reaches it, uncounted. Past that, each
+node also counts its terminals within each depth, so a group's size is one
+lookup and the sizes sum to the pair count. A count within `max_contexts`
+expands every group; past it, the sample is drawn as indices over the
+count, the draw an all-pairs scan would make, and only the groups holding
+a kept index are expanded, so a capped method builds only what it keeps.
 
 The same climb records each terminal's ancestor chain: the node types above
 it, nearest first, as far as a path can reach. A kept path's `up_nodes`,
@@ -113,56 +115,73 @@ def extract_paths(ast: Ast,
     terminals = [i for i, ti in enumerate(ast.token_indices) if ti is not None]
     parents, types = ast.parents, ast.node_types
     reach = max_length - 1          # most nodes on either side of the lca
+    counted = len(terminals) * (len(terminals) - 1) // 2 > max_contexts
 
     # under[n]: (terminal, levels below n) within reach of n, in preorder;
-    # within[n][r]: how many of them are at most r levels below n;
     # chain[t]: types of the max_length nearest ancestors of terminal t;
     # right[n]: the max_width siblings after n
     under: list[list[tuple[int, int]]] = [[] for _ in range(len(ast))]
-    level = [[0] * min(size, max_length) for size in ast.subtree_sizes]
     chain: list[tuple[str, ...]] = [()] * len(ast)
     for t in terminals:
         n, above = t, []
         for r in range(max_length):
             under[n].append((t, r))
-            level[n][r] += 1
             if n == 0:
                 break
             n = parents[n]
             above.append(types[n])
         chain[t] = tuple(above)
-    within = [list(accumulate(counts)) for counts in level]
     right: list[tuple[int, ...]] = [()] * len(ast)
     for kids in ast.children:
         for k, c in enumerate(kids):
             right[c] = kids[k + 1:k + 1 + max_width]
 
-    # Group (a, d_a, sibling, before): the ends under sibling that fit a path
-    # up d_a nodes from a, in token order, after `before` pairs.
-    groups, total = [], 0
-    for a in terminals:
-        branch, d_a = a, 0
-        while branch != 0 and d_a <= reach:
-            lim = reach - d_a
-            for sibling in right[branch]:
-                counts = within[sibling]
-                groups.append((a, d_a, sibling, total))
-                total += counts[lim] if lim < len(counts) else counts[-1]
-            branch, d_a = parents[branch], d_a + 1
-
     new = tuple.__new__
-    if total <= max_contexts:
-        return [new(RawPath, (a, b, chain[a][:d_a], chain[a][d_a],
-                              chain[b][d_b - 1::-1] if d_b else ()))
-                for a, d_a, sibling, _ in groups
-                for b, d_b in under[sibling] if d_b <= reach - d_a]
-    paths = []
-    for k in sorted(random.Random(seed).sample(range(total), max_contexts)):
-        a, d_a, sibling, before = groups[bisect_right(
-            groups, k, key=itemgetter(3)) - 1]
-        b, d_b = [e for e in under[sibling] if e[1] <= reach - d_a][k - before]
-        paths.append(new(RawPath, (a, b, chain[a][:d_a], chain[a][d_a],
-                                   chain[b][d_b - 1::-1] if d_b else ())))
+    if counted:
+        # within[n][r]: how many of under[n] are at most r levels below n
+        within = []
+        for size, entries in zip(ast.subtree_sizes, under):
+            level = [0] * min(size, max_length)
+            for _t, r in entries:
+                level[r] += 1
+            within.append(list(accumulate(level)))
+        # Group (a, d_a, sibling, before): the ends under sibling that fit
+        # a path up d_a nodes from a, in token order, after `before` pairs.
+        groups, total = [], 0
+        for a in terminals:
+            branch, d_a = a, 0
+            while branch != 0 and d_a <= reach:
+                lim = reach - d_a
+                for sibling in right[branch]:
+                    counts = within[sibling]
+                    groups.append((a, d_a, sibling, total))
+                    total += counts[lim] if lim < len(counts) else counts[-1]
+                branch, d_a = parents[branch], d_a + 1
+        if total > max_contexts:
+            paths = []
+            for k in sorted(random.Random(seed).sample(range(total),
+                                                       max_contexts)):
+                a, d_a, sibling, before = groups[bisect_right(
+                    groups, k, key=itemgetter(3)) - 1]
+                b, d_b = [e for e in under[sibling]
+                          if e[1] <= reach - d_a][k - before]
+                paths.append(new(RawPath, (
+                    a, b, chain[a][:d_a], chain[a][d_a],
+                    chain[b][d_b - 1::-1] if d_b else ())))
+            return paths
+
+    paths = []      # every group, expanded as the climb reaches it
+    append = paths.append
+    for a in terminals:
+        above, branch, d_a = chain[a], a, 0
+        while branch != 0 and d_a <= reach:
+            up, lca, lim = above[:d_a], above[d_a], reach - d_a
+            for sibling in right[branch]:
+                for b, d_b in under[sibling]:
+                    if d_b <= lim:
+                        append(new(RawPath, (a, b, up, lca, chain[b][
+                            d_b - 1::-1] if d_b else ())))
+            branch, d_a = parents[branch], d_a + 1
     return paths
 
 

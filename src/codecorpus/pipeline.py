@@ -25,6 +25,7 @@ repeats, is an `InputError` naming `file:line`; so is a `workspace.json`
 that does not hold a config, naming the file (CLI exit 2 for all).
 """
 
+import csv
 import json
 import sys
 from collections import Counter
@@ -34,9 +35,10 @@ from typing import Iterable, NamedTuple
 
 from . import metrics as metrics_mod
 from .catalog import (CALLGRAPH_KEYS, Catalog, METADATA_TABLES, METRIC_KEYS,
-                      ProjectData, catalog_project, property_value,
-                      read_metadata, read_property_csv, validate_property_key,
-                      write_metadata, write_property_csv)
+                      MethodMeta, ProjectData, catalog_project, java_entries,
+                      property_value, read_metadata, read_property_csv,
+                      validate_property_key, write_metadata,
+                      write_property_csv)
 from .callgraph import (arg_name_maps, build_callgraph,
                         classify_distribution, connectivity_props,
                         n_hop_context, read_callgraph_csv,
@@ -189,10 +191,8 @@ def discover_projects(corpus_root: Path) -> list[Path]:
     root = Path(corpus_root)
     if not root.is_dir():
         raise InputError(f"corpus root is not a directory: {root}")
-    out = []
-    for child in sorted(root.iterdir()):
-        if child.is_dir() and any(child.rglob("*.java")):
-            out.append(child)
+    out = [child for child in sorted(root.iterdir())
+           if child.is_dir() and any(java_entries(str(child)))]
     if not out:
         raise InputError(f"no project directories with .java files in {root}")
     return out
@@ -362,13 +362,33 @@ def stage_props_import(ws: Workspace, cat: Catalog, source_csv,
             "rejected": len(values) - len(table)}
 
 
-def _load_props(ws: Workspace, keys: list[str]) -> dict[str, dict]:
-    """Property tables; a missing one names the command that writes it."""
+def _cataloged(ws: Workspace, cat: Catalog, path: Path, table: dict) -> dict:
+    """`table`, read from the per-method workspace table at `path`, if it
+    holds a row and only cataloged method ids; else an InputError naming
+    the file (with the line of the first stray id) and its writer."""
+    fix = f"re-run `{ws.writer(path)}`"
+    if not table:
+        raise InputError(f"{path}: holds no method rows; {fix}")
+    stray = next((mid for mid in table
+                  if cat.by_id.get(mid).__class__ is not MethodMeta), None)
+    if stray is not None:
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = csv.reader(fh)
+            line = next(rows.line_num for row in rows if row[:1] == [stray])
+        raise InputError(f"{path}:{line}: method_id {stray!r} is not a "
+                         f"cataloged method; {fix}")
+    return table
+
+
+def _load_props(ws: Workspace, cat: Catalog, keys: list[str]
+                ) -> dict[str, dict]:
+    """Property tables of cataloged methods; a missing one names the
+    command that writes it."""
     out = {}
     for key in keys:
         path = ws.require(ws.property_path(key))
-        out[key] = {mid: property_value(v)
-                    for mid, v in read_property_csv(path).items()}
+        out[key] = {mid: property_value(v) for mid, v in _cataloged(
+            ws, cat, path, read_property_csv(path)).items()}
     return out
 
 
@@ -383,8 +403,9 @@ def stage_taskgen(ws: Workspace, datas: list[ProjectData], cat: Catalog,
         needed = [key] + [f[0] for f in filters]
         for k in needed:
             validate_property_key(k)
-        payloads = read_repr_csv(ws.require(ws.repr_path("TKNA")))
-        props = _load_props(ws, sorted(set(needed)))
+        tkna = ws.require(ws.repr_path("TKNA"))
+        payloads = _cataloged(ws, cat, tkna, read_repr_csv(tkna))
+        props = _load_props(ws, cat, sorted(set(needed)))
         dataset = make_property_task(
             key, props, payloads, cat, filters=list(filters),
             balance=balance, split_fracs=split_fracs, seed=seed)
@@ -506,7 +527,7 @@ def stage_report(ws: Workspace, cat: Catalog, study: str) -> dict:
                      rows, "Entities fitting each context window")
         return {"study": study, "rows": len(rows)}
     if study == "bias":
-        props = _load_props(ws, ["SLOC", "CMPX"])
+        props = _load_props(ws, cat, ["SLOC", "CMPX"])
         for key, table in props.items():
             for mid, value in table.items():
                 if not isinstance(value, int):

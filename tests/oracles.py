@@ -1318,9 +1318,10 @@ _TOKEN_RE = re.compile(
       (?P<ws>\s+)
     | (?P<line_comment>//[^\n]*)
     | (?P<block_comment>/\*.*?\*/)
-    | (?P<string>"(?:\\.|[^"\\\n])*")
-    | (?P<char>'(?:\\u+[0-9A-Fa-f]{4}|\\[0-3][0-7]{2}|\\[0-7]{1,2}|\\.
-                  |[^'\\\n])')
+    | (?P<string>"(?:\\u+[0-9A-Fa-f]{4}|(?>\\[0-3][0-7]{2}|\\[0-7]{1,2})
+                    |\\[btnfr]|\\s|\\"|\\'|\\\\|[^"\\\n])*")
+    | (?P<char>'(?:\\u+[0-9A-Fa-f]{4}|\\[0-3][0-7]{2}|\\[0-7]{1,2}
+                  |\\[btnfr]|\\s|\\"|\\'|\\\\|[^'\\\n])')
     | (?P<number>[0-9]+)
     | (?P<word>[A-Za-z_$][A-Za-z0-9_$]*)
     | (?P<op>&&|\|\||\+\+|--|<=|>=|==|!=|\+=|-=|\*=|/=|%=|[=<>!?:+\-*/%&|^~])
@@ -1353,7 +1354,8 @@ def lex_oracle(source: str) -> list[Token]:
         if m is None:
             ch = source[pos]
             if ch == '"':
-                raise LexError("unterminated string literal", line, col)
+                raise LexError("unterminated or malformed string literal",
+                               line, col)
             if ch == "'":
                 raise LexError("unterminated or malformed char literal", line, col)
             if source.startswith("/*", pos):

@@ -628,6 +628,42 @@ def test_a_repeated_key_is_an_input_error(metrics_ws, tmp_path, artifact,
         "(first on line 2)" in proc.stderr
 
 
+@pytest.mark.parametrize("artifact, line, row, command, writer", [
+    ("properties/CMPX.csv", None, None, "taskgen", "metrics"),
+    ("properties/CMPX.csv", -1, "not-a-method-id,7", "taskgen", "metrics"),
+    ("properties/CMPX.csv", 3, "demo,7", "taskgen", "metrics"),
+    ("representations/TKNA.csv", -1, "zz,payload", "taskgen", "repr"),
+    ("representations/TKNA.csv", None, None, "taskgen", "repr"),
+    ("properties/SLOC.csv", 2, "zz,3", "bias", "metrics"),
+], ids=["CMPX-empty", "CMPX-appended", "CMPX-project-id", "TKNA-appended",
+        "TKNA-empty", "SLOC-first"])
+def test_a_per_method_input_holds_rows_of_cataloged_methods(
+        metrics_ws, tmp_path, artifact, line, row, command, writer):
+    """An empty table, or a row whose id is no cataloged method (a project
+    id included), is an input error naming the file, the row's line and
+    the file's writer, before any sample or report is made."""
+    ws = tmp_path / "ws"
+    shutil.copytree(metrics_ws, ws)
+    target = ws / artifact
+    lines = target.read_text(encoding="utf-8").splitlines(keepends=True)
+    if row is None:
+        lines, want = lines[:1], f"{target}: holds no method rows; "
+    else:
+        if row.startswith("demo,"):
+            with open(ws / "metadata" / "projects.csv", newline="",
+                      encoding="utf-8") as f:
+                row = f"{list(csv.reader(f))[1][0]},7"
+        line = len(lines) + 1 if line == -1 else line
+        lines.insert(line - 1, row + "\r\n")
+        want = (f"{target}:{line}: method_id {row.split(',')[0]!r} is not a "
+                "cataloged method; ")
+    target.write_text("".join(lines), encoding="utf-8")
+    proc = run_cli(*(("taskgen", "--task", "property") if command == "taskgen"
+                     else ("report", "--study", "bias")), "-w", ws)
+    assert proc.returncode == 2, proc.stderr
+    assert f"input error: {want}re-run `{writer}`" in proc.stderr
+
+
 @pytest.fixture(scope="module")
 def tasks_ws(metrics_ws):
     """`metrics_ws` with a call graph, so that every task can be built."""

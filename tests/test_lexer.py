@@ -77,6 +77,26 @@ def test_a_malformed_char_escape_is_a_lex_error(literal):
         lex(f"c = {literal};")
 
 
+# JLS SE 17 §3.10.7: every escape sequence, an octal one and a Unicode one
+JAVA_ESCAPES = ["\\b", "\\s", "\\t", "\\n", "\\f", "\\r", '\\"', "\\'",
+                "\\\\", "\\0", "\\101", "\\u00e9"]
+
+
+@pytest.mark.parametrize("escape", JAVA_ESCAPES)
+def test_every_java_escape_lexes_in_a_char_and_a_string(escape):
+    assert [(t.kind, t.lexeme) for t in lex(f"'{escape}' \"a{escape}b\"")] == \
+        [(KIND_CHAR, f"'{escape}'"), (KIND_STRING, f'"a{escape}b"')]
+
+
+@pytest.mark.parametrize("escape", ["\\q", "\\u", "\\u00", "\\8", "\\a",
+                                    "\\x41", "\\ "])
+def test_any_other_backslash_is_a_lex_error_at_the_literal(escape):
+    with pytest.raises(LexError, match="malformed char literal at 1:5"):
+        lex(f"c = '{escape}';")
+    with pytest.raises(LexError, match="malformed string literal at 1:5"):
+        lex(f's = "a{escape}b";')
+
+
 def test_multi_char_operators_lex_as_one_token():
     assert lexemes("a && b || c <= d >= e == f != g++ h-- i += j") == [
         "a", "&&", "b", "||", "c", "<=", "d", ">=", "e", "==", "f", "!=",
@@ -102,7 +122,7 @@ def test_comments_and_whitespace_dropped():
 def test_lex_errors_carry_position():
     with pytest.raises(LexError) as e:
         lex('x = "open')
-    assert "unterminated string" in str(e.value)
+    assert "unterminated or malformed string literal" in str(e.value)
     with pytest.raises(LexError):
         lex("/* never closed")
     with pytest.raises(LexError):
@@ -113,7 +133,7 @@ def test_error_positions_count_characters_after_the_last_newline():
     cases = {
         "a\r\n\t/* open": ("unterminated block comment", 2, 2),
         "x = 'ab';": ("unterminated or malformed char literal", 1, 5),
-        '/* a\nb */ "é\n': ("unterminated string literal", 2, 6),
+        '/* a\nb */ "é\n': ("unterminated or malformed string literal", 2, 6),
         "int é;": ("illegal character 'é'", 1, 5),
         "a\u2028#": ("illegal character '#'", 1, 3),
     }
@@ -139,7 +159,8 @@ _PIECES = st.sampled_from([
     "\n", "\r\n", "\r", "\t", " ", "\u00a0", "\u2028", "\x0c", "é", "☃",
     "😀", "#", "`", "int", "x1", "$y", "_", "42", "true", "null", "<=", "&&",
     "++", "=", "@", ";", "{", "}", "(", ".", "'\\u0041'", "'\\uu00e9'",
-    "'\\101'", "'\\7'", "\\u", "\\377", "u00", "7",
+    "'\\101'", "'\\7'", "\\u", "\\377", "u00", "7", "'\\q'", '"\\q"', "\\q",
+    "'\\u'", '"\\s\\b"', "\\8", "\\s",
 ])
 _SOURCES = sorted(fixture_files().items())
 _EDITS = st.lists(st.tuples(st.integers(0, 1 << 20), st.integers(0, 3),

@@ -12,6 +12,8 @@ property tests below hold the two to the same paths and strings.
 import random
 import sys
 import tracemalloc
+from collections import Counter
+from itertools import accumulate
 from types import SimpleNamespace
 
 import pytest
@@ -221,6 +223,66 @@ def test_no_sampling_below_the_cap(views):
     m = method_named(views["metricsuite/calc/Calc.java"], "zero")
     full = extract_paths(m.ast, max_contexts=NO_LIMIT)
     assert extract_paths(m.ast, max_contexts=len(full), seed=9) == full
+
+
+def test_each_regime_matches_the_oracle_at_its_bound(views, scaled_corpus_data,
+                                                     monkeypatch):
+    """t terminals make at most t(t-1)/2 pairs: at or below that bound
+    nothing is counted (no `within` table is accumulated), above it the
+    pairs are counted, and only a count above the cap draws a sample (the
+    bench tracer counts capped calls from the `random.Random`s built)."""
+    built, counted = [], []
+
+    class CountingRandom(random.Random):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    def counting_accumulate(values):
+        counted.append(1)
+        return accumulate(values)
+
+    monkeypatch.setattr(pathcontexts, "random",
+                        SimpleNamespace(Random=CountingRandom))
+    monkeypatch.setattr(pathcontexts, "accumulate", counting_accumulate)
+    x4 = [m for d in scaled_corpus_data for m in d.sources.values()]
+    fixture = [m for v in views.values() for c in v.classes
+               for m in c.methods]
+    # the long methods with fewest terminals: the oracle is slow on the rest
+    longs = sorted(_LONG_METHODS, key=lambda m: len(m.ast.terminals()))[:6]
+    regimes, seen = Counter(), set()
+    for m in fixture + x4 + longs:
+        # the x4 corpus repeats few method shapes; check each once
+        shape = (tuple(m.ast.node_types), tuple(m.ast.parents),
+                 tuple(tok.lexeme for tok in m.ast.tokens))
+        if shape in seen:
+            continue
+        seen.add(shape)
+        bound = _pair_bound(m)
+        full = extract_paths_oracle(m.ast, max_contexts=NO_LIMIT)
+        total = len(full)
+        for cap in {bound, bound - 1, total, total - 1} - {0, -1}:
+            built.clear()
+            counted.clear()
+            got = extract_paths(m.ast, max_contexts=cap, seed=11)
+            want = full if total <= cap else extract_paths_oracle(
+                m.ast, max_contexts=cap, seed=11)
+            assert [_fields(p) for p in got] == [_fields(p) for p in want], \
+                (m.signature, cap)
+            assert bool(counted) == (bound > cap), (m.signature, cap)
+            assert built == ([(11,)] if total > cap else []), \
+                (m.signature, cap)
+            regimes[bound > cap, total > cap] += 1
+    # uncounted; counted within the cap; counted and sampled
+    assert set(regimes) == {(False, False), (True, False), (True, True)}
+    # at the default cap the x4 corpus takes both routes; long methods count
+    assert {_pair_bound(m) > MAX_CONTEXTS_DEFAULT for m in x4} == {False, True}
+    assert all(_pair_bound(m) > MAX_CONTEXTS_DEFAULT for m in _LONG_METHODS)
+
+
+def _pair_bound(method):
+    t = len(method.ast.terminals())
+    return t * (t - 1) // 2
 
 
 def test_limits_must_be_positive(views):

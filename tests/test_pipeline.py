@@ -219,6 +219,49 @@ def test_catalog_saves_the_resolved_root_and_keeps_its_argument(tmp_path):
     assert ws.load_config() == WorkspaceConfig(str(corpus.resolve()), 4)
 
 
+def test_the_listing_is_the_sorted_rglob_and_keeps_its_diagnostics(tmp_path):
+    """One walk lists what `sorted(root.rglob("*.java"))` lists, in its
+    order: by path parts, so `a/` sorts before `a-b/` though `-` sorts
+    before `/` as a character. Hidden directories are entered, symlinked
+    ones are not, and an entry named `*.java` that is no readable file
+    keeps its diagnostic."""
+    corpus = tmp_path / "corpus"
+    root, outside = corpus / "proj", tmp_path / "outside"
+    for rel, text in {"a-b/B.java": "package ab; class B { }",
+                      "a/A.java": "package a; class A { }",
+                      "a/.java": "package a; class Dot { }",
+                      ".hidden/H.java": "package hidden; class H { }",
+                      "Top.java": "class Top { }",
+                      "q/A.JAVA": "package q; class A { }",
+                      "../../outside/pkg/Out.java": "class Out { }"}.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(text + "\n", encoding="utf-8")
+    (root / "x.java").mkdir()
+    (corpus / "onlylinks").mkdir()
+    (corpus / "onlylinks" / "pkg").symlink_to(outside / "pkg")
+    (root / "linked").symlink_to(outside / "pkg", target_is_directory=True)
+    (root / "d.java").symlink_to(outside / "pkg", target_is_directory=True)
+    (root / "Link.java").symlink_to(root / "Top.java")
+    (root / "gone.java").symlink_to(root / "Missing.java")
+
+    want = [p.relative_to(root).parts for p in sorted(root.rglob("*.java"))]
+    assert sorted(catalog_mod.java_entries(str(root))) == want
+    assert sorted(map("/".join, want)) != ["/".join(parts) for parts in want]
+    data = catalog_mod.catalog_project(root, corpus_root=corpus)
+    assert [c.class_path for c in data.classes] == [
+        "proj/.hidden/H.java", "proj/Link.java", "proj/Top.java",
+        "proj/a/.java", "proj/a/A.java", "proj/a-b/B.java"]
+    assert [(p.package_path, p.package_name) for p in data.packages] == [
+        (".", ""), (".hidden", "hidden"), ("a", "a"), ("a-b", "ab")]
+    assert data.diagnostics == [catalog_mod.Diagnostic(f"proj/{name}", why)
+                                for name, why in (
+        ("d.java", "not readable: Is a directory"),
+        ("gone.java", "not readable: No such file or directory"),
+        ("x.java", "not readable: Is a directory"))]
+    # a project whose only `.java` file is behind a symlinked directory
+    assert discover_projects(corpus) == [root]
+
+
 @pytest.mark.parametrize("body, first", [
     ("int f() { return 1; } int f() { return 2; } int g() { return f(); }",
      "int f ( ) { return 1 ; }"),
