@@ -237,6 +237,10 @@ def catalog_project(root, corpus_root, strict: bool = False) -> ProjectData:
                 packages[pkg_name] = PackageMeta(project_id, pkg_id, pkg_path, pkg_name)
                 packages_by_path[pkg_path] = packages[pkg_name]
         pkg = packages[pkg_name]
+        if pkg.package_path != pkg_path:
+            diagnostics.append(Diagnostic(
+                file_rel, f"package {pkg_name!r} is also declared in "
+                f"directory {pkg.package_path!r}; its classes share that row"))
         if len(view.classes) > 1:
             diagnostics.append(Diagnostic(
                 file_rel, "multiple top-level types; extra types skipped"))
@@ -336,6 +340,7 @@ def write_property_csv(key: str, table: dict[EntityId, int | str], out_dir
     return path
 
 
-def read_property_csv(path) -> dict[EntityId, str]:
-    """Read a property CSV; values come back as text (see `property_value`)."""
-    return dict(_read_csv(Path(path), PROPERTY_HEADER, key=("method_id",)))
+def read_property_csv(path, ints: bool = False) -> dict[EntityId, str | int]:
+    """Read a property CSV; values come back as text (see `property_value`),
+    or with `ints` as ints (a value that is not one is an InputError)."""
+    return dict(_read_csv(path, PROPERTY_HEADER, ["value"] * ints, ["method_id"]))

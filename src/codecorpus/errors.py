@@ -42,3 +42,11 @@ class ParseError(CorpusError):
 class InputError(CorpusError):
     """Bad input at the pipeline boundary: missing artifacts, malformed CSVs,
     duplicate projects. CLI maps this to exit code 2."""
+
+
+class MissingArtifactError(InputError):
+    """A table to read is not there; `path` names it."""
+
+    def __init__(self, path):
+        super().__init__(f"missing artifact: {path}")
+        self.path = path

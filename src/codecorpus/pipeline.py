@@ -4,14 +4,14 @@ earlier artifacts and writes its own files under the workspace directory.
 `ARTIFACT_WRITERS` names the command that writes each top-level entry of
 the workspace (the README's "Workspace layout" says what each holds), and
 `PROPERTY_WRITERS` the command that writes each computed property table.
-`Workspace.require` reads both, so every missing artifact names its writer.
+`Workspace.read` reads every stored table, so any problem names its writer.
 
 The corpus is loaded one way: `parse_corpus` catalogs every project once
 (one `ProjectData` each, holding the method parses and the class file
 views) and `merged_catalog` joins their rows into one sorted `Catalog`.
 Stages take those two and never re-join classes to files or reparse;
-`load_corpus` adds the check that the reparsed corpus gives, row for row,
-the four stored metadata tables, and `add-project` reuses the same single
+`load_corpus` reads the four stored metadata tables, then checks that the
+reparse gives them row for row, and `add-project` reuses the same single
 parse. Property values are read by `catalog.property_value`; each stage
 prints its own notes (diagnostics, empty task splits) on stderr.
 
@@ -43,7 +43,8 @@ from .callgraph import (arg_name_maps, build_callgraph,
                         classify_distribution, connectivity_props,
                         n_hop_context, read_callgraph_csv,
                         write_callgraph_csv)
-from .errors import EmptyProjectError, InputError, InvalidArgumentError
+from .errors import (EmptyProjectError, InputError, InvalidArgumentError,
+                     MissingArtifactError)
 from .featuregraph import ast_graph, build_feature_graph, graph_payload
 from .identity import EntityId
 from .lexer import tkna_text, tknb_text
@@ -130,29 +131,10 @@ class Workspace:
 
     def load_config(self) -> WorkspaceConfig:
         """The saved config; a file that does not hold one is an InputError."""
-        path = self.config_path
-        if not path.exists():
+        if not self.config_path.exists():
             raise InputError(f"no workspace at {self.root}; "
-                             f"run `{self.writer(path)}` first")
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-            raise InputError(f"{path}: not a workspace config: {exc}") from None
-        if not isinstance(data, dict):
-            raise InputError(f"{path}: expected a JSON object, "
-                             f"got {type(data).__name__}")
-        data.pop("parallelism", None)
-        try:
-            cfg = WorkspaceConfig(**data)
-        except TypeError as exc:  # unknown or missing keys
-            raise InputError(f"{path}: not a workspace config: {exc}") from None
-        # type(...) is int: a bool is an int too
-        if not (isinstance(cfg.corpus_root, str) and type(cfg.seed) is int
-                and cfg.strictness in STRICTNESS):
-            raise InputError(
-                f"{path}: not a workspace config: corpus_root must be a "
-                f"string, seed an integer, strictness one of {STRICTNESS}")
-        return cfg
+                             f"run `{self.writer(self.config_path)}` first")
+        return self.read(self.config_path, _read_config)
 
     # -- paths ------------------------------------------------------------------
 
@@ -172,15 +154,39 @@ class Workspace:
             return PROPERTY_WRITERS.get(path.stem, ARTIFACT_WRITERS[entry])
         return ARTIFACT_WRITERS[entry]
 
-    def require(self, path: Path) -> Path:
-        if not path.exists():
-            raise InputError(f"missing artifact {path.name}; "
-                             f"run `{self.writer(path)}` first")
-        return path
+    def read(self, path: Path, reader):
+        """`reader(path)` for a workspace file or table directory. A missing
+        table says to run its writer first; any other InputError names the
+        file and says to re-run its writer."""
+        try:
+            return reader(path)
+        except MissingArtifactError as exc:
+            raise InputError(f"missing artifact {exc.path.name}; "
+                             f"run `{self.writer(exc.path)}` first") from None
+        except InputError as exc:
+            text = str(exc) if path.name in str(exc) else f"{path}: {exc}"
+            raise InputError(f"{text}; re-run `{self.writer(path)}`") from None
 
-    def require_metadata(self) -> None:
-        for name, _row, _key, _ints in METADATA_TABLES:
-            self.require(self.metadata_dir / f"{name}.csv")
+
+def _read_config(path: Path) -> WorkspaceConfig:
+    """The config in `path`; `Workspace.read` puts the file in each error."""
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise InputError(f"not a workspace config: {exc}") from None
+    if not isinstance(data, dict):
+        raise InputError(f"expected a JSON object, got {type(data).__name__}")
+    data.pop("parallelism", None)
+    try:
+        cfg = WorkspaceConfig(**data)
+    except TypeError as exc:  # unknown or missing keys
+        raise InputError(f"not a workspace config: {exc}") from None
+    # type(...) is int: a bool is an int too
+    if not (isinstance(cfg.corpus_root, str) and type(cfg.seed) is int
+            and cfg.strictness in STRICTNESS):
+        raise InputError("not a workspace config: corpus_root must be a string,"
+                         f" seed an integer, strictness one of {STRICTNESS}")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +244,12 @@ def load_corpus(ws: Workspace
     a corpus edit that adds, removes or renames an entity or moves a
     method's lines fails loudly instead of mixing artifacts. An edit that
     keeps every row (a method body changed within its lines) passes. A
-    missing metadata table is reported before anything is parsed.
+    missing or malformed metadata table is reported before any parse.
     """
     cfg = ws.load_config()
-    ws.require_metadata()
+    stored = ws.read(ws.metadata_dir, read_metadata)
     datas = parse_corpus(cfg)
     cat = merged_catalog(datas)
-    stored = read_metadata(ws.metadata_dir)
     for name, _row, _key, _ints in METADATA_TABLES:
         pairs = zip_longest(getattr(stored, name), getattr(cat, name))
         line = next((n for n, (a, b) in enumerate(pairs, 2) if a != b), None)
@@ -354,6 +359,10 @@ def stage_props_import(ws: Workspace, cat: Catalog, source_csv,
         raise InputError(f"no such property file: {source}")
     inferred = key or source.stem
     validate_property_key(inferred)
+    writer = ws.writer(ws.property_path(inferred))
+    if writer != "props-import":
+        raise InvalidArgumentError(f"property {inferred} is written by "
+                                   f"`{writer}`; import under another key")
     values = read_property_csv(source)
     known = {m.method_id for m in cat.methods}
     table = {mid: v for mid, v in values.items() if mid in known}
@@ -362,13 +371,11 @@ def stage_props_import(ws: Workspace, cat: Catalog, source_csv,
             "rejected": len(values) - len(table)}
 
 
-def _cataloged(ws: Workspace, cat: Catalog, path: Path, table: dict) -> dict:
-    """`table`, read from the per-method workspace table at `path`, if it
-    holds a row and only cataloged method ids; else an InputError naming
-    the file (with the line of the first stray id) and its writer."""
-    fix = f"re-run `{ws.writer(path)}`"
+def _cataloged(cat: Catalog, path: Path, table: dict) -> dict:
+    """`table`, read from `path`, if it holds a row and only cataloged
+    method ids; else an InputError naming the file (and a stray id's line)."""
     if not table:
-        raise InputError(f"{path}: holds no method rows; {fix}")
+        raise InputError(f"{path}: holds no method rows")
     stray = next((mid for mid in table
                   if cat.by_id.get(mid).__class__ is not MethodMeta), None)
     if stray is not None:
@@ -376,20 +383,18 @@ def _cataloged(ws: Workspace, cat: Catalog, path: Path, table: dict) -> dict:
             rows = csv.reader(fh)
             line = next(rows.line_num for row in rows if row[:1] == [stray])
         raise InputError(f"{path}:{line}: method_id {stray!r} is not a "
-                         f"cataloged method; {fix}")
+                         "cataloged method")
     return table
 
 
-def _load_props(ws: Workspace, cat: Catalog, keys: list[str]
-                ) -> dict[str, dict]:
-    """Property tables of cataloged methods; a missing one names the
-    command that writes it."""
-    out = {}
-    for key in keys:
-        path = ws.require(ws.property_path(key))
-        out[key] = {mid: property_value(v) for mid, v in _cataloged(
-            ws, cat, path, read_property_csv(path)).items()}
-    return out
+def _load_props(ws: Workspace, cat: Catalog, keys: list[str],
+                ints: bool = False) -> dict[str, dict]:
+    """Property tables of cataloged methods, values read by
+    `property_value`, or with `ints` as integers."""
+    return {key: ws.read(ws.property_path(key), lambda path: {
+        mid: v if ints else property_value(v) for mid, v in _cataloged(
+            cat, path, read_property_csv(path, ints)).items()})
+        for key in keys}
 
 
 def stage_taskgen(ws: Workspace, datas: list[ProjectData], cat: Catalog,
@@ -403,18 +408,19 @@ def stage_taskgen(ws: Workspace, datas: list[ProjectData], cat: Catalog,
         needed = [key] + [f[0] for f in filters]
         for k in needed:
             validate_property_key(k)
-        tkna = ws.require(ws.repr_path("TKNA"))
-        payloads = _cataloged(ws, cat, tkna, read_repr_csv(tkna))
+        payloads = ws.read(ws.repr_path("TKNA"), lambda path: _cataloged(
+            cat, path, read_repr_csv(path)))
         props = _load_props(ws, cat, sorted(set(needed)))
         dataset = make_property_task(
             key, props, payloads, cat, filters=list(filters),
             balance=balance, split_fracs=split_fracs, seed=seed)
         name = f"property_{key}"
     elif task == "call-mask":
-        graph = read_callgraph_csv(ws.require(ws.callgraph_path))
-        dataset = make_call_masking_task(
+        graph = ws.read(ws.callgraph_path, read_callgraph_csv)
+        # a masked site without a row is a fault of the stored graph too
+        dataset = ws.read(ws.callgraph_path, lambda _: make_call_masking_task(
             cat, sources, graph, seed=seed, split_fracs=split_fracs,
-            include_constructors=include_constructors)
+            include_constructors=include_constructors))
         if augment:
             for i, sample in enumerate(dataset.samples):
                 bundle = n_hop_context(graph, sample.method_id, 1)
@@ -504,11 +510,10 @@ def _write_table(path_base: Path, header: list[str], rows: list[list],
 
 def stage_report(ws: Workspace, cat: Catalog, study: str) -> dict:
     if study == "calls":
-        path = ws.require(ws.callgraph_path)
-        graph = read_callgraph_csv(path)
+        graph = ws.read(ws.callgraph_path, read_callgraph_csv)
         if not graph.edges:
-            raise InputError(f"{path.name} holds no call sites, so there is "
-                             "no locality distribution to report")
+            raise InputError(f"{ws.callgraph_path.name} holds no call sites, "
+                             "so there is no locality distribution to report")
         dist = classify_distribution(graph)
         rows = [[t, f"{dist[t] * 100:.2f}"] for t in dist]
         _write_table(ws.reports_dir / "calls", ["call_type", "percent"],
@@ -516,8 +521,7 @@ def stage_report(ws: Workspace, cat: Catalog, study: str) -> dict:
         return {"study": study, "total_percent":
                 round(sum(float(r[1]) for r in rows), 6)}
     if study == "windows":
-        sizes_path = ws.require(ws.tokenstats_dir / "sizes.csv")
-        records = read_sizes_csv(sizes_path)
+        records = ws.read(ws.tokenstats_dir / "sizes.csv", read_sizes_csv)
         table = window_fit(records)
         rows = [[g, tag, bucket, tau, f"{f:.4f}"]
                 for g, tag, bucket, tau, f in table.rows()]
@@ -527,13 +531,7 @@ def stage_report(ws: Workspace, cat: Catalog, study: str) -> dict:
                      rows, "Entities fitting each context window")
         return {"study": study, "rows": len(rows)}
     if study == "bias":
-        props = _load_props(ws, cat, ["SLOC", "CMPX"])
-        for key, table in props.items():
-            for mid, value in table.items():
-                if not isinstance(value, int):
-                    raise InputError(
-                        f"{ws.property_path(key).name}: method {mid} has "
-                        f"{key} {value!r}, not an integer")
+        props = _load_props(ws, cat, ["SLOC", "CMPX"], ints=True)
         row_labels, col_labels, matrix = bias_table(props["SLOC"],
                                                     props["CMPX"])
         rows = [[rl] + list(counts) for rl, counts in zip(row_labels, matrix)]
@@ -558,7 +556,7 @@ def stage_add_project(ws: Workspace, project_root, replace: bool = False
     if corpus_root not in root.parents:
         raise InputError(
             f"project must live under the corpus root {corpus_root}")
-    ws.require_metadata()
+    existing = ws.read(ws.metadata_dir, read_metadata)
 
     datas = parse_corpus(cfg)
     project_path = root.relative_to(corpus_root).as_posix()
@@ -568,7 +566,6 @@ def stage_add_project(ws: Workspace, project_root, replace: bool = False
         raise InputError("project was not discovered under the corpus root")
     if not new_data.classes:
         raise EmptyProjectError(f"no cataloged classes under {root}")
-    existing = read_metadata(ws.metadata_dir)
     if not replace and new_data.project.project_id in existing.by_id:
         raise InputError(f"project already cataloged: {project_path}; "
                          "pass --replace to regenerate it")

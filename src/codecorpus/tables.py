@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from operator import itemgetter
 from pathlib import Path
 
-from .errors import InputError
+from .errors import InputError, MissingArtifactError
 
 # Payloads (the TEXT or TKNA of a long method) can exceed the csv module's
 # default 128 KiB field limit; whatever the writer wrote must read back.
@@ -83,7 +83,7 @@ def read_table(path, header: list[str], int_columns: tuple[str, ...] = (),
     """
     path = Path(path)
     if not path.is_file():
-        raise InputError(f"missing artifact: {path}")
+        raise MissingArtifactError(path)
     ints = [header.index(name) for name in int_columns]
     key_of = itemgetter(*map(header.index, key)) if key else None
     seen = {}

@@ -190,7 +190,8 @@ def make_call_masking_task(catalog: Catalog,
     """One masked call site per method that has any; label = callee name.
 
     The masked token becomes <MASK> in the space-joined token payload; the
-    site's locality class from the call graph becomes the stratum. Site
+    site's locality class from the call graph becomes the stratum, and a
+    masked site without a call-graph row is an InputError. Site
     choice consumes one shared seeded generator in catalog order, so the
     whole dataset is reproducible from the seed.
     """
@@ -210,12 +211,16 @@ def make_call_masking_task(catalog: Catalog,
         name_term = names[rng.randrange(len(names))]
         tok = ast.token(name_term)
         edge = edge_at.get((meta.method_id, tok.line, tok.col))
-        stratum = edge.call_type if edge is not None else "API"
+        if edge is None:
+            raise InputError(f"no call-graph row for the call site masked "
+                             f"in {meta.method_id} at line {tok.line}, "
+                             f"col {tok.col}")
         token_pos = ast.token_indices[name_term]
         lexemes = [t.lexeme for t in ast.tokens]
         lexemes[token_pos] = MASK_TOKEN
         samples.append(TaskSample(
-            "", meta.method_id, " ".join(lexemes), tok.lexeme, stratum,
+            "", meta.method_id, " ".join(lexemes), tok.lexeme,
+            edge.call_type,
             meta={"token_index": token_pos, "line": tok.line, "col": tok.col}))
     return _finalize(samples, catalog, split_fracs, seed)
 

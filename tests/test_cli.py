@@ -500,6 +500,63 @@ def test_a_call_report_without_call_sites_is_an_input_error(tmp_path):
     assert "callgraph.csv holds no call sites" in proc.stderr
 
 
+def test_a_masked_site_without_a_call_graph_row_is_an_input_error(tmp_path):
+    """A call graph without constructor sites gives the masked `new A()` no
+    stratum; the task names the site instead of inventing one."""
+    corpus = _one_class_corpus(tmp_path, "void f() { A x = new A(); }")
+    ws = tmp_path / "ws"
+    for command in (("catalog", "--corpus", corpus),
+                    ("callgraph", "--no-constructors")):
+        proc = run_cli(*command, "-w", ws)
+        assert proc.returncode == 0, (command, proc.stderr)
+    mask = ("taskgen", "--task", "call-mask", "--include-constructors",
+            "--fracs", "1,0,0", "-w", ws)
+    proc = run_cli(*mask)
+    assert proc.returncode == 2, proc.stderr
+    with open(ws / "metadata" / "methods.csv", newline="",
+              encoding="utf-8") as f:
+        mid = next(csv.DictReader(f))["method_id"]
+    assert proc.stderr == (
+        f"input error: {ws / 'callgraph.csv'}: no call-graph row for the call "
+        f"site masked in {mid} at line 1, col 32; re-run `callgraph`\n")
+    assert not (ws / "tasks").exists()
+    proc = run_cli("callgraph", "-w", ws)
+    assert proc.returncode == 0, proc.stderr
+    proc = run_cli(*mask)
+    assert proc.returncode == 0, proc.stderr
+    with open(ws / "callgraph.csv", newline="", encoding="utf-8") as f:
+        edge = next(csv.DictReader(f))
+    with open(ws / "tasks" / "call_mask.csv", newline="",
+              encoding="utf-8") as f:
+        sample = next(csv.DictReader(f))
+    assert (edge["line"], edge["col"]) == ("1", "32")
+    assert sample["stratum"] == edge["call_type"]
+
+
+def test_a_package_declared_in_two_directories_is_noted(tmp_path):
+    """Both classes keep the package row of the first directory, as javac
+    sees one package, and the second file says so."""
+    corpus = tmp_path / "corpus"
+    (corpus / "proj" / "a").mkdir(parents=True)
+    (corpus / "proj" / "Top.java").write_text(
+        "package a;\nclass Top { int f() { return A.s(); } }\n",
+        encoding="utf-8")
+    (corpus / "proj" / "a" / "A.java").write_text(
+        "package a;\nclass A { static int s() { return 1; } }\n",
+        encoding="utf-8")
+    ws = tmp_path / "ws"
+    proc = run_cli("catalog", "--corpus", corpus, "-w", ws)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ("note: proj/a/A.java: package 'a' is also declared "
+                           "in directory '.'; its classes share that row\n")
+    summary = last_json(proc)
+    assert (summary["packages"], summary["classes"]) == (1, 2)
+    assert summary["skipped_files"] == 0
+    proc = run_cli("callgraph", "-w", ws)
+    assert proc.returncode == 0, proc.stderr
+    assert last_json(proc)["distribution"]["Package"] == 1.0
+
+
 @pytest.fixture(scope="module")
 def metrics_ws(cli_env, tmp_path_factory):
     """A copy of the cataloged workspace with TKNA payloads and metrics."""
@@ -564,6 +621,24 @@ def test_imported_property_values_keep_their_text(metrics_ws, tmp_path):
         {mid: t for mid, t in stored.items() if t == "007"}
 
 
+@pytest.mark.parametrize("name, key", [("imp.csv", "CMPX"),
+                                       ("SLOC.csv", None)])
+def test_props_import_refuses_a_computed_key(metrics_ws, tmp_path, name, key):
+    ws = tmp_path / "ws"
+    shutil.copytree(metrics_ws, ws)
+    stored = ws / "properties" / f"{key or 'SLOC'}.csv"
+    before = stored.read_bytes()
+    mid = before.decode("utf-8").splitlines()[1].split(",")[0]
+    source = tmp_path / name
+    source.write_text(f"method_id,value\n{mid},1\n", encoding="utf-8")
+    proc = run_cli("props-import", source, *(("--key", key) if key else ()),
+                   "-w", ws)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == (f"usage error: property {key or 'SLOC'} is written "
+                           "by `metrics`; import under another key\n")
+    assert stored.read_bytes() == before
+
+
 @pytest.mark.parametrize("option, key", [
     (("--filter", "cmpx>1"), "'cmpx'"),
     (("--key", "../../x"), "'../../X'"),
@@ -584,17 +659,15 @@ def test_a_bias_report_on_a_non_integer_size_is_an_input_error(metrics_ws,
     with open(ws / "properties" / "SLOC.csv", newline="",
               encoding="utf-8") as f:
         rows = list(csv.reader(f))
-    mid = rows[1][0]
-    rows[1][1] = "big"
-    imported = tmp_path / "SLOC.csv"
-    with open(imported, "w", newline="", encoding="utf-8") as f:
+    rows[1][1] = "big"       # line 2: the first method's row
+    # SLOC is computed, so `props-import` refuses it; edit the table itself
+    with open(ws / "properties" / "SLOC.csv", "w", newline="",
+              encoding="utf-8") as f:
         csv.writer(f, lineterminator="\n").writerows(rows)
-    proc = run_cli("props-import", imported, "-w", ws)
-    assert proc.returncode == 0, proc.stderr
     proc = run_cli("report", "-w", ws, "--study", "bias")
     assert proc.returncode == 2, proc.stderr
     assert "input error" in proc.stderr
-    assert f"SLOC.csv: method {mid} has SLOC 'big', not an integer" \
+    assert "SLOC.csv:2: value 'big' is not an integer; re-run `metrics`" \
         in proc.stderr
 
 

@@ -469,7 +469,7 @@ def test_missing_artifacts_name_the_fix(tmp_path):
     ws = Workspace(tmp_path / "ws")
     with pytest.raises(InputError,
                        match=r"missing artifact TKNA\.csv; run `repr` first"):
-        ws.require(ws.repr_path("TKNA"))
+        ws.read(ws.repr_path("TKNA"), read_repr_csv)
 
 
 @pytest.mark.parametrize("table", ["projects", "packages", "classes",
