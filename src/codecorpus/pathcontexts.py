@@ -23,23 +23,25 @@ to right lists its ends in token order without a sort.
 
 Counting happens only where a sample can be drawn. Each pair lies in one
 group, so t terminals make at most t(t-1)/2 pairs; within `max_contexts`,
-each group is expanded as the climb reaches it, uncounted. Past that, each
-node also counts its terminals within each depth, so a group's size is one
-lookup and the sizes sum to the pair count. A count within `max_contexts`
-expands every group; past it, the sample is drawn as indices over the
-count, the draw an all-pairs scan would make, and only the groups holding
-a kept index are expanded, so a capped method builds only what it keeps.
+each group is expanded as the climb reaches it, uncounted. Past that, a
+node the climb first meets as a sibling counts its terminals within each
+depth, so a group's size is one lookup and the sizes sum to the pair count.
+A count within `max_contexts` expands every group; past it, the sample is
+drawn as indices over the count, the draw an all-pairs scan would make. A
+kept index bisects the groups' start offsets, and the kept indices of one
+(sibling, depth) share its ends that fit, filtered once, so a capped
+method builds only what it keeps.
 
 The same climb records each terminal's ancestor chain: the node types above
 it, nearest first, as far as a path can reach. A kept path's `up_nodes`,
 `lca` and `down_nodes` are slices of the chains of its two terminals.
 
 Path shapes repeat far more than paths do (the x4 fixture corpus has 226k
-paths of 678 shapes), so the renderers compute a shape's `render_path` and
-`path_hash` once, and a lexeme's joined subtokens once, from bounded LRU
-caches. `clear_render_caches` empties them; the pipeline calls it when
-`stage_representations` ends, so a long-lived process keeps no entries
-scattered through memory it could otherwise give back.
+paths of 678 shapes), so the renderers render each shape once, hashing
+the string just rendered, and join each lexeme's subtokens once, from
+bounded LRU caches. `clear_render_caches` empties them; the pipeline
+calls it when `stage_representations` ends, so a long-lived process keeps
+no entries scattered through memory it could otherwise give back.
 """
 
 import hashlib
@@ -48,7 +50,6 @@ import re
 from bisect import bisect_right
 from functools import lru_cache
 from itertools import accumulate
-from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import InvalidArgumentError
@@ -95,7 +96,7 @@ def render_path(p: RawPath) -> str:
 
 
 def path_hash(p: RawPath) -> str:
-    return hashlib.sha256(render_path(p).encode("utf-8")).hexdigest()[:16]
+    return _shape_strings(p[2:])[1]
 
 
 def extract_paths(ast: Ast,
@@ -138,33 +139,37 @@ def extract_paths(ast: Ast,
 
     new = tuple.__new__
     if counted:
-        # within[n][r]: how many of under[n] are at most r levels below n
-        within = []
-        for size, entries in zip(ast.subtree_sizes, under):
-            level = [0] * min(size, max_length)
-            for _t, r in entries:
-                level[r] += 1
-            within.append(list(accumulate(level)))
-        # Group (a, d_a, sibling, before): the ends under sibling that fit
-        # a path up d_a nodes from a, in token order, after `before` pairs.
-        groups, total = [], 0
+        # within[n][r]: how many of under[n] are at most r levels below n,
+        # accumulated when a climb first meets n as a sibling
+        within: list[list[int] | None] = [None] * len(ast)
+        # Group g = (a, d_a, sibling): the ends under sibling that fit a
+        # path up d_a nodes from a, in token order, after starts[g] pairs.
+        groups, starts, total = [], [], 0
         for a in terminals:
             branch, d_a = a, 0
             while branch != 0 and d_a <= reach:
-                lim = reach - d_a
                 for sibling in right[branch]:
                     counts = within[sibling]
-                    groups.append((a, d_a, sibling, total))
-                    total += counts[lim] if lim < len(counts) else counts[-1]
+                    if counts is None:
+                        level = [0] * max_length
+                        for _t, r in under[sibling]:
+                            level[r] += 1
+                        counts = within[sibling] = list(accumulate(level))
+                    groups.append((a, d_a, sibling))
+                    starts.append(total)
+                    total += counts[reach - d_a]
                 branch, d_a = parents[branch], d_a + 1
         if total > max_contexts:
-            paths = []
+            paths, fits = [], {}    # (sibling, d_a) -> its ends that fit
             for k in sorted(random.Random(seed).sample(range(total),
                                                        max_contexts)):
-                a, d_a, sibling, before = groups[bisect_right(
-                    groups, k, key=itemgetter(3)) - 1]
-                b, d_b = [e for e in under[sibling]
-                          if e[1] <= reach - d_a][k - before]
+                g = bisect_right(starts, k) - 1
+                a, d_a, sibling = groups[g]
+                fit = fits.get((sibling, d_a))
+                if fit is None:
+                    fit = fits[sibling, d_a] = [
+                        e for e in under[sibling] if e[1] <= reach - d_a]
+                b, d_b = fit[k - starts[g]]
                 paths.append(new(RawPath, (
                     a, b, chain[a][:d_a], chain[a][d_a],
                     chain[b][d_b - 1::-1] if d_b else ())))
@@ -187,10 +192,10 @@ def extract_paths(ast: Ast,
 
 @lru_cache(maxsize=RENDER_CACHE_SIZE)
 def _shape_strings(shape: tuple) -> tuple[str, str]:
-    """`render_path` and `path_hash` of an (up_nodes, lca, down_nodes)
-    shape."""
-    p = RawPath(-1, -1, *shape)
-    return render_path(p), path_hash(p)
+    """`render_path` of an (up_nodes, lca, down_nodes) shape and its hash,
+    the first 16 hex digits of the render's SHA-256."""
+    text = render_path(RawPath(-1, -1, *shape))
+    return text, hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 @lru_cache(maxsize=RENDER_CACHE_SIZE)

@@ -168,11 +168,20 @@ class Workspace:
             raise InputError(f"{text}; re-run `{self.writer(path)}`") from None
 
 
+def _json_object(pairs: list) -> dict:
+    """A JSON object; `json.loads` alone keeps a repeated key's last value."""
+    keys = [key for key, _value in pairs]
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"key {max(keys, key=keys.count)!r} is repeated")
+    return dict(pairs)
+
+
 def _read_config(path: Path) -> WorkspaceConfig:
     """The config in `path`; `Workspace.read` puts the file in each error."""
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        data = json.loads(path.read_text(encoding="utf-8"),
+                          object_pairs_hook=_json_object)
+    except ValueError as exc:  # bad JSON or UTF-8, or a repeated key
         raise InputError(f"not a workspace config: {exc}") from None
     if not isinstance(data, dict):
         raise InputError(f"expected a JSON object, got {type(data).__name__}")

@@ -10,8 +10,8 @@ integer ids over the unique lines laid end to end, an index of the
 positions where each pair starts takes a merge straight to its sites, and
 only the pairs next to each merge site change count. A heap keyed on
 (-count, byte pair) yields the next merge under the tie rule. Encoding
-applies the merges to a line in rank order from a heap of its ranked
-adjacent pairs, without rescanning it.
+applies the merges to a line's byte ids in rank order from a heap of its
+ranked adjacent pairs, and cuts its symbols out of the bytes by span.
 
 Downstream measurements:
 
@@ -43,10 +43,11 @@ FIT_HEADER = ["granularity", "tokenizer_tag", "bucket", "threshold",
 
 
 class BpeVocab:
-    """Merges in rank order and the vocabulary, with a pair's rank
-    (`_rank`) and the memo of `bpe_encode_len` per line (`_line_cache`)."""
+    """Merges in rank order and the vocabulary, with the memo of
+    `bpe_encode_len` per line (`_line_cache`) and `_table`, which maps a
+    pair of symbol ids (as `train_bpe` numbers them) to (rank, joined id)."""
 
-    __slots__ = ("merges", "vocab", "size", "corpus_tag", "_rank",
+    __slots__ = ("merges", "vocab", "size", "corpus_tag", "_table",
                  "_line_cache")
 
     def __init__(self, merges: list[tuple[bytes, bytes]], vocab: set[bytes],
@@ -55,7 +56,14 @@ class BpeVocab:
         self.vocab = vocab
         self.size = size
         self.corpus_tag = corpus_tag
-        self._rank = {pair: i for i, pair in enumerate(merges)}
+        ids = {bytes([b]): b for b in range(256)}
+        for a, b in merges:
+            ids.setdefault(a + b, len(ids))
+        # a pair's last rank; a merge whose operand no merge joins never
+        # applies and gets no entry
+        self._table = {(ids[a], ids[b]): (rank, ids[a + b])
+                       for rank, (a, b) in enumerate(merges)
+                       if a in ids and b in ids}
         self._line_cache: dict[str, int] = {}
 
 
@@ -148,48 +156,45 @@ def train_bpe(corpus_text: str, vocab_size: int,
     return BpeVocab(merges, set(names), len(names), corpus_tag)
 
 
-def _encode_line(v: BpeVocab, line: str) -> list[bytes]:
+def _encode_line(v: BpeVocab, data: bytes) -> tuple[list[int], list[int]]:
     """Merge, round by round, every occurrence of the lowest-ranked pair
-    present, left to right without overlaps. A heap holds (rank, offset) of
-    the ranked adjacent pairs of a linked list of symbols; stale entries are
-    skipped and a round's new neighbour pairs are pushed after it."""
-    symbols: list[bytes | None] = [bytes([b]) for b in line.encode("utf-8")]
-    n = len(symbols)
-    rank = v._rank
-    nxt = list(range(1, n + 1))     # n: no next symbol
-    prv = list(range(-1, n - 1))    # -1: no previous symbol
-    heap = [(rank[p], i) for i, p in enumerate(zip(symbols, symbols[1:]))
-            if p in rank]
+    present, left to right without overlaps. Returns the id of the symbol
+    starting at each byte offset (-1 where none does) and its end. A heap
+    holds (table entry, offset) of the ranked adjacent pairs; stale ones
+    are skipped and a round's new neighbour pairs are pushed after it."""
+    n = len(data)
+    sym = [*data, -1]
+    nxt = list(range(1, n + 2))
+    prv = list(range(-1, n))
+    get, push, pop = v._table.get, heapq.heappush, heapq.heappop
+    heap = [(e, i) for i, e in enumerate(map(get, zip(data, data[1:]))) if e]
     heapq.heapify(heap)
     while heap:
-        r = heap[0][0]
-        pair = v.merges[r]
+        entry = heap[0][0]
         merged = []
-        while heap and heap[0][0] == r:
-            i = heapq.heappop(heap)[1]
+        while heap and heap[0][0] is entry:
+            i = pop(heap)[1]
             j = nxt[i]
-            if symbols[i] is None or j == n or (symbols[i], symbols[j]) != pair:
-                continue
-            symbols[i] += symbols[j]
-            symbols[j] = None
-            nxt[i] = k = nxt[j]
-            if k < n:
+            if get((sym[i], sym[j])) is entry:
+                sym[i], sym[j] = entry[1], -1
+                nxt[i] = k = nxt[j]
                 prv[k] = i
-            merged.append(i)
-        for i in merged:
-            for a, b in ((prv[i], i), (i, nxt[i])):
-                if a >= 0 and b < n:
-                    new_rank = rank.get((symbols[a], symbols[b]))
-                    if new_rank is not None:
-                        heapq.heappush(heap, (new_rank, a))
-    return [s for s in symbols if s is not None]
+                merged.append(i)
+        for i in merged:    # sym[prv[0]] is the -1 at the end
+            if e := get((sym[prv[i]], sym[i])):
+                push(heap, (e, prv[i]))
+            if e := get((sym[i], sym[nxt[i]])):
+                push(heap, (e, i))
+    return sym, nxt
 
 
 def bpe_encode(v: BpeVocab, text: str) -> list[bytes]:
     """Apply merges in rank order within each line; lossless by design."""
     out: list[bytes] = []
     for line in split_lines(text):
-        out.extend(_encode_line(v, line))
+        data = line.encode("utf-8")
+        sym, ends = _encode_line(v, data)
+        out.extend([data[i:ends[i]] for i in range(len(data)) if sym[i] >= 0])
     return out
 
 
@@ -199,8 +204,8 @@ def bpe_encode_len(v: BpeVocab, text: str) -> int:
     for line in split_lines(text):
         n = v._line_cache.get(line)
         if n is None:
-            n = len(_encode_line(v, line))
-            v._line_cache[line] = n
+            sym = _encode_line(v, line.encode("utf-8"))[0]
+            n = v._line_cache[line] = len(sym) - sym.count(-1)
         total += n
     return total
 

@@ -1290,23 +1290,26 @@ def bpe_merges_oracle(corpus_text: str, vocab_size: int
 # Full-rescan BPE encoder
 # ---------------------------------------------------------------------------
 
-def _encode_line(v, line: str) -> list[bytes]:
+def _encode_line(merges, rank, line: str) -> list[bytes]:
     symbols = [bytes([b]) for b in line.encode("utf-8")]
     while len(symbols) > 1:
-        ranked = [(v._rank[p], i)
+        ranked = [(rank[p], i)
                   for i, p in enumerate(zip(symbols, symbols[1:]))
-                  if p in v._rank]
+                  if p in rank]
         if not ranked:
             break
         best_rank = min(r for r, _i in ranked)
-        symbols = _merge_all(symbols, v.merges[best_rank])
+        symbols = _merge_all(symbols, merges[best_rank])
     return symbols
 
 
 def bpe_encode_oracle(v, text: str) -> list[bytes]:
     """Symbols of `text` under vocabulary `v`, found by rescanning every pair
-    of a line after each merge."""
-    return [s for line in _lines_oracle(text) for s in _encode_line(v, line)]
+    of a line after each merge. A pair listed twice ranks at its last
+    index."""
+    rank = {pair: i for i, pair in enumerate(v.merges)}
+    return [s for line in _lines_oracle(text)
+            for s in _encode_line(v.merges, rank, line)]
 
 
 # ---------------------------------------------------------------------------

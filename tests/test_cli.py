@@ -251,6 +251,24 @@ def test_malformed_workspace_config_is_an_input_error(tmp_path, text):
     assert "workspace.json" in proc.stderr
 
 
+def test_a_repeated_workspace_config_key_is_an_input_error(cli_env, tmp_path):
+    """`json.loads` alone keeps the last of a repeated key, so this config
+    would run `metrics` on seed 0 without a word."""
+    _corpus, ws, _proc = cli_env
+    copy = tmp_path / "ws"
+    shutil.copytree(ws, copy)
+    config = copy / "workspace.json"
+    cfg = json.loads(config.read_text(encoding="utf-8"))
+    config.write_text(
+        f'{{"corpus_root": {json.dumps(cfg["corpus_root"])}, "seed": 7, '
+        f'"seed": {cfg["seed"]}, "strictness": "{cfg["strictness"]}"}}\n',
+        encoding="utf-8")
+    proc = run_cli("metrics", "-w", copy)
+    assert proc.returncode == 2, proc.stderr
+    assert f"{config}: not a workspace config: key 'seed' is repeated; " \
+        "re-run `catalog`" in proc.stderr
+
+
 def test_missing_prerequisite_artifact_is_an_input_error(cli_env):
     _corpus, ws, _proc = cli_env
     proc = run_cli("report", "-w", ws, "--study", "windows")

@@ -197,6 +197,23 @@ def test_sampling_picks_the_stdlib_sample_of_the_full_list(views,
     assert kept_edges == {"first", "last", "group start"}
 
 
+def test_every_long_method_keeps_the_stdlib_draw_over_its_full_list():
+    """The sampled route: every kept index maps to the path at that index
+    of the full list, however many kept indices share a group or a
+    sibling's filtered ends."""
+    checks = 0
+    for m in _LONG_METHODS:
+        full = extract_paths(m.ast, max_contexts=NO_LIMIT)
+        for cap in (200, 50, len(full) - 1):
+            for seed in (0, 11):
+                keep = sorted(random.Random(seed).sample(range(len(full)),
+                                                         cap))
+                got = extract_paths(m.ast, max_contexts=cap, seed=seed)
+                assert got == [full[k] for k in keep], (m.signature, cap, seed)
+                checks += 1
+    assert checks == 6 * len(_LONG_METHODS) == 144
+
+
 def test_a_capped_method_builds_only_the_kept_paths():
     """Counting comes before building: on the largest long method the peak
     stays within what its groups and kept paths need, which a list of every
@@ -385,3 +402,25 @@ def test_renders_stay_right_past_the_cache_bound(views):
     assert shapes.currsize == RENDER_CACHE_SIZE
     pathcontexts.clear_render_caches()
     assert all(cache.cache_info().currsize == 0 for cache in caches)
+
+
+def test_each_shape_renders_once(monkeypatch):
+    """The hash of a shape is taken from the string just rendered: one
+    `render_path` call per `_shape_strings` miss, not two."""
+    calls = []
+
+    def counting_render(p):
+        calls.append(p)
+        return render_path(p)
+
+    monkeypatch.setattr(pathcontexts, "render_path", counting_render)
+    m = max(_LONG_METHODS, key=lambda m: len(m.ast.terminals()))
+    paths = extract_paths(m.ast, seed=5)
+    pathcontexts.clear_render_caches()
+    try:
+        c2vc, c2sq = to_c2vc(m, paths), to_c2sq(m, paths)
+        misses = pathcontexts._shape_strings.cache_info().misses
+    finally:
+        pathcontexts.clear_render_caches()
+    assert (c2vc, c2sq) == (to_c2vc_oracle(m, paths), to_c2sq_oracle(m, paths))
+    assert len({p[2:] for p in paths}) <= misses == len(calls)

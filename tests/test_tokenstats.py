@@ -9,7 +9,7 @@ encoder must stay faithful even for bytes the training corpus never saw.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from codecorpus.errors import InputError, InvalidArgumentError
 from codecorpus.lexer import lex
@@ -196,6 +196,41 @@ def test_encoding_matches_the_full_rescan_oracle(train, text, vocab_size):
         want = bpe_encode_oracle(v, sample)
         assert bpe_encode(v, sample) == want
         assert bpe_encode_len(v, sample) == len(want)
+
+
+# Operands for hand-ordered merge lists: bytes of the alphabet, strings
+# that other merges may join (or that nothing joins), the two halves of
+# "é", a CR and a CRLF.
+_OPERANDS = st.sampled_from([b"a", b"b", b"c", b"ab", b"ba", b"aa", b"abc",
+                             b"bab", b"\r", b"\r\n", b" ", b"\xc3",
+                             b"\xa9", "é".encode(), b"zz"])
+_VOCABS = st.one_of(
+    st.builds(train_bpe, st.lists(_PIECES, min_size=1, max_size=30)
+              .map("".join), st.integers(min_value=257, max_value=300)),
+    st.lists(st.tuples(_OPERANDS, _OPERANDS), max_size=12).map(
+        lambda merges: BpeVocab(merges, set(), 0, "")))
+# lines of the alphabet, with CR, non-ASCII text and bytes no merge touches
+_LINES = st.lists(st.one_of(_PIECES, st.sampled_from(["x", "ü", "\r\n"])),
+                  max_size=40).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VOCABS, _LINES)
+@example(BpeVocab([(b"xy", b"a"), (b"a", b"b")], set(), 0, ""), "xyab\nab")
+@example(BpeVocab([(b"a", b"b"), (b"b", b"c"), (b"ab", b"c"), (b"a", b"bc"),
+                   (b"a", b"b")], set(), 0, ""), "abcabc\rbc\n")
+@example(BpeVocab([(b"a", b"b"), (b"b", b"c"), (b"a", b"b")], set(), 0, ""),
+         "abc")
+@example(BpeVocab([(b"\xc3", b"\xa9"), ("é".encode(), b"a")], set(), 0, ""),
+         "éaé\r\nxü")
+def test_encoding_on_ids_matches_the_oracle_for_any_merge_list(v, text):
+    """Trained and hand-ordered merge lists alike: merges listed before the
+    merges that make their operands, merges whose operand nothing makes,
+    two merges joining one string, and a pair listed twice."""
+    want = bpe_encode_oracle(v, text)
+    assert bpe_encode(v, text) == want
+    assert bpe_encode_len(v, text) == len(want)
+    assert bpe_encode_len(v, text) == len(want)     # from the line memo
 
 
 def test_encoding_follows_rank_order_rounds():
