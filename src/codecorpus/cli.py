@@ -73,12 +73,13 @@ def _parse_fracs(text: str) -> tuple[float, ...]:
 
 
 def _parse_filter(text: str) -> tuple[str, str, int | str]:
-    for op in FILTER_OPS:
-        if op in text:
-            key, _, raw = text.partition(op)
-            return key.strip(), op, property_value(raw.strip())
-    raise InvalidArgumentError(f"filter {text!r} needs an operator "
-                               f"(one of {' '.join(FILTER_OPS)})")
+    """Split at the leftmost operator; `>=` and `<=` are taken whole."""
+    found = [(text.find(op), -len(op), op) for op in FILTER_OPS if op in text]
+    if not found:
+        raise InvalidArgumentError(f"filter {text!r} needs an operator "
+                                   f"(one of {' '.join(FILTER_OPS)})")
+    at, _, op = min(found)
+    return text[:at].strip(), op, property_value(text[at + len(op):].strip())
 
 
 def catalog(ws: Workspace, args) -> dict:

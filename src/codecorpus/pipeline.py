@@ -380,9 +380,10 @@ def stage_props_import(ws: Workspace, cat: Catalog, source_csv,
             "rejected": len(values) - len(table)}
 
 
-def _cataloged(cat: Catalog, path: Path, table: dict) -> dict:
+def _cataloged(ws: Workspace, cat: Catalog, path: Path, table: dict) -> dict:
     """`table`, read from `path`, if it holds a row and only cataloged
-    method ids; else an InputError naming the file (and a stray id's line)."""
+    method ids, and every one of them unless `props-import` wrote it; else
+    an InputError naming the file (and a stray id's line)."""
     if not table:
         raise InputError(f"{path}: holds no method rows")
     stray = next((mid for mid in table
@@ -393,6 +394,9 @@ def _cataloged(cat: Catalog, path: Path, table: dict) -> dict:
             line = next(rows.line_num for row in rows if row[:1] == [stray])
         raise InputError(f"{path}:{line}: method_id {stray!r} is not a "
                          "cataloged method")
+    if len(table) < len(cat.methods) and ws.writer(path) != "props-import":
+        raise InputError(f"{path}: holds {len(table)} of the "
+                         f"{len(cat.methods)} cataloged methods")
     return table
 
 
@@ -402,7 +406,7 @@ def _load_props(ws: Workspace, cat: Catalog, keys: list[str],
     `property_value`, or with `ints` as integers."""
     return {key: ws.read(ws.property_path(key), lambda path: {
         mid: v if ints else property_value(v) for mid, v in _cataloged(
-            cat, path, read_property_csv(path, ints)).items()})
+            ws, cat, path, read_property_csv(path, ints)).items()})
         for key in keys}
 
 
@@ -418,7 +422,7 @@ def stage_taskgen(ws: Workspace, datas: list[ProjectData], cat: Catalog,
         for k in needed:
             validate_property_key(k)
         payloads = ws.read(ws.repr_path("TKNA"), lambda path: _cataloged(
-            cat, path, read_repr_csv(path)))
+            ws, cat, path, read_repr_csv(path)))
         props = _load_props(ws, cat, sorted(set(needed)))
         dataset = make_property_task(
             key, props, payloads, cat, filters=list(filters),

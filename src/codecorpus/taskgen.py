@@ -34,8 +34,7 @@ CTX_TOKEN = "<CTX>"
 TASK_HEADER = ["sample_id", "method_id", "split", "stratum", "size_bucket",
                "label", "payload"]
 
-# Property filter operators; the two-character ones come first, so a scan
-# of `SLOC>=5` for the first operator it holds finds `>=`, not `>`.
+# Property filter operators
 FILTER_OPS = {">=": operator.ge, "<=": operator.le, "==": operator.eq,
               "!=": operator.ne, ">": operator.gt, "<": operator.lt}
 

@@ -69,7 +69,12 @@ class BpeVocab:
 
 def train_bpe(corpus_text: str, vocab_size: int,
               corpus_tag: str = "") -> BpeVocab:
-    """Learn merge rules on `corpus_text` until `vocab_size` symbols exist."""
+    """Learn merge rules on `corpus_text` until `vocab_size` symbols exist.
+
+    When every merge made a new symbol, no merged pair forms again (a merge
+    joins all its sites, and each pair it creates holds its new symbol), so
+    encoding by rank takes training's steps on each line: the returned
+    `_line_cache` then holds each training line's final symbol count."""
     if not corpus_text:
         raise InvalidArgumentError("training corpus must be nonempty")
     if vocab_size <= 256:
@@ -80,8 +85,8 @@ def train_bpe(corpus_text: str, vocab_size: int,
     # separator; a position a merge consumed reads -1 too. `prv` and `nxt`
     # link the live positions, and `sites` lists, per adjacent pair, the
     # positions where it started at some point (rechecked on merge).
-    lines = [(line.encode("utf-8"), n) for line, n
-             in sorted(Counter(split_lines(corpus_text)).items())]
+    counted = sorted(Counter(split_lines(corpus_text)).items())
+    lines = [(line.encode("utf-8"), n) for line, n in counted]
     size = sum(len(data) + 1 for data, _n in lines)
     # one int object per position, shared by the links and the site lists
     pos = list(range(-1, size + 1))
@@ -153,7 +158,14 @@ def train_bpe(corpus_text: str, vocab_size: int,
                 heapq.heappush(heap, (-c, names[p[0]], names[p[1]], p))
             else:
                 del counts[p]
-    return BpeVocab(merges, set(names), len(names), corpus_tag)
+    v = BpeVocab(merges, set(names), len(names), corpus_tag)
+    if len(names) == 256 + len(merges):
+        start = 0
+        for (line, _), (data, _) in zip(counted, lines):
+            end = start + len(data)
+            v._line_cache[line] = len(data) - sym[start:end].count(-1)
+            start = end + 1
+    return v
 
 
 def _encode_line(v: BpeVocab, data: bytes) -> tuple[list[int], list[int]]:

@@ -608,6 +608,16 @@ def test_every_filter_operator_parses_from_a_filter(op):
     assert cli._parse_filter(f" SLOC {op} 05 ") == ("SLOC", op, "05")
 
 
+@pytest.mark.parametrize("text, want", [
+    ("NAME==a>=b", ("NAME", "==", "a>=b")),
+    ("NAME==x<=y", ("NAME", "==", "x<=y")),
+    ("NAME!=<", ("NAME", "!=", "<")),
+    ("N<a>=b", ("N", "<", "a>=b")),
+])
+def test_a_filter_splits_at_its_first_operator(text, want):
+    assert cli._parse_filter(text) == want
+
+
 def _property_labels(ws, key):
     with open(ws / "tasks" / f"property_{key}.csv", newline="",
               encoding="utf-8") as f:
@@ -719,40 +729,59 @@ def test_a_repeated_key_is_an_input_error(metrics_ws, tmp_path, artifact,
         "(first on line 2)" in proc.stderr
 
 
-@pytest.mark.parametrize("artifact, line, row, command, writer", [
-    ("properties/CMPX.csv", None, None, "taskgen", "metrics"),
-    ("properties/CMPX.csv", -1, "not-a-method-id,7", "taskgen", "metrics"),
-    ("properties/CMPX.csv", 3, "demo,7", "taskgen", "metrics"),
-    ("representations/TKNA.csv", -1, "zz,payload", "taskgen", "repr"),
-    ("representations/TKNA.csv", None, None, "taskgen", "repr"),
-    ("properties/SLOC.csv", 2, "zz,3", "bias", "metrics"),
+@pytest.mark.parametrize("edits, command, writer", [
+    ({"properties/CMPX.csv": slice(0)}, "taskgen", "metrics"),
+    ({"properties/CMPX.csv": (-1, "not-a-method-id,7")}, "taskgen",
+     "metrics"),
+    ({"properties/CMPX.csv": (3, "demo,7")}, "taskgen", "metrics"),
+    ({"representations/TKNA.csv": (-1, "zz,payload")}, "taskgen", "repr"),
+    ({"representations/TKNA.csv": slice(0)}, "taskgen", "repr"),
+    ({"properties/SLOC.csv": (2, "zz,3")}, "bias", "metrics"),
+    ({"representations/TKNA.csv": slice(1, None)}, "taskgen", "repr"),
+    ({"properties/CMPX.csv": slice(-1)}, "taskgen", "metrics"),
+    ({"representations/TKNA.csv": slice(0, 1),
+      "properties/CMPX.csv": slice(1, 2)}, "taskgen", "repr"),
 ], ids=["CMPX-empty", "CMPX-appended", "CMPX-project-id", "TKNA-appended",
-        "TKNA-empty", "SLOC-first"])
+        "TKNA-empty", "SLOC-first", "TKNA-missing-row", "CMPX-missing-row",
+        "TKNA-CMPX-disjoint"])
 def test_a_per_method_input_holds_rows_of_cataloged_methods(
-        metrics_ws, tmp_path, artifact, line, row, command, writer):
-    """An empty table, or a row whose id is no cataloged method (a project
-    id included), is an input error naming the file, the row's line and
-    the file's writer, before any sample or report is made."""
+        metrics_ws, tmp_path, edits, command, writer):
+    """An empty table, a row whose id is no cataloged method (a project id
+    included), and a computed table that misses a cataloged method are
+    input errors naming the file, the row's line or the row count, and the
+    file's writer, before any sample or report is made. An edit is the
+    slice of data rows kept, or a row inserted at a line (-1 appends)."""
     ws = tmp_path / "ws"
     shutil.copytree(metrics_ws, ws)
-    target = ws / artifact
-    lines = target.read_text(encoding="utf-8").splitlines(keepends=True)
-    if row is None:
-        lines, want = lines[:1], f"{target}: holds no method rows; "
-    else:
-        if row.startswith("demo,"):
-            with open(ws / "metadata" / "projects.csv", newline="",
-                      encoding="utf-8") as f:
-                row = f"{list(csv.reader(f))[1][0]},7"
-        line = len(lines) + 1 if line == -1 else line
-        lines.insert(line - 1, row + "\r\n")
-        want = (f"{target}:{line}: method_id {row.split(',')[0]!r} is not a "
-                "cataloged method; ")
-    target.write_text("".join(lines), encoding="utf-8")
+    with open(ws / "metadata" / "methods.csv", newline="",
+              encoding="utf-8") as f:
+        methods = len(list(csv.reader(f))) - 1
+    messages = []
+    for artifact, edit in edits.items():
+        target = ws / artifact
+        lines = target.read_text(encoding="utf-8").splitlines(keepends=True)
+        if isinstance(edit, slice):
+            lines = lines[:1] + lines[1:][edit]
+            kept = len(lines) - 1
+            messages.append(f"{target}: holds {kept} of the {methods} "
+                            "cataloged methods" if kept else
+                            f"{target}: holds no method rows")
+        else:
+            line, row = edit
+            if row.startswith("demo,"):
+                with open(ws / "metadata" / "projects.csv", newline="",
+                          encoding="utf-8") as f:
+                    row = f"{list(csv.reader(f))[1][0]},7"
+            line = len(lines) + 1 if line == -1 else line
+            lines.insert(line - 1, row + "\r\n")
+            messages.append(f"{target}:{line}: method_id "
+                            f"{row.split(',')[0]!r} is not a cataloged method")
+        target.write_text("".join(lines), encoding="utf-8")
     proc = run_cli(*(("taskgen", "--task", "property") if command == "taskgen"
                      else ("report", "--study", "bias")), "-w", ws)
     assert proc.returncode == 2, proc.stderr
-    assert f"input error: {want}re-run `{writer}`" in proc.stderr
+    # the first file edited is the first one read
+    assert f"input error: {messages[0]}; re-run `{writer}`" in proc.stderr
 
 
 @pytest.fixture(scope="module")

@@ -804,6 +804,31 @@ def test_the_code_vocab_trains_on_the_method_lines(tmp_path, monkeypatch):
     assert [line[:-1] for line in lines] == method_lines
 
 
+def test_recorded_training_counts_leave_tokenstats_bytes_unchanged(
+        pipe_env, tmp_path, monkeypatch):
+    """The counts `train_bpe` records give the same tables and ratios as
+    vocabularies that start with an empty memo and encode every line."""
+    _ws, _cfg, datas, cat, _s = pipe_env
+    real = pipeline_mod.train_bpe
+
+    def unrecorded(text, vocab_size, corpus_tag=""):
+        v = real(text, vocab_size, corpus_tag)
+        assert v._line_cache
+        v._line_cache.clear()
+        return v
+
+    names = ("sizes.csv", "fit.csv", "fit_bucketed.csv")
+    outputs = []
+    for empty_memo in (False, True):
+        if empty_memo:
+            monkeypatch.setattr(pipeline_mod, "train_bpe", unrecorded)
+        ws = Workspace(tmp_path / f"ws{empty_memo}")
+        summary = stage_tokenstats(ws, datas, cat)
+        outputs.append((summary, [(ws.tokenstats_dir / name).read_bytes()
+                                  for name in names]))
+    assert outputs[0] == outputs[1]
+
+
 def test_no_stage_relexes_method_texts(pipe_env, tmp_path, monkeypatch):
     _ws, cfg, datas, cat, _s = pipe_env
     lexed = []

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from codecorpus.errors import InputError, InvalidArgumentError
 from codecorpus.lexer import lex
+from codecorpus.parser import split_lines
 from codecorpus.pipeline import all_sources, merged_catalog
 from codecorpus.tokenstats import (
     FIT_HEADER, SIZES_HEADER, WINDOW_THRESHOLDS, BpeVocab, bpe_decode,
@@ -247,6 +248,53 @@ def test_fixture_encoding_matches_the_full_rescan_oracle(code_vocab,
     corpus_text = corpus_env[3]
     assert bpe_encode(code_vocab, corpus_text) == \
         bpe_encode_oracle(code_vocab, corpus_text)
+
+
+def _assert_recorded_counts_are_encodings(v, text):
+    """`train_bpe` records every unique line of its training text, and
+    each count is the line's symbol count under the rescan oracle."""
+    assert v.size == 256 + len(v.merges)
+    assert sorted(v._line_cache) == sorted(set(split_lines(text)))
+    for line, n in v._line_cache.items():
+        assert n == len(bpe_encode_oracle(v, line)), line
+
+
+# repeated lines, so that lines carry weights
+_TRAINING_TEXTS = st.lists(_LINES.map(lambda line: line + "\n"), min_size=1,
+                           max_size=8).flatmap(
+    lambda lines: st.lists(st.sampled_from(lines), min_size=1,
+                           max_size=12)).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_TRAINING_TEXTS,
+                 st.lists(_PIECES, min_size=1, max_size=60).map("".join)),
+       st.integers(min_value=257, max_value=320))
+@example("aaaaaa\n" * 3 + "ababab\n" + "bababa\n", 300)
+@example("abcdef", 512)             # stops at once: no pair repeats
+@example("x\rab\r\nab\n" * 3 + "ab", 258)   # stops at the vocabulary size
+def test_training_records_each_lines_encoded_count(text, vocab_size):
+    _assert_recorded_counts_are_encodings(train_bpe(text, vocab_size), text)
+
+
+def test_corpus_vocabs_record_each_lines_encoded_count(
+        corpus_env, scaled_corpus_data, longgen_corpus_data):
+    texts = [corpus_env[3], english_sample_text(),
+             _method_text(scaled_corpus_data)]
+    texts += [_method_text([data]) for data in longgen_corpus_data]
+    for text in texts:
+        _assert_recorded_counts_are_encodings(train_bpe(text, 512), text)
+
+
+def test_encoding_the_training_text_adds_no_memo_entry(corpus_env):
+    _cat, method_texts, _c, corpus_text = corpus_env
+    v = train_bpe(corpus_text, 512)
+    recorded = dict(v._line_cache)
+    assert recorded
+    for text in method_texts.values():
+        bpe_encode_len(v, text)
+    assert tokenizer_ratio(v, list(method_texts.values())) > 0
+    assert v._line_cache == recorded
 
 
 def test_roundtrip_over_the_whole_fixture_corpus(code_vocab, corpus_env):
