@@ -37,8 +37,8 @@ from typing import NamedTuple
 from .catalog import CALLGRAPH_KEYS, Catalog, ProjectData
 from .errors import InputError, InvalidArgumentError, NotFoundError
 from .identity import EntityId
-from .lexer import (KIND_BOOL, KIND_CHAR, KIND_IDENTIFIER, KIND_INT,
-                    KIND_KEYWORD, KIND_NULL, KIND_STRING)
+from .lexer import (KIND_BOOL, KIND_CHAR, KIND_FLOAT, KIND_IDENTIFIER,
+                    KIND_INT, KIND_NULL, KIND_STRING)
 from .parser import (
     Ast, CallSite, ClassView, FileView, MethodSource, NT_CALL,
     NT_FIELD_ACCESS, NT_LOCAL, NT_NEW, NT_PAREN, PRIMITIVE_WORDS, call_parts,
@@ -202,8 +202,12 @@ def _dotted_text(ast: Ast, node: int) -> str | None:
     return f"{base}.{ast.lexeme(ast.children[node][2])}"
 
 
-_LITERAL_TYPES = {KIND_INT: "int", KIND_STRING: "String", KIND_CHAR: "char",
-                  KIND_BOOL: "boolean", KIND_NULL: _NULL}
+# A literal's type by its kind, or by its kind and an `L` or `f` suffix
+# (JLS SE 17 §3.10.1-2): `1L` is a long, `1.5f` a float and `1.5` a double.
+_LITERAL_TYPES = {KIND_INT: "int", KIND_FLOAT: "double", KIND_STRING: "String",
+                  KIND_CHAR: "char", KIND_BOOL: "boolean", KIND_NULL: _NULL,
+                  (KIND_INT, "L"): "long", (KIND_INT, "l"): "long",
+                  (KIND_FLOAT, "F"): "float", (KIND_FLOAT, "f"): "float"}
 
 
 class _SiteExtractor:
@@ -251,10 +255,11 @@ class _SiteExtractor:
         if ast.is_terminal(node):
             tok = ast.token(node)
             if tok.kind in _LITERAL_TYPES:
-                return _LITERAL_TYPES[tok.kind]
+                return _LITERAL_TYPES.get((tok.kind, tok.lexeme[-1]),
+                                          _LITERAL_TYPES[tok.kind])
             if tok.kind == KIND_IDENTIFIER:
                 return self.types.get(tok.lexeme)
-            if tok.kind == KIND_KEYWORD and tok.lexeme == "this":
+            if tok.lexeme == "this":
                 return self.entry.cv.name
             return None
         nt = ast.node_types[node]

@@ -34,7 +34,7 @@ from json.encoder import encode_basestring as _json_str
 from typing import Callable, NamedTuple
 
 from .errors import InvalidArgumentError
-from .lexer import KIND_IDENTIFIER, KIND_KEYWORD
+from .lexer import KIND_IDENTIFIER
 from .parser import (
     Ast, MethodSource, NT_ASSIGN, NT_BINARY, NT_BLOCK, NT_CALL, NT_FIELD_ACCESS,
     NT_FOR, NT_IF, NT_LOCAL, NT_NEW, NT_PARAM, NT_PAREN, NT_POSTFIX, NT_RETURN,
@@ -332,7 +332,7 @@ def build_feature_graph(method: MethodSource,
             if lexeme in last_seen:
                 edges.add(("LastLexicalUse", t, last_seen[lexeme]))
             last_seen[lexeme] = t
-        elif kind == KIND_KEYWORD and lexeme == "return":
+        elif lexeme == "return":
             edges.add(("ReturnTo", t, 0))
 
     # initial state: parameters, then a synthetic FieldDef write for each

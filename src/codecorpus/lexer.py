@@ -1,26 +1,38 @@
 """Lexer for the supported Java-like subset, plus token-string encodings.
 
-Token kinds: keyword, identifier, int_literal, string_literal, char_literal,
-bool_literal, null_literal, operator, separator. Comments and whitespace are
-consumed and never appear in the token stream (raw text keeps them; token
-representations do not). Annotations are not special here: `@Override` lexes
-as a separator `@` followed by an identifier.
+Token kinds: keyword, identifier, int_literal, float_literal,
+string_literal, char_literal, bool_literal, null_literal, operator,
+separator. Comments and whitespace are consumed and never appear in the
+token stream (raw text keeps them; token representations do not).
+Annotations are not special here: `@Override` lexes as a separator `@`
+followed by an identifier.
 
-Number literals are plain decimal digit runs; float/hex forms are outside the
-subset. A char literal holds one character or escape and a string literal
-any run of them. The escapes are those of JLS SE 17 §3.10.7 (`\\b \\s \\t
-\\n \\f \\r \\" \\' \\\\` and octal, `'\\101'`) and Unicode ones (`'\\u0041'`,
-one or more `u`); any other backslash makes the literal a LexError. Generic
-angle brackets lex as ordinary `<` / `>` operators and are dealt with by the
+A lexeme decides its kind: each fixed lexeme (a reserved word, `true`,
+`false`, `null`, an operator or a separator) has one kind, in
+`_LEXEME_KINDS` (JLS SE 17 §3.9-3.12), and no other token is spelled like
+one. So code after the lexer tests such a token by its lexeme alone, and
+tests the kind only of identifiers and literals.
+
+Number literals are those of JLS SE 17 §3.10.1-2: decimal, octal, hex and
+binary integers with an optional `L`, and decimal and hex floating forms
+with exponents and `f`/`d` suffixes, with underscores between digits. An
+integer is an int_literal, a floating form (a `.`, an exponent or an
+`f`/`d` suffix) a float_literal; octal digits are not checked (`08`). A
+char literal holds one character or escape and a string literal any run of
+them. The escapes are those of JLS SE 17 §3.10.7 (`\\b \\s \\t \\n \\f \\r
+\\" \\' \\\\` and octal, `'\\101'`) and Unicode ones (`'\\u0041'`, one or
+more `u`); any other backslash makes the literal a LexError. Generic angle
+brackets lex as ordinary `<` / `>` operators and are dealt with by the
 parser.
 
 A `Token` is a named tuple (kind, lexeme, line, col). `lex` walks the source
 once with `_TOKEN_RE.findall`, one match per token: the whitespace and
 comments before a token are a prefix group of its match. A lexeme's kind is
 looked up in a table of the fixed lexemes, or else read off its first
-character. Catch-all alternatives (an unclosed `/*`, then any single
-character) turn what starts no token into the LexError for that position.
-Columns count characters from the start of the current line.
+character and, for a number, its form. Catch-all alternatives (an unclosed
+`/*`, then any single character) turn what starts no token into the
+LexError for that position. Columns count characters from the start of the
+current line.
 
 Two flat token-string encodings live here as well:
 
@@ -41,6 +53,7 @@ from .errors import LexError
 KIND_KEYWORD = "keyword"
 KIND_IDENTIFIER = "identifier"
 KIND_INT = "int_literal"
+KIND_FLOAT = "float_literal"
 KIND_STRING = "string_literal"
 KIND_CHAR = "char_literal"
 KIND_BOOL = "bool_literal"
@@ -48,7 +61,8 @@ KIND_NULL = "null_literal"
 KIND_OPERATOR = "operator"
 KIND_SEPARATOR = "separator"
 
-LITERAL_KINDS = frozenset({KIND_INT, KIND_STRING, KIND_CHAR, KIND_BOOL, KIND_NULL})
+LITERAL_KINDS = frozenset({KIND_INT, KIND_FLOAT, KIND_STRING, KIND_CHAR,
+                           KIND_BOOL, KIND_NULL})
 
 # The reserved words of JLS SE 17 §3.9, `_` among them. Contextual words
 # (`var`, `record`, `yield`, `sealed`, `permits`, ...) stay identifiers.
@@ -73,6 +87,16 @@ class Token(NamedTuple):
 _OPERATORS = ("&& || ++ -- <= >= == != += -= *= /= %= "
               "= < > ! ? : + - * / % & | ^ ~").split()
 
+# A number literal (JLS SE 17 §3.10.1-2), its forms ordered so that none
+# stops at a prefix of a longer one: a hex float before a hex integer, and a
+# decimal `1L` before the decimal form that would stop at its `1`. Digit
+# runs take underscores only between digits.
+_D = r"[0-9](?:[0-9_]*[0-9])?"
+_H = r"[0-9A-Fa-f](?:[0-9A-Fa-f_]*[0-9A-Fa-f])?"
+_NUMBER = (rf"0[xX](?:{_H}(?:\.(?:{_H})?)?|\.{_H})[pP][+-]?{_D}[fFdD]?"
+           rf"|0[xX]{_H}[lL]?|0[bB][01](?:[01_]*[01])?[lL]?|{_D}[lL]"
+           rf"|(?:{_D}(?:\.(?:{_D})?)?|\.{_D})(?:[eE][+-]?{_D})?[fFdD]?")
+
 # Each match is one token and the whitespace and comments before it. A
 # closed comment is always skipped, so a `/*` in the token group opens one
 # that never closes; `.` takes a one-character operator or separator, and
@@ -85,18 +109,21 @@ _TOKEN_RE = re.compile(
     ( /\*
     | "(?:\\(?:u+[0-9A-Fa-f]{4}|[0-7bstnfr"'\\])|[^"\\\n])*"
     | '(?:\\u+[0-9A-Fa-f]{4}|\\[0-3]?[0-7]{1,2}|\\[bstnfr"'\\]|[^'\\\n])'
-    | [0-9]+
     | [A-Za-z_$][A-Za-z0-9_$]*
-    | """ + "|".join(re.escape(op) for op in _OPERATORS if len(op) > 1) + r"""
+    | """ + _NUMBER + "|"
+    + "|".join(re.escape(op) for op in _OPERATORS if len(op) > 1) + r"""
     | .
     | \Z
     )
     """,
     re.VERBOSE | re.DOTALL,
 )
+# A number that starts with a digit is a float when it has a `.`, an
+# exponent or an `f`/`d` suffix, or, in hex, a `p` exponent.
+_FLOAT_LITERAL = re.compile(r"0[xX].*[pP]|[^xX]*[.eEfFdD]")
 
 # A lexeme's kind: a fixed lexeme's from this table, any other's from its
-# first character.
+# first character, and a number's then from `_FLOAT_LITERAL`.
 _LEXEME_KINDS = {
     **dict.fromkeys(_OPERATORS, KIND_OPERATOR),
     **dict.fromkeys("(){}[];,.@", KIND_SEPARATOR),
@@ -105,7 +132,7 @@ _LEXEME_KINDS = {
 }
 _FIRST_KINDS = {
     **dict.fromkeys(string.ascii_letters + "_$", KIND_IDENTIFIER),
-    **dict.fromkeys(string.digits, KIND_INT),
+    **dict.fromkeys(string.digits, KIND_INT), ".": KIND_FLOAT,
     '"': KIND_STRING, "'": KIND_CHAR,
 }
 
@@ -138,6 +165,8 @@ def lex(source: str) -> list[Token]:
                     break
                 raise LexError(_ILLEGAL.get(text, f"illegal character {text!r}"),
                                line, col)
+            if kind is KIND_INT and _FLOAT_LITERAL.match(text):
+                kind = KIND_FLOAT
         # Token(...) without the Python-level __new__ of a NamedTuple
         append(new_tuple(Token, (kind, text, line, col)))
         col += len(text)
@@ -160,7 +189,7 @@ def tknb_text(tokens: list[Token]) -> str:
         lx = t.lexeme
         if t.kind in LITERAL_KINDS and "," in lx:
             lx = lx.replace(",", LITCOMMA)
-        elif t.kind == KIND_SEPARATOR and lx == ",":
+        elif lx == ",":
             lx = '","'
         items.append(lx)
     return ",".join(items)

@@ -13,7 +13,8 @@ break the count.
 * MXIN  max depth of nested blocks below the method body (body = 0)
 * NPTH  Nejmeh-style path recurrence, see npath() below
 * NMTK  token count; NMPR parameter count; NUID distinct identifiers
-* NMOP  operator tokens; NMLT literal tokens; NMRT return statements
+* NMOP  operator tokens; NMLT literal tokens (a float one each, like an
+        int); NMRT return statements
 * NAME  the method's simple name (text-valued)
 
 NPTH follows the classical recurrence: a statement sequence multiplies, an
@@ -32,18 +33,12 @@ from .parser import (
     for_parts, if_parts, method_body, while_parts,
 )
 
-DECISION_KEYWORDS = ("if", "while", "for")
+DECISION_LEXEMES = frozenset({"if", "while", "for", "&&", "||", "?"})
 
 
 def cmpx(ast: Ast) -> int:
     """Cyclomatic complexity: 1 + branching keywords + short-circuit ops + ?:."""
-    count = 1
-    for tok in ast.tokens:
-        if tok.kind == KIND_KEYWORD and tok.lexeme in DECISION_KEYWORDS:
-            count += 1
-        elif tok.kind == KIND_OPERATOR and tok.lexeme in ("&&", "||", "?"):
-            count += 1
-    return count
+    return 1 + sum(1 for tok in ast.tokens if tok.lexeme in DECISION_LEXEMES)
 
 
 def mxin(ast: Ast) -> int:
@@ -65,7 +60,7 @@ def mxin(ast: Ast) -> int:
 def _short_circuits(ast: Ast, expr: int) -> int:
     first, end = ast.token_span(expr)
     return sum(1 for tok in ast.tokens[first:end]
-               if tok.kind == KIND_OPERATOR and tok.lexeme in ("&&", "||"))
+               if tok.lexeme in ("&&", "||"))
 
 
 def _npath_stmt(ast: Ast, stmt: int) -> int:

@@ -31,6 +31,11 @@ parsed region exactly. So a node's tokens are one slice of the token list
 (`Ast.token_span`), and positions live in the tokens only: a nonterminal
 is at its first leaf's line and column.
 
+A keyword, operator or separator is tested by its lexeme alone: the lexer
+gives each fixed lexeme one kind (`lexer._LEXEME_KINDS`), so only
+identifiers and literals are tested by kind. `_Parser` reads a lexeme list
+and a kind list beside the tokens, padded past the end with `None`.
+
 Binary operators are parsed by precedence climbing, one call per operand.
 The parser builds a tree of nested lists; `_flatten` writes every table in
 one walk of a build node, each node's `children` as a tuple (which the
@@ -52,10 +57,8 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import ParseError
-from .lexer import (
-    KIND_BOOL, KIND_CHAR, KIND_IDENTIFIER, KIND_INT, KIND_KEYWORD,
-    KIND_NULL, KIND_OPERATOR, KIND_SEPARATOR, KIND_STRING, Token, lex,
-)
+from .lexer import (KEYWORDS, KIND_IDENTIFIER, KIND_SEPARATOR, LITERAL_KINDS,
+                    Token, lex)
 
 # Nonterminal vocabulary. Terminal nodes use their token kind as node_type.
 NT_COMPILATION_UNIT = "CompilationUnit"
@@ -95,6 +98,9 @@ PRIMITIVE_WORDS = frozenset({"boolean", "byte", "char", "double", "float", "int"
 # and annotations.
 _TYPE_ARG_LEXEMES = PRIMITIVE_WORDS | {"extends", "super", "?", "&", ".", ",",
                                        "[", "]", "@"}
+
+# The kinds of a token that is an operand by itself.
+_OPERAND_KINDS = LITERAL_KINDS | {KIND_IDENTIFIER}
 
 # Binary operator -> precedence level, loosest first; each level is
 # left-associative.
@@ -213,54 +219,51 @@ def _emit(node: _Node, parent: int, tokens: list[Token], first: int,
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
-        # Padded with None past the end, so lookahead up to two tokens past
-        # the current one is a plain index.
-        self.toks: list[Token | None] = [*tokens, None, None, None]
-        self.n = len(tokens)
+        self.tokens = tokens
+        # Padded with None past the end, so lookahead one token past the
+        # end is a plain index and compares unequal to every lexeme.
+        kinds, lexemes, _lines, _cols = zip(*tokens)
+        self.lx: tuple[str | None, ...] = (*lexemes, None, None)
+        self.kinds: tuple[str | None, ...] = (*kinds, None, None)
         self.i = 0
 
     # -- token plumbing -----------------------------------------------------
 
-    def _at(self, kind: str, lexeme: str | None = None, ahead: int = 0) -> bool:
-        t = self.toks[self.i + ahead]
-        return t is not None and t.kind == kind and (lexeme is None or t.lexeme == lexeme)
-
-    def _at_word(self, lexeme: str, ahead: int = 0) -> bool:
-        return self._at(KIND_KEYWORD, lexeme, ahead)
-
     def _error(self, message: str) -> ParseError:
-        t = self.toks[self.i]
-        if t is None:  # parse() never parses an empty token list
-            last = self.toks[self.n - 1]
+        if self.lx[self.i] is None:  # parse() never parses an empty token list
+            last = self.tokens[-1]
             return ParseError(f"{message}, found end of input", last.line, last.col)
+        t = self.tokens[self.i]
         return ParseError(f"{message}, found {t.lexeme!r}", t.line, t.col)
 
-    def take(self, parent: _Node) -> Token:
-        """Consume the current token and attach it as a leaf of parent."""
-        i = self.i
-        t = self.toks[i]
-        if t is None:
-            raise self._error("unexpected end of input")
-        parent.append(i)
-        self.i = i + 1
-        return t
+    def take(self, parent: _Node) -> None:
+        """Attach the current token, which the caller has read, to parent."""
+        parent.append(self.i)
+        self.i += 1
 
-    def expect(self, parent: _Node, kind: str, lexeme: str | None = None) -> Token:
-        t = self.toks[self.i]
-        if t is None or t.kind != kind or (lexeme is not None and t.lexeme != lexeme):
-            want = lexeme if lexeme is not None else kind
-            raise self._error(f"expected {want!r}")
-        return self.take(parent)
+    def expect(self, parent: _Node, lexeme: str) -> None:
+        """Take the current token if it is the fixed `lexeme`."""
+        if self.lx[self.i] != lexeme:
+            raise self._error(f"expected {lexeme!r}")
+        self.take(parent)
+
+    def expect_kind(self, parent: _Node, kind: str) -> str:
+        """Take the current token if it has `kind`; return its lexeme."""
+        i = self.i
+        if self.kinds[i] != kind:
+            raise self._error(f"expected {kind!r}")
+        self.take(parent)
+        return self.lx[i]
 
     # -- top level ------------------------------------------------------------
 
     def compilation_unit(self) -> _Node:
         unit = [NT_COMPILATION_UNIT]
-        if self._at_word("package"):
+        if self.lx[self.i] == "package":
             unit.append(self._package_or_import(NT_PACKAGE))
-        while self._at_word("import"):
+        while self.lx[self.i] == "import":
             unit.append(self._package_or_import(NT_IMPORT))
-        while self.toks[self.i] is not None:
+        while self.lx[self.i] is not None:
             unit.append(self.type_decl())
         if not any(c[0] in (NT_CLASS, NT_INTERFACE) for c in unit[1:]):
             raise ParseError("no type declaration in file", 1, 1)
@@ -270,122 +273,120 @@ class _Parser:
         """`package a.b;`, or `import a.b.C;` and `import a.b.*;`."""
         node = [node_type]
         self.take(node)
-        self.expect(node, KIND_IDENTIFIER)
-        while self._at(KIND_SEPARATOR, "."):
+        self.expect_kind(node, KIND_IDENTIFIER)
+        while self.lx[self.i] == ".":
             self.take(node)
-            if node_type == NT_IMPORT and self._at(KIND_OPERATOR, "*"):
+            if node_type == NT_IMPORT and self.lx[self.i] == "*":
                 self.take(node)
                 break
-            self.expect(node, KIND_IDENTIFIER)
-        self.expect(node, KIND_SEPARATOR, ";")
+            self.expect_kind(node, KIND_IDENTIFIER)
+        self.expect(node, ";")
         return node
 
     def _annotations_and_modifiers(self, parent: _Node) -> None:
         while True:
-            t = self.toks[self.i]
-            if t is None:
-                return
-            if t.kind == KIND_SEPARATOR and t.lexeme == "@":
+            lexeme = self.lx[self.i]
+            if lexeme == "@":
                 ann = [NT_ANNOTATION]
                 parent.append(ann)
                 self.take(ann)
-                self.expect(ann, KIND_IDENTIFIER)
-                if self._at(KIND_SEPARATOR, "("):
+                self.expect_kind(ann, KIND_IDENTIFIER)
+                if self.lx[self.i] == "(":
                     self._balanced(ann, ")", "annotation arguments")
-            elif t.kind == KIND_KEYWORD and t.lexeme in MODIFIER_WORDS:
+            elif lexeme in MODIFIER_WORDS:
                 self.take(parent)
             else:
                 return
 
     def type_decl(self) -> _Node:
         decl = ["_pending"]
+        lx = self.lx
         self._annotations_and_modifiers(decl)
-        if self._at_word("class"):
+        if lx[self.i] == "class":
             decl[0] = NT_CLASS
-        elif self._at_word("interface"):
+        elif lx[self.i] == "interface":
             decl[0] = NT_INTERFACE
         else:
             raise self._error("expected 'class' or 'interface'")
         self.take(decl)
-        name = self.expect(decl, KIND_IDENTIFIER).lexeme
-        if self._at(KIND_OPERATOR, "<"):
+        name = self.expect_kind(decl, KIND_IDENTIFIER)
+        if lx[self.i] == "<":
             self._balanced(decl, ">", "type arguments", _TYPE_ARG_LEXEMES)
-        if self._at_word("extends"):
+        if lx[self.i] == "extends":
             self.take(decl)
             decl.append(self.type_node())
-        if self._at_word("implements"):
+        if lx[self.i] == "implements":
             self.take(decl)
             decl.append(self.type_node())
-            while self._at(KIND_SEPARATOR, ","):
+            while lx[self.i] == ",":
                 self.take(decl)
                 decl.append(self.type_node())
-        self.expect(decl, KIND_SEPARATOR, "{")
-        while not self._at(KIND_SEPARATOR, "}"):
+        self.expect(decl, "{")
+        while lx[self.i] != "}":
             decl.append(self.member_decl(class_name=name))
-        self.expect(decl, KIND_SEPARATOR, "}")
+        self.expect(decl, "}")
         return decl
 
     def member_decl(self, class_name: str) -> _Node:
         member = ["_pending"]
+        lx = self.lx
         self._annotations_and_modifiers(member)
-        if self._at(KIND_IDENTIFIER, class_name) and self._at(KIND_SEPARATOR, "(", ahead=1):
+        if lx[self.i] == class_name and lx[self.i + 1] == "(":
             member[0] = NT_CTOR
             self.take(member)                      # constructor name
             self._list(member, self._param)
             member.append(self.block())
             return member
         member.append(self.type_node(allow_void=True))
-        self.expect(member, KIND_IDENTIFIER)
-        if self._at(KIND_SEPARATOR, "("):
+        self.expect_kind(member, KIND_IDENTIFIER)
+        if lx[self.i] == "(":
             member[0] = NT_METHOD
             self._list(member, self._param)
-            if self._at(KIND_SEPARATOR, ";"):
+            if lx[self.i] == ";":
                 self.take(member)                  # abstract / interface method
             else:
                 member.append(self.block())
         else:
             member[0] = NT_FIELD
-            if self._at(KIND_OPERATOR, "="):
+            if lx[self.i] == "=":
                 self.take(member)
                 member.append(self.expression())
-            self.expect(member, KIND_SEPARATOR, ";")
+            self.expect(member, ";")
         return member
 
     def _list(self, parent: _Node, item) -> None:
         """`( [item (',' item)*] )`: parameters or call arguments."""
-        self.expect(parent, KIND_SEPARATOR, "(")
-        if not self._at(KIND_SEPARATOR, ")"):
+        self.expect(parent, "(")
+        if self.lx[self.i] != ")":
             parent.append(item())
-            while self._at(KIND_SEPARATOR, ","):
+            while self.lx[self.i] == ",":
                 self.take(parent)
                 parent.append(item())
-        self.expect(parent, KIND_SEPARATOR, ")")
+        self.expect(parent, ")")
 
     def _param(self) -> _Node:
         p = [NT_PARAM]
         self._annotations_and_modifiers(p)
         p.append(self.type_node())
-        self.expect(p, KIND_IDENTIFIER)
+        self.expect_kind(p, KIND_IDENTIFIER)
         return p
 
     def type_node(self, allow_void: bool = False) -> _Node:
         ty = [NT_TYPE]
-        t = self.toks[self.i]
-        if t is None:
-            raise self._error("expected a type")
-        if t.kind == KIND_KEYWORD and (t.lexeme in PRIMITIVE_WORDS
-                                       or (allow_void and t.lexeme == "void")):
+        lx, kinds = self.lx, self.kinds
+        lexeme = lx[self.i]
+        if lexeme in PRIMITIVE_WORDS or (allow_void and lexeme == "void"):
             self.take(ty)
-        elif t.kind == KIND_IDENTIFIER:
+        elif kinds[self.i] == KIND_IDENTIFIER:
             self.take(ty)
-            while self._at(KIND_SEPARATOR, ".") and self._at(KIND_IDENTIFIER, ahead=1):
+            while lx[self.i] == "." and kinds[self.i + 1] == KIND_IDENTIFIER:
                 self.take(ty)
                 self.take(ty)
         else:
             raise self._error("expected a type")
-        if self._at(KIND_OPERATOR, "<"):
+        if lx[self.i] == "<":
             self._balanced(ty, ">", "type arguments", _TYPE_ARG_LEXEMES)
-        if self._at(KIND_SEPARATOR, "["):
+        if lx[self.i] == "[":
             raise self._error("array types are outside the supported subset")
         return ty
 
@@ -394,18 +395,19 @@ class _Parser:
         """Consume the run from the current `(` or `<` to its matching
         `close` as raw leaves. Between them, annotation arguments take any
         token and type arguments only identifiers and `allowed` lexemes."""
-        opener = self.toks[self.i].lexeme
+        lx, kinds = self.lx, self.kinds
+        opener = lx[self.i]
         depth = 0
         while True:
-            t = self.toks[self.i]
-            if t is None:
+            lexeme = lx[self.i]
+            if lexeme is None:
                 raise self._error(f"unterminated {what}")
-            if t.lexeme == opener:
+            if lexeme == opener:
                 depth += 1
-            elif t.lexeme == close:
+            elif lexeme == close:
                 depth -= 1
-            elif allowed is not None and t.kind != KIND_IDENTIFIER \
-                    and t.lexeme not in allowed:
+            elif allowed is not None and kinds[self.i] != KIND_IDENTIFIER \
+                    and lexeme not in allowed:
                 raise self._error(f"unexpected token in {what}")
             self.take(parent)
             if depth == 0:
@@ -415,48 +417,45 @@ class _Parser:
 
     def block(self) -> _Node:
         b = [NT_BLOCK]
-        self.expect(b, KIND_SEPARATOR, "{")
-        while not self._at(KIND_SEPARATOR, "}"):
+        self.expect(b, "{")
+        while self.lx[self.i] != "}":
             b.append(self.statement())
-        self.expect(b, KIND_SEPARATOR, "}")
+        self.expect(b, "}")
         return b
 
     def statement(self) -> _Node:
-        t = self.toks[self.i]
-        if t is None:
+        lexeme = self.lx[self.i]
+        if lexeme is None:
             raise self._error("expected a statement")
-        if t.kind == KIND_SEPARATOR and t.lexeme == "{":
+        if lexeme == "{":
             return self.block()
-        if t.kind == KIND_KEYWORD:
-            if t.lexeme in ("if", "while"):
-                return self._if_or_while()
-            if t.lexeme == "for":
-                return self._for_stmt()
-            if t.lexeme == "return":
-                return self._return_stmt()
+        if lexeme in ("if", "while"):
+            return self._if_or_while()
+        if lexeme == "for":
+            return self._for_stmt()
+        if lexeme == "return":
+            return self._return_stmt()
         if self._at_local_decl():
             return self._local_decl(want_semi=True)
-        if t.kind == KIND_KEYWORD and t.lexeme not in ("this", "new"):
+        if lexeme in KEYWORDS and lexeme not in ("this", "new"):
             raise self._error("statement form outside the supported subset")
         stmt = [NT_EXPR_STMT, self.expression()]
-        self.expect(stmt, KIND_SEPARATOR, ";")
+        self.expect(stmt, ";")
         return stmt
 
     def _at_local_decl(self) -> bool:
         """Whether a local declaration starts here: at a primitive word, at
         `final`, or at an identifier where `type_node` reads a type that a
         name follows. The trial read is always rewound."""
-        t = self.toks[self.i]
-        if t is None:
-            return False
-        if t.kind == KIND_KEYWORD:
-            return t.lexeme in PRIMITIVE_WORDS or t.lexeme == "final"
-        if t.kind != KIND_IDENTIFIER:
-            return False
         start = self.i
+        lexeme = self.lx[start]
+        if lexeme in PRIMITIVE_WORDS or lexeme == "final":
+            return True
+        if self.kinds[start] != KIND_IDENTIFIER:
+            return False
         try:
             self.type_node()
-            return self._at(KIND_IDENTIFIER)
+            return self.kinds[self.i] == KIND_IDENTIFIER
         except ParseError:
             return False
         finally:
@@ -464,59 +463,60 @@ class _Parser:
 
     def _local_decl(self, want_semi: bool) -> _Node:
         decl = [NT_LOCAL]
-        if self._at_word("final"):
+        if self.lx[self.i] == "final":
             self.take(decl)
         decl.append(self.type_node())
-        self.expect(decl, KIND_IDENTIFIER)
-        if self._at(KIND_OPERATOR, "="):
+        self.expect_kind(decl, KIND_IDENTIFIER)
+        if self.lx[self.i] == "=":
             self.take(decl)
             decl.append(self.expression())
         if want_semi:
-            self.expect(decl, KIND_SEPARATOR, ";")
+            self.expect(decl, ";")
         return decl
 
     def _if_or_while(self) -> _Node:
         """`if` or `while`, `( condition )` and a statement; an `if` may
         end with `else` and a statement."""
-        is_if = self._at_word("if")
+        is_if = self.lx[self.i] == "if"
         node = [NT_IF if is_if else NT_WHILE]
         self.take(node)
-        self.expect(node, KIND_SEPARATOR, "(")
+        self.expect(node, "(")
         node.append(self.expression())
-        self.expect(node, KIND_SEPARATOR, ")")
+        self.expect(node, ")")
         node.append(self.statement())
-        if is_if and self._at_word("else"):
+        if is_if and self.lx[self.i] == "else":
             self.take(node)
             node.append(self.statement())
         return node
 
     def _for_stmt(self) -> _Node:
         node = [NT_FOR]
+        lx = self.lx
         self.take(node)
-        self.expect(node, KIND_SEPARATOR, "(")
-        if not self._at(KIND_SEPARATOR, ";"):
+        self.expect(node, "(")
+        if lx[self.i] != ";":
             init = [NT_FOR_INIT]
             node.append(init)
             init.append(self._local_decl(want_semi=False)
                         if self._at_local_decl() else self.expression())
-        self.expect(node, KIND_SEPARATOR, ";")
-        if not self._at(KIND_SEPARATOR, ";"):
+        self.expect(node, ";")
+        if lx[self.i] != ";":
             node.append(self.expression())
-        self.expect(node, KIND_SEPARATOR, ";")
-        if not self._at(KIND_SEPARATOR, ")"):
+        self.expect(node, ";")
+        if lx[self.i] != ")":
             upd = [NT_FOR_UPDATE]
             node.append(upd)
             upd.append(self.expression())
-        self.expect(node, KIND_SEPARATOR, ")")
+        self.expect(node, ")")
         node.append(self.statement())
         return node
 
     def _return_stmt(self) -> _Node:
         node = [NT_RETURN]
         self.take(node)
-        if not self._at(KIND_SEPARATOR, ";"):
+        if self.lx[self.i] != ";":
             node.append(self.expression())
-        self.expect(node, KIND_SEPARATOR, ";")
+        self.expect(node, ";")
         return node
 
     # -- expressions ------------------------------------------------------------
@@ -526,10 +526,8 @@ class _Parser:
 
     def _assignment(self) -> _Node | int:
         left = self._ternary()
-        t = self.toks[self.i]
-        if t is not None and t.kind == KIND_OPERATOR \
-                and t.lexeme in ("=", "+=", "-=", "*=", "/=", "%="):
-            if not (self.toks[left].kind == KIND_IDENTIFIER
+        if self.lx[self.i] in ("=", "+=", "-=", "*=", "/=", "%="):
+            if not (self.kinds[left] == KIND_IDENTIFIER
                     if left.__class__ is int
                     else left[0] == NT_FIELD_ACCESS):
                 raise self._error("assignment target must be a name or field access")
@@ -542,12 +540,12 @@ class _Parser:
 
     def _ternary(self) -> _Node | int:
         cond = self._binary(1)
-        if self._at(KIND_OPERATOR, "?"):
+        if self.lx[self.i] == "?":
             node = [NT_TERNARY]
             node.append(cond)
             self.take(node)
             node.append(self.expression())
-            self.expect(node, KIND_OPERATOR, ":")
+            self.expect(node, ":")
             node.append(self._ternary())
             return node
         return cond
@@ -557,11 +555,9 @@ class _Parser:
         precedence climbing: the operand after an operator takes only the
         tighter levels, so every level associates to the left."""
         left = self._unary()
+        lx = self.lx
         while True:
-            t = self.toks[self.i]
-            if t is None or t.kind != KIND_OPERATOR:
-                return left
-            level = _BINARY_LEVELS.get(t.lexeme, 0)
+            level = _BINARY_LEVELS.get(lx[self.i], 0)
             if level < min_level:
                 return left
             node = [NT_BINARY]
@@ -571,8 +567,7 @@ class _Parser:
             left = node
 
     def _unary(self) -> _Node | int:
-        t = self.toks[self.i]
-        if t is not None and t.kind == KIND_OPERATOR and t.lexeme in ("!", "-", "+", "++", "--"):
+        if self.lx[self.i] in ("!", "-", "+", "++", "--"):
             node = [NT_UNARY]
             self.take(node)
             node.append(self._unary())
@@ -581,21 +576,20 @@ class _Parser:
 
     def _postfix(self) -> _Node | int:
         expr = self._primary()
+        lx = self.lx
         while True:
-            t = self.toks[self.i]
-            if t is None:
-                return expr
-            if t.kind == KIND_SEPARATOR and t.lexeme == ".":
-                if not self._at(KIND_IDENTIFIER, ahead=1):
+            lexeme = lx[self.i]
+            if lexeme == ".":
+                if self.kinds[self.i + 1] != KIND_IDENTIFIER:
                     raise self._error("expected a member name after '.'")
                 node = [NT_FIELD_ACCESS, expr]
                 self.take(node)                  # '.'
                 self.take(node)                  # name
-                if self._at(KIND_SEPARATOR, "("):
+                if lx[self.i] == "(":
                     node[0] = NT_CALL
                     self._list(node, self.expression)
                 expr = node
-            elif t.kind == KIND_OPERATOR and t.lexeme in ("++", "--"):
+            elif lexeme in ("++", "--"):
                 node = [NT_POSTFIX]
                 node.append(expr)
                 self.take(node)
@@ -604,30 +598,30 @@ class _Parser:
                 return expr
 
     def _primary(self) -> _Node | int:
-        t = self.toks[self.i]
-        if t is None:
+        i = self.i
+        lexeme = self.lx[i]
+        if lexeme is None:
             raise self._error("expected an expression")
-        if t.kind == KIND_IDENTIFIER and self._at(KIND_SEPARATOR, "(", ahead=1):
+        kind = self.kinds[i]
+        if kind == KIND_IDENTIFIER and self.lx[i + 1] == "(":
             node = [NT_CALL]
             self.take(node)                      # implicit-this callee name
             self._list(node, self.expression)
             return node
-        if t.kind in (KIND_IDENTIFIER, KIND_INT, KIND_STRING, KIND_CHAR,
-                      KIND_BOOL, KIND_NULL) \
-                or (t.kind == KIND_KEYWORD and t.lexeme == "this"):
-            self.i += 1                          # a leaf the caller attaches
-            return self.i - 1
-        if t.kind == KIND_KEYWORD and t.lexeme == "new":
+        if kind in _OPERAND_KINDS or lexeme == "this":
+            self.i = i + 1                       # a leaf the caller attaches
+            return i
+        if lexeme == "new":
             node = [NT_NEW]
             self.take(node)
             node.append(self.type_node())
             self._list(node, self.expression)
             return node
-        if t.kind == KIND_SEPARATOR and t.lexeme == "(":
+        if lexeme == "(":
             node = [NT_PAREN]
             self.take(node)
             node.append(self.expression())
-            self.expect(node, KIND_SEPARATOR, ")")
+            self.expect(node, ")")
             return node
         raise self._error("expression form outside the supported subset")
 

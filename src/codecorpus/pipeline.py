@@ -29,17 +29,17 @@ import csv
 import json
 import sys
 from collections import Counter
-from itertools import zip_longest
+from itertools import islice, zip_longest
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from . import metrics as metrics_mod
 from .catalog import (CALLGRAPH_KEYS, Catalog, METADATA_TABLES, METRIC_KEYS,
-                      MethodMeta, ProjectData, catalog_project, java_entries,
+                      ProjectData, catalog_project, java_entries,
                       property_value, read_metadata, read_property_csv,
                       validate_property_key, write_metadata,
                       write_property_csv)
-from .callgraph import (arg_name_maps, build_callgraph,
+from .callgraph import (CallGraph, arg_name_maps, build_callgraph,
                         classify_distribution, connectivity_props,
                         n_hop_context, read_callgraph_csv,
                         write_callgraph_csv)
@@ -380,24 +380,44 @@ def stage_props_import(ws: Workspace, cat: Catalog, source_csv,
             "rejected": len(values) - len(table)}
 
 
+def _ids_cataloged(cat: Catalog, path: Path, rows: list, ids) -> list:
+    """`rows`, read from `path`, if each (column, id, granularity) that
+    `ids(row)` gives names a cataloged entity of that granularity, the one
+    whose `<granularity>_id` it is; else an InputError at the first stray's
+    `file:line`."""
+    for index, row in enumerate(rows):
+        for column, eid, gran in ids(row):
+            if getattr(cat.by_id.get(eid), f"{gran}_id", None) != eid:
+                with open(path, encoding="utf-8", newline="") as fh:
+                    lines = csv.reader(fh)
+                    # the header, then the data rows `read_table` keeps
+                    next(islice(filter(None, lines), index + 1, None))
+                raise InputError(f"{path}:{lines.line_num}: {column} {eid!r} "
+                                 f"is not a cataloged {gran}")
+    return rows
+
+
 def _cataloged(ws: Workspace, cat: Catalog, path: Path, table: dict) -> dict:
     """`table`, read from `path`, if it holds a row and only cataloged
     method ids, and every one of them unless `props-import` wrote it; else
     an InputError naming the file (and a stray id's line)."""
     if not table:
         raise InputError(f"{path}: holds no method rows")
-    stray = next((mid for mid in table
-                  if cat.by_id.get(mid).__class__ is not MethodMeta), None)
-    if stray is not None:
-        with open(path, encoding="utf-8", newline="") as fh:
-            rows = csv.reader(fh)
-            line = next(rows.line_num for row in rows if row[:1] == [stray])
-        raise InputError(f"{path}:{line}: method_id {stray!r} is not a "
-                         "cataloged method")
+    _ids_cataloged(cat, path, list(table),
+                   lambda mid: [("method_id", mid, "method")])
     if len(table) < len(cat.methods) and ws.writer(path) != "props-import":
         raise InputError(f"{path}: holds {len(table)} of the "
                          f"{len(cat.methods)} cataloged methods")
     return table
+
+
+def _cataloged_graph(cat: Catalog, path: Path, graph: CallGraph) -> CallGraph:
+    """`graph`, read from `path`, if every caller id and every non-empty
+    callee id is a cataloged method."""
+    _ids_cataloged(cat, path, graph.edges, lambda e: [
+        ("caller_method_id", e.caller, "method")] + (
+        [("callee_method_id", e.callee, "method")] if e.callee else []))
+    return graph
 
 
 def _load_props(ws: Workspace, cat: Catalog, keys: list[str],
@@ -429,7 +449,8 @@ def stage_taskgen(ws: Workspace, datas: list[ProjectData], cat: Catalog,
             balance=balance, split_fracs=split_fracs, seed=seed)
         name = f"property_{key}"
     elif task == "call-mask":
-        graph = ws.read(ws.callgraph_path, read_callgraph_csv)
+        graph = ws.read(ws.callgraph_path, lambda path: _cataloged_graph(
+            cat, path, read_callgraph_csv(path)))
         # a masked site without a row is a fault of the stored graph too
         dataset = ws.read(ws.callgraph_path, lambda _: make_call_masking_task(
             cat, sources, graph, seed=seed, split_fracs=split_fracs,
@@ -523,7 +544,8 @@ def _write_table(path_base: Path, header: list[str], rows: list[list],
 
 def stage_report(ws: Workspace, cat: Catalog, study: str) -> dict:
     if study == "calls":
-        graph = ws.read(ws.callgraph_path, read_callgraph_csv)
+        graph = ws.read(ws.callgraph_path, lambda path: _cataloged_graph(
+            cat, path, read_callgraph_csv(path)))
         if not graph.edges:
             raise InputError(f"{ws.callgraph_path.name} holds no call sites, "
                              "so there is no locality distribution to report")
@@ -534,7 +556,10 @@ def stage_report(ws: Workspace, cat: Catalog, study: str) -> dict:
         return {"study": study, "total_percent":
                 round(sum(float(r[1]) for r in rows), 6)}
     if study == "windows":
-        records = ws.read(ws.tokenstats_dir / "sizes.csv", read_sizes_csv)
+        records = ws.read(ws.tokenstats_dir / "sizes.csv", lambda path:
+                          _ids_cataloged(cat, path, read_sizes_csv(path),
+                                         lambda r: [("entity_id", r.entity_id,
+                                                     r.granularity)]))
         table = window_fit(records)
         rows = [[g, tag, bucket, tau, f"{f:.4f}"]
                 for g, tag, bucket, tau, f in table.rows()]

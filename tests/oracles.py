@@ -79,8 +79,9 @@ from codecorpus.callgraph import _LITERAL_TYPES, _NULL, _dotted_text
 from codecorpus.errors import InvalidArgumentError, LexError
 from codecorpus.featuregraph import EDGE_TYPES, FeatureGraph, GraphNode
 from codecorpus.lexer import (
-    KEYWORDS, KIND_BOOL, KIND_CHAR, KIND_IDENTIFIER, KIND_INT, KIND_KEYWORD,
-    KIND_NULL, KIND_OPERATOR, KIND_SEPARATOR, KIND_STRING, LITCOMMA, Token,
+    KEYWORDS, KIND_BOOL, KIND_CHAR, KIND_FLOAT, KIND_IDENTIFIER, KIND_INT,
+    KIND_KEYWORD, KIND_NULL, KIND_OPERATOR, KIND_SEPARATOR, KIND_STRING,
+    LITCOMMA, Token,
 )
 from codecorpus.parser import (
     MODIFIER_WORDS, Ast, FileView, MethodSource, NT_ASSIGN, NT_BINARY,
@@ -1137,7 +1138,8 @@ class SiteExtractorOracle:
         if ast.is_terminal(node):
             tok = ast.token(node)
             if tok.kind in _LITERAL_TYPES:
-                return _LITERAL_TYPES[tok.kind]
+                return _LITERAL_TYPES.get((tok.kind, tok.lexeme[-1]),
+                                          _LITERAL_TYPES[tok.kind])
             if tok.kind == KIND_IDENTIFIER:
                 return self.scope.type_of_name(tok.lexeme)
             if tok.kind == KIND_KEYWORD and tok.lexeme == "this":
@@ -1316,6 +1318,21 @@ def bpe_encode_oracle(v, text: str) -> list[bytes]:
 # Match-at-position lexer
 # ---------------------------------------------------------------------------
 
+# Number literals, one JLS SE 17 §3.10.1-2 production at a time: a floating
+# form is tried before the integer that is its prefix.
+_DIGITS = r"[0-9](?:[0-9_]*[0-9])?"
+_HEX_DIGITS = r"[0-9a-fA-F](?:[0-9a-fA-F_]*[0-9a-fA-F])?"
+_EXPONENT = rf"[eE][+-]?{_DIGITS}"
+_FLOATS = "|".join([
+    rf"0[xX](?:{_HEX_DIGITS}\.?|(?:{_HEX_DIGITS})?\.{_HEX_DIGITS})"
+    rf"[pP][+-]?{_DIGITS}[fFdD]?",
+    rf"{_DIGITS}\.(?:{_DIGITS})?(?:{_EXPONENT})?[fFdD]?",
+    rf"\.{_DIGITS}(?:{_EXPONENT})?[fFdD]?",
+    rf"{_DIGITS}{_EXPONENT}[fFdD]?",
+    rf"{_DIGITS}[fFdD]",
+])
+_INTEGERS = rf"(?:0[xX]{_HEX_DIGITS}|0[bB][01](?:[01_]*[01])?|{_DIGITS})[lL]?"
+
 _TOKEN_RE = re.compile(
     r"""
       (?P<ws>\s+)
@@ -1325,7 +1342,8 @@ _TOKEN_RE = re.compile(
                     |\\[btnfr]|\\s|\\"|\\'|\\\\|[^"\\\n])*")
     | (?P<char>'(?:\\u+[0-9A-Fa-f]{4}|\\[0-3][0-7]{2}|\\[0-7]{1,2}
                   |\\[btnfr]|\\s|\\"|\\'|\\\\|[^'\\\n])')
-    | (?P<number>[0-9]+)
+    | (?P<float>""" + _FLOATS + r""")
+    | (?P<integer>""" + _INTEGERS + r""")
     | (?P<word>[A-Za-z_$][A-Za-z0-9_$]*)
     | (?P<op>&&|\|\||\+\+|--|<=|>=|==|!=|\+=|-=|\*=|/=|%=|[=<>!?:+\-*/%&|^~])
     | (?P<sep>[(){}\[\];,.@])
@@ -1338,7 +1356,8 @@ _WORD_KINDS = {"true": KIND_BOOL, "false": KIND_BOOL, "null": KIND_NULL}
 _GROUP_KINDS = {
     "string": KIND_STRING,
     "char": KIND_CHAR,
-    "number": KIND_INT,
+    "float": KIND_FLOAT,
+    "integer": KIND_INT,
     "op": KIND_OPERATOR,
     "sep": KIND_SEPARATOR,
 }

@@ -183,6 +183,22 @@ def test_a_new_is_named_by_its_last_identifier_before_generics(tmp_path):
     assert make_call_masking_task(cat, data.sources, g).samples == []
 
 
+def test_a_number_literal_is_typed_by_its_kind_and_suffix(tmp_path):
+    (tmp_path / "p").mkdir()
+    (tmp_path / "p" / "A.java").write_text(
+        "class A {\n"
+        "  void g(int x) { }\n"
+        "  void g(long x) { }\n"
+        "  void g(float x) { }\n"
+        "  void g(double x) { }\n"
+        "  void f() { g(1); g(1L); g(0x1l); g(1.5f); g(1.5); g(2d); h(1e3F); }\n"
+        "}\n", encoding="utf-8")
+    data = catalog_project(tmp_path / "p", corpus_root=tmp_path)
+    assert [e.callee_signature for e in build_callgraph([data]).edges] == [
+        "g(int)", "g(long)", "g(long)", "g(float)", "g(double)", "g(double)",
+        "h(float)"]
+
+
 def test_a_qualified_new_resolves_the_named_class(tmp_path):
     box = ("package {pkg};\n"
            "class Box {{\n"

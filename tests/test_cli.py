@@ -400,7 +400,7 @@ def test_a_project_with_no_cataloged_class_is_skipped(tmp_path):
     corpus = _one_class_corpus(tmp_path)
     (corpus / "bad" / "q").mkdir(parents=True)
     (corpus / "bad" / "q" / "B.java").write_text(
-        "class B { double h() { return 1.5; } }\n", encoding="utf-8")
+        "class B { int[] h() { return null; } }\n", encoding="utf-8")
     ws = tmp_path / "ws"
     proc = run_cli("catalog", "--corpus", corpus, "-w", ws)
     assert proc.returncode == 0, proc.stderr
@@ -782,6 +782,46 @@ def test_a_per_method_input_holds_rows_of_cataloged_methods(
     assert proc.returncode == 2, proc.stderr
     # the first file edited is the first one read
     assert f"input error: {messages[0]}; re-run `{writer}`" in proc.stderr
+
+
+@pytest.mark.parametrize("artifact, first, command, row, stray", [
+    ("callgraph.csv", ("callgraph",), ("report", "--study", "calls"),
+     "zz,,f(),API,1,1", "caller_method_id 'zz' is not a cataloged method"),
+    ("callgraph.csv", ("callgraph",), ("taskgen", "--task", "call-mask"),
+     "zz,,f(),API,1,1", "caller_method_id 'zz' is not a cataloged method"),
+    ("callgraph.csv", ("callgraph",), ("report", "--study", "calls"),
+     "{method},zz,f(),Local,1,1",
+     "callee_method_id 'zz' is not a cataloged method"),
+    ("callgraph.csv", ("callgraph",), ("taskgen", "--task", "call-mask"),
+     "{method},{class},f(),Local,1,1",
+     "callee_method_id '{class}' is not a cataloged method"),
+    ("tokenstats/sizes.csv", ("tokenstats",), ("report", "--study", "windows"),
+     "zz,method,code,5", "entity_id 'zz' is not a cataloged method"),
+    ("tokenstats/sizes.csv", ("tokenstats",), ("report", "--study", "windows"),
+     "{class},method,zz,5", "entity_id '{class}' is not a cataloged method"),
+], ids=["calls-caller", "call-mask-caller", "calls-callee",
+        "call-mask-callee", "windows-stray", "windows-granularity"])
+def test_a_call_site_or_size_names_only_cataloged_entities(
+        metrics_ws, tmp_path, artifact, first, command, row, stray):
+    """A row appended after a blank line, whose id is no cataloged entity
+    of its column's granularity, is an input error at its line."""
+    ws = tmp_path / "ws"
+    shutil.copytree(metrics_ws, ws)
+    proc = run_cli(*first, "-w", ws)
+    assert proc.returncode == 0, proc.stderr
+    ids = {}
+    for table, column in (("methods", "method"), ("classes", "class")):
+        with open(ws / "metadata" / f"{table}.csv", newline="",
+                  encoding="utf-8") as f:
+            ids[column] = next(csv.DictReader(f))[f"{column}_id"]
+    target = ws / artifact
+    lines = target.read_text(encoding="utf-8").splitlines(keepends=True)
+    target.write_text("".join(lines) + "\n" + row.format_map(ids) + "\n",
+                      encoding="utf-8")
+    proc = run_cli(*command, "-w", ws)
+    assert proc.returncode == 2, proc.stderr
+    assert f"input error: {target}:{len(lines) + 2}: {stray.format_map(ids)}; " \
+        f"re-run `{first[0]}`" in proc.stderr
 
 
 @pytest.fixture(scope="module")

@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 
 from codecorpus.errors import LexError
 from codecorpus.fixturegen import DEFAULT_BUCKET_CLASSES, fixture_files
-from codecorpus.lexer import (KIND_BOOL, KIND_CHAR, KIND_IDENTIFIER,
-                              KIND_INT, KIND_KEYWORD, KIND_NULL,
-                              KIND_OPERATOR, KIND_SEPARATOR, KIND_STRING,
-                              lex, tkna_text, tknb_decode, tknb_text)
+from codecorpus.lexer import (_LEXEME_KINDS, KIND_BOOL, KIND_CHAR,
+                              KIND_FLOAT, KIND_IDENTIFIER, KIND_INT,
+                              KIND_KEYWORD, KIND_NULL, KIND_OPERATOR,
+                              KIND_SEPARATOR, KIND_STRING, Token, lex,
+                              tkna_text, tknb_decode, tknb_text)
+from codecorpus.parser import MODIFIER_WORDS, PRIMITIVE_WORDS
 
 from oracles import lex_oracle, tknb_decode_oracle
 
@@ -57,6 +59,57 @@ def test_every_reserved_word_lexes_as_a_keyword():
 def test_contextual_words_stay_identifiers():
     words = ["var", "record", "yield", "sealed", "permits", "module", "_x"]
     assert {t.kind for t in lex(" ".join(words))} == {KIND_IDENTIFIER}
+
+
+def test_every_fixed_lexeme_lexes_alone_as_its_one_kind():
+    # what lets the parser and the AST readers test such a token by its
+    # lexeme alone
+    for lexeme, kind in _LEXEME_KINDS.items():
+        assert lex(lexeme) == [Token(kind, lexeme, 1, 1)], lexeme
+
+
+# Every (kind, lexeme) pair that the parser, the metrics, the feature graph,
+# the call graph and TKNB tested together before they tested the lexeme
+# alone. A statement that starts with any other keyword is tested by
+# `KEYWORDS`, which the test above covers.
+TESTED_PAIRS = [
+    *((KIND_KEYWORD, w) for w in [
+        "package", "import", "class", "interface", "extends", "implements",
+        "void", "final", "if", "else", "while", "for", "return", "this",
+        "new", *sorted(MODIFIER_WORDS), *sorted(PRIMITIVE_WORDS)]),
+    *((KIND_SEPARATOR, s) for s in ". ; , @ ( ) { } [".split()),
+    *((KIND_OPERATOR, o) for o in """* = += -= *= /= %= ? : || && == != < >
+                                     <= >= + - / % ! ++ --""".split()),
+]
+
+
+@pytest.mark.parametrize("kind, lexeme", TESTED_PAIRS)
+def test_a_lexeme_tested_alone_has_the_kind_it_was_tested_with(kind, lexeme):
+    assert _LEXEME_KINDS[lexeme] == kind
+
+
+# JLS SE 17 §3.10.1-2: integers in four radixes, floats in two
+@pytest.mark.parametrize("literal, kind", [
+    ("1.5", KIND_FLOAT), ("0xFFL", KIND_INT), ("1e-3", KIND_FLOAT),
+    ("1_000", KIND_INT), (".5f", KIND_FLOAT), ("1L", KIND_INT),
+    ("017", KIND_INT), ("0b101", KIND_INT), ("1.", KIND_FLOAT),
+    ("2d", KIND_FLOAT), ("1E+10D", KIND_FLOAT), ("0x1.8p-3", KIND_FLOAT),
+    ("0X1P3f", KIND_FLOAT), ("0xCafe_Babe", KIND_INT), ("0B1_0l", KIND_INT),
+    ("0", KIND_INT), ("1_2.3_4e5_6", KIND_FLOAT),
+])
+def test_a_java_number_literal_lexes_as_one_token(literal, kind):
+    assert [(t.kind, t.lexeme) for t in lex(f"x = {literal};")] == [
+        (KIND_IDENTIFIER, "x"), (KIND_OPERATOR, "="), (kind, literal),
+        (KIND_SEPARATOR, ";")]
+
+
+@pytest.mark.parametrize("text, lexemes", [
+    ("1_", ["1", "_"]), ("0x", ["0", "x"]), ("1e", ["1", "e"]),
+    ("1.5L", ["1.5", "L"]), ("0b2", ["0", "b2"]), ("1..2", ["1.", ".2"]),
+    ("a.5", ["a", ".5"]),
+])
+def test_a_malformed_number_is_not_one_token(text, lexemes):
+    assert [t.lexeme for t in lex(text)] == lexemes
 
 
 @pytest.mark.parametrize("literal", [
@@ -160,7 +213,8 @@ _PIECES = st.sampled_from([
     "😀", "#", "`", "int", "x1", "$y", "_", "42", "true", "null", "<=", "&&",
     "++", "=", "@", ";", "{", "}", "(", ".", "'\\u0041'", "'\\uu00e9'",
     "'\\101'", "'\\7'", "\\u", "\\377", "u00", "7", "'\\q'", '"\\q"', "\\q",
-    "'\\u'", '"\\s\\b"', "\\8", "\\s",
+    "'\\u'", '"\\s\\b"', "\\8", "\\s", "1.5", ".5f", "0x1F", "0b", "1e",
+    "L", "p", "1_",
 ])
 _SOURCES = sorted(fixture_files().items())
 _EDITS = st.lists(st.tuples(st.integers(0, 1 << 20), st.integers(0, 3),

@@ -117,6 +117,16 @@ def test_each_condition_counts_only_its_own_short_circuits():
     assert compute_metrics(m)["CMPX"] == 5
 
 
+def test_a_lexeme_counts_for_cmpx_only_as_a_token_of_its_own():
+    # a literal that spells a decision lexeme is not one
+    m = file_view(
+        'class A { String f(boolean a) { String s = "if"; char c = \'?\';'
+        ' double d = a ? 1.5 : .5f; return s; } }').classes[0].methods[0]
+    got = compute_metrics(m)
+    assert got["CMPX"] == 2
+    assert got["NMLT"] == 4            # a float literal counts as one
+
+
 def test_bodyless_declarations_get_floor_values(views):
     shape = views["textzoo/text/Shape.java"]
     for m in shape.classes[0].methods:

@@ -328,6 +328,65 @@ def test_input_ending_after_any_token_is_a_parse_error(rel):
             file_view(text[:end], rel)
 
 
+_IN_METHOD = "class A { void f() { "
+
+
+# One input per end-of-input check the parser has or had: where the check
+# chose the message, and where the lexeme comparison that replaced it must
+# give the same one.
+@pytest.mark.parametrize("source, message", [
+    # a member's annotations and modifiers, then its type
+    ("class A {", "expected a type, found end of input at 1:9"),
+    # a parameter's type
+    ("class A { int f(", "expected a type, found end of input at 1:16"),
+    # a for header's statement lookahead, then its expression
+    (_IN_METHOD + "for (",
+     "expected an expression, found end of input at 1:26"),
+    # the member name after '.'
+    (_IN_METHOD + "x.",
+     "expected a member name after '.', found '.' at 1:23"),
+    # a ternary's middle operand
+    (_IN_METHOD + "y = a ?",
+     "expected an expression, found end of input at 1:28"),
+    # the balanced-run scanner, for annotation and type arguments
+    ("@A(", "unterminated annotation arguments, found end of input at 1:3"),
+    ("class A { List<",
+     "unterminated type arguments, found end of input at 1:15"),
+    # a statement
+    (_IN_METHOD, "expected a statement, found end of input at 1:20"),
+    (_IN_METHOD + "if (a) x = 1; else",
+     "expected a statement, found end of input at 1:36"),
+    # an expression's operand, after a binary and a unary operator
+    (_IN_METHOD + "a +", "expected an expression, found end of input at 1:24"),
+    (_IN_METHOD + "!", "expected an expression, found end of input at 1:22"),
+    # the operators that may follow an operand: assignment, binary, postfix
+    (_IN_METHOD + "x = 1", "expected ';', found end of input at 1:26"),
+    ("class A { int x = a", "expected ';', found end of input at 1:19"),
+    (_IN_METHOD + "x++", "expected ';', found end of input at 1:23"),
+    # a fixed lexeme and a kind that `expect` and `expect_kind` wait for
+    ("class A", "expected '{', found end of input at 1:7"),
+    ("package", "expected 'identifier', found end of input at 1:1"),
+    (_IN_METHOD + "int", "expected 'identifier', found end of input at 1:22"),
+    (_IN_METHOD + "while (a", "expected ')', found end of input at 1:29"),
+])
+def test_each_end_of_input_check_gives_its_message_and_position(source,
+                                                                message):
+    with pytest.raises(ParseError) as exc:
+        file_view(source)
+    assert str(exc.value) == message
+
+
+def test_java_number_literals_are_operands():
+    view = file_view("class A { long f() { long x = 1L; double d = 1.5e-3;"
+                     " float g = .5f; x = 0xFF_FFL + 017 + 0b101; return x; }"
+                     " }")
+    (method,) = view.classes[0].methods
+    ast = method.ast
+    assert [ast.lexeme(i) for i in range(len(ast))
+            if ast.node_types[i] in ("int_literal", "float_literal")] == \
+        ["1L", "1.5e-3", ".5f", "0xFF_FFL", "017", "0b101"]
+
+
 # ---------------------------------------------------------------------------
 # File views
 # ---------------------------------------------------------------------------

@@ -305,13 +305,23 @@ def test_a_project_where_no_file_parses_is_returned_without_rows(tmp_path):
     (tmp_path / "p" / "q").mkdir(parents=True)
     for name in ("A", "B"):
         (tmp_path / "p" / "q" / f"{name}.java").write_text(
-            f"class {name} {{ double h() {{ return 1.5; }} }}\n",
+            f"class {name} {{ int[] h() {{ return null; }} }}\n",
             encoding="utf-8")
     data = catalog_mod.catalog_project(tmp_path / "p", corpus_root=tmp_path)
     assert data.project.project_path == "p"
     assert (data.packages, data.classes, data.methods) == ([], [], [])
     assert (data.sources, data.class_views) == ({}, {})
     assert [d.path for d in data.diagnostics] == ["p/q/A.java", "p/q/B.java"]
+
+
+def test_a_file_with_java_number_literals_is_cataloged(tmp_path):
+    (tmp_path / "p").mkdir()
+    (tmp_path / "p" / "A.java").write_text(
+        "class A { long f() { long x = 1L; return x * 0xFFL; } }\n",
+        encoding="utf-8")
+    data = catalog_mod.catalog_project(tmp_path / "p", corpus_root=tmp_path)
+    assert [m.method_signature for m in data.methods] == ["f()"]
+    assert data.diagnostics == []
 
 
 def test_a_property_value_is_an_int_only_in_canonical_form():
