@@ -171,7 +171,8 @@ def java_entries(root: str) -> Iterator[tuple[str, ...]]:
                 yield (*prefix, name)
 
 
-def _parse_one(path: str, rel: str) -> FileView | Diagnostic:
+def _parse_one(path: str, rel: str, builds: dict | None
+               ) -> FileView | Diagnostic:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -180,12 +181,13 @@ def _parse_one(path: str, rel: str) -> FileView | Diagnostic:
     except OSError as exc:  # a directory or a dangling link named *.java
         return Diagnostic(rel, f"not readable: {exc.strerror}")
     try:
-        return file_view(text, rel)
+        return file_view(text, rel, builds)
     except CorpusError as exc:
         return Diagnostic(rel, str(exc))
 
 
-def catalog_project(root, corpus_root, strict: bool = False) -> ProjectData:
+def catalog_project(root, corpus_root, strict: bool = False,
+                    builds: dict | None = None) -> ProjectData:
     """Catalog one project directory tree.
 
     `corpus_root` anchors the relative paths recorded in metadata.
@@ -193,6 +195,8 @@ def catalog_project(root, corpus_root, strict: bool = False) -> ProjectData:
     a method declared again with the same signature on the same first line:
     only the first one gets a row. A project with no cataloged classes is
     returned as it is: no rows, and the diagnostics that say why.
+    `builds` is `file_view`'s map from a text to its parse, which
+    `parse_corpus` shares among the projects of one load.
     """
     root = Path(root)
     if not root.is_dir():
@@ -207,7 +211,7 @@ def catalog_project(root, corpus_root, strict: bool = False) -> ProjectData:
     top = str(root)
     for parts in sorted(java_entries(top)):     # as Paths sort: by parts
         res = _parse_one(os.path.join(top, *parts),
-                         f"{project_rel}/{'/'.join(parts)}")
+                         f"{project_rel}/{'/'.join(parts)}", builds)
         if isinstance(res, Diagnostic):
             if strict:
                 raise ParseError(f"{res.path}: {res.message}")

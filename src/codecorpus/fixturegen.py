@@ -493,10 +493,11 @@ def write_fixture_corpus(root, bucket_classes: dict[str, int] | None = None) -> 
     """Materialize the fixture corpus under root; returns project names."""
     root = Path(root)
     files = fixture_files(bucket_classes)
+    paths = {rel: root / rel for rel in files}
+    for parent in {path.parent for path in paths.values()}:
+        parent.mkdir(parents=True, exist_ok=True)
     for rel, text in files.items():
-        path = root / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        paths[rel].write_text(text, encoding="utf-8")
     return sorted({rel.split("/", 1)[0] for rel in files})
 
 

@@ -914,14 +914,22 @@ def _method_source(tokens: list[Token], source: str, starts: list[int],
         (starts[start - 1], starts[end]))
 
 
-def file_view(source: str, path: str = "<source>") -> FileView:
+def file_view(source: str, path: str = "<source>",
+              builds: dict[str, tuple[_Node, list[Token]]] | None = None
+              ) -> FileView:
     """Parse a file and summarize packages, imports, classes, and methods.
 
     The summary is read off the parser's build tree; no whole-file `Ast` is
     flattened unless `FileView.ast` is read. A file holds at least one
     class or interface, or `compilation_unit` raises "no type declaration
-    in file"."""
-    root, tokens = _build(source)
+    in file". A text found in `builds` (text -> build tree and tokens) is
+    not lexed or parsed again, and one that parses is added: the views of
+    one text share that tree and token list, which nothing writes to."""
+    if builds is None:
+        builds = {}
+    if source not in builds:
+        builds[source] = _build(source)
+    root, tokens = builds[source]
     # offset of each line's first character, then the source's length
     starts = list(accumulate(map(len, split_lines(source)), initial=0))
     package_name = ""

@@ -57,9 +57,10 @@ from .taskgen import (SPLIT_NAMES, augment_with_context,
                       bias_table, evaluate_exact_match,
                       make_call_masking_task, make_mutation_task,
                       make_property_task, write_task_csv)
-from .tokenstats import (english_sample_text, entity_sizes, read_sizes_csv,
-                         tokenizer_ratio, train_bpe, window_fit,
-                         write_fit_csv, write_sizes_csv, write_vocab)
+from .tokenstats import (TOKENIZER_TAGS, SizeRecord, english_sample_text,
+                         entity_sizes, read_sizes_csv, tokenizer_ratio,
+                         train_bpe, window_fit, write_fit_csv,
+                         write_sizes_csv, write_vocab)
 
 # Representation type -> payload builder, called with one method, its
 # class's fields, the formal-argument names of its resolved call sites (FTGR
@@ -218,10 +219,12 @@ def parse_corpus(cfg: WorkspaceConfig) -> list[ProjectData]:
     strict run fails at its first bad file before that) is skipped: it
     stays in the list without rows, so its notes are reported, and
     `merged_catalog` leaves it out. A corpus with no cataloged class at
-    all is an EmptyProjectError naming its root."""
+    all is an EmptyProjectError naming its root. A text that several files
+    hold is lexed and parsed once per call: its files share the parse."""
     strict = cfg.strictness == "fail-fast"
     root = Path(cfg.corpus_root)
-    datas = [catalog_project(p, corpus_root=root, strict=strict)
+    builds: dict = {}
+    datas = [catalog_project(p, corpus_root=root, strict=strict, builds=builds)
              for p in discover_projects(root)]
     if not any(d.classes for d in datas):
         raise EmptyProjectError(f"no cataloged classes under {root}")
@@ -388,13 +391,19 @@ def _ids_cataloged(cat: Catalog, path: Path, rows: list, ids) -> list:
     for index, row in enumerate(rows):
         for column, eid, gran in ids(row):
             if getattr(cat.by_id.get(eid), f"{gran}_id", None) != eid:
-                with open(path, encoding="utf-8", newline="") as fh:
-                    lines = csv.reader(fh)
-                    # the header, then the data rows `read_table` keeps
-                    next(islice(filter(None, lines), index + 1, None))
-                raise InputError(f"{path}:{lines.line_num}: {column} {eid!r} "
-                                 f"is not a cataloged {gran}")
+                raise _row_error(path, index, f"{column} {eid!r} is not a "
+                                 f"cataloged {gran}")
     return rows
+
+
+def _row_error(path: Path, index: int, message: str) -> InputError:
+    """An InputError at the `file:line` of the data row `index` of the
+    table `read_table` read from `path`."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = csv.reader(fh)
+        # the header, then the data rows `read_table` keeps
+        next(islice(filter(None, lines), index + 1, None))
+    return InputError(f"{path}:{lines.line_num}: {message}")
 
 
 def _cataloged(ws: Workspace, cat: Catalog, path: Path, table: dict) -> dict:
@@ -418,6 +427,19 @@ def _cataloged_graph(cat: Catalog, path: Path, graph: CallGraph) -> CallGraph:
         ("caller_method_id", e.caller, "method")] + (
         [("callee_method_id", e.callee, "method")] if e.callee else []))
     return graph
+
+
+def _cataloged_sizes(cat: Catalog, path: Path,
+                     records: list[SizeRecord]) -> list[SizeRecord]:
+    """`records`, read from `path`, if each names a cataloged entity of its
+    granularity and a vocabulary `tokenstats` trains."""
+    _ids_cataloged(cat, path, records, lambda r: [
+        ("entity_id", r.entity_id, r.granularity)])
+    for index, r in enumerate(records):
+        if r.tokenizer_tag not in TOKENIZER_TAGS:
+            raise _row_error(path, index, f"tokenizer_tag {r.tokenizer_tag!r}"
+                             f" is not one of {', '.join(TOKENIZER_TAGS)}")
+    return records
 
 
 def _load_props(ws: Workspace, cat: Catalog, keys: list[str],
@@ -500,11 +522,9 @@ def stage_tokenstats(ws: Workspace, datas: list[ProjectData], cat: Catalog,
     texts = list(method_texts.values())
     # a method that ends its file without a newline still ends its line
     code_corpus = "".join(t if t.endswith("\n") else t + "\n" for t in texts)
-    vocabs = {
-        "code": train_bpe(code_corpus, vocab_size, corpus_tag="code"),
-        "english": train_bpe(english_sample_text(), vocab_size,
-                             corpus_tag="english"),
-    }
+    vocabs = {tag: train_bpe(text, vocab_size, corpus_tag=tag)
+              for tag, text in zip(TOKENIZER_TAGS,
+                                   (code_corpus, english_sample_text()))}
     out = ws.tokenstats_dir
     out.mkdir(parents=True, exist_ok=True)
     class_texts = {cid: v.source for d in datas
@@ -557,9 +577,7 @@ def stage_report(ws: Workspace, cat: Catalog, study: str) -> dict:
                 round(sum(float(r[1]) for r in rows), 6)}
     if study == "windows":
         records = ws.read(ws.tokenstats_dir / "sizes.csv", lambda path:
-                          _ids_cataloged(cat, path, read_sizes_csv(path),
-                                         lambda r: [("entity_id", r.entity_id,
-                                                     r.granularity)]))
+                          _cataloged_sizes(cat, path, read_sizes_csv(path)))
         table = window_fit(records)
         rows = [[g, tag, bucket, tau, f"{f:.4f}"]
                 for g, tag, bucket, tau, f in table.rows()]

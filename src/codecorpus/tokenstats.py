@@ -37,6 +37,10 @@ from .tables import read_table, write_table, write_text
 
 WINDOW_THRESHOLDS = (256, 512, 1024, 2048, 4096)
 
+# The vocabularies `tokenstats` trains, on the method lines and on the
+# bundled English sample: the tags a `sizes.csv` row may hold.
+TOKENIZER_TAGS = ("code", "english")
+
 SIZES_HEADER = ["entity_id", "granularity", "tokenizer_tag", "subtoken_count"]
 FIT_HEADER = ["granularity", "tokenizer_tag", "bucket", "threshold",
               "fit_fraction"]

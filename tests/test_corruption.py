@@ -5,8 +5,9 @@ workspace of the small metamorphic corpus in which one file that it reads
 has been corrupted in one way: emptied, given a foreign header, given a
 short row or a byte that is not UTF-8, with its first data row repeated
 (tables only), or with a non-integer in an integer column (the tables that
-have one). Every run must exit 2, and its message must name the file and
-the file's writer.
+have one), or with a stray word in a column that takes one of a fixed set.
+Every run must exit 2, and its message must name the file and the file's
+writer; a corrupt value also names its line.
 """
 
 import csv
@@ -24,13 +25,16 @@ from test_metamorphic import SMALL
 # An integer column of each table that has one.
 INT_COLUMNS = {"metadata/methods.csv": "start_line", "callgraph.csv": "line",
                "tokenstats/sizes.csv": "subtoken_count"}
+# A column of each table that takes one of a fixed set of words.
+WORD_COLUMNS = {"tokenstats/sizes.csv": "tokenizer_tag"}
 
 
 def kinds(rel: str) -> list[str]:
     """The corruptions that apply to the workspace file `rel`."""
     return ["empty", "foreign-header", "short-row", "not-utf8",
             *["repeated-row"] * rel.endswith(".csv"),
-            *["non-integer"] * (rel in INT_COLUMNS)]
+            *["non-integer"] * (rel in INT_COLUMNS),
+            *["stray-word"] * (rel in WORD_COLUMNS)]
 
 
 def corrupt(rel: str, data: bytes, kind: str) -> bytes:
@@ -46,7 +50,8 @@ def corrupt(rel: str, data: bytes, kind: str) -> bytes:
     if kind == "repeated-row":
         return head + rest[0] + b"".join(rest)
     rows = list(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))
-    rows[1][rows[0].index(INT_COLUMNS[rel])] = "x"
+    column = (INT_COLUMNS if kind == "non-integer" else WORD_COLUMNS)[rel]
+    rows[1][rows[0].index(column)] = "x"
     out = io.StringIO(newline="")
     csv.writer(out).writerows(rows)
     return out.getvalue().encode("utf-8")
@@ -93,3 +98,5 @@ def test_a_corrupt_input_names_its_file_and_writer(small_ws, tmp_path,
     code, err = run(base, ws, variant)
     assert code == 2, err
     assert Path(rel).name in err and f"`{WRITERS[rel]}`" in err, err
+    if kind in ("non-integer", "stray-word"):
+        assert f"{Path(rel).name}:2: " in err, err

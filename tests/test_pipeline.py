@@ -24,7 +24,8 @@ from codecorpus import cli
 from codecorpus.callgraph import build_callgraph
 from codecorpus.catalog import read_metadata, read_property_csv
 from codecorpus.errors import InputError, InvalidArgumentError, ParseError
-from codecorpus.fixturegen import write_fixture_corpus
+from codecorpus.fixturegen import (DEFAULT_BUCKET_CLASSES, fixture_files,
+                                   write_fixture_corpus)
 from codecorpus.lexer import tkna_text
 from codecorpus.metrics import compute_metrics
 from codecorpus.parser import split_lines
@@ -666,14 +667,100 @@ def test_add_project_parses_each_file_once(tmp_path, monkeypatch):
     parsed = []
     real = catalog_mod.file_view
 
-    def counting(text, path):
+    def counting(text, path, *builds):
         parsed.append(path)
-        return real(text, path)
+        return real(text, path, *builds)
 
     monkeypatch.setattr(catalog_mod, "file_view", counting)
     stage_add_project(ws, second)
     assert sorted(parsed) == sorted(
         p.relative_to(corpus).as_posix() for p in corpus.rglob("*.java"))
+
+
+def test_the_fixture_writer_writes_exactly_the_generated_files(tmp_path):
+    x4 = {k: 4 * v for k, v in DEFAULT_BUCKET_CLASSES.items()}
+    write_fixture_corpus(tmp_path, x4)
+    assert {p.relative_to(tmp_path).as_posix(): p.read_bytes()
+            for p in tmp_path.rglob("*") if p.is_file()} == {
+        rel: text.encode("utf-8") for rel, text in fixture_files(x4).items()}
+
+
+CLONE = "package pkg;\nclass A { int f(int x) { return x + 1; } }\n"
+
+
+def clone_corpus(root, clone: str = CLONE):
+    """Projects `p` and `q` that hold `clone` at `pkg/A.java`; `p` also
+    holds a text of its own."""
+    for rel, text in {"p/pkg/A.java": clone, "q/pkg/A.java": clone,
+                      "p/pkg/B.java": "package pkg;\nclass B { }\n"}.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(text, encoding="utf-8")
+    return WorkspaceConfig(corpus_root=str(root))
+
+
+def counted(monkeypatch, module, name) -> list:
+    """The first arguments of every call through `module.name`."""
+    calls, real = [], getattr(module, name)
+
+    def counting(first, *args):
+        calls.append(first)
+        return real(first, *args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_a_cloned_text_is_lexed_once_per_load(tmp_path, monkeypatch):
+    cfg = clone_corpus(tmp_path)
+    lexed = counted(monkeypatch, parser_mod, "lex")
+    viewed = counted(monkeypatch, catalog_mod, "file_view")
+    parse_corpus(cfg)
+    assert sorted(lexed) == sorted({CLONE, "package pkg;\nclass B { }\n"})
+    assert len(viewed) == 3 and viewed.count(CLONE) == 2
+
+
+def test_clones_keep_their_own_views_and_rows(tmp_path, monkeypatch):
+    cfg = clone_corpus(tmp_path)
+    shared = parse_corpus(cfg)
+    real = catalog_mod.file_view
+    monkeypatch.setattr(catalog_mod, "file_view",
+                        lambda text, path, *_builds: real(text, path))
+    alone = parse_corpus(cfg)
+    cats = merged_catalog(shared), merged_catalog(alone)
+    for table in ("projects", "packages", "classes", "methods"):
+        assert getattr(cats[0], table) == getattr(cats[1], table), table
+    p, q = shared
+    view_p, view_q = (next(v for v in d.class_views.values()
+                           if v.path.endswith("A.java")) for d in (p, q))
+    assert (view_p.path, view_q.path) == ("p/pkg/A.java", "q/pkg/A.java")
+    assert view_p is not view_q and view_p._tokens is view_q._tokens
+    (mp,), (mq,) = view_p.classes[0].methods, view_q.classes[0].methods
+    assert mp is not mq and mp.method_id != mq.method_id
+    assert (p.sources[mp.method_id], q.sources[mq.method_id]) == (mp, mq)
+    assert tkna_text(mp.tokens) == tkna_text(mq.tokens)
+    assert mp.ast.node_types == mq.ast.node_types and mp.ast is not mq.ast
+
+
+def test_no_parse_outlives_its_load(tmp_path, monkeypatch):
+    cfg = clone_corpus(tmp_path)
+    lexed = counted(monkeypatch, parser_mod, "lex")
+    parse_corpus(cfg)
+    parse_corpus(cfg)
+    assert len(lexed) == 4
+    edited = CLONE.replace("x + 1", "x + 2")
+    (tmp_path / "q" / "pkg" / "A.java").write_text(edited, encoding="utf-8")
+    _p, q = parse_corpus(cfg)
+    assert "x + 2" in next(iter(q.sources.values())).text
+
+
+def test_a_cloned_text_that_fails_gives_a_note_per_path(tmp_path):
+    cfg = clone_corpus(tmp_path, "class A { int[] f() { return null; } }\n")
+    message = "array types are outside the supported subset, found '[' at 1:14"
+    p, q = parse_corpus(cfg)
+    assert [(d.path, d.message) for d in p.diagnostics + q.diagnostics] == [
+        ("p/pkg/A.java", message), ("q/pkg/A.java", message)]
+    with pytest.raises(ParseError, match=f"^p/pkg/A.java: {re.escape(message)}$"):
+        parse_corpus(cfg._replace(strictness="fail-fast"))
 
 
 def test_commands_build_method_subtrees_only_when_they_read_them(
