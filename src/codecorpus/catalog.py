@@ -195,8 +195,10 @@ def catalog_project(root, corpus_root, strict: bool = False,
     a method declared again with the same signature on the same first line:
     only the first one gets a row. A project with no cataloged classes is
     returned as it is: no rows, and the diagnostics that say why.
-    `builds` is `file_view`'s map from a text to its parse, which
-    `parse_corpus` shares among the projects of one load.
+    `builds` is `file_view`'s map from a text to the first view of it,
+    which `parse_corpus` shares among the projects of one load: a file
+    with a text already there is a twin of that view, and each of its
+    methods gets its own id here.
     """
     root = Path(root)
     if not root.is_dir():

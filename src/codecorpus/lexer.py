@@ -17,7 +17,9 @@ Number literals are those of JLS SE 17 §3.10.1-2: decimal, octal, hex and
 binary integers with an optional `L`, and decimal and hex floating forms
 with exponents and `f`/`d` suffixes, with underscores between digits. An
 integer is an int_literal, a floating form (a `.`, an exponent or an
-`f`/`d` suffix) a float_literal; octal digits are not checked (`08`). A
+`f`/`d` suffix) a float_literal. An integer that starts with `0`, has more
+characters and is neither hex nor binary is octal, so a digit 8 or 9 in it
+(`08`, `0_9L`) is a LexError, while `08.5` and `09f` are floats. A
 char literal holds one character or escape and a string literal any run of
 them. The escapes are those of JLS SE 17 §3.10.7 (`\\b \\s \\t \\n \\f \\r
 \\" \\' \\\\` and octal, `'\\101'`) and Unicode ones (`'\\u0041'`, one or
@@ -122,6 +124,9 @@ _TOKEN_RE = re.compile(
 # exponent or an `f`/`d` suffix, or, in hex, a `p` exponent.
 _FLOAT_LITERAL = re.compile(r"0[xX].*[pP]|[^xX]*[.eEfFdD]")
 
+# An int literal that is octal (a `0`, then no `x` or `b`) but holds 8 or 9.
+_BAD_OCTAL = re.compile(r"0[0-7_]*[89]")
+
 # A lexeme's kind: a fixed lexeme's from this table, any other's from its
 # first character, and a number's then from `_FLOAT_LITERAL`.
 _LEXEME_KINDS = {
@@ -165,8 +170,13 @@ def lex(source: str) -> list[Token]:
                     break
                 raise LexError(_ILLEGAL.get(text, f"illegal character {text!r}"),
                                line, col)
-            if kind is KIND_INT and _FLOAT_LITERAL.match(text):
-                kind = KIND_FLOAT
+            if kind is KIND_INT:
+                if _FLOAT_LITERAL.match(text):
+                    kind = KIND_FLOAT
+                elif text[0] == "0" and len(text) > 1 \
+                        and _BAD_OCTAL.match(text):
+                    raise LexError(f"octal literal {text!r} holds a digit "
+                                   "8 or 9", line, col)
         # Token(...) without the Python-level __new__ of a NamedTuple
         append(new_tuple(Token, (kind, text, line, col)))
         col += len(text)

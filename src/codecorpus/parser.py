@@ -46,7 +46,13 @@ counting frees all it drops.
 `file_view` reads the package, imports, class headers, fields and method
 headers off the build tree and flattens nothing: a `MethodSource` slices
 its `tokens` and flattens its own build node into its `ast` when first
-read, and `FileView.ast` flattens the whole file when first read.
+read, and `FileView.ast` flattens the whole file when first read. Each
+keeps those views in a `_Views` cell. Within one load (`builds`), a file
+whose text an earlier file holds is not lexed, parsed or summarized again:
+it is a twin of the first file's view, with its own path and method ids,
+that shares the summary, the source string and every `_Views` cell. So a
+view is built at most once per distinct text and member, and no code
+writes to what twins share.
 
 `call_sites` is the one definition of a call site: which `Call` and `New`
 nodes count, and which terminal names each callee.
@@ -759,25 +765,55 @@ def call_sites(ast: Ast, include_new: bool = True) -> list[CallSite]:
 # File views: the syntactic summary consumed by cataloging and resolution
 # ---------------------------------------------------------------------------
 
+class _Views:
+    """The lazy views of one build node: `tokens`, the slice of its file's
+    tokens from `first` to `end` (all of them when `end` is None), and
+    `ast`, flattened over that slice. Each is built on first read and kept.
+    Every file that holds the same text reads the same `_Views`, so its
+    views are built once per load; nothing writes to them."""
+
+    __slots__ = ("_node", "_file_tokens", "_first", "_end", "_tokens", "_ast")
+
+    def __init__(self, node: _Node, file_tokens: list[Token], first: int = 0,
+                 end: int | None = None):
+        self._node = node
+        self._file_tokens = file_tokens
+        self._first = first
+        self._end = end
+        self._tokens = file_tokens if end is None else None
+        self._ast: Ast | None = None
+
+    @property
+    def tokens(self) -> list[Token]:
+        if self._tokens is None:
+            self._tokens = self._file_tokens[self._first:self._end]
+        return self._tokens
+
+    @property
+    def ast(self) -> Ast:
+        if self._ast is None:
+            self._ast = _flatten(self._node, self.tokens, self._first)
+        return self._ast
+
+
 class MethodSource:
     """One method or constructor declaration. The header is read with the
-    file; the views refer to its build node and the file's tokens and
-    source, which its `FileView` holds anyway: `tokens` (its token slice)
-    and `ast` (flattened over that slice) are built on first read and kept,
-    `text` is sliced on each read. Two are equal when their headers and
-    ids are (`_COMPARED`), whatever file holds them."""
+    file; `tokens` (its token slice) and `ast` (flattened over that slice)
+    are its `_Views`, built on first read and kept, and `text` is sliced
+    from the file's source on each read. A twin, the same declaration in a
+    file with the same text, copies the header, gets its own `method_id`
+    and shares the views and the source string. Two are equal when their
+    headers and ids are (`_COMPARED`), whatever file holds them."""
 
     _COMPARED = ("name", "signature", "start_line", "end_line", "param_types",
                  "param_names", "return_type", "is_constructor", "modifiers",
                  "class_name", "method_id")
-    __slots__ = (*_COMPARED, "_node", "_file_tokens", "_token_span",
-                 "_source", "_span", "_tokens", "_ast")
+    __slots__ = (*_COMPARED, "_views", "_source", "_span")
 
     def __init__(self, name: str, signature: str, start_line: int,
                  end_line: int, param_types: list[str], param_names: list[str],
                  return_type: str, is_constructor: bool,
-                 modifiers: frozenset[str], class_name: str, _node: _Node,
-                 _file_tokens: list[Token], _token_span: tuple[int, int],
+                 modifiers: frozenset[str], class_name: str, _views: _Views,
                  _source: str, _span: tuple[int, int]):
         self.name = name
         self.signature = signature
@@ -789,14 +825,10 @@ class MethodSource:
         self.is_constructor = is_constructor
         self.modifiers = modifiers
         self.class_name = class_name
-        self._node = _node
-        self._file_tokens = _file_tokens
-        self._token_span = _token_span
+        self._views = _views
         self._source = _source
         self._span = _span              # text offsets
         self.method_id = ""             # set by `catalog_project`
-        self._tokens: list[Token] | None = None
-        self._ast: Ast | None = None
 
     def __eq__(self, other):
         if other.__class__ is not MethodSource:
@@ -806,20 +838,23 @@ class MethodSource:
 
     @property
     def tokens(self) -> list[Token]:
-        if self._tokens is None:
-            first, end = self._token_span
-            self._tokens = self._file_tokens[first:end]
-        return self._tokens
+        return self._views.tokens
 
     @property
     def ast(self) -> Ast:
-        if self._ast is None:
-            self._ast = _flatten(self._node, self.tokens, self._token_span[0])
-        return self._ast
+        return self._views.ast
 
     @property
     def text(self) -> str:
         return self._source[self._span[0]:self._span[1]]
+
+    def _twin(self) -> "MethodSource":
+        """The same header, with no id yet, over the same views."""
+        return MethodSource(
+            self.name, self.signature, self.start_line, self.end_line,
+            self.param_types, self.param_names, self.return_type,
+            self.is_constructor, self.modifiers, self.class_name,
+            self._views, self._source, self._span)
 
 
 class ClassView(NamedTuple):
@@ -832,28 +867,37 @@ class ClassView(NamedTuple):
 
 
 class FileView:
-    """A file's summary; its `ast` is flattened on first read and kept."""
+    """A file's summary; its `ast` is the whole file's `_Views`, flattened
+    on first read and kept."""
 
     __slots__ = ("path", "source", "package_name", "imports", "classes",
-                 "_root", "_tokens", "_ast")
+                 "_views")
 
     def __init__(self, path: str, source: str, package_name: str,
                  imports: list[tuple[str, bool]], classes: list[ClassView],
-                 _root: _Node, _tokens: list[Token]):
+                 _views: _Views):
         self.path = path
         self.source = source
         self.package_name = package_name
         self.imports = imports          # (dotted name, is_wildcard)
         self.classes = classes
-        self._root = _root
-        self._tokens = _tokens
-        self._ast: Ast | None = None
+        self._views = _views
 
     @property
     def ast(self) -> Ast:
-        if self._ast is None:
-            self._ast = _flatten(self._root, self._tokens)
-        return self._ast
+        return self._views.ast
+
+    @property
+    def _tokens(self) -> list[Token]:
+        """The file's tokens, shared by every view of its text."""
+        return self._views.tokens
+
+    def _twin(self, path: str) -> "FileView":
+        """The view of a file at `path` that holds the same text: the same
+        summary, each method a `MethodSource._twin`, and the same views."""
+        return FileView(path, self.source, self.package_name, self.imports,
+                        [c._replace(methods=[m._twin() for m in c.methods])
+                         for c in self.classes], self._views)
 
 
 _LINE = re.compile(r"[^\n]*\n|[^\n]+")
@@ -910,26 +954,35 @@ def _method_source(tokens: list[Token], source: str, starts: list[int],
     return MethodSource(
         name, f"{name}({','.join(param_types)})", start, end, param_types,
         param_names, return_type, is_ctor, frozenset(words), class_name,
-        member, tokens, (first, last + 1), source,
+        _Views(member, tokens, first, last + 1), source,
         (starts[start - 1], starts[end]))
 
 
 def file_view(source: str, path: str = "<source>",
-              builds: dict[str, tuple[_Node, list[Token]]] | None = None
-              ) -> FileView:
+              builds: dict[str, FileView] | None = None) -> FileView:
     """Parse a file and summarize packages, imports, classes, and methods.
 
     The summary is read off the parser's build tree; no whole-file `Ast` is
     flattened unless `FileView.ast` is read. A file holds at least one
     class or interface, or `compilation_unit` raises "no type declaration
-    in file". A text found in `builds` (text -> build tree and tokens) is
-    not lexed or parsed again, and one that parses is added: the views of
-    one text share that tree and token list, which nothing writes to."""
-    if builds is None:
-        builds = {}
-    if source not in builds:
-        builds[source] = _build(source)
-    root, tokens = builds[source]
+    in file".
+
+    `builds` maps a text to the first view of it, and a view that parses is
+    added. A text found there is not lexed, parsed or summarized again: the
+    file gets that view's twin (`FileView._twin`), which shares its summary,
+    its source string and every view, and whose methods copy their headers.
+    Nothing writes to what twins share."""
+    first = None if builds is None else builds.get(source)
+    if first is not None:
+        return first._twin(path)
+    view = _summarize(source, path)
+    if builds is not None:
+        builds[source] = view
+    return view
+
+
+def _summarize(source: str, path: str) -> FileView:
+    root, tokens = _build(source)
     # offset of each line's first character, then the source's length
     starts = list(accumulate(map(len, split_lines(source)), initial=0))
     package_name = ""
@@ -982,5 +1035,5 @@ def file_view(source: str, path: str = "<source>",
             methods=methods,
         ))
     return FileView(path=path, source=source, package_name=package_name,
-                    imports=imports, classes=classes, _root=root,
-                    _tokens=tokens)
+                    imports=imports, classes=classes,
+                    _views=_Views(root, tokens))

@@ -220,7 +220,8 @@ def parse_corpus(cfg: WorkspaceConfig) -> list[ProjectData]:
     stays in the list without rows, so its notes are reported, and
     `merged_catalog` leaves it out. A corpus with no cataloged class at
     all is an EmptyProjectError naming its root. A text that several files
-    hold is lexed and parsed once per call: its files share the parse."""
+    hold is lexed, parsed and summarized once per call: its files are
+    twins that share the summary and the method views (`file_view`)."""
     strict = cfg.strictness == "fail-fast"
     root = Path(cfg.corpus_root)
     builds: dict = {}
@@ -342,9 +343,16 @@ def stage_representations(ws: Workspace, datas: list[ProjectData],
 def stage_metrics(ws: Workspace, datas: list[ProjectData],
                   cat: Catalog) -> dict:
     tables: dict[str, dict[str, object]] = {k: {} for k in METRIC_KEYS}
+    # The values depend only on the header and the Ast, which twins share:
+    # each Ast is measured once. `datas` keeps every Ast, so no id is reused.
+    measured: dict[int, dict[str, int | str]] = {}
     for d in datas:
         for meta in d.methods:
-            values = metrics_mod.compute_metrics(d.sources[meta.method_id])
+            method = d.sources[meta.method_id]
+            shared = id(method.ast)
+            if shared not in measured:
+                measured[shared] = metrics_mod.compute_metrics(method)
+            values = measured[shared]
             for key in METRIC_KEYS:
                 tables[key][meta.method_id] = values[key]
     for key in METRIC_KEYS:

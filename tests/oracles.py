@@ -1363,6 +1363,14 @@ _GROUP_KINDS = {
 }
 
 
+def _octal_with_8_or_9(literal: str) -> bool:
+    """Whether an integer literal is octal, a `0` before more digits with
+    no `x` or `b` radix, and yet holds a digit 8 or 9."""
+    digits = literal.rstrip("lL").replace("_", "")
+    return (len(digits) > 1 and digits[0] == "0" and digits[1] not in "xXbB"
+            and not set(digits) <= set("01234567"))
+
+
 def lex_oracle(source: str) -> list[Token]:
     """Tokens of `source`, matched one at a time from the current position;
     raises the same LexError as `lex`."""
@@ -1396,6 +1404,9 @@ def lex_oracle(source: str) -> list[Token]:
                 kind = KIND_IDENTIFIER
             tokens.append(Token(kind, text, line, col))
         elif group in _GROUP_KINDS:
+            if group == "integer" and _octal_with_8_or_9(text):
+                raise LexError(f"octal literal {text!r} holds a digit 8 or 9",
+                               line, col)
             tokens.append(Token(_GROUP_KINDS[group], text, line, col))
         # ws and comments fall through: position bookkeeping only
         newlines = text.count("\n")

@@ -1,3 +1,4 @@
+import re
 import time
 
 import pytest
@@ -112,6 +113,28 @@ def test_a_malformed_number_is_not_one_token(text, lexemes):
     assert [t.lexeme for t in lex(text)] == lexemes
 
 
+# JLS SE 17 §3.10.1-2: an octal numeral takes the digits 0-7 only, while a
+# floating literal may start with any digits after a 0
+@pytest.mark.parametrize("literal", ["08", "09", "019", "0_8", "08L"])
+def test_an_octal_literal_with_a_digit_8_or_9_is_a_lex_error(literal):
+    source = f"x = {literal};"
+    message = f"octal literal {literal!r} holds a digit 8 or 9 at 1:5"
+    with pytest.raises(LexError, match=f"^{re.escape(message)}$"):
+        lex(source)
+    assert _outcome(lex_oracle, source) == _outcome(lex, source)
+
+
+@pytest.mark.parametrize("literal, kind", [
+    ("08.5", KIND_FLOAT), ("09e1", KIND_FLOAT), ("08f", KIND_FLOAT),
+    ("08d", KIND_FLOAT), ("0_7", KIND_INT), ("00", KIND_INT),
+    ("07", KIND_INT), ("0x8", KIND_INT),
+])
+def test_a_zero_led_literal_that_is_not_octal_or_has_no_8_or_9_lexes(
+        literal, kind):
+    assert [(t.kind, t.lexeme) for t in lex(literal)] == [(kind, literal)]
+    assert _outcome(lex_oracle, literal) == _outcome(lex, literal)
+
+
 @pytest.mark.parametrize("literal", [
     "'\\u0041'", "'\\uuu00e9'", "'\\uFFFF'", "'\\101'", "'\\377'", "'\\77'",
     "'\\7'", "'\\0'", "'\\n'", "'\\''",
@@ -214,7 +237,7 @@ _PIECES = st.sampled_from([
     "++", "=", "@", ";", "{", "}", "(", ".", "'\\u0041'", "'\\uu00e9'",
     "'\\101'", "'\\7'", "\\u", "\\377", "u00", "7", "'\\q'", '"\\q"', "\\q",
     "'\\u'", '"\\s\\b"', "\\8", "\\s", "1.5", ".5f", "0x1F", "0b", "1e",
-    "L", "p", "1_",
+    "L", "p", "1_", "08", "9",
 ])
 _SOURCES = sorted(fixture_files().items())
 _EDITS = st.lists(st.tuples(st.integers(0, 1 << 20), st.integers(0, 3),

@@ -22,7 +22,8 @@ import codecorpus.pathcontexts as pathcontexts_mod
 import codecorpus.pipeline as pipeline_mod
 from codecorpus import cli
 from codecorpus.callgraph import build_callgraph
-from codecorpus.catalog import read_metadata, read_property_csv
+from codecorpus.catalog import (METRIC_KEYS, read_metadata,
+                               read_property_csv)
 from codecorpus.errors import InputError, InvalidArgumentError, ParseError
 from codecorpus.fixturegen import (DEFAULT_BUCKET_CLASSES, fixture_files,
                                    write_fixture_corpus)
@@ -702,9 +703,9 @@ def counted(monkeypatch, module, name) -> list:
     """The first arguments of every call through `module.name`."""
     calls, real = [], getattr(module, name)
 
-    def counting(first, *args):
+    def counting(first, *args, **kwargs):
         calls.append(first)
-        return real(first, *args)
+        return real(first, *args, **kwargs)
 
     monkeypatch.setattr(module, name, counting)
     return calls
@@ -738,7 +739,7 @@ def test_clones_keep_their_own_views_and_rows(tmp_path, monkeypatch):
     assert mp is not mq and mp.method_id != mq.method_id
     assert (p.sources[mp.method_id], q.sources[mq.method_id]) == (mp, mq)
     assert tkna_text(mp.tokens) == tkna_text(mq.tokens)
-    assert mp.ast.node_types == mq.ast.node_types and mp.ast is not mq.ast
+    assert mp.ast.node_types == mq.ast.node_types and mp.ast is mq.ast
 
 
 def test_no_parse_outlives_its_load(tmp_path, monkeypatch):
@@ -761,6 +762,86 @@ def test_a_cloned_text_that_fails_gives_a_note_per_path(tmp_path):
         ("p/pkg/A.java", message), ("q/pkg/A.java", message)]
     with pytest.raises(ParseError, match=f"^p/pkg/A.java: {re.escape(message)}$"):
         parse_corpus(cfg._replace(strictness="fail-fast"))
+
+
+CALLER = ("package pkg;\nclass A { int n;\n"
+          "  int f(int x) { n = B.g(x); return n; } }\n")
+
+
+def callee_corpus(root):
+    """`clone_corpus` with `CALLER` as the clone, whose callee `B.g` names
+    its parameter `a` in project `p` and `b` in project `q`."""
+    cfg = clone_corpus(root, CALLER)
+    for project, name in (("p", "a"), ("q", "b")):
+        (root / project / "pkg" / "B.java").write_text(
+            f"package pkg;\nclass B {{ static int g(int {name}) "
+            f"{{ return {name}; }} }}\n", encoding="utf-8")
+    return cfg
+
+
+def twins(datas) -> tuple:
+    """The two views of `pkg/A.java` and their one method each."""
+    views = [next(v for v in d.class_views.values()
+                  if v.path.endswith("A.java")) for d in datas]
+    return (*views, *(v.classes[0].methods[0] for v in views))
+
+
+def test_twins_share_their_views_and_source_and_not_their_ids(tmp_path):
+    view_p, view_q, mp, mq = twins(parse_corpus(clone_corpus(tmp_path)))
+    assert mp.method_id and mq.method_id and mp.method_id != mq.method_id
+    assert mp.tokens is mq.tokens and mp.ast is mq.ast
+    assert view_p.source is view_q.source and view_p.ast is view_q.ast
+    assert mp.text == mq.text == "class A { int f(int x) { return x + 1; } }\n"
+
+
+def test_twins_write_the_bytes_of_an_unshared_parse(tmp_path, monkeypatch):
+    cfg = callee_corpus(tmp_path / "corpus")
+
+    def tables(ws: Workspace) -> dict[str, bytes]:
+        datas = parse_corpus(cfg)
+        stage_representations(ws, datas, list(REPRESENTATION_TYPES), 0)
+        stage_metrics(ws, datas, merged_catalog(datas))
+        return {p.relative_to(ws.root).as_posix(): p.read_bytes()
+                for p in ws.root.rglob("*.csv")}
+
+    shared = tables(Workspace(tmp_path / "shared"))
+    real = catalog_mod.file_view
+    monkeypatch.setattr(catalog_mod, "file_view",
+                        lambda text, path, *_builds: real(text, path))
+    alone = tables(Workspace(tmp_path / "alone"))
+    assert len(shared) == len(REPRESENTATION_TYPES) + len(METRIC_KEYS)
+    assert shared == alone
+
+
+def test_twins_whose_callees_name_their_parameters_apart_differ_in_ftgr(
+        tmp_path):
+    datas = parse_corpus(callee_corpus(tmp_path / "corpus"))
+    ws = Workspace(tmp_path / "ws")
+    stage_representations(ws, datas, ["FTGR", "ASTS"], 0)
+    _view_p, _view_q, mp, mq = twins(datas)
+    ftgr, asts = (read_repr_csv(ws.repr_path(t)) for t in ("FTGR", "ASTS"))
+    assert asts[mp.method_id] == asts[mq.method_id]
+    assert ftgr[mp.method_id] != ftgr[mq.method_id]
+
+
+def test_repr_extracts_paths_twice_per_method_over_clones(tmp_path,
+                                                          monkeypatch):
+    """`bench/smoke.py` pins this count: C2VC and C2SQ each extract the
+    paths of every method, twins included."""
+    datas = parse_corpus(callee_corpus(tmp_path / "corpus"))
+    extracted = counted(monkeypatch, pipeline_mod, "extract_paths")
+    stage_representations(Workspace(tmp_path / "ws"), datas,
+                          list(REPRESENTATION_TYPES), 0)
+    methods = sum(len(d.methods) for d in datas)
+    assert methods == 4
+    assert len(extracted) == 2 * methods
+
+
+def distinct_members() -> int:
+    """The fixture's methods counted once per distinct file text: the
+    (text, member) pairs whose views every file with that text shares."""
+    views = map(parser_mod.file_view, set(fixture_files().values()))
+    return sum(len(v.classes[0].methods) for v in views)
 
 
 def test_commands_build_method_subtrees_only_when_they_read_them(
@@ -791,8 +872,9 @@ def test_commands_build_method_subtrees_only_when_they_read_them(
         ("taskgen", "--task", "mutation"), ("tokenstats",),
         ("report", "--study", "calls"), ("report", "--study", "windows"),
         ("report", "--study", "bias"))}
-    methods = 774
-    # the seven representation types share each method's one subtree
+    methods = distinct_members()
+    assert methods == 450
+    # the seven representation types, and twins, share each method's subtree
     assert counts.pop("repr") == methods
     assert counts.pop("metrics") == methods
     assert counts.pop("callgraph") == methods
@@ -806,7 +888,7 @@ def test_commands_build_method_subtrees_only_when_they_read_them(
 def test_loading_the_corpus_flattens_no_ast(tmp_path, monkeypatch):
     """`load_corpus` reads headers off the build trees: a metadata-only
     command flattens nothing while it loads, and `repr` flattens each
-    method once and no whole file."""
+    method of each distinct text once and no whole file."""
     corpus = tmp_path / "corpus"
     write_fixture_corpus(corpus)
     ws = tmp_path / "ws"
@@ -834,7 +916,7 @@ def test_loading_the_corpus_flattens_no_ast(tmp_path, monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main([*command, "-w", str(ws)]) == 0
         assert loads == [0], command
-    assert len(flattened) == 774
+    assert len(flattened) == distinct_members()
     assert set(flattened) == {"MethodDecl", "ConstructorDecl"}
 
 
