@@ -446,12 +446,15 @@ def write_callgraph_csv(path, g: CallGraph) -> None:
                   e.line, e.col) for e in g.edges))
 
 
-def read_callgraph_csv(path) -> CallGraph:
+def read_callgraph_csv(path, cat: Catalog | None = None) -> CallGraph:
     """The stored call sites; each `call_type` must be one of CALL_TYPES,
-    and `API` exactly when the callee is empty, or it is an InputError."""
+    and `API` exactly when the callee is empty, and with `cat` each caller
+    and non-empty callee a method it catalogs, or it is an InputError."""
     edges = [CallEdge(*r) for r in read_table(
         path, CALLGRAPH_HEADER, ("line", "col"),
-        ("caller_method_id", "line", "col"))]
+        ("caller_method_id", "line", "col"), cat and (lambda row: (
+            cat.stray(row[0], column="caller_method_id")
+            or row[1] and cat.stray(row[1], column="callee_method_id"))))]
     for e in edges:
         if e.call_type not in CALL_TYPES or \
                 (e.callee == "") != (e.call_type == "API"):

@@ -128,6 +128,13 @@ class Catalog:
     def class_count(self, project_id: EntityId) -> int:
         return self._class_counts[project_id]
 
+    def stray(self, eid: EntityId, gran: str = "method",
+              column: str = "method_id") -> str | None:
+        """None if `eid` is the id of a cataloged `gran` (a granularity),
+        else what is wrong with it in a table's `column`."""
+        if getattr(self.by_id.get(eid), f"{gran}_id", None) != eid:
+            return f"{column} {eid!r} is not a cataloged {gran}"
+
 
 def size_bucket(class_count: int) -> str:
     """Project-size buckets: A <=20 classes, B 21-50, C 51-100, D >100."""
@@ -292,9 +299,9 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     write_table(path, header, rows)
 
 
-def _read_csv(path: Path, header: list[str], int_columns=(), key=()
-              ) -> list[list]:
-    return read_table(path, header, int_columns, key)
+def _read_csv(path: Path, header: list[str], int_columns=(), key=(),
+              check=None) -> list[list]:
+    return read_table(path, header, int_columns, key, check)
 
 
 def write_metadata(cat: Catalog, out_dir) -> list[Path]:
@@ -346,7 +353,10 @@ def write_property_csv(key: str, table: dict[EntityId, int | str], out_dir
     return path
 
 
-def read_property_csv(path, ints: bool = False) -> dict[EntityId, str | int]:
+def read_property_csv(path, ints: bool = False, cat: Catalog | None = None
+                      ) -> dict[EntityId, str | int]:
     """Read a property CSV; values come back as text (see `property_value`),
-    or with `ints` as ints (a value that is not one is an InputError)."""
-    return dict(_read_csv(path, PROPERTY_HEADER, ["value"] * ints, ["method_id"]))
+    or with `ints` as ints (a value that is not one is an InputError), and
+    with `cat` a method id it does not catalog is an InputError."""
+    return dict(_read_csv(path, PROPERTY_HEADER, ["value"] * ints, ["method_id"],
+                          cat and (lambda row: cat.stray(row[0]))))

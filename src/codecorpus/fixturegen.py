@@ -503,7 +503,7 @@ def write_fixture_corpus(root, bucket_classes: dict[str, int] | None = None) -> 
 
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    if len(args) != 1:
+    if len(args) != 1 or args[0].startswith("-"):
         print("usage: python -m codecorpus.fixturegen OUT_DIR", file=sys.stderr)
         return 1
     projects = write_fixture_corpus(args[0])

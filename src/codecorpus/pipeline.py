@@ -20,16 +20,16 @@ writes it), so the same corpus and seed reproduce identical bytes. Every
 workspace file is written through `tables`, so it is replaced whole or not
 at all, and each reader gives `tables` its table's key (an entity, a method,
 a call site's caller, line and column, a sample, or a size's entity,
-granularity and tokenizer). A malformed or truncated table, or one whose key
-repeats, is an `InputError` naming `file:line`; so is a `workspace.json`
-that does not hold a config, naming the file (CLI exit 2 for all).
+granularity and tokenizer) and the catalog, which checks each id in the same
+pass. A malformed or truncated table, a repeated key or an uncataloged id is
+an `InputError` naming `file:line`; so is a `workspace.json` that does not
+hold a config, naming the file (CLI exit 2 for all).
 """
 
-import csv
 import json
 import sys
 from collections import Counter
-from itertools import islice, zip_longest
+from itertools import zip_longest
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -39,7 +39,7 @@ from .catalog import (CALLGRAPH_KEYS, Catalog, METADATA_TABLES, METRIC_KEYS,
                       property_value, read_metadata, read_property_csv,
                       validate_property_key, write_metadata,
                       write_property_csv)
-from .callgraph import (CallGraph, arg_name_maps, build_callgraph,
+from .callgraph import (arg_name_maps, build_callgraph,
                         classify_distribution, connectivity_props,
                         n_hop_context, read_callgraph_csv,
                         write_callgraph_csv)
@@ -57,7 +57,7 @@ from .taskgen import (SPLIT_NAMES, augment_with_context,
                       bias_table, evaluate_exact_match,
                       make_call_masking_task, make_mutation_task,
                       make_property_task, write_task_csv)
-from .tokenstats import (TOKENIZER_TAGS, SizeRecord, english_sample_text,
+from .tokenstats import (TOKENIZER_TAGS, english_sample_text,
                          entity_sizes, read_sizes_csv, tokenizer_ratio,
                          train_bpe, window_fit, write_fit_csv,
                          write_sizes_csv, write_vocab)
@@ -310,9 +310,11 @@ def _write_repr_csv(path: Path, rows: Iterable[tuple[str, str]]) -> None:
     write_table(path, REPR_HEADER, rows)
 
 
-def read_repr_csv(path) -> dict[EntityId, str]:
-    """Payload per method id; a method id on two rows is an InputError."""
-    return dict(read_table(path, REPR_HEADER, key=("method_id",)))
+def read_repr_csv(path, cat: Catalog | None = None) -> dict[EntityId, str]:
+    """Payload per method id; a method id on two rows, or with `cat` one it
+    does not catalog, is an InputError."""
+    return dict(read_table(path, REPR_HEADER, key=("method_id",),
+                           check=cat and (lambda row: cat.stray(row[0]))))
 
 
 def stage_representations(ws: Workspace, datas: list[ProjectData],
@@ -384,70 +386,22 @@ def stage_props_import(ws: Workspace, cat: Catalog, source_csv,
         raise InvalidArgumentError(f"property {inferred} is written by "
                                    f"`{writer}`; import under another key")
     values = read_property_csv(source)
-    known = {m.method_id for m in cat.methods}
-    table = {mid: v for mid, v in values.items() if mid in known}
+    table = {mid: v for mid, v in values.items() if not cat.stray(mid)}
     write_property_csv(inferred, table, ws.properties_dir)
     return {"key": inferred, "stored": len(table),
             "rejected": len(values) - len(table)}
 
 
-def _ids_cataloged(cat: Catalog, path: Path, rows: list, ids) -> list:
-    """`rows`, read from `path`, if each (column, id, granularity) that
-    `ids(row)` gives names a cataloged entity of that granularity, the one
-    whose `<granularity>_id` it is; else an InputError at the first stray's
-    `file:line`."""
-    for index, row in enumerate(rows):
-        for column, eid, gran in ids(row):
-            if getattr(cat.by_id.get(eid), f"{gran}_id", None) != eid:
-                raise _row_error(path, index, f"{column} {eid!r} is not a "
-                                 f"cataloged {gran}")
-    return rows
-
-
-def _row_error(path: Path, index: int, message: str) -> InputError:
-    """An InputError at the `file:line` of the data row `index` of the
-    table `read_table` read from `path`."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        lines = csv.reader(fh)
-        # the header, then the data rows `read_table` keeps
-        next(islice(filter(None, lines), index + 1, None))
-    return InputError(f"{path}:{lines.line_num}: {message}")
-
-
 def _cataloged(ws: Workspace, cat: Catalog, path: Path, table: dict) -> dict:
-    """`table`, read from `path`, if it holds a row and only cataloged
-    method ids, and every one of them unless `props-import` wrote it; else
-    an InputError naming the file (and a stray id's line)."""
+    """`table`, read from `path` with `cat`'s id check, if it holds a row,
+    and every cataloged method unless `props-import` wrote it; else an
+    InputError naming the file."""
     if not table:
         raise InputError(f"{path}: holds no method rows")
-    _ids_cataloged(cat, path, list(table),
-                   lambda mid: [("method_id", mid, "method")])
     if len(table) < len(cat.methods) and ws.writer(path) != "props-import":
         raise InputError(f"{path}: holds {len(table)} of the "
                          f"{len(cat.methods)} cataloged methods")
     return table
-
-
-def _cataloged_graph(cat: Catalog, path: Path, graph: CallGraph) -> CallGraph:
-    """`graph`, read from `path`, if every caller id and every non-empty
-    callee id is a cataloged method."""
-    _ids_cataloged(cat, path, graph.edges, lambda e: [
-        ("caller_method_id", e.caller, "method")] + (
-        [("callee_method_id", e.callee, "method")] if e.callee else []))
-    return graph
-
-
-def _cataloged_sizes(cat: Catalog, path: Path,
-                     records: list[SizeRecord]) -> list[SizeRecord]:
-    """`records`, read from `path`, if each names a cataloged entity of its
-    granularity and a vocabulary `tokenstats` trains."""
-    _ids_cataloged(cat, path, records, lambda r: [
-        ("entity_id", r.entity_id, r.granularity)])
-    for index, r in enumerate(records):
-        if r.tokenizer_tag not in TOKENIZER_TAGS:
-            raise _row_error(path, index, f"tokenizer_tag {r.tokenizer_tag!r}"
-                             f" is not one of {', '.join(TOKENIZER_TAGS)}")
-    return records
 
 
 def _load_props(ws: Workspace, cat: Catalog, keys: list[str],
@@ -456,7 +410,7 @@ def _load_props(ws: Workspace, cat: Catalog, keys: list[str],
     `property_value`, or with `ints` as integers."""
     return {key: ws.read(ws.property_path(key), lambda path: {
         mid: v if ints else property_value(v) for mid, v in _cataloged(
-            ws, cat, path, read_property_csv(path, ints)).items()})
+            ws, cat, path, read_property_csv(path, ints, cat)).items()})
         for key in keys}
 
 
@@ -468,19 +422,22 @@ def stage_taskgen(ws: Workspace, datas: list[ProjectData], cat: Catalog,
                   include_constructors: bool = False) -> dict:
     sources = all_sources(datas)
     if task == "property":
+        if key == "NAME":
+            raise InvalidArgumentError("every payload spells the method's own "
+                                       "name, so NAME cannot be a task label")
         needed = [key] + [f[0] for f in filters]
         for k in needed:
             validate_property_key(k)
         payloads = ws.read(ws.repr_path("TKNA"), lambda path: _cataloged(
-            ws, cat, path, read_repr_csv(path)))
+            ws, cat, path, read_repr_csv(path, cat)))
         props = _load_props(ws, cat, sorted(set(needed)))
         dataset = make_property_task(
             key, props, payloads, cat, filters=list(filters),
             balance=balance, split_fracs=split_fracs, seed=seed)
         name = f"property_{key}"
     elif task == "call-mask":
-        graph = ws.read(ws.callgraph_path, lambda path: _cataloged_graph(
-            cat, path, read_callgraph_csv(path)))
+        graph = ws.read(ws.callgraph_path,
+                        lambda path: read_callgraph_csv(path, cat))
         # a masked site without a row is a fault of the stored graph too
         dataset = ws.read(ws.callgraph_path, lambda _: make_call_masking_task(
             cat, sources, graph, seed=seed, split_fracs=split_fracs,
@@ -572,8 +529,8 @@ def _write_table(path_base: Path, header: list[str], rows: list[list],
 
 def stage_report(ws: Workspace, cat: Catalog, study: str) -> dict:
     if study == "calls":
-        graph = ws.read(ws.callgraph_path, lambda path: _cataloged_graph(
-            cat, path, read_callgraph_csv(path)))
+        graph = ws.read(ws.callgraph_path,
+                        lambda path: read_callgraph_csv(path, cat))
         if not graph.edges:
             raise InputError(f"{ws.callgraph_path.name} holds no call sites, "
                              "so there is no locality distribution to report")
@@ -584,8 +541,8 @@ def stage_report(ws: Workspace, cat: Catalog, study: str) -> dict:
         return {"study": study, "total_percent":
                 round(sum(float(r[1]) for r in rows), 6)}
     if study == "windows":
-        records = ws.read(ws.tokenstats_dir / "sizes.csv", lambda path:
-                          _cataloged_sizes(cat, path, read_sizes_csv(path)))
+        records = ws.read(ws.tokenstats_dir / "sizes.csv",
+                          lambda path: read_sizes_csv(path, cat))
         table = window_fit(records)
         rows = [[g, tag, bucket, tau, f"{f:.4f}"]
                 for g, tag, bucket, tau, f in table.rows()]

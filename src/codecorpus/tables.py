@@ -9,8 +9,8 @@ field holding `,`, `"`, `\\r` or `\\n` is quoted, each `"` in it doubled,
 and a row of one empty field is written as `""`. `write_table` and
 `write_text` replace the file in one step, so a failure part-way leaves the
 previous file (or none), never a torn one. `read_table` accepts exactly the
-header it is told to expect, rows of the same width and each value of the
-table's key once; every problem is an `InputError` that names `file:line`.
+header it is told to expect, rows of the same width, each key value once and
+rows its `check` passes; the first fault is an `InputError` at `file:line`.
 """
 
 import csv
@@ -74,12 +74,13 @@ def write_text(path, text: str) -> None:
 
 
 def read_table(path, header: list[str], int_columns: tuple[str, ...] = (),
-               key: tuple[str, ...] = ()) -> list[list]:
+               key: tuple[str, ...] = (), check=None) -> list[list]:
     """Data rows of the table at `path`, blank lines skipped.
 
     The first row must equal `header` and every other row must have as
     many fields. Values of `int_columns` come back as ints. No two rows may
-    share their `key` values, compared after that conversion.
+    share their `key` values, compared after that conversion. `check(row)`
+    says what is wrong with a converted row, or returns None.
     """
     path = Path(path)
     if not path.is_file():
@@ -118,6 +119,9 @@ def read_table(path, header: list[str], int_columns: tuple[str, ...] = (),
                                               if len(key) > 1 else [value]))
                         raise InputError(f"{path}:{reader.line_num}: repeated "
                                          f"key {named} (first on line {first})")
+                problem = check and check(row)
+                if problem:
+                    raise InputError(f"{path}:{reader.line_num}: {problem}")
                 rows.append(row)
         except csv.Error as exc:
             raise InputError(f"{path}:{reader.line_num}: {exc}") from None

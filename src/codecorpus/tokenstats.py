@@ -369,12 +369,16 @@ def write_sizes_csv(path, records: list[SizeRecord]) -> None:
                   r.subtoken_count) for r in ordered))
 
 
-def read_sizes_csv(path) -> list[SizeRecord]:
+def read_sizes_csv(path, cat: Catalog | None = None) -> list[SizeRecord]:
     """The size records; one entity, granularity and tokenizer on two rows
-    is an InputError."""
+    is an InputError, and so, with `cat`, is an entity it does not catalog
+    at that granularity or a tokenizer `tokenstats` does not train."""
     return [SizeRecord(*row) for row in read_table(
         path, SIZES_HEADER, ("subtoken_count",),
-        ("entity_id", "granularity", "tokenizer_tag"))]
+        ("entity_id", "granularity", "tokenizer_tag"), cat and (
+            lambda row: cat.stray(row[0], row[1], "entity_id") or (
+                None if row[2] in TOKENIZER_TAGS else f"tokenizer_tag "
+                f"{row[2]!r} is not one of {', '.join(TOKENIZER_TAGS)}")))]
 
 
 def write_fit_csv(path, table: FitTable) -> None:

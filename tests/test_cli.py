@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from codecorpus import cli
+from codecorpus import cli, fixturegen
 from codecorpus.fixturegen import write_fixture_corpus
 from codecorpus.taskgen import FILTER_OPS
 
@@ -869,6 +869,20 @@ def test_a_missing_property_table_names_its_writer(tasks_ws, tmp_path, key,
     assert f"missing artifact {key}.csv; run `{writer}` first" in proc.stderr
 
 
+def test_a_method_name_is_no_task_label(tasks_ws, tmp_path):
+    """Every payload spells its method's name, so `--key NAME` is a usage
+    error before any task table is read: here none of them is there."""
+    ws = tmp_path / "ws"
+    shutil.copytree(tasks_ws, ws)
+    (ws / "properties" / "NAME.csv").unlink()
+    shutil.rmtree(ws / "representations")
+    proc = run_cli("taskgen", "-w", ws, "--task", "property", "--key", "name")
+    assert proc.returncode == 1, proc.stderr
+    assert "usage error: every payload spells the method's own name, so NAME " \
+        "cannot be a task label" in proc.stderr
+    assert not (ws / "tasks" / "property_NAME.csv").exists()
+
+
 @pytest.mark.parametrize("task,seed,name,empty", [
     ("call-mask", 5, "call_mask", ["valid", "test"]),
     ("mutation", 0, "mutation", ["valid", "test"]),
@@ -884,3 +898,12 @@ def test_taskgen_names_each_empty_split(tasks_ws, task, seed, name, empty):
              if "has an empty" in line]
     assert notes == [f"note: tasks/{name}.csv has an empty {s} split"
                      for s in empty]
+
+
+def test_fixturegen_takes_no_option_for_its_directory(tmp_path, monkeypatch,
+                                                      capsys):
+    monkeypatch.chdir(tmp_path)
+    assert fixturegen.main(["--help"]) == 1
+    assert capsys.readouterr().err == \
+        "usage: python -m codecorpus.fixturegen OUT_DIR\n"
+    assert list(tmp_path.iterdir()) == []

@@ -3,11 +3,13 @@
 Each command variant of `test_artifacts.READS` runs, in this process, on a
 workspace of the small metamorphic corpus in which one file that it reads
 has been corrupted in one way: emptied, given a foreign header, given a
-short row or a byte that is not UTF-8, with its first data row repeated
-(tables only), or with a non-integer in an integer column (the tables that
-have one), or with a stray word in a column that takes one of a fixed set.
-Every run must exit 2, and its message must name the file and the file's
-writer; a corrupt value also names its line.
+short row or a byte that is not UTF-8, with its first data row repeated or
+its last one dropped (tables only), or with a non-integer in an integer
+column (the tables that have one), or with a stray word in a column that
+takes one of a fixed set. Every run must exit 2, and its message must name
+the file and the file's writer; a corrupt value also names its line. The
+missing rows that no check finds yet are expected failures, each with its
+reason.
 """
 
 import csv
@@ -32,7 +34,7 @@ WORD_COLUMNS = {"tokenstats/sizes.csv": "tokenizer_tag"}
 def kinds(rel: str) -> list[str]:
     """The corruptions that apply to the workspace file `rel`."""
     return ["empty", "foreign-header", "short-row", "not-utf8",
-            *["repeated-row"] * rel.endswith(".csv"),
+            *["repeated-row", "missing-row"] * rel.endswith(".csv"),
             *["non-integer"] * (rel in INT_COLUMNS),
             *["stray-word"] * (rel in WORD_COLUMNS)]
 
@@ -50,14 +52,35 @@ def corrupt(rel: str, data: bytes, kind: str) -> bytes:
     if kind == "repeated-row":
         return head + rest[0] + b"".join(rest)
     rows = list(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))
-    column = (INT_COLUMNS if kind == "non-integer" else WORD_COLUMNS)[rel]
-    rows[1][rows[0].index(column)] = "x"
+    if kind == "missing-row":
+        del rows[-1]
+    else:
+        column = (INT_COLUMNS if kind == "non-integer" else WORD_COLUMNS)[rel]
+        rows[1][rows[0].index(column)] = "x"
     out = io.StringIO(newline="")
     csv.writer(out).writerows(rows)
     return out.getvalue().encode("utf-8")
 
 
-CASES = [(variant, rel, kind) for variant, reads in READS.items()
+# (variant, file) -> why a dropped last row still exits 0.
+UNSEEN = {
+    ("report --study calls", "callgraph.csv"):
+        "a deleted call site is invisible to every check short of stored "
+        "digests of the call graph",
+    ("report --study windows", "tokenstats/sizes.csv"):
+        "sizes.csv coverage is unchecked: after add-project it lacks the new "
+        "project's entities until tokenstats runs again",
+}
+
+
+def case(variant: str, rel: str, kind: str):
+    why = UNSEEN.get((variant, rel)) if kind == "missing-row" else None
+    return pytest.param(variant, rel, kind, id="|".join((variant, rel, kind)),
+                        marks=[pytest.mark.xfail(strict=True, reason=why)]
+                        if why else [])
+
+
+CASES = [case(variant, rel, kind) for variant, reads in READS.items()
          for rel in reads for kind in kinds(rel)]
 
 
@@ -82,8 +105,7 @@ def small_ws(tmp_path_factory):
     return base, ws
 
 
-@pytest.mark.parametrize("variant, rel, kind", CASES,
-                         ids=["|".join(case) for case in CASES])
+@pytest.mark.parametrize("variant, rel, kind", CASES)
 def test_a_corrupt_input_names_its_file_and_writer(small_ws, tmp_path,
                                                    variant, rel, kind):
     base, full = small_ws

@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and only the
+table layer imports `csv`.
 
 No linter ships with the project, so this reads each module's syntax tree
 with the standard library: a name bound by an import statement must be
@@ -37,6 +38,25 @@ def unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_a_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the absolute imports in `source`."""
+    tree = ast.parse(source)
+    return {name.split(".")[0] for node in ast.walk(tree) for name in (
+        [alias.name for alias in node.names] if isinstance(node, ast.Import)
+        else [node.module] if isinstance(node, ast.ImportFrom)
+        and not node.level else [])}
+
+
+def test_only_the_table_layer_imports_csv():
+    """`tables` is the one reader and writer of CSV tables."""
+    package = Path(codecorpus.__file__).parent
+    assert [p.name for p in sorted(package.glob("*.py"))
+            if "csv" in imported_modules(p.read_text(encoding="utf-8"))] \
+        == ["tables.py"]
+    assert imported_modules("import os.path, csv as c\nfrom .tables import x\n"
+                            "from csv import reader\n") == {"os", "csv"}
 
 
 def test_the_scan_finds_an_unused_import():

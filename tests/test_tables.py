@@ -148,6 +148,36 @@ def test_a_key_is_compared_after_the_int_conversion(tmp_path):
                                             ["007", "c"]]
 
 
+def _stray_b(row):
+    return f"id {row[0]!r} is stray" if row[0] == "b" else None
+
+
+def test_a_check_reports_its_row_at_the_row_line(tmp_path):
+    path = tmp_path / "t.csv"
+    # the header, a record on lines 2-3, a blank line, then the stray
+    path.write_text('id,v\r\na,"two\r\nlines"\r\n\r\nb,x\r\n',
+                    encoding="utf-8")
+    with pytest.raises(InputError, match=re.escape("t.csv:5: id 'b' is stray")):
+        read_table(path, ["id", "v"], check=_stray_b)
+
+
+def test_the_first_fault_in_file_order_is_reported(tmp_path):
+    path = tmp_path / "t.csv"
+    _write(path, ["id,v", "b,1", "c,2", "d,3", "c,4"])
+    with pytest.raises(InputError, match=re.escape("t.csv:2: id 'b' is stray")):
+        read_table(path, ["id", "v"], key=("id",), check=_stray_b)
+
+
+def test_a_check_that_finds_nothing_keeps_every_row(tmp_path):
+    path = tmp_path / "t.csv"
+    _write(path, ["n,v", "7,a", "", "8,b"])
+    seen = []
+    rows = read_table(path, ["n", "v"], ("n",), ("n",), check=seen.append)
+    assert rows == read_table(path, ["n", "v"], ("n",), ("n",)) \
+        == [[7, "a"], [8, "b"]]
+    assert seen == rows     # the check is given each row after conversion
+
+
 def _rows_then_fail():
     yield ("2", "z")
     raise RuntimeError("disk on fire")
