@@ -331,9 +331,13 @@ def _resolved_sites(data: ProjectData, include_constructors: bool):
 
 def build_callgraph(projects: list[ProjectData],
                     include_constructors: bool = True) -> CallGraph:
-    """One edge per syntactic call site across all given projects."""
+    """One edge per syntactic call site across all given projects. A
+    callee is named by its class, signature and first line, the key of its
+    method id, so a repeated declaration resolves to the cataloged one."""
     edges: list[CallEdge] = []
     for data in projects:
+        ids = {(m.class_id, m.method_signature, m.start_line): m.method_id
+               for m in data.methods}
         for meta, source, site, resolved, sig in _resolved_sites(
                 data, include_constructors):
             tok = source.ast.token(site.name)
@@ -342,7 +346,9 @@ def build_callgraph(projects: list[ProjectData],
                                       tok.line, tok.col))
             else:
                 callee_entry, target = resolved
-                edges.append(CallEdge(meta.method_id, target.method_id, sig,
+                callee = ids[callee_entry.class_id, target.signature,
+                             target.start_line]
+                edges.append(CallEdge(meta.method_id, callee, sig,
                                       _classify(meta, callee_entry),
                                       tok.line, tok.col))
     edges.sort(key=lambda e: (e.caller, e.line, e.col))

@@ -178,8 +178,10 @@ def java_entries(root: str) -> Iterator[tuple[str, ...]]:
                 yield (*prefix, name)
 
 
-def _parse_one(path: str, rel: str, builds: dict | None
+def _parse_one(path: str, rel: str, builds: dict[str, FileView]
                ) -> FileView | Diagnostic:
+    """The file's view: the one `builds` (text -> view) holds for its text,
+    else a new one, kept there if it parses; or what failed to read it."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -187,10 +189,12 @@ def _parse_one(path: str, rel: str, builds: dict | None
         return Diagnostic(rel, f"not valid UTF-8: {exc}")
     except OSError as exc:  # a directory or a dangling link named *.java
         return Diagnostic(rel, f"not readable: {exc.strerror}")
-    try:
-        return file_view(text, rel, builds)
-    except CorpusError as exc:
-        return Diagnostic(rel, str(exc))
+    if text not in builds:
+        try:
+            builds[text] = file_view(text)
+        except CorpusError as exc:
+            return Diagnostic(rel, str(exc))
+    return builds[text]
 
 
 def catalog_project(root, corpus_root, strict: bool = False,
@@ -202,10 +206,10 @@ def catalog_project(root, corpus_root, strict: bool = False,
     a method declared again with the same signature on the same first line:
     only the first one gets a row. A project with no cataloged classes is
     returned as it is: no rows, and the diagnostics that say why.
-    `builds` is `file_view`'s map from a text to the first view of it,
-    which `parse_corpus` shares among the projects of one load: a file
-    with a text already there is a twin of that view, and each of its
-    methods gets its own id here.
+    `builds` maps each text that parsed to its view, so every file that
+    holds that text reads the same view, which carries no path and no id.
+    `parse_corpus` shares one map among the projects of a load; None
+    gives this call a map of its own.
     """
     root = Path(root)
     if not root.is_dir():
@@ -214,19 +218,20 @@ def catalog_project(root, corpus_root, strict: bool = False,
     project_name = root.name
     project_id = assign_id("project", project_key(project_name, project_rel))
     project = ProjectMeta(project_id, project_rel, project_name)
+    builds = {} if builds is None else builds
 
     diagnostics: list[Diagnostic] = []
-    views: list[tuple[str, FileView]] = []     # (package path, view)
+    views: list[tuple[str, str, FileView]] = []   # (file, package path, view)
     top = str(root)
     for parts in sorted(java_entries(top)):     # as Paths sort: by parts
-        res = _parse_one(os.path.join(top, *parts),
-                         f"{project_rel}/{'/'.join(parts)}", builds)
+        file_rel = f"{project_rel}/{'/'.join(parts)}"
+        res = _parse_one(os.path.join(top, *parts), file_rel, builds)
         if isinstance(res, Diagnostic):
             if strict:
                 raise ParseError(f"{res.path}: {res.message}")
             diagnostics.append(res)
         else:
-            views.append(("/".join(parts[:-1]) or ".", res))
+            views.append((file_rel, "/".join(parts[:-1]) or ".", res))
 
     packages: dict[str, PackageMeta] = {}
     packages_by_path: dict[str, PackageMeta] = {}
@@ -235,8 +240,7 @@ def catalog_project(root, corpus_root, strict: bool = False,
     sources: dict[EntityId, MethodSource] = {}
     class_views: dict[EntityId, FileView] = {}
 
-    for pkg_path, view in views:
-        file_rel = view.path
+    for file_rel, pkg_path, view in views:
         pkg_name = view.package_name
         if pkg_name not in packages:
             if pkg_path in packages_by_path:
@@ -264,7 +268,6 @@ def catalog_project(root, corpus_root, strict: bool = False,
         class_views[class_id] = view
         for m in cv.methods:
             mid = assign_id("method", method_key(file_rel, m.signature, m.start_line))
-            m.method_id = mid   # a call to a repeat resolves to it too
             if mid in sources:
                 diagnostics.append(Diagnostic(
                     file_rel, f"duplicate declaration of {m.signature} at "

@@ -220,8 +220,8 @@ def parse_corpus(cfg: WorkspaceConfig) -> list[ProjectData]:
     stays in the list without rows, so its notes are reported, and
     `merged_catalog` leaves it out. A corpus with no cataloged class at
     all is an EmptyProjectError naming its root. A text that several files
-    hold is lexed, parsed and summarized once per call: its files are
-    twins that share the summary and the method views (`file_view`)."""
+    hold is lexed, parsed and summarized once per call, and all of them
+    read its one view (`catalog_project`'s `builds`)."""
     strict = cfg.strictness == "fail-fast"
     root = Path(cfg.corpus_root)
     builds: dict = {}
@@ -345,13 +345,14 @@ def stage_representations(ws: Workspace, datas: list[ProjectData],
 def stage_metrics(ws: Workspace, datas: list[ProjectData],
                   cat: Catalog) -> dict:
     tables: dict[str, dict[str, object]] = {k: {} for k in METRIC_KEYS}
-    # The values depend only on the header and the Ast, which twins share:
-    # each Ast is measured once. `datas` keeps every Ast, so no id is reused.
+    # The values depend only on the method's view, which every file with
+    # its text shares: each view is measured once. `datas` keeps every
+    # view, so no id is reused.
     measured: dict[int, dict[str, int | str]] = {}
     for d in datas:
         for meta in d.methods:
             method = d.sources[meta.method_id]
-            shared = id(method.ast)
+            shared = id(method)
             if shared not in measured:
                 measured[shared] = metrics_mod.compute_metrics(method)
             values = measured[shared]
@@ -435,6 +436,10 @@ def stage_taskgen(ws: Workspace, datas: list[ProjectData], cat: Catalog,
             key, props, payloads, cat, filters=list(filters),
             balance=balance, split_fracs=split_fracs, seed=seed)
         name = f"property_{key}"
+        # a text label that the payload spells can be copied, not learned
+        leaked = sum(isinstance(props[key][s.method_id], str)
+                     and s.label in s.payload.split(" ")
+                     for s in dataset.samples)
     elif task == "call-mask":
         graph = ws.read(ws.callgraph_path,
                         lambda path: read_callgraph_csv(path, cat))
@@ -455,6 +460,9 @@ def stage_taskgen(ws: Workspace, datas: list[ProjectData], cat: Catalog,
         raise InvalidArgumentError(f"task must be one of {TASKS}")
 
     write_task_csv(ws.task_path(name), dataset)
+    if task == "property" and leaked:
+        print(f"note: tasks/{name}.csv: {leaked} of {len(dataset.samples)} "
+              "samples hold their label as a payload token", file=sys.stderr)
     counts = Counter(s.split for s in dataset.samples)
     summary = {"task": name, "samples": len(dataset.samples),
                "splits": {s: counts[s] for s in SPLIT_NAMES}, "seed": seed}

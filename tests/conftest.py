@@ -68,13 +68,13 @@ def both_corpora(request) -> list[ProjectData]:
 
 @pytest.fixture(scope="session")
 def views() -> dict[str, FileView]:
-    return {rel: file_view(text, rel)
+    return {rel: file_view(text)
             for rel, text in fixture_files().items()}
 
 
 def method_named(view: FileView, name: str, index: int = 0) -> MethodSource:
     found = [m for m in view.classes[0].methods if m.name == name]
-    assert found, f"no method {name} in {view.path}"
+    assert found, f"no method {name} in {view.classes[0].name}"
     return found[index]
 
 
@@ -96,7 +96,7 @@ def fixture_with_statements(draw, statements=STATEMENTS) -> FileView:
                               max_size=4))
         for site, statement in sorted(edits, reverse=True):
             text = f"{text[:site]} {statement}{text[site:]}"
-    return file_view(text, rel)
+    return file_view(text)
 
 
 def longgen():

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from codecorpus import cli
-from codecorpus.fixturegen import write_fixture_corpus
+from codecorpus.fixturegen import fixture_files, write_fixture_corpus
 from codecorpus.pipeline import ARTIFACT_WRITERS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -134,3 +134,14 @@ def test_the_readme_layout_lists_the_tables_entries():
     entries = [line.split()[0].rstrip("/") for line in block.splitlines()
                if re.match(r"  \S", line)]
     assert entries == list(ARTIFACT_WRITERS)
+
+
+def test_the_readme_library_snippet_runs(tmp_path, monkeypatch, capsys):
+    section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
+    snippet = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    (tmp_path / "Box.java").write_text(
+        fixture_files()["textzoo/text/Box.java"], encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(snippet, str(README), "exec"), {})
+    printed = capsys.readouterr().out.split()
+    assert len(printed) == 4 and all(word.isdigit() for word in printed)

@@ -649,6 +649,31 @@ def test_imported_property_values_keep_their_text(metrics_ws, tmp_path):
         {mid: t for mid, t in stored.items() if t == "007"}
 
 
+def test_a_text_label_that_its_payload_spells_is_noted(metrics_ws, tmp_path):
+    ws = tmp_path / "ws"
+    shutil.copytree(metrics_ws, ws)
+    with open(ws / "metadata" / "methods.csv", newline="",
+              encoding="utf-8") as f:
+        names = {row["method_id"]: row["method_name"]
+                 for row in csv.DictReader(f)}
+    imported = tmp_path / "WORD.csv"
+    with open(imported, "w", newline="", encoding="utf-8") as f:
+        csv.writer(f, lineterminator="\n").writerows(
+            [("method_id", "value"), *names.items()])
+    proc = run_cli("props-import", imported, "-w", ws)
+    assert proc.returncode == 0, proc.stderr
+    proc = run_cli("taskgen", "-w", ws, "--task", "property", "--key", "WORD")
+    assert proc.returncode == 0, proc.stderr
+    n = len(names)
+    assert f"note: tasks/property_WORD.csv: {n} of {n} samples hold their " \
+        "label as a payload token\n" in proc.stderr
+    assert _property_labels(ws, "WORD") == names
+    # an integer label is no such note, though payloads spell small numbers
+    proc = run_cli("taskgen", "-w", ws, "--task", "property", "--key", "CMPX")
+    assert proc.returncode == 0, proc.stderr
+    assert "payload token" not in proc.stderr
+
+
 @pytest.mark.parametrize("name, key", [("imp.csv", "CMPX"),
                                        ("SLOC.csv", None)])
 def test_props_import_refuses_a_computed_key(metrics_ws, tmp_path, name, key):

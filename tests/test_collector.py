@@ -81,8 +81,8 @@ def held_corpus(tmp_path_factory):
 def test_parsing_leaves_no_cyclic_garbage():
     with collector(False):
         gc.collect()
-        for rel, text in sorted(fixture_files().items()):
-            file_view(text, rel)
+        for _rel, text in sorted(fixture_files().items()):
+            file_view(text)
         assert gc.collect() == 0
 
 

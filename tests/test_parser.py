@@ -105,8 +105,8 @@ def _tables(ast):
             [[t.kind, t.lexeme, t.line, t.col] for t in ast.tokens]]
 
 
-def _view_record(view):
-    return [view.path, _tables(view.ast),
+def _view_record(rel, view):
+    return [rel, _tables(view.ast),
             [[m.name, m.signature, m.start_line, m.end_line, m.text,
               _tables(m.ast), m.param_types, m.param_names, m.return_type,
               m.is_constructor, sorted(m.modifiers), m.class_name]
@@ -124,7 +124,7 @@ FIXTURE_PARSE_DIGEST = \
 def test_fixture_parses_match_the_recorded_digest(views):
     h = hashlib.sha256()
     for rel in sorted(views):
-        h.update(json.dumps(_view_record(views[rel])).encode("utf-8"))
+        h.update(json.dumps(_view_record(rel, views[rel])).encode("utf-8"))
     assert h.hexdigest() == FIXTURE_PARSE_DIGEST
 
 
@@ -325,7 +325,7 @@ def test_input_ending_after_any_token_is_a_parse_error(rel):
     for t in tokens[:-1]:
         end = line_starts[t.line - 1] + t.col - 1 + len(t.lexeme)
         with pytest.raises(ParseError):
-            file_view(text[:end], rel)
+            file_view(text[:end])
 
 
 _IN_METHOD = "class A { void f() { "
@@ -443,8 +443,7 @@ def test_file_view_headers_with_wildcard_import_and_extends():
         "    }\n"
         "}\n"
     )
-    v = file_view(src, "w/Widget.java")
-    assert v.path == "w/Widget.java"
+    v = file_view(src)
     assert v.package_name == "demo.deep.pkg"
     assert v.imports == [("java.util.List", False), ("util.helpers", True)]
     cls = v.classes[0]
@@ -513,7 +512,7 @@ def test_mutated_sources_parse_or_raise_a_corpus_error(item, edits):
             else:
                 data[i], data[i + 1] = data[i + 1], data[i]
     try:
-        view = file_view(data.decode("utf-8", errors="replace"), rel)
+        view = file_view(data.decode("utf-8", errors="replace"))
         for cls in view.classes:
             for m in cls.methods:
                 m.ast, m.tokens, m.text    # the views built on first read
@@ -549,7 +548,7 @@ def test_mutated_generic_statements_parse_or_raise_a_corpus_error(
     sites = [m.end() for m in re.finditer(r"\)\s*\{", text)]
     at = sites[site % len(sites)]
     try:
-        file_view(f"{text[:at]} {statement}{text[at:]}", rel)
+        file_view(f"{text[:at]} {statement}{text[at:]}")
     except CorpusError:
         pass
 
@@ -589,7 +588,7 @@ def test_every_long_method_statement_start_reads_as_the_previous_lookahead():
     for seed in range(32):
         for rel, text in generate(seed).items():
             starts += _assert_statement_starts_match_the_previous_lookahead(
-                file_view(text, rel).ast)
+                file_view(text).ast)
     assert starts > 1000
 
 
@@ -622,7 +621,7 @@ def _assert_shapes_match_the_previous_scans(view: FileView,
             got, want = for_parts(ast, i), for_parts_oracle(ast, i)
             if got != want:
                 init, cond, update, body = got
-                assert ast.is_terminal(cond), (view.path, i)
+                assert ast.is_terminal(cond), i
                 assert (init, None, update, body) == want
                 fixed += 1
         elif nt in (NT_LOCAL, NT_FIELD):
@@ -631,7 +630,7 @@ def _assert_shapes_match_the_previous_scans(view: FileView,
             assert call_parts(ast, i) == call_parts_oracle(ast, i)
         elif nt == NT_NEW:
             assert new_parts(ast, i) == new_parts_oracle(ast, i)
-    assert fixed == single_name_conds, view.path
+    assert fixed == single_name_conds
     for ctors in (False, True):
         assert [(s.node, s.name, s.args) for s in call_sites(ast, ctors)] == \
             [(node, name, args)
@@ -649,15 +648,15 @@ def _assert_methods_match_the_eager_sources(view: FileView) -> None:
     """Each method's header fields and its views, built on first read,
     equal the method built eagerly."""
     eager = method_sources_oracle(view)
-    assert len(eager) == len(view.classes), view.path
+    assert len(eager) == len(view.classes)
     for cls, want in zip(view.classes, eager):
-        assert len(cls.methods) == len(want), view.path
+        assert len(cls.methods) == len(want), cls.name
         for m, o in zip(cls.methods, want):
             assert [getattr(m, f) for f in _HEADER_FIELDS] == \
-                [getattr(o, f) for f in _HEADER_FIELDS], (view.path, m.name)
-            assert m.text == o.text, (view.path, m.name)
-            assert m.tokens == o.ast.tokens, (view.path, m.name)
-            assert m.ast == o.ast, (view.path, m.name)
+                [getattr(o, f) for f in _HEADER_FIELDS], (cls.name, m.name)
+            assert m.text == o.text, (cls.name, m.name)
+            assert m.tokens == o.ast.tokens, (cls.name, m.name)
+            assert m.ast == o.ast, (cls.name, m.name)
             assert m.ast is m.ast and m.ast.tokens is m.tokens
 
 
@@ -687,7 +686,7 @@ def test_method_asts_equal_the_subtree_of_the_whole_file(corpus):
     of its member's subtree in the whole-file parse, and its tokens are the
     file's slice from its first leaf to its last."""
     for rel, text in sorted(_corpus_sources(corpus).items()):
-        view = file_view(text, rel)
+        view = file_view(text)
         whole = parse(text)
         members = [i for i, nt in enumerate(whole.node_types)
                    if nt in (NT_METHOD, NT_CTOR)]
@@ -727,8 +726,7 @@ def test_method_equality_compares_the_header_not_the_file(monkeypatch):
         raise AssertionError("== compared an Ast")
     monkeypatch.setattr(Ast, "__eq__", refuse)
     assert a == b
-    b.method_id = "other"
-    assert a != b
+    assert a != file_view(src.replace("x", "y")).classes[0].methods[0]
 
 
 _SHAPE_STATEMENTS = (

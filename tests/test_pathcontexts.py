@@ -337,7 +337,7 @@ def test_length_counts_internal_nodes_only():
 def _long_methods():
     return [m for seed in (0, 1)
             for rel, text in sorted(longgen().generate(seed).items())
-            for cls in file_view(text, rel).classes for m in cls.methods]
+            for cls in file_view(text).classes for m in cls.methods]
 
 
 _LONG_METHODS = _long_methods()

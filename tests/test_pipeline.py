@@ -11,6 +11,7 @@ import json
 import re
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -496,8 +497,7 @@ def test_a_missing_metadata_table_names_catalog_before_any_parse(
     stage_catalog(ws, WorkspaceConfig(corpus_root=str(corpus)))
     (ws.metadata_dir / f"{table}.csv").unlink()
     parsed = []
-    monkeypatch.setattr(catalog_mod, "file_view",
-                        lambda text, path: parsed.append(path))
+    monkeypatch.setattr(catalog_mod, "file_view", parsed.append)
     message = re.escape(f"missing artifact {table}.csv; run `catalog` first")
     with pytest.raises(InputError, match=message):
         load_corpus(ws)
@@ -665,17 +665,10 @@ def test_add_project_parses_each_file_once(tmp_path, monkeypatch):
             f"package pkg;\nclass {name} {{ int h() {{ return 3; }} }}\n",
             encoding="utf-8")
 
-    parsed = []
-    real = catalog_mod.file_view
-
-    def counting(text, path, *builds):
-        parsed.append(path)
-        return real(text, path, *builds)
-
-    monkeypatch.setattr(catalog_mod, "file_view", counting)
+    parsed = counted(monkeypatch, catalog_mod, "file_view")
     stage_add_project(ws, second)
     assert sorted(parsed) == sorted(
-        p.relative_to(corpus).as_posix() for p in corpus.rglob("*.java"))
+        p.read_text(encoding="utf-8") for p in corpus.rglob("*.java"))
 
 
 def test_the_fixture_writer_writes_exactly_the_generated_files(tmp_path):
@@ -716,30 +709,31 @@ def test_a_cloned_text_is_lexed_once_per_load(tmp_path, monkeypatch):
     lexed = counted(monkeypatch, parser_mod, "lex")
     viewed = counted(monkeypatch, catalog_mod, "file_view")
     parse_corpus(cfg)
-    assert sorted(lexed) == sorted({CLONE, "package pkg;\nclass B { }\n"})
-    assert len(viewed) == 3 and viewed.count(CLONE) == 2
+    assert sorted(viewed) == sorted(lexed) == \
+        sorted({CLONE, "package pkg;\nclass B { }\n"})
 
 
-def test_clones_keep_their_own_views_and_rows(tmp_path, monkeypatch):
+def unshared(cfg) -> list:
+    """`parse_corpus` with a memo of its own for each project, so no
+    view is shared between projects."""
+    root = Path(cfg.corpus_root)
+    return [catalog_mod.catalog_project(p, corpus_root=root)
+            for p in discover_projects(root)]
+
+
+def test_clones_share_one_view_and_keep_their_own_rows(tmp_path):
     cfg = clone_corpus(tmp_path)
     shared = parse_corpus(cfg)
-    real = catalog_mod.file_view
-    monkeypatch.setattr(catalog_mod, "file_view",
-                        lambda text, path, *_builds: real(text, path))
-    alone = parse_corpus(cfg)
-    cats = merged_catalog(shared), merged_catalog(alone)
+    cats = merged_catalog(shared), merged_catalog(unshared(cfg))
     for table in ("projects", "packages", "classes", "methods"):
         assert getattr(cats[0], table) == getattr(cats[1], table), table
+    (view_p, mp, id_p), (view_q, mq, id_q) = twins(shared)
+    assert [c.class_path for d in shared for c in d.classes
+            if c.class_name == "A"] == ["p/pkg/A.java", "q/pkg/A.java"]
+    assert view_p is view_q and mp is mq and id_p and id_q and id_p != id_q
     p, q = shared
-    view_p, view_q = (next(v for v in d.class_views.values()
-                           if v.path.endswith("A.java")) for d in (p, q))
-    assert (view_p.path, view_q.path) == ("p/pkg/A.java", "q/pkg/A.java")
-    assert view_p is not view_q and view_p._tokens is view_q._tokens
-    (mp,), (mq,) = view_p.classes[0].methods, view_q.classes[0].methods
-    assert mp is not mq and mp.method_id != mq.method_id
-    assert (p.sources[mp.method_id], q.sources[mq.method_id]) == (mp, mq)
-    assert tkna_text(mp.tokens) == tkna_text(mq.tokens)
-    assert mp.ast.node_types == mq.ast.node_types and mp.ast is mq.ast
+    assert p.sources[id_p] is q.sources[id_q] is mp
+    assert mp.text == "class A { int f(int x) { return x + 1; } }\n"
 
 
 def test_no_parse_outlives_its_load(tmp_path, monkeypatch):
@@ -779,36 +773,71 @@ def callee_corpus(root):
     return cfg
 
 
-def twins(datas) -> tuple:
-    """The two views of `pkg/A.java` and their one method each."""
-    views = [next(v for v in d.class_views.values()
-                  if v.path.endswith("A.java")) for d in datas]
-    return (*views, *(v.classes[0].methods[0] for v in views))
+def test_one_text_at_two_paths_of_a_project_is_one_view(tmp_path):
+    text = "class A { int f() { return g(); } int g() { return 1; } }\n"
+    for rel in ("p/x/A.java", "p/y/A.java"):
+        (tmp_path / rel).parent.mkdir(parents=True)
+        (tmp_path / rel).write_text(text, encoding="utf-8")
+    data = catalog_mod.catalog_project(tmp_path / "p", corpus_root=tmp_path)
+    assert [c.class_path for c in data.classes] == ["p/x/A.java", "p/y/A.java"]
+    assert len({m.method_id for m in data.methods}) == 4
+    view_x, view_y = (data.class_views[c.class_id] for c in data.classes)
+    assert view_x is view_y
+    # each class's f calls its own g, though both read one MethodSource
+    g_of = {m.class_id: m.method_id for m in data.methods
+            if m.method_name == "g"}
+    f_of = {m.method_id: m.class_id for m in data.methods
+            if m.method_name == "f"}
+    edges = build_callgraph([data]).edges
+    assert sorted((e.caller, e.callee, e.call_type) for e in edges) == \
+        sorted((f, g_of[cid], "Local") for f, cid in f_of.items())
 
 
-def test_twins_share_their_views_and_source_and_not_their_ids(tmp_path):
-    view_p, view_q, mp, mq = twins(parse_corpus(clone_corpus(tmp_path)))
-    assert mp.method_id and mq.method_id and mp.method_id != mq.method_id
-    assert mp.tokens is mq.tokens and mp.ast is mq.ast
-    assert view_p.source is view_q.source and view_p.ast is view_q.ast
-    assert mp.text == mq.text == "class A { int f(int x) { return x + 1; } }\n"
+def test_a_load_builds_one_view_per_distinct_text_and_member(tmp_path,
+                                                              monkeypatch):
+    x4 = {k: 4 * v for k, v in DEFAULT_BUCKET_CLASSES.items()}
+    write_fixture_corpus(tmp_path, x4)
+    built = {"MethodSource": 0, "FileView": 0}
+    for cls_name in built:
+        cls = getattr(parser_mod, cls_name)
+        real = cls.__init__
+
+        def counting(self, *args, _name=cls_name, _real=real, **kwargs):
+            built[_name] += 1
+            _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    datas = parse_corpus(WorkspaceConfig(corpus_root=str(tmp_path)))
+    distinct = {id(v): v for d in datas for v in d.class_views.values()}
+    assert built == {
+        "MethodSource": sum(len(c.methods) for v in distinct.values()
+                            for c in v.classes),
+        "FileView": len(distinct)}
+    assert built == {"MethodSource": 1656, "FileView": 428}
+    assert sum(len(d.methods) for d in datas) == 2966
 
 
-def test_twins_write_the_bytes_of_an_unshared_parse(tmp_path, monkeypatch):
+def twins(datas) -> list[tuple]:
+    """Per project: the view of `pkg/A.java`, its one method and that
+    method's id, read off the metadata rows."""
+    metas = [next(m for m in d.methods if m.method_path.endswith("A.java"))
+             for d in datas]
+    return [(d.class_views[m.class_id], d.sources[m.method_id], m.method_id)
+            for d, m in zip(datas, metas)]
+
+
+def test_twins_write_the_bytes_of_an_unshared_parse(tmp_path):
     cfg = callee_corpus(tmp_path / "corpus")
 
-    def tables(ws: Workspace) -> dict[str, bytes]:
-        datas = parse_corpus(cfg)
+    def tables(ws: Workspace, load) -> dict[str, bytes]:
+        datas = load(cfg)
         stage_representations(ws, datas, list(REPRESENTATION_TYPES), 0)
         stage_metrics(ws, datas, merged_catalog(datas))
         return {p.relative_to(ws.root).as_posix(): p.read_bytes()
                 for p in ws.root.rglob("*.csv")}
 
-    shared = tables(Workspace(tmp_path / "shared"))
-    real = catalog_mod.file_view
-    monkeypatch.setattr(catalog_mod, "file_view",
-                        lambda text, path, *_builds: real(text, path))
-    alone = tables(Workspace(tmp_path / "alone"))
+    shared = tables(Workspace(tmp_path / "shared"), parse_corpus)
+    alone = tables(Workspace(tmp_path / "alone"), unshared)
     assert len(shared) == len(REPRESENTATION_TYPES) + len(METRIC_KEYS)
     assert shared == alone
 
@@ -818,10 +847,10 @@ def test_twins_whose_callees_name_their_parameters_apart_differ_in_ftgr(
     datas = parse_corpus(callee_corpus(tmp_path / "corpus"))
     ws = Workspace(tmp_path / "ws")
     stage_representations(ws, datas, ["FTGR", "ASTS"], 0)
-    _view_p, _view_q, mp, mq = twins(datas)
+    (_view_p, _mp, id_p), (_view_q, _mq, id_q) = twins(datas)
     ftgr, asts = (read_repr_csv(ws.repr_path(t)) for t in ("FTGR", "ASTS"))
-    assert asts[mp.method_id] == asts[mq.method_id]
-    assert ftgr[mp.method_id] != ftgr[mq.method_id]
+    assert asts[id_p] == asts[id_q]
+    assert ftgr[id_p] != ftgr[id_q]
 
 
 def test_repr_extracts_paths_twice_per_method_over_clones(tmp_path,
